@@ -1,7 +1,7 @@
 // E25 — sharded deterministic flood: parity and scaling.
 //
 // Claim: flooding::ShardedSimulator (shard_sim.h) runs one large flood
-// partitioned over S calendar queues on core::parallel lanes,
+// partitioned over S time queues on core::parallel lanes,
 // bit-identical to the single-queue engine, and >= 3x faster at S=8 on
 // an 8-way host for the n=65536 LHG(k=4) flood.
 //

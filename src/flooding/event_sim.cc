@@ -7,89 +7,34 @@ namespace lhg::flooding {
 Simulator::~Simulator() {
   // Destroy callables of events that never executed (drained queues
   // leave nothing; run_until can).
-  for (const BucketRef& ref : bucket_heap_) {
-    const Bucket& bucket = buckets_[ref.bucket];
-    for (std::uint32_t i = bucket.head;
-         i < static_cast<std::uint32_t>(bucket.events.size()); ++i) {
-      const Event& ev = bucket.events[i];
-      if (ev.kind == kCallback) {
-        CallbackPayload& cb =
-            slot(static_cast<std::uint32_t>(ev.link)).callback;
-        cb.destroy(cb.storage);
-      }
+  queue_.for_each([this](const Queue::Item& item) {
+    if (item.payload.sink == kCallbackSink) {
+      CallbackPayload& cb =
+          slot(static_cast<std::uint32_t>(item.payload.link)).callback;
+      cb.destroy(cb.storage);
     }
-  }
+  });
 }
 
-void Simulator::enqueue_slow(double time, const Event& ev) {
-  // Open a fresh bucket for this timestamp.  Several buckets may share
-  // a time (pushes alternating between timestamps abandon and reopen);
-  // the creation-seq tie-break drains them in creation order, which —
-  // because an abandoned bucket never receives further appends — is
-  // exactly global insertion order.
-  std::uint32_t b;
-  if (!bucket_free_.empty()) {
-    b = bucket_free_.back();
-    bucket_free_.pop_back();
-    buckets_[b].time = time;
-    buckets_[b].head = 0;
-    buckets_[b].events.clear();
-  } else {
-    b = static_cast<std::uint32_t>(buckets_.size());
-    buckets_.push_back(Bucket{time, 0, {}});
-  }
-  bucket_heap_push({time, next_bucket_seq_++, b});
-  buckets_[b].events.push_back(ev);
-  last_bucket_ = b;
-}
-
-void Simulator::bucket_heap_push(BucketRef ref) {
-  // Hole-based sift-up: parents slide down into the hole and the ref
-  // lands once.
-  std::size_t i = bucket_heap_.size();
-  bucket_heap_.push_back(ref);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!before(ref, bucket_heap_[parent])) break;
-    bucket_heap_[i] = bucket_heap_[parent];
-    i = parent;
-  }
-  bucket_heap_[i] = ref;
-}
-
-void Simulator::bucket_heap_pop() {
-  const BucketRef last = bucket_heap_.back();
-  bucket_heap_.pop_back();
-  const std::size_t n = bucket_heap_.size();
-  if (n == 0) return;
-  // Sift `last` down from the root among up to four children.
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first_child = (i << 2) + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t end = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < end; ++c) {
-      if (before(bucket_heap_[c], bucket_heap_[best])) best = c;
-    }
-    if (!before(bucket_heap_[best], last)) break;
-    bucket_heap_[i] = bucket_heap_[best];
-    i = best;
-  }
-  bucket_heap_[i] = last;
+std::uint32_t Simulator::intern_sink(DeliverSink* sink) {
+  const auto index = static_cast<std::uint32_t>(
+      std::find(sinks_.begin(), sinks_.end(), sink) - sinks_.begin());
+  if (index == sinks_.size()) sinks_.push_back(sink);
+  last_sink_ = sink;
+  last_sink_index_ = index;
+  return index;
 }
 
 void Simulator::dispatch(const Event& ev) {
   ++processed_;
-  --pending_;
+  const bool deliver = ev.sink != kCallbackSink;
   if (obs_ != nullptr) {
-    obs_->add(ev.kind == kDeliver ? obs_->sim_deliver_events
-                                  : obs_->sim_callback_events);
+    obs_->add(deliver ? obs_->sim_deliver_events : obs_->sim_callback_events);
   }
-  if (ev.kind == kDeliver) {
+  if (deliver) {
     // The whole payload is in `ev` — copied off the queue, so the sink
     // is free to schedule follow-up events.
-    ev.sink->on_deliver(ev.from, ev.to, ev.link, ev.message);
+    sinks_[ev.sink]->on_deliver(ev.from, ev.to, ev.link, ev.message);
   } else {
     // Invoke in place — slab addresses are stable, so events the
     // callback schedules (which may carve new chunks) cannot move it.
@@ -100,34 +45,32 @@ void Simulator::dispatch(const Event& ev) {
   }
 }
 
-void Simulator::drain_front(double deadline, bool bounded) {
-  // Drain buckets in (time, creation) order.  All access goes through
-  // indices: dispatch may open new buckets (reallocating `buckets_`) or
-  // append same-time events behind `head` of the bucket being drained.
-  while (!bucket_heap_.empty()) {
-    const std::uint32_t b = bucket_heap_.front().bucket;
-    if (bounded && buckets_[b].time > deadline) break;
-    now_ = buckets_[b].time;
-    while (buckets_[b].head < buckets_[b].events.size()) {
-      const Event ev = buckets_[b].events[buckets_[b].head++];
-      dispatch(ev);
-    }
-    bucket_heap_pop();
+void Simulator::drain(std::uint64_t limit) {
+  // One timestamp per pass: the front run holds its events in insertion
+  // order, and events a handler schedules at the same time append to
+  // it.  Each event is copied off the queue before it runs, since
+  // scheduling may reallocate the front run.
+  while (queue_.advance(limit)) {
+    now_ = Queue::time_of(queue_.current_key());
+    while (!queue_.front_empty()) dispatch(queue_.pop_front().payload);
     if (obs_ != nullptr) {
       obs_->observe(obs_->sim_bucket_events,
-                    static_cast<std::int64_t>(buckets_[b].events.size()));
+                    static_cast<std::int64_t>(queue_.front_taken()));
     }
-    if (last_bucket_ == b) last_bucket_ = kNoBucket;
-    buckets_[b].events.clear();
-    buckets_[b].head = 0;
-    bucket_free_.push_back(b);
   }
 }
 
-void Simulator::run() { drain_front(0.0, /*bounded=*/false); }
+void Simulator::run() {
+  drain(Queue::kNoKey);
+  LHG_CHECK(pending() == 0 && queue_.empty(),
+            "Simulator::run: {} events left queued after the drain",
+            pending());
+}
 
 void Simulator::run_until(double deadline) {
-  drain_front(deadline, /*bounded=*/true);
+  LHG_CHECK(deadline == deadline, "Simulator::run_until: NaN deadline");
+  if (deadline < 0.0) return;  // every event time is >= 0
+  drain(Queue::key_of(deadline));
   if (now_ < deadline) now_ = deadline;
 }
 

@@ -23,27 +23,31 @@
 //     zero allocations per event (`slots_created()` exposes the
 //     high-water mark for tests to pin this).
 //
-//   * Bucket queue.  Pending events live in per-time FIFO buckets; a
-//     cache-friendly 4-ary heap orders only the *distinct* pending
-//     times, not the individual events.  Simulated protocols schedule
-//     in long runs of equal timestamps (every hop of a fixed-latency
-//     flood lands on the same instant), so the common push appends to
-//     the current bucket in O(1) and the common pop is a linear walk —
-//     the O(log pending) heap sift is paid once per time run, not once
-//     per event.  Workloads with all-distinct timestamps (per-send
-//     jitter) degrade gracefully to one-event buckets, i.e. to an
-//     ordinary heap with pooled, recycled bucket storage.
+//   * Radix time queue.  Pending events live in the monotone radix
+//     queue of time_queue.h, keyed by the bits of their time: a push is
+//     an append to one of 65 buckets, and a bucket is re-filed only
+//     when it holds the minimum.  Simulated protocols schedule in long
+//     runs of equal timestamps (every hop of a fixed-latency flood lands
+//     on the same instant); such a run moves to the front with one swap.
+//     Workloads with all-distinct timestamps (per-link or per-send
+//     jitter) pay a few re-filings per event.  A queued event is 32
+//     bytes: its time key and an inline (message, from, to, link, sink
+//     index) payload.
 //
 // Determinism contract (unchanged from the std::function engine):
 // events execute in (time, insertion) order, a total order, so a run is
 // a pure function of its inputs — two runs with the same seed produce
 // identical traces, which the golden-trace regression tests pin down to
-// the exact (time, event) sequence.  Within one timestamp the FIFO
-// bucket preserves insertion order directly; across buckets that share
-// a timestamp (a bucket is abandoned whenever a different time is
-// scheduled, and never appended to again) the creation-sequence
-// tie-break drains them in creation order, which is again exactly
-// insertion order.
+// the exact (time, event) sequence.  Every radix bucket keeps its items
+// in push order and equal times always share a bucket, so the front run
+// of one timestamp is exactly its events in insertion order
+// (time_queue.h has the argument).
+//
+// Monotone time.  Events may only be scheduled at or after now(); the
+// check is always on for callbacks and debug-only (LHG_DCHECK) on the
+// per-message deliver path.  run_until(d) leaves the queue's current
+// time at the last executed timestamp, so later scheduling anywhere in
+// [d, next pending time) stays legal.  -0.0 is treated as +0.0.
 
 #pragma once
 
@@ -58,6 +62,7 @@
 #include <vector>
 
 #include "core/check.h"
+#include "flooding/time_queue.h"
 #include "obs/obs.h"
 
 namespace lhg::flooding {
@@ -94,7 +99,7 @@ class Simulator {
   double now() const { return now_; }
 
   /// Observability tap (may be null; default).  Counts executed events
-  /// by kind and the size of each drained time bucket; recording never
+  /// by kind and the events run at each drained timestamp; recording never
   /// reorders or perturbs the event stream.
   void set_obs(const obs::SimObs* obs) { obs_ = obs; }
 
@@ -134,9 +139,12 @@ class Simulator {
       cb.destroy = [](void* p) { delete *reinterpret_cast<Fn**>(p); };
     }
     Event ev;
-    ev.kind = kCallback;
+    ev.message = 0;
+    ev.from = 0;
+    ev.to = 0;
     ev.link = id;
-    enqueue(time, ev);
+    ev.sink = kCallbackSink;
+    queue_.push(Queue::key_of(time), ev);
   }
 
   /// Schedules `fn` to run `delay` (>= 0) after now().
@@ -148,20 +156,21 @@ class Simulator {
   /// Schedules delivery of `message` from `from` to `to` over `link` at
   /// absolute time `time`; at that instant `sink->on_deliver` runs with
   /// exactly these arguments.  This is the allocation-free per-message
-  /// path: an inline queue record, no slab, no type erasure.
+  /// path: an inline queue record, no slab, no type erasure.  Its time
+  /// contract is debug-only (LHG_DCHECK).
   void schedule_deliver_at(double time, DeliverSink* sink, std::int32_t from,
                            std::int32_t to, std::int32_t link,
                            std::int64_t message) {
-    check_time(time);
+    LHG_DCHECK(time >= now_, "Simulator: time {} is NaN or before now {}",
+               time, now_);
     LHG_DCHECK(sink != nullptr, "Simulator::schedule_deliver_at: null sink");
     Event ev;
-    ev.sink = sink;
     ev.message = message;
     ev.from = from;
     ev.to = to;
     ev.link = link;
-    ev.kind = kDeliver;
-    enqueue(time, ev);
+    ev.sink = sink == last_sink_ ? last_sink_index_ : intern_sink(sink);
+    queue_.push(Queue::key_of(time), ev);
   }
 
   void schedule_deliver_in(double delay, DeliverSink* sink, std::int32_t from,
@@ -170,22 +179,24 @@ class Simulator {
     schedule_deliver_at(now_ + delay, sink, from, to, link, message);
   }
 
-  /// Runs events in (time, insertion) order until the queue drains.
+  /// Runs events in (time, insertion) order until the queue drains,
+  /// then checks that every queue bucket is empty.
   void run();
 
-  /// Runs events with time <= `deadline`; later events stay queued and
-  /// now() ends at max(now, deadline-capped last executed time).
+  /// Runs events with time <= `deadline` (not NaN); later events stay
+  /// queued and now() ends at max(now, deadline-capped last executed
+  /// time).
   void run_until(double deadline);
 
   /// Number of events executed so far (deliver + callback).
   std::int64_t events_processed() const { return processed_; }
 
   /// Number of events still queued.
-  std::size_t pending() const { return pending_; }
+  std::size_t pending() const { return queue_.size(); }
 
   /// Callback slots ever carved from the slab — the storage high-water
   /// mark.  Deliver events never touch the slab (their payload rides in
-  /// the bucket queue), and steady-state callback traffic recycles
+  /// the time queue), and steady-state callback traffic recycles
   /// slots through the free list, so this stays flat while events flow;
   /// tests hook it to prove the hot paths perform zero allocations per
   /// event.
@@ -198,8 +209,6 @@ class Simulator {
   }
 
  private:
-  enum Kind : std::uint32_t { kDeliver = 0, kCallback = 1 };
-
   struct CallbackPayload {
     void (*invoke)(void* storage);   // call the callable, then destroy it
     void (*destroy)(void* storage);  // destroy only (queue teardown)
@@ -216,66 +225,38 @@ class Simulator {
   };
   static_assert(sizeof(Slot) <= 64, "event slot should stay one cache line");
 
-  /// One queued event.  Deliver events carry their whole payload here;
-  /// callback events use `link` as the slab slot id and leave
-  /// sink/message/from/to dead.
+  /// Sink index of callback events.
+  static constexpr std::uint32_t kCallbackSink = 0xffffffffu;
+
+  /// Payload of one queued event.  Deliver events carry their whole
+  /// payload here, with the sink as an index into `sinks_`; callback
+  /// events use `link` as the slab slot id and zero the rest.
   struct Event {
-    DeliverSink* sink;
     std::int64_t message;
     std::int32_t from;
     std::int32_t to;
     std::int32_t link;  // deliver: link id; callback: slab slot id
-    std::uint32_t kind;
+    std::uint32_t sink;  // index into sinks_, or kCallbackSink
   };
-  static_assert(sizeof(Event) <= 32, "queued event should stay compact");
-
-  /// FIFO of every pending event at one timestamp; storage is pooled
-  /// and recycled through `bucket_free_`.
-  struct Bucket {
-    double time;
-    std::uint32_t head = 0;  // next event to execute
-    std::vector<Event> events;
-  };
-
-  /// Bucket-heap entry with the sort key inline, so sifts compare and
-  /// move 24 bytes and never dereference the bucket pool.
-  struct BucketRef {
-    double time;
-    std::uint64_t seq;  // bucket creation sequence: the FIFO tie-break
-    std::uint32_t bucket;
-  };
-  static_assert(sizeof(BucketRef) <= 24, "bucket ref should stay compact");
+  using Queue = TimeQueue<Event>;
+  static_assert(sizeof(Queue::Item) <= 32, "queued event should stay compact");
 
   template <typename T>
   struct IsStdFunction : std::false_type {};
   template <typename R, typename... Args>
   struct IsStdFunction<std::function<R(Args...)>> : std::true_type {};
 
-  static bool before(const BucketRef& a, const BucketRef& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  }
-
   void check_time(double time) const {
     LHG_CHECK(time == time && time >= now_,
               "Simulator: time {} is NaN or before now {}", time, now_);
   }
 
-  /// Hot path: almost every push lands on the same timestamp as the
-  /// previous one (the next hop round) and appends in O(1).
-  void enqueue(double time, const Event& ev) {
-    ++pending_;
-    if (last_bucket_ != kNoBucket && buckets_[last_bucket_].time == time) {
-      buckets_[last_bucket_].events.push_back(ev);
-      return;
-    }
-    enqueue_slow(time, ev);
-  }
-
-  void enqueue_slow(double time, const Event& ev);
+  /// Registers a new deliver sink (or finds a known one) and caches it
+  /// as the last one used.
+  std::uint32_t intern_sink(DeliverSink* sink);
 
   static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
 
   Slot& slot(std::uint32_t id) {
     return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
@@ -300,17 +281,13 @@ class Simulator {
     free_head_ = static_cast<std::int32_t>(id);
   }
 
-  void bucket_heap_push(BucketRef ref);
-  void bucket_heap_pop();
-  void drain_front(double deadline, bool bounded);
+  void drain(std::uint64_t limit);  // run events with key <= limit
   void dispatch(const Event& ev);  // execute exactly one event
 
-  std::vector<Bucket> buckets_;             // pooled; index-stable
-  std::vector<std::uint32_t> bucket_free_;  // recycled bucket indices
-  std::vector<BucketRef> bucket_heap_;      // 4-ary min-heap, distinct times
-  std::uint32_t last_bucket_ = kNoBucket;   // append target cache
-  std::uint64_t next_bucket_seq_ = 0;
-  std::size_t pending_ = 0;
+  Queue queue_;
+  std::vector<DeliverSink*> sinks_;  // deliver sinks seen, by index
+  DeliverSink* last_sink_ = nullptr;
+  std::uint32_t last_sink_index_ = 0;
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::int32_t free_head_ = -1;

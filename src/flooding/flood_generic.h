@@ -56,7 +56,7 @@ std::vector<bool> alive_mask(const BasicNetwork<Topology>& net) {
 }  // namespace detail
 
 /// Deterministic flooding on the sharded engine: the same protocol as
-/// `flood`, with the node set split over `cfg.shards` calendar queues
+/// `flood`, with the node set split over `cfg.shards` time queues
 /// driven by core::parallel lanes (shard_sim.h).  Results are
 /// bit-identical at any shard and thread count; chaos-free runs with
 /// kFixed / kUniformPerLink latencies are additionally bit-equal to the

@@ -65,7 +65,7 @@ struct FloodConfig {
   /// Metrics / trace recording (off by default: zero overhead).
   obs::ObsConfig obs{};
   /// > 1 runs the flood on the sharded engine (shard_sim.h): the node
-  /// set splits into `shards` calendar queues driven by core::parallel
+  /// set splits into `shards` time queues driven by core::parallel
   /// lanes, bit-identical at any shard/thread count.  Chaos-free runs
   /// with kFixed/kUniformPerLink latency are additionally bit-equal to
   /// the single-queue engine; chaotic runs draw from per-arc streams

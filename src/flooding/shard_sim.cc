@@ -28,150 +28,51 @@ ShardedSimulator::~ShardedSimulator() { destroy_pending_callbacks(); }
 void ShardedSimulator::destroy_pending_callbacks() {
   // run_until can leave unexecuted events behind; destroy their
   // callables exactly as the serial engine's destructor does.  Between
-  // windows `run`/`late` are empty and outboxes hold only deliver
-  // events, so shard bucket heaps and the control lane cover
-  // everything.
+  // windows the late heaps are empty and outboxes hold only deliver
+  // events, so the shard queues and the control lane cover everything.
   for (Shard& sh : shards_) {
-    for (const BucketRef& ref : sh.heap) {
-      for (const Event& ev : sh.buckets[ref.bucket].events) {
-        if (ev.kind == kCallback) {
-          CallbackPayload& cb =
-              shard_slot(sh, static_cast<std::uint32_t>(ev.link)).callback;
-          cb.destroy(cb.storage);
-        }
+    sh.queue.for_each([&](const Queue::Item& item) {
+      if (item.payload.kind == kCallback) {
+        CallbackPayload& cb =
+            shard_slot(sh, static_cast<std::uint32_t>(item.payload.link))
+                .callback;
+        cb.destroy(cb.storage);
       }
-    }
+    });
   }
-  for (const ControlRef& ref : control_) {
+  control_.for_each([this](const ControlQueue::Item& item) {
     CallbackPayload& cb =
-        env_slot(static_cast<std::uint32_t>(ref.slot)).callback;
+        env_slot(static_cast<std::uint32_t>(item.payload)).callback;
     cb.destroy(cb.storage);
-  }
-}
-
-void ShardedSimulator::enqueue(Shard& sh, double time, const Event& ev) {
-  ++sh.pending;
-  // Same-time events created while their timestamp is being drained
-  // slot into the remaining execution by key (the bucket was already
-  // collected); everything else takes the calendar-queue path.
-  if (sh.draining && time == sh.drain_time) {
-    late_push(sh, ev);
-    return;
-  }
-  if (sh.last_bucket != kNoBucket && sh.buckets[sh.last_bucket].time == time) {
-    sh.buckets[sh.last_bucket].events.push_back(ev);
-    return;
-  }
-  enqueue_slow(sh, time, ev);
-}
-
-void ShardedSimulator::enqueue_slow(Shard& sh, double time, const Event& ev) {
-  // Open a fresh bucket for this timestamp.  Several buckets may share
-  // a time; the window drain collects all of them and key-sorts once,
-  // so bucket multiplicity never affects execution order.
-  std::uint32_t b;
-  if (!sh.bucket_free.empty()) {
-    b = sh.bucket_free.back();
-    sh.bucket_free.pop_back();
-    sh.buckets[b].time = time;
-    sh.buckets[b].events.clear();
-  } else {
-    b = static_cast<std::uint32_t>(sh.buckets.size());
-    sh.buckets.push_back(Bucket{time, {}});
-  }
-  heap_push(sh, BucketRef{time, sh.next_bucket_seq++, b});
-  sh.buckets[b].events.push_back(ev);
-  sh.last_bucket = b;
-}
-
-void ShardedSimulator::heap_push(Shard& sh, BucketRef ref) {
-  std::size_t i = sh.heap.size();
-  sh.heap.push_back(ref);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 1;
-    if (!ref_before(ref, sh.heap[parent])) break;
-    sh.heap[i] = sh.heap[parent];
-    i = parent;
-  }
-  sh.heap[i] = ref;
-}
-
-void ShardedSimulator::heap_pop(Shard& sh) {
-  const BucketRef last = sh.heap.back();
-  sh.heap.pop_back();
-  const std::size_t n = sh.heap.size();
-  if (n == 0) return;
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t left = (i << 1) + 1;
-    if (left >= n) break;
-    std::size_t best = left;
-    const std::size_t right = left + 1;
-    if (right < n && ref_before(sh.heap[right], sh.heap[left])) best = right;
-    if (!ref_before(sh.heap[best], last)) break;
-    sh.heap[i] = sh.heap[best];
-    i = best;
-  }
-  sh.heap[i] = last;
+  });
 }
 
 void ShardedSimulator::late_push(Shard& sh, const Event& ev) {
   sh.late.push_back(ev);
   std::push_heap(sh.late.begin(), sh.late.end(),
-                 [](const Event& a, const Event& b) { return a.key > b.key; });
+                 [](const Event& a, const Event& b) {
+                   return a.canon > b.canon;
+                 });
 }
 
 ShardedSimulator::Event ShardedSimulator::late_pop(Shard& sh) {
   std::pop_heap(sh.late.begin(), sh.late.end(),
-                [](const Event& a, const Event& b) { return a.key > b.key; });
+                [](const Event& a, const Event& b) {
+                  return a.canon > b.canon;
+                });
   const Event ev = sh.late.back();
   sh.late.pop_back();
   return ev;
 }
 
-void ShardedSimulator::control_heap_sift_up() {
-  std::size_t i = control_.size() - 1;
-  const ControlRef ref = control_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 1;
-    const ControlRef& p = control_[parent];
-    if (p.time < ref.time || (p.time == ref.time && p.seq < ref.seq)) break;
-    control_[i] = p;
-    i = parent;
-  }
-  control_[i] = ref;
-}
-
-void ShardedSimulator::control_heap_pop() {
-  const ControlRef last = control_.back();
-  control_.pop_back();
-  const std::size_t n = control_.size();
-  if (n == 0) return;
-  const auto before = [](const ControlRef& a, const ControlRef& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  };
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t left = (i << 1) + 1;
-    if (left >= n) break;
-    std::size_t best = left;
-    const std::size_t right = left + 1;
-    if (right < n && before(control_[right], control_[left])) best = right;
-    if (!before(control_[best], last)) break;
-    control_[i] = control_[best];
-    i = best;
-  }
-  control_[i] = last;
-}
-
 void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
                                 const Event& ev) {
   ++sh.processed;
-  --sh.pending;
   if (sh.obs != nullptr) {
     // Note: the serial engine's sim_bucket_events histogram is
-    // deliberately NOT recorded here — per-drain bucket sizes depend on
-    // how timestamps split across shards, so they are not S-invariant.
+    // deliberately NOT recorded here — per-shard timestamp batches
+    // depend on how nodes split across shards, so they are not
+    // S-invariant.
     sh.obs->add(ev.kind == kDeliver ? sh.obs->sim_deliver_events
                                     : sh.obs->sim_callback_events);
   }
@@ -192,41 +93,26 @@ void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
   sh.origin = kEnvOrigin;
 }
 
-void ShardedSimulator::drain_window(std::int32_t s, double wend,
-                                    double deadline, bool bounded) {
+void ShardedSimulator::drain_window(std::int32_t s, std::uint64_t limit) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
-  while (!sh.heap.empty()) {
-    const double t = sh.heap.front().time;
-    if (t >= wend) break;
-    if (bounded && t > deadline) break;
-    // Collect every bucket holding this timestamp and key-sort once:
-    // the canonical (origin, seq) order is total, so the sorted run is
-    // independent of how insertions were split across buckets.
-    sh.now = t;
-    sh.drain_time = t;
-    sh.run.clear();
-    while (!sh.heap.empty() && sh.heap.front().time == t) {
-      const std::uint32_t b = sh.heap.front().bucket;
-      Bucket& bucket = sh.buckets[b];
-      sh.run.insert(sh.run.end(), bucket.events.begin(), bucket.events.end());
-      bucket.events.clear();
-      heap_pop(sh);
-      if (sh.last_bucket == b) sh.last_bucket = kNoBucket;
-      sh.bucket_free.push_back(b);
-    }
-    std::sort(sh.run.begin(), sh.run.end(),
-              [](const Event& a, const Event& b) { return a.key < b.key; });
+  while (sh.queue.advance(limit)) {
+    // The front run holds every event of this timestamp.  Sort it once
+    // by canonical key: the (origin, seq) order is total, so the sorted
+    // run is independent of the order the events were pushed in.
+    sh.now = Queue::time_of(sh.queue.current_key());
+    sh.queue.sort_front(
+        [](const Event& a, const Event& b) { return a.canon < b.canon; });
     // Execute as a two-way merge against the late heap: handlers may
     // schedule same-time events, which must slot among the unexecuted
     // remainder by key (keys only grow along a causal chain, so a late
     // event never sorts before its already-executed creator).
     sh.draining = true;
-    std::size_t i = 0;
-    while (i < sh.run.size() || !sh.late.empty()) {
+    while (!sh.queue.front_empty() || !sh.late.empty()) {
       const bool take_late =
           !sh.late.empty() &&
-          (i >= sh.run.size() || sh.late.front().key < sh.run[i].key);
-      const Event ev = take_late ? late_pop(sh) : sh.run[i++];
+          (sh.queue.front_empty() ||
+           sh.late.front().canon < sh.queue.front().payload.canon);
+      const Event ev = take_late ? late_pop(sh) : sh.queue.pop_front().payload;
       dispatch(sh, s, ev);
     }
     sh.draining = false;
@@ -238,31 +124,30 @@ void ShardedSimulator::exchange() {
   // source's outbox in ascending shard order, at the barrier, after all
   // lanes have quiesced.  Each box is already in creation order and
   // every entry's time is >= the closed window's end, so merged events
-  // land in future buckets and the canonical key ordering is preserved.
+  // land after every destination's current time and the canonical key
+  // ordering is preserved.
   const std::int32_t shards = num_shards();
   for (std::int32_t d = 0; d < shards; ++d) {
     Shard& dst = shards_[static_cast<std::size_t>(d)];
     for (std::int32_t s = 0; s < shards; ++s) {
       if (s == d) continue;
       Shard& src = peer_shard(s);  // lint: allow(cross-shard-state): barrier exchange after lanes quiesce
-      std::vector<Event>& box = src.outbox[static_cast<std::size_t>(d)];
-      for (const Event& ev : box) {
-        --src.outbox_pending;
-        enqueue(dst, ev.time, ev);
-      }
+      std::vector<Queue::Item>& box = src.outbox[static_cast<std::size_t>(d)];
+      for (const Queue::Item& item : box) dst.queue.push(item);
       box.clear();
     }
   }
 }
 
-void ShardedSimulator::run_control(double tctl) {
-  // All control events at this timestamp, in scheduling order.  They
-  // run in a serial phase, so handlers may mutate shared network state
-  // and schedule further control or node events.
-  env_now_ = tctl;
-  while (!control_.empty() && control_.front().time == tctl) {
-    const std::int32_t id = control_.front().slot;
-    control_heap_pop();
+void ShardedSimulator::run_control() {
+  // All control events at the lane's next timestamp, in scheduling
+  // order.  They run in a serial phase, so handlers may mutate shared
+  // network state and schedule further control events (same-time ones
+  // join this front run) or node events.
+  control_.advance(ControlQueue::kNoKey);
+  env_now_ = ControlQueue::time_of(control_.current_key());
+  while (!control_.front_empty()) {
+    const std::int32_t id = control_.pop_front().payload;
     CallbackPayload& cb = env_slot(static_cast<std::uint32_t>(id)).callback;
     cb.invoke(cb.storage, kEnvOrigin);
     env_slot(static_cast<std::uint32_t>(id)).next_free = env_free_head_;
@@ -273,15 +158,21 @@ void ShardedSimulator::run_control(double tctl) {
 
 void ShardedSimulator::run_impl(double deadline, bool bounded) {
   LHG_CHECK(!in_windows_, "ShardedSimulator: re-entrant run()");
+  if (bounded) {
+    LHG_CHECK(deadline == deadline,
+              "ShardedSimulator::run_until: NaN deadline");
+    if (deadline < 0.0) return;  // every event time is >= 0
+  }
+  const auto time_or_inf = [](std::uint64_t key) {
+    return key == Queue::kNoKey ? std::numeric_limits<double>::infinity()
+                                : Queue::time_of(key);
+  };
   const std::int32_t shards = num_shards();
   for (;;) {
-    double tmin = std::numeric_limits<double>::infinity();
-    for (const Shard& sh : shards_) {
-      if (!sh.heap.empty()) tmin = std::min(tmin, sh.heap.front().time);
-    }
-    const double tctl = control_.empty()
-                            ? std::numeric_limits<double>::infinity()
-                            : control_.front().time;
+    std::uint64_t kmin = Queue::kNoKey;
+    for (const Shard& sh : shards_) kmin = std::min(kmin, sh.queue.min_key());
+    const double tmin = time_or_inf(kmin);
+    const double tctl = time_or_inf(control_.min_key());
     const double next = std::min(tmin, tctl);
     if (next == std::numeric_limits<double>::infinity()) break;
     if (bounded && next > deadline) break;
@@ -289,7 +180,7 @@ void ShardedSimulator::run_impl(double deadline, bool bounded) {
       // Control runs strictly before any shard reaches its timestamp:
       // at equal times the serial engine would also run the (earlier-
       // scheduled) setup event first.
-      run_control(tctl);
+      run_control();
       continue;
     }
     // Conservative window [tmin, wend): a cross-shard message created
@@ -297,25 +188,33 @@ void ShardedSimulator::run_impl(double deadline, bool bounded) {
     // state changes before tctl, so lanes are independent inside it.
     const double wend = std::min(tmin + lookahead_, tctl);
     window_end_ = wend;
+    std::uint64_t limit = Queue::key_of(wend) - 1;  // t < wend
+    if (bounded) limit = std::min(limit, Queue::key_of(deadline));
     in_windows_ = true;
     if (shards == 1) {
-      drain_window(0, wend, deadline, bounded);
+      drain_window(0, limit);
     } else {
       core::parallel_for(shards, /*grain=*/1,
                          [&](std::int64_t s, int /*lane*/) {
-                           drain_window(static_cast<std::int32_t>(s), wend,
-                                        deadline, bounded);
+                           drain_window(static_cast<std::int32_t>(s), limit);
                          });
     }
     in_windows_ = false;
     exchange();
   }
-  if (bounded) {
-    for (Shard& sh : shards_) {
-      if (sh.now < deadline) sh.now = deadline;
-    }
-    if (env_now_ < deadline) env_now_ = deadline;
+  for (Shard& sh : shards_) {
+    if (bounded && sh.now < deadline) sh.now = deadline;
+    env_now_ = std::max(env_now_, sh.now);
   }
+  if (bounded) {
+    if (env_now_ < deadline) env_now_ = deadline;
+    return;
+  }
+  bool queues_empty = control_.empty();
+  for (const Shard& sh : shards_) queues_empty &= sh.queue.empty();
+  LHG_CHECK(pending() == 0 && queues_empty,
+            "ShardedSimulator::run: {} events left queued after the drain",
+            pending());
 }
 
 std::int64_t ShardedSimulator::events_processed() const {
@@ -326,7 +225,10 @@ std::int64_t ShardedSimulator::events_processed() const {
 
 std::size_t ShardedSimulator::pending() const {
   std::size_t total = control_.size();
-  for (const Shard& sh : shards_) total += sh.pending;
+  for (const Shard& sh : shards_) {
+    total += sh.queue.size() + sh.late.size();
+    for (const std::vector<Queue::Item>& box : sh.outbox) total += box.size();
+  }
   return total;
 }
 

@@ -1,5 +1,5 @@
 // Sharded deterministic discrete-event simulator: one large run spread
-// over S per-shard calendar queues driven by core::parallel lanes.
+// over S per-shard time queues driven by core::parallel lanes.
 //
 // The single-queue Simulator (event_sim.h) executes events in (time,
 // insertion) order — inherently serial, since "insertion" depends on
@@ -36,16 +36,23 @@
 // the determinism linter flags outside the audited barrier-exchange
 // sites.
 //
-// Queue mechanics per shard reuse the event_sim.h calendar-queue
-// design: per-timestamp buckets + a min-heap over distinct times,
-// 48-byte inline events, slab free-list callback slots.  Two additions:
-// a drained bucket is key-sorted once before execution, and same-time
+// Queue mechanics: each shard, and the control lane, owns one monotone
+// radix time queue (time_queue.h — the single-queue engine's queue), with
+// 40-byte inline events and slab free-list callback slots.  When a shard
+// reaches a timestamp, the queue's front run holds that timestamp's
+// events; the drain sorts it in place by canonical key, and same-time
 // events created *during* the drain go to a small per-shard min-heap
 // merged against the sorted remainder — "slot by key among the
 // unexecuted events", the parallel analogue of the serial engine's
-// append-behind-head.
+// append-behind-head.  Times are monotone per queue: env and control
+// scheduling must be at or after env_now() (always checked), a window
+// handler's at or after its shard's now() (checked; debug-only on the
+// per-message deliver path).  A shard that stops at a window end or a
+// run_until deadline keeps its current time at its last executed
+// timestamp, so scheduling at exactly that time between windows lands
+// in the front run and still executes.
 //
-// What is NOT invariant: the per-drained-bucket size histogram
+// What is NOT invariant: the per-timestamp event histogram
 // (sim.bucket_events) depends on how timestamps split across shards,
 // so this engine deliberately never records it; and chaos / per-send
 // latency draws come from per-directed-arc Rng streams
@@ -67,6 +74,7 @@
 #include <vector>
 
 #include "core/check.h"
+#include "flooding/time_queue.h"
 #include "obs/obs.h"
 
 namespace lhg::flooding {
@@ -123,8 +131,8 @@ class ShardedSimulator {
   double lookahead() const { return lookahead_; }
 
   /// Per-shard observability taps (size must equal num_shards(), or
-  /// empty to disable).  Counts executed events by kind; the bucket-
-  /// size histogram is intentionally not recorded (not S-invariant).
+  /// empty to disable).  Counts executed events by kind; the per-
+  /// timestamp histogram is intentionally not recorded (not S-invariant).
   void set_obs(std::vector<const obs::SimObs*> per_shard) {
     LHG_CHECK(per_shard.empty() ||
                   per_shard.size() == shards_.size(),
@@ -143,7 +151,8 @@ class ShardedSimulator {
   double now(std::int32_t shard) const {
     return shards_[static_cast<std::size_t>(shard)].now;
   }
-  /// Virtual time of the control lane (last control event / deadline).
+  /// Virtual time of the serial phases: the last control event or
+  /// deadline, and after a run at least every shard's now().
   double env_now() const { return env_now_; }
 
   /// Schedules a control event: `fn()` runs serially at `time`, between
@@ -160,8 +169,7 @@ class ShardedSimulator {
     const std::int32_t id = env_alloc_slot();
     store_callback(env_slot(static_cast<std::uint32_t>(id)).callback,
                    std::forward<F>(fn), env_heap_allocs_);
-    control_.push_back(ControlRef{time, env_seq_++, id});
-    control_heap_sift_up();
+    control_.push(ControlQueue::key_of(time), id);
   }
 
   /// Schedules `fn(shard)` to run at `time` on the shard owning
@@ -175,7 +183,7 @@ class ShardedSimulator {
     LHG_CHECK_RANGE(owner, num_nodes_);
     Shard& dst = shards_[static_cast<std::size_t>(shard_of(owner))];
     Event ev;
-    ev.key = make_key(ctx);
+    ev.canon = make_key(ctx);
     ev.message = 0;
     ev.from = owner;
     ev.to = owner;
@@ -195,7 +203,7 @@ class ShardedSimulator {
     store_callback(shard_slot(dst, static_cast<std::uint32_t>(id)).callback,
                    std::forward<F>(fn), dst.heap_allocs);
     ev.link = id;
-    enqueue(dst, time, ev);
+    enqueue(dst, Queue::key_of(time), ev);
   }
 
   /// Schedules delivery of `message` over `link` at absolute `time`.
@@ -203,11 +211,12 @@ class ShardedSimulator {
   /// delivery is buffered in the outbox and merged at the barrier — its
   /// time must be >= the current window end, which the lookahead
   /// contract guarantees.  From a serial phase pass ctx = kEnvOrigin.
+  /// Inside a window the time contract is debug-only (LHG_DCHECK).
   void schedule_deliver_at(std::int32_t ctx, double time, std::int32_t from,
                            std::int32_t to, std::int32_t link,
                            std::int64_t message) {
     Event ev;
-    ev.key = make_key(ctx);
+    ev.canon = make_key(ctx);
     ev.message = message;
     ev.from = from;
     ev.to = to;
@@ -218,29 +227,31 @@ class ShardedSimulator {
       LHG_CHECK(in_serial_phase(),
                 "ShardedSimulator: env-context scheduling inside a window");
       check_time_env(time);
-      enqueue(shards_[static_cast<std::size_t>(dst)], time, ev);
+      enqueue(shards_[static_cast<std::size_t>(dst)], Queue::key_of(time), ev);
       return;
     }
     Shard& src = shards_[static_cast<std::size_t>(ctx)];
-    check_time_shard(src, time);
+    LHG_DCHECK(time >= src.now,
+               "ShardedSimulator: time {} is NaN or before shard now {}", time,
+               src.now);
     if (dst == ctx) {
-      enqueue(src, time, ev);
+      enqueue(src, Queue::key_of(time), ev);
       return;
     }
     LHG_DCHECK(time >= window_end_,
                "ShardedSimulator: cross-shard delivery at {} inside window "
                "ending {} — lookahead too large for this link",
                time, window_end_);
-    ev.time = time;
-    src.outbox[static_cast<std::size_t>(dst)].push_back(ev);
-    ++src.outbox_pending;
+    src.outbox[static_cast<std::size_t>(dst)].push_back(
+        Queue::Item{Queue::key_of(time), ev});
   }
 
   /// Runs all events (window loop + control phases) until every queue
-  /// drains.
+  /// drains, then checks that every queue bucket is empty.
   void run() { run_impl(0.0, /*bounded=*/false); }
 
-  /// Runs events with time <= `deadline`; later events stay queued.
+  /// Runs events with time <= `deadline` (not NaN); later events stay
+  /// queued.
   void run_until(double deadline) { run_impl(deadline, /*bounded=*/true); }
 
   /// Events executed so far (deliver + callback + control) — the same
@@ -273,54 +284,29 @@ class ShardedSimulator {
     };
   };
 
-  /// One queued event.  `key` is the canonical tie-break
-  /// ((origin + 1) << 32 | seq); `time` is only meaningful for outbox
-  /// entries (bucket entries inherit their bucket's time).  Callback
-  /// events carry the owner node in `from`/`to` and the slab slot id in
-  /// `link`.
+  /// Payload of one queued event.  `canon` is the canonical tie-break
+  /// ((origin + 1) << 32 | seq); the time is the queue item's key.
+  /// Callback events carry the owner node in `from`/`to` and the slab
+  /// slot id in `link`.
   struct Event {
-    std::uint64_t key;
+    std::uint64_t canon;
     std::int64_t message;
-    double time;
     std::int32_t from;
     std::int32_t to;
     std::int32_t link;
     std::uint32_t kind;
   };
-  static_assert(sizeof(Event) <= 40, "queued event should stay compact");
-
-  struct Bucket {
-    double time;
-    std::vector<Event> events;
-  };
-
-  struct BucketRef {
-    double time;
-    std::uint64_t seq;  // bucket creation order: heap tie-break only
-    std::uint32_t bucket;
-  };
-
-  struct ControlRef {
-    double time;
-    std::uint64_t seq;
-    std::int32_t slot;
-  };
+  using Queue = TimeQueue<Event>;
+  static_assert(sizeof(Queue::Item) <= 40, "queued event should stay compact");
+  using ControlQueue = TimeQueue<std::int32_t>;  // control slab slot ids
 
   struct Shard {
-    // Calendar queue (event_sim.h design).
-    std::vector<Bucket> buckets;
-    std::vector<std::uint32_t> bucket_free;
-    std::vector<BucketRef> heap;  // binary min-heap by (time, seq)
-    std::uint32_t last_bucket = kNoBucket;
-    std::uint64_t next_bucket_seq = 0;
-    std::size_t pending = 0;
+    Queue queue;
 
     // Drain state.
     double now = 0.0;
-    double drain_time = 0.0;
     bool draining = false;
-    std::vector<Event> run;   // merged, key-sorted events of one timestamp
-    std::vector<Event> late;  // min-heap by key: same-time mid-drain inserts
+    std::vector<Event> late;  // min-heap by canon: same-time mid-drain inserts
     std::int32_t origin = kEnvOrigin;  // acting node while dispatching
 
     // Callback slab (free-listed chunks, stable addresses).
@@ -330,8 +316,7 @@ class ShardedSimulator {
     std::int64_t heap_allocs = 0;
 
     // Cross-shard deliveries created this window, one box per dest.
-    std::vector<std::vector<Event>> outbox;
-    std::size_t outbox_pending = 0;
+    std::vector<std::vector<Queue::Item>> outbox;
 
     std::int64_t processed = 0;
     const obs::SimObs* obs = nullptr;
@@ -339,15 +324,10 @@ class ShardedSimulator {
 
   static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
-
-  static bool ref_before(const BucketRef& a, const BucketRef& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  }
 
   /// Canonical key of an event created in context `ctx`: the acting
   /// node's (origin, seq) pair, or the env counter.  Packs into 64 bits
-  /// so bucket sorting compares one integer.
+  /// so front-run sorting compares one integer.
   std::uint64_t make_key(std::int32_t ctx) {
     if (ctx == kEnvOrigin) {
       return static_cast<std::uint64_t>(env_seq_for_key_++);
@@ -359,6 +339,8 @@ class ShardedSimulator {
     return (static_cast<std::uint64_t>(origin) << 32) | seq;
   }
 
+  /// env_now() is at or after every shard's now() in serial phases, so
+  /// this check also keeps each shard's queue monotone.
   void check_time_env(double time) const {
     LHG_CHECK(time == time && time >= env_now_,
               "ShardedSimulator: time {} is NaN or before now {}", time,
@@ -447,18 +429,23 @@ class ShardedSimulator {
     return shards_[static_cast<std::size_t>(s)];
   }
 
-  void enqueue(Shard& sh, double time, const Event& ev);
-  void enqueue_slow(Shard& sh, double time, const Event& ev);
+  /// Same-time events created while their timestamp is being drained
+  /// slot into the remaining execution by canonical key (the front run
+  /// is already sorted); everything else goes to the time queue.
+  void enqueue(Shard& sh, std::uint64_t key, const Event& ev) {
+    if (sh.draining && key == sh.queue.current_key()) {
+      late_push(sh, ev);
+    } else {
+      sh.queue.push(key, ev);
+    }
+  }
+
   void late_push(Shard& sh, const Event& ev);
   Event late_pop(Shard& sh);
-  void heap_push(Shard& sh, BucketRef ref);
-  void heap_pop(Shard& sh);
-  void control_heap_sift_up();
-  void control_heap_pop();
   void dispatch(Shard& sh, std::int32_t shard_idx, const Event& ev);
-  void drain_window(std::int32_t s, double wend, double deadline, bool bounded);
+  void drain_window(std::int32_t s, std::uint64_t limit);
   void exchange();
-  void run_control(double tctl);
+  void run_control();
   void run_impl(double deadline, bool bounded);
   void destroy_pending_callbacks();
 
@@ -467,14 +454,13 @@ class ShardedSimulator {
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> node_seq_;  // per-origin creation counters
   std::uint64_t env_seq_for_key_ = 0;    // env-origin key counter
-  std::uint64_t env_seq_ = 0;            // control-queue tie-break
   DeliverSink* sink_ = nullptr;
   double lookahead_ = std::numeric_limits<double>::infinity();
   double env_now_ = 0.0;
   double window_end_ = 0.0;
   bool in_windows_ = false;
 
-  std::vector<ControlRef> control_;  // binary min-heap by (time, seq)
+  ControlQueue control_;  // runs in (time, scheduling) order
   std::vector<std::unique_ptr<Slot[]>> env_chunks_;
   std::int32_t env_free_head_ = -1;
   std::int64_t env_slots_created_ = 0;

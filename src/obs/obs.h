@@ -60,7 +60,9 @@ class SimObs {
   // --- Simulator ---
   CounterId sim_deliver_events;
   CounterId sim_callback_events;
-  HistogramId sim_bucket_events;  ///< events per drained time bucket
+  /// Events run per drained timestamp; the single-queue engine only
+  /// (per-shard batches are not S-invariant).
+  HistogramId sim_bucket_events;
 
   // --- Network ---
   CounterId net_sent;
