@@ -4,18 +4,6 @@
 
 namespace lhg::flooding {
 
-Simulator::~Simulator() {
-  // Destroy callables of events that never executed (drained queues
-  // leave nothing; run_until can).
-  queue_.for_each([this](const Queue::Item& item) {
-    if (item.payload.sink == kCallbackSink) {
-      CallbackPayload& cb =
-          slot(static_cast<std::uint32_t>(item.payload.link)).callback;
-      cb.destroy(cb.storage);
-    }
-  });
-}
-
 std::uint32_t Simulator::intern_sink(DeliverSink* sink) {
   const auto index = static_cast<std::uint32_t>(
       std::find(sinks_.begin(), sinks_.end(), sink) - sinks_.begin());
@@ -36,12 +24,7 @@ void Simulator::dispatch(const Event& ev) {
     // is free to schedule follow-up events.
     sinks_[ev.sink]->on_deliver(ev.from, ev.to, ev.link, ev.message);
   } else {
-    // Invoke in place — slab addresses are stable, so events the
-    // callback schedules (which may carve new chunks) cannot move it.
-    const auto id = static_cast<std::uint32_t>(ev.link);
-    CallbackPayload& cb = slot(id).callback;
-    cb.invoke(cb.storage);
-    free_slot(id);
+    callbacks_.invoke(ev.link);
   }
 }
 

@@ -15,11 +15,10 @@
 //
 //   * Slab free-list callback storage.  Everything else (crashes, link
 //     failures, timers, protocol bootstraps) is a *callback* event
-//     whose callable is stored inline in a pooled 64-byte slot when its
-//     captures fit in kInlineCallbackCapacity bytes; only oversized
-//     captures fall back to the heap (counted, and never hit by in-tree
-//     code).  Slots are carved from chunked slabs with stable addresses
-//     and recycle through a free list, so steady-state traffic performs
+//     whose callable lives in a 64-byte slot of the engine's
+//     CallbackSlab (callback_slab.h, shared with the sharded engine):
+//     inline when its captures fit in kInlineCallbackCapacity bytes,
+//     recycled through a free list, so steady-state traffic performs
 //     zero allocations per event (`slots_created()` exposes the
 //     high-water mark for tests to pin this).
 //
@@ -53,15 +52,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <functional>
-#include <memory>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "flooding/callback_slab.h"
 #include "flooding/time_queue.h"
 #include "obs/obs.h"
 
@@ -72,11 +67,8 @@ class Simulator {
   /// Captures up to this size (and alignment <= max_align_t) are stored
   /// inline in the event slot; larger callables heap-allocate (counted
   /// by `callback_heap_allocations()`).
-  static constexpr std::size_t kInlineCallbackCapacity = 48;
-
-  /// Legacy alias; any callable (not just std::function) can be
-  /// scheduled.
-  using Callback = std::function<void()>;
+  static constexpr std::size_t kInlineCallbackCapacity =
+      CallbackSlab<>::kInlineCapacity;
 
   /// Receiver of first-class deliver events.  `link` is whatever the
   /// scheduler passed (the Network uses Graph::edge_index ids).
@@ -90,7 +82,6 @@ class Simulator {
   };
 
   Simulator() = default;
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -109,40 +100,11 @@ class Simulator {
   template <typename F>
   void schedule_at(double time, F&& fn) {
     check_time(time);
-    using Fn = std::decay_t<F>;
-    if constexpr (IsStdFunction<Fn>::value) {
-      LHG_CHECK(static_cast<bool>(fn), "Simulator::schedule_at: empty callback");
-    }
-    const std::int32_t id = alloc_slot();
-    CallbackPayload& cb = slot(static_cast<std::uint32_t>(id)).callback;
-    if constexpr (sizeof(Fn) <= kInlineCallbackCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(cb.storage)) Fn(std::forward<F>(fn));
-      cb.invoke = [](void* p) {
-        Fn* f = std::launder(reinterpret_cast<Fn*>(p));
-        (*f)();
-        f->~Fn();
-      };
-      cb.destroy = [](void* p) {
-        std::launder(reinterpret_cast<Fn*>(p))->~Fn();
-      };
-    } else {
-      ++callback_heap_allocations_;
-      Fn* owned = new Fn(std::forward<F>(fn));
-      std::memcpy(cb.storage, &owned, sizeof owned);
-      cb.invoke = [](void* p) {
-        Fn* f = *reinterpret_cast<Fn**>(p);
-        (*f)();
-        delete f;
-      };
-      cb.destroy = [](void* p) { delete *reinterpret_cast<Fn**>(p); };
-    }
     Event ev;
     ev.message = 0;
     ev.from = 0;
     ev.to = 0;
-    ev.link = id;
+    ev.link = callbacks_.store(std::forward<F>(fn));
     ev.sink = kCallbackSink;
     queue_.push(Queue::key_of(time), ev);
   }
@@ -200,31 +162,15 @@ class Simulator {
   /// slots through the free list, so this stays flat while events flow;
   /// tests hook it to prove the hot paths perform zero allocations per
   /// event.
-  std::int64_t slots_created() const { return slots_created_; }
+  std::int64_t slots_created() const { return callbacks_.slots_created(); }
 
   /// Callbacks whose captures exceeded kInlineCallbackCapacity and fell
   /// back to an individual heap allocation.
   std::int64_t callback_heap_allocations() const {
-    return callback_heap_allocations_;
+    return callbacks_.heap_allocations();
   }
 
  private:
-  struct CallbackPayload {
-    void (*invoke)(void* storage);   // call the callable, then destroy it
-    void (*destroy)(void* storage);  // destroy only (queue teardown)
-    alignas(std::max_align_t) unsigned char storage[kInlineCallbackCapacity];
-  };
-
-  /// One 64-byte callback slot; `next_free` threads the free list
-  /// through vacant slots.
-  struct Slot {
-    union {
-      CallbackPayload callback;
-      std::int32_t next_free;
-    };
-  };
-  static_assert(sizeof(Slot) <= 64, "event slot should stay one cache line");
-
   /// Sink index of callback events.
   static constexpr std::uint32_t kCallbackSink = 0xffffffffu;
 
@@ -241,11 +187,6 @@ class Simulator {
   using Queue = TimeQueue<Event>;
   static_assert(sizeof(Queue::Item) <= 32, "queued event should stay compact");
 
-  template <typename T>
-  struct IsStdFunction : std::false_type {};
-  template <typename R, typename... Args>
-  struct IsStdFunction<std::function<R(Args...)>> : std::true_type {};
-
   void check_time(double time) const {
     LHG_CHECK(time == time && time >= now_,
               "Simulator: time {} is NaN or before now {}", time, now_);
@@ -255,32 +196,6 @@ class Simulator {
   /// as the last one used.
   std::uint32_t intern_sink(DeliverSink* sink);
 
-  static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-
-  Slot& slot(std::uint32_t id) {
-    return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
-  }
-
-  std::int32_t alloc_slot() {
-    if (free_head_ >= 0) {
-      const std::int32_t id = free_head_;
-      free_head_ = slot(static_cast<std::uint32_t>(id)).next_free;
-      return id;
-    }
-    const auto id = static_cast<std::int32_t>(slots_created_);
-    if ((static_cast<std::uint32_t>(id) & (kChunkSize - 1)) == 0) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-    ++slots_created_;
-    return id;
-  }
-
-  void free_slot(std::uint32_t id) {
-    slot(id).next_free = free_head_;
-    free_head_ = static_cast<std::int32_t>(id);
-  }
-
   void drain(std::uint64_t limit);  // run events with key <= limit
   void dispatch(const Event& ev);  // execute exactly one event
 
@@ -289,10 +204,7 @@ class Simulator {
   DeliverSink* last_sink_ = nullptr;
   std::uint32_t last_sink_index_ = 0;
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::int32_t free_head_ = -1;
-  std::int64_t slots_created_ = 0;
-  std::int64_t callback_heap_allocations_ = 0;
+  CallbackSlab<> callbacks_;
   double now_ = 0.0;
   std::int64_t processed_ = 0;
   const obs::SimObs* obs_ = nullptr;

@@ -181,9 +181,9 @@ inline std::vector<std::size_t> pair_crash_recoveries(
 /// immediately (before the first protocol event), later ones are
 /// scheduled at their absolute times.  Works with any overlay the
 /// network is parameterized over (plans only address nodes and links),
-/// and with either network engine — `Net` is any type exposing the
-/// BasicNetwork mutator surface (`ShardedNetwork` mirrors it; its timed
-/// mutators schedule control events instead of callbacks, shard_net.h).
+/// and with either network engine — `Net` is a BasicNetwork or a
+/// ShardedNetwork, whose mutators both come from FaultModel (network.h;
+/// the sharded network schedules the timed ones as control events).
 ///
 /// Timed windows are overlap-safe: each recovery is paired with the
 /// earliest preceding crash of its node and each flap restore with its

@@ -43,14 +43,31 @@ inline void finalize_dissemination(DisseminationResult& result,
   }
 }
 
-template <typename Topology>
-std::vector<bool> alive_mask(const BasicNetwork<Topology>& net) {
+/// Final alive set of a BasicNetwork or ShardedNetwork.
+template <typename Net>
+std::vector<bool> alive_mask(const Net& net) {
   std::vector<bool> alive(
       static_cast<std::size_t>(net.topology().num_nodes()));
   for (core::NodeId u = 0; u < net.topology().num_nodes(); ++u) {
     alive[static_cast<std::size_t>(u)] = net.is_alive(u);
   }
   return alive;
+}
+
+/// Harvests a drained flood run on either engine: the network and
+/// engine counters (checking NetworkStats conservation), the obs
+/// output, and the aggregates over the final alive set.
+template <typename Sim, typename Net>
+void harvest_run(DisseminationResult& result, const Sim& sim, const Net& net,
+                 const obs::Runtime& obs_rt) {
+  result.messages_sent = net.messages_sent();
+  result.events_processed = sim.events_processed();
+  result.net = net.stats();
+  LHG_CHECK(result.net.conserved(),
+            "dissemination run: NetworkStats not conserved");
+  result.metrics = obs_rt.metrics_snapshot();
+  result.trace = obs_rt.trace_log();
+  finalize_dissemination(result, alive_mask(net));
 }
 
 }  // namespace detail
@@ -114,17 +131,7 @@ DisseminationResult sharded_flood(const Topology& topology,
                          });
   }
   sim.run();
-
-  result.messages_sent = net.messages_sent();
-  result.events_processed = sim.events_processed();
-  result.net = net.stats();
-  result.metrics = obs_rt.metrics_snapshot();
-  result.trace = obs_rt.trace_log();
-  std::vector<bool> alive(n);
-  for (NodeId u = 0; u < topology.num_nodes(); ++u) {
-    alive[static_cast<std::size_t>(u)] = net.is_alive(u);
-  }
-  detail::finalize_dissemination(result, alive);
+  detail::harvest_run(result, sim, net, obs_rt);
   return result;
 }
 
@@ -179,13 +186,7 @@ DisseminationResult flood(const Topology& topology, const FloodConfig& cfg,
     sim.schedule_at(0.0, [&] { forward(cfg.source, -1, 0); });
   }
   sim.run();
-
-  result.messages_sent = net.messages_sent();
-  result.events_processed = sim.events_processed();
-  result.net = net.stats();
-  result.metrics = obs_rt.metrics_snapshot();
-  result.trace = obs_rt.trace_log();
-  detail::finalize_dissemination(result, detail::alive_mask(net));
+  detail::harvest_run(result, sim, net, obs_rt);
   return result;
 }
 

@@ -20,7 +20,8 @@ HeartbeatResult run_heartbeat(const core::Graph& topology,
 
   Simulator sim;
   core::Rng rng(cfg.seed);
-  Network net(topology, sim, cfg.latency, rng, cfg.loss_probability);
+  Network net(topology, sim, cfg.latency, rng,
+              ChaosSpec::iid(cfg.loss_probability));
   obs::Runtime obs_rt(cfg.obs);
   const obs::SimObs* obs = obs_rt.obs();
   sim.set_obs(obs);

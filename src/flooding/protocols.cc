@@ -17,8 +17,8 @@ void check_source(const NodeId source, const NodeId n) {
   LHG_CHECK_RANGE(source, n);
 }
 
-using detail::alive_mask;
 using detail::finalize_dissemination;
+using detail::harvest_run;
 
 }  // namespace
 
@@ -75,13 +75,7 @@ DisseminationResult probabilistic_flood(const core::Graph& topology,
     sim.schedule_at(0.0, [&] { forward(cfg.source, -1, 0, /*always=*/true); });
   }
   sim.run();
-
-  result.messages_sent = net.messages_sent();
-  result.events_processed = sim.events_processed();
-  result.net = net.stats();
-  result.metrics = obs_rt.metrics_snapshot();
-  result.trace = obs_rt.trace_log();
-  finalize_dissemination(result, alive_mask(net));
+  harvest_run(result, sim, net, obs_rt);
   return result;
 }
 
@@ -231,13 +225,7 @@ DisseminationResult spanning_tree_multicast(const core::Graph& topology,
     sim.schedule_at(0.0, [&] { forward_to_children(cfg.source, 0); });
   }
   sim.run();
-
-  result.messages_sent = net.messages_sent();
-  result.events_processed = sim.events_processed();
-  result.net = net.stats();
-  result.metrics = obs_rt.metrics_snapshot();
-  result.trace = obs_rt.trace_log();
-  finalize_dissemination(result, alive_mask(net));
+  harvest_run(result, sim, net, obs_rt);
   return result;
 }
 

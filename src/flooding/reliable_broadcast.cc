@@ -74,6 +74,8 @@ ReliableBroadcastResult reliable_broadcast(const core::Graph& topology,
   result.events_processed = sim.events_processed();
   result.messages_lost = net.messages_lost();
   result.net = net.stats();
+  LHG_CHECK(result.net.conserved(),
+            "reliable_broadcast: NetworkStats not conserved");
   result.retransmissions = link.retransmissions();
   result.acks_sent = link.acks_sent();
   result.duplicates_suppressed = link.duplicates_suppressed();

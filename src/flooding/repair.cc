@@ -474,6 +474,7 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
   res.view_change_messages += s.link.retransmissions() + s.link.acks_sent();
   res.window_overflows = s.link.window_overflows();
   res.net = s.net.stats();
+  LHG_CHECK(res.net.conserved(), "run_repair: NetworkStats not conserved");
   res.metrics = s.obs_rt.metrics_snapshot();
   res.trace = s.obs_rt.trace_log();
   res.edges_established = s.established_count;

@@ -21,7 +21,8 @@ SessionResult run_broadcast_session(const core::Graph& topology,
 
   Simulator sim;
   core::Rng rng(cfg.seed);
-  Network net(topology, sim, cfg.latency, rng, cfg.loss_probability);
+  Network net(topology, sim, cfg.latency, rng,
+              ChaosSpec::iid(cfg.loss_probability));
   apply_failure_plan(net, failures);
 
   // Per-message delivery state.  The wire payload is the message index.
@@ -69,6 +70,8 @@ SessionResult run_broadcast_session(const core::Graph& topology,
     });
   }
   sim.run();
+  LHG_CHECK(net.stats().conserved(),
+            "run_broadcast_session: NetworkStats not conserved");
 
   result.alive_nodes = net.alive_count();
   result.total_messages_sent = net.messages_sent();

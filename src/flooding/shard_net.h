@@ -1,18 +1,20 @@
-// Sharded message-passing network: BasicNetwork's semantics on top of
-// the ShardedSimulator's phase-structured parallelism.
+// Sharded message-passing network: the fault model of network.h on top
+// of the ShardedSimulator's phase-structured parallelism.
 //
-// The state split is the whole design:
+// ShardedNetwork derives from the same `FaultModel` as BasicNetwork
+// (network.h): one copy of the crash/link/partition state, the epoch-
+// guarded windows, the send/deliver checks and the channel draws.  What
+// this file adds is the state split the sharded engine needs:
 //
 //   * Shared, read-only during windows — crash flags, link failures,
-//     partition state, the per-link latency table.  Mutators
-//     (crash/recover/fail/restore/partition, and their windowed
-//     epoch-guarded forms, mirroring network.h) run as *control events*
-//     in the simulator's serial phases, so lanes never observe a
-//     mutation mid-window; the engine's barrier structure is the
-//     synchronization.  All mutators LHG_DCHECK `in_serial_phase()`.
+//     partition state, the per-link latency table (all in FaultModel).
+//     Timed mutators schedule *control events*, which run in the
+//     simulator's serial phases, so lanes never observe a mutation
+//     mid-window; the engine's barrier structure is the
+//     synchronization.  Every mutation LHG_DCHECKs `in_serial_phase()`.
 //
 //   * Per-shard, owned by one lane — NetworkStats (cache-line padded,
-//     merged in shard-index order at report time: int64 sums, so the
+//     summed in shard-index order at report time: int64 sums, so the
 //     aggregate is bit-identical at any shard/thread count) and the
 //     per-shard obs::SimObs taps.
 //
@@ -42,6 +44,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -58,57 +61,35 @@
 namespace lhg::flooding {
 
 template <typename Topology>
-class ShardedNetwork final : private ShardedSimulator::DeliverSink {
+class ShardedNetwork final
+    : public FaultModel<ShardedNetwork<Topology>, Topology>,
+      private ShardedSimulator::DeliverSink {
+  using Base = FaultModel<ShardedNetwork<Topology>, Topology>;
+  friend Base;
+
  public:
   /// `topology` and `sim` must outlive the network.  `rng` seeds the
-  /// kUniformPerLink latency table (drawn here in canonical edge order,
+  /// kUniformPerLink latency table (drawn in canonical edge order,
   /// bit-equal to BasicNetwork) and, when the channel needs draws, one
   /// 64-bit value deriving the per-arc streams.
   ShardedNetwork(const Topology& topology, ShardedSimulator& sim,
                  LatencySpec latency, core::Rng& rng, const ChaosSpec& chaos)
-      : topology_(&topology),
-        sim_(&sim),
-        latency_(latency),
-        chaos_(chaos),
-        crashed_(static_cast<std::size_t>(topology.num_nodes()), 0),
-        alive_count_(topology.num_nodes()),
-        link_failed_(static_cast<std::size_t>(topology.num_edges()), 0) {
-    LHG_CHECK(latency.base >= 0 && latency.jitter >= 0,
-              "Network: negative latency (base={}, jitter={})", latency.base,
-              latency.jitter);
-    detail::check_probability(chaos.loss, "loss");
-    detail::check_probability(chaos.duplicate, "duplicate");
-    detail::check_probability(chaos.reorder, "reorder");
-    LHG_CHECK(chaos.reorder_jitter >= 0.0,
-              "Network: negative reorder jitter {}", chaos.reorder_jitter);
-    if (chaos.gilbert_elliott) {
-      detail::check_probability(chaos.ge_good_to_bad, "GE good->bad");
-      detail::check_probability(chaos.ge_bad_to_good, "GE bad->good");
-      detail::check_probability(chaos.ge_loss_good, "GE good-state loss");
-      detail::check_probability(chaos.ge_loss_bad, "GE bad-state loss");
-    }
-    if (latency.kind == LatencySpec::Kind::kUniformPerLink) {
-      // Same draw order as BasicNetwork — the golden-parity contract.
-      link_latency_.resize(static_cast<std::size_t>(topology.num_edges()));
-      for (double& l : link_latency_) {
-        l = latency.base + latency.jitter * rng.next_double();
-      }
-    }
-    if (chaos_.enabled() ||
+      : Base(topology, latency, rng, chaos), sim_(&sim) {
+    if (chaos.enabled() ||
         latency.kind == LatencySpec::Kind::kUniformPerSend) {
       // Per-directed-arc streams: arc (link, direction) draws only on
       // the sending shard, in that shard's canonical execution order.
-      arc_seed_ = rng();
+      const std::uint64_t arc_seed = rng();
       const auto arcs =
           static_cast<std::int64_t>(topology.num_edges()) * 2;
       arc_rng_.resize(static_cast<std::size_t>(arcs));
       core::parallel_for(arcs, /*grain=*/4096,
                          [&](std::int64_t a, int /*lane*/) {
                            arc_rng_[static_cast<std::size_t>(a)] =
-                               core::Rng::stream(arc_seed_,
+                               core::Rng::stream(arc_seed,
                                                  static_cast<std::uint64_t>(a));
                          });
-      if (chaos_.gilbert_elliott) {
+      if (chaos.gilbert_elliott) {
         arc_bad_.assign(static_cast<std::size_t>(arcs), 0);
       }
     }
@@ -119,10 +100,6 @@ class ShardedNetwork final : private ShardedSimulator::DeliverSink {
     if (la < std::numeric_limits<double>::infinity()) sim_->set_lookahead(la);
   }
 
-  ShardedNetwork(const ShardedNetwork&) = delete;
-  ShardedNetwork& operator=(const ShardedNetwork&) = delete;
-
-  const Topology& topology() const { return *topology_; }
   ShardedSimulator& simulator() { return *sim_; }
 
   /// Per-shard observability taps (empty to disable; otherwise size ==
@@ -141,18 +118,19 @@ class ShardedNetwork final : private ShardedSimulator::DeliverSink {
   /// window length; recompute and re-install after changing latency
   /// classes.
   double min_cross_shard_latency() const {
-    const std::int64_t n = topology_->num_nodes();
+    const Topology& topology = this->topology();
+    const std::int64_t n = topology.num_nodes();
     return core::parallel_reduce(
         n, /*grain=*/1024, std::numeric_limits<double>::infinity(),
         [&](std::int64_t begin, std::int64_t end, int /*lane*/) {
           double local = std::numeric_limits<double>::infinity();
           for (std::int64_t u = begin; u < end; ++u) {
             const auto uid = static_cast<core::NodeId>(u);
-            const std::int32_t deg = topology_->degree(uid);
+            const std::int32_t deg = topology.degree(uid);
             for (std::int32_t i = 0; i < deg; ++i) {
-              const core::NodeId v = topology_->neighbor(uid, i);
+              const core::NodeId v = topology.neighbor(uid, i);
               if (sim_->shard_of(uid) == sim_->shard_of(v)) continue;
-              local = std::min(local, link_floor(topology_->incident_edge(uid, i)));
+              local = std::min(local, link_floor(topology.incident_edge(uid, i)));
             }
           }
           return local;
@@ -169,253 +147,41 @@ class ShardedNetwork final : private ShardedSimulator::DeliverSink {
     on_receive_ = std::move(handler);
   }
 
-  // --- Mutators: serial (control-phase) only -----------------------------
-  // Identical semantics and epoch discipline to network.h; the timed
-  // forms schedule *control events*, which the engine runs between
-  // windows — shared state is frozen while lanes are hot.
-
-  void crash_now(core::NodeId node) {
-    LHG_CHECK_RANGE(node, topology_->num_nodes());
-    LHG_DCHECK(sim_->in_serial_phase(),
-               "ShardedNetwork: crash_now outside a serial phase");
-    bump_crash_epoch(node);
-    if (crashed_[static_cast<std::size_t>(node)] == 0) {
-      crashed_[static_cast<std::size_t>(node)] = 1;
-      --alive_count_;
-      const obs::SimObs* obs = node_obs(node);
-      if (obs != nullptr) {
-        obs->event(sim_->env_now(), obs::TraceKind::kCrash, node);
-      }
-    }
-  }
-  void crash_at(core::NodeId node, double at) {
-    sim_->schedule_control_at(
-        at, [this, node](std::int32_t /*env*/) { crash_now(node); });
-  }
-
-  void recover_now(core::NodeId node) {
-    LHG_CHECK_RANGE(node, topology_->num_nodes());
-    LHG_DCHECK(sim_->in_serial_phase(),
-               "ShardedNetwork: recover_now outside a serial phase");
-    if (crashed_[static_cast<std::size_t>(node)] != 0) {
-      crashed_[static_cast<std::size_t>(node)] = 0;
-      ++alive_count_;
-      const obs::SimObs* obs = node_obs(node);
-      if (obs != nullptr) {
-        obs->event(sim_->env_now(), obs::TraceKind::kRecover, node);
-      }
-    }
-  }
-  void recover_at(core::NodeId node, double at) {
-    sim_->schedule_control_at(
-        at, [this, node](std::int32_t /*env*/) { recover_now(node); });
-  }
-
-  std::size_t crash_windowed(core::NodeId node, double down) {
-    const std::size_t w = new_window();
-    if (down <= 0.0) {
-      crash_now(node);
-      window_epoch_[w] = crash_epoch_of(node);
-    } else {
-      sim_->schedule_control_at(down, [this, node, w](std::int32_t /*env*/) {
-        crash_now(node);
-        window_epoch_[w] = crash_epoch_of(node);
-      });
-    }
-    return w;
-  }
-  void recover_windowed(core::NodeId node, double up, std::size_t window) {
-    LHG_CHECK(window < window_epoch_.size(),
-              "recover_windowed: bad window token {}", window);
-    sim_->schedule_control_at(up, [this, node, w = window](std::int32_t) {
-      if (crash_epoch_of(node) == window_epoch_[w]) recover_now(node);
-    });
-  }
-
-  void fail_link_now(core::NodeId u, core::NodeId v) {
-    const std::int32_t link = topology_->edge_index(u, v);
-    LHG_CHECK(link >= 0, "fail_link: ({}, {}) not a link", u, v);
-    LHG_DCHECK(sim_->in_serial_phase(),
-               "ShardedNetwork: fail_link_now outside a serial phase");
-    bump_link_epoch(link);
-    link_failed_[static_cast<std::size_t>(link)] = 1;
-  }
-  void fail_link_at(core::NodeId u, core::NodeId v, double at) {
-    sim_->schedule_control_at(
-        at, [this, u, v](std::int32_t /*env*/) { fail_link_now(u, v); });
-  }
-
-  std::size_t fail_link_windowed(core::NodeId u, core::NodeId v, double down) {
-    const std::int32_t link = topology_->edge_index(u, v);
-    LHG_CHECK(link >= 0, "fail_link: ({}, {}) not a link", u, v);
-    const std::size_t w = new_window();
-    if (down <= 0.0) {
-      fail_link_now(u, v);
-      window_epoch_[w] = link_epoch_of(link);
-    } else {
-      sim_->schedule_control_at(down, [this, u, v, w](std::int32_t /*env*/) {
-        fail_link_now(u, v);
-        window_epoch_[w] = link_epoch_of(topology_->edge_index(u, v));
-      });
-    }
-    return w;
-  }
-  void restore_link_windowed(core::NodeId u, core::NodeId v, double up,
-                             std::size_t window) {
-    LHG_CHECK(window < window_epoch_.size(),
-              "restore_link_windowed: bad window token {}", window);
-    sim_->schedule_control_at(up, [this, u, v, w = window](std::int32_t) {
-      const std::int32_t link = topology_->edge_index(u, v);
-      if (link_epoch_of(link) == window_epoch_[w]) restore_link_now(u, v);
-    });
-  }
-
-  void restore_link_now(core::NodeId u, core::NodeId v) {
-    const std::int32_t link = topology_->edge_index(u, v);
-    LHG_CHECK(link >= 0, "restore_link: ({}, {}) not a link", u, v);
-    LHG_DCHECK(sim_->in_serial_phase(),
-               "ShardedNetwork: restore_link_now outside a serial phase");
-    link_failed_[static_cast<std::size_t>(link)] = 0;
-  }
-  void restore_link_at(core::NodeId u, core::NodeId v, double at) {
-    sim_->schedule_control_at(
-        at, [this, u, v](std::int32_t /*env*/) { restore_link_now(u, v); });
-  }
-
-  void set_partition(std::vector<std::uint8_t> side) {
-    LHG_CHECK(static_cast<core::NodeId>(side.size()) == topology_->num_nodes(),
-              "partition: side map has {} entries for n={}", side.size(),
-              topology_->num_nodes());
-    LHG_DCHECK(sim_->in_serial_phase(),
-               "ShardedNetwork: set_partition outside a serial phase");
-    for (const std::uint8_t s : side) {
-      LHG_CHECK(s <= 1, "partition: side {} is not 0 or 1", s);
-    }
-    partition_side_ = std::move(side);
-    partition_active_ = true;
-    ++partition_epoch_;
-  }
-  void clear_partition() {
-    LHG_DCHECK(sim_->in_serial_phase(),
-               "ShardedNetwork: clear_partition outside a serial phase");
-    partition_active_ = false;
-  }
-  bool partition_active() const { return partition_active_; }
-
-  void partition_during(std::vector<std::uint8_t> side, double start,
-                        double end) {
-    LHG_CHECK(start < end, "partition: empty window [{}, {})", start, end);
-    const std::size_t w = new_window();
-    sim_->schedule_control_at(
-        start, [this, w, side = std::move(side)](std::int32_t /*env*/) mutable {
-          set_partition(std::move(side));
-          window_epoch_[w] = partition_epoch_;
-        });
-    sim_->schedule_control_at(end, [this, w](std::int32_t /*env*/) {
-      if (partition_epoch_ == window_epoch_[w]) clear_partition();
-    });
-  }
-  void partition_until(std::vector<std::uint8_t> side, double end) {
-    set_partition(std::move(side));
-    sim_->schedule_control_at(
-        end, [this, e = partition_epoch_](std::int32_t /*env*/) {
-          if (partition_epoch_ == e) clear_partition();
-        });
-  }
-
-  // --- Queries (stable during windows) -----------------------------------
-
-  bool is_alive(core::NodeId node) const {
-    return crashed_[static_cast<std::size_t>(node)] == 0;
-  }
-  bool link_ok(core::NodeId u, core::NodeId v) const {
-    const std::int32_t link = topology_->edge_index(u, v);
-    return link >= 0 && link_failed_[static_cast<std::size_t>(link)] == 0;
-  }
-  std::int32_t alive_count() const { return alive_count_; }
-
   // --- Send path (window context; `shard` = the executing shard) ---------
 
   bool send(std::int32_t shard, core::NodeId from, core::NodeId to,
             std::int64_t message) {
-    const std::int32_t link = topology_->edge_index(from, to);
-    LHG_CHECK(link >= 0, "send: ({}, {}) is not a link of the overlay", from,
-              to);
-    return send_link(shard, from, to, link, message);
+    return send_link(shard, from, to, this->link_of(from, to, "send"),
+                     message);
   }
 
   /// Same semantics as BasicNetwork::send_link; `shard` must be the
   /// shard owning `from` (the executing lane).
   bool send_link(std::int32_t shard, core::NodeId from, core::NodeId to,
                  std::int32_t link, std::int64_t message) {
-    LHG_DCHECK(link == topology_->edge_index(from, to),
+    LHG_DCHECK(link == this->topology_->edge_index(from, to),
                "send_link: {} is not the edge id of ({}, {})", link, from, to);
     LHG_DCHECK(sim_->shard_of(from) == shard,
                "send_link: node {} sent from shard {} but lives on shard {}",
                from, shard, sim_->shard_of(from));
-    NetworkStats& stats = stats_[static_cast<std::size_t>(shard)].stats;
-    const obs::SimObs* obs = obs_[static_cast<std::size_t>(shard)];
-    const double now = sim_->now(shard);
-    if (crashed_[static_cast<std::size_t>(from)] != 0) {
-      ++stats.blocked_sender_crashed;
-      blocked(obs, now, from, to, obs::DropCause::kBlockedSenderCrashed);
-      return false;
-    }
-    if (link_failed_[static_cast<std::size_t>(link)] != 0) {
-      ++stats.blocked_link_down;
-      blocked(obs, now, from, to, obs::DropCause::kBlockedLinkDown);
-      return false;
-    }
-    if (partition_cuts(from, to)) {
-      ++stats.blocked_partition;
-      blocked(obs, now, from, to, obs::DropCause::kBlockedPartition);
-      return false;
-    }
-    ++stats.sent;
-    if (obs != nullptr) {
-      obs->add(obs->net_sent);
-      obs->event(now, obs::TraceKind::kSend, from, to, link);
-    }
-    const std::size_t a = arc_index(link, from, to);
-    if (channel_drops(a)) {
-      ++stats.lost;
-      if (obs != nullptr) {
-        obs->add(obs->net_lost);
-        obs->event(now, obs::TraceKind::kDrop, from, to,
-                   static_cast<std::int64_t>(obs::DropCause::kChannelLoss));
-      }
-      return true;
-    }
-    schedule_copy(shard, now, a, from, to, link, message);
-    if (chaos_.duplicate > 0.0 && arc_rng_[a].next_bool(chaos_.duplicate)) {
-      ++stats.duplicated;
-      if (obs != nullptr) obs->add(obs->net_duplicated);
-      schedule_copy(shard, now, a, from, to, link, message);
-    }
-    return true;
+    // Directed arc id: the per-sender-direction RNG/GE stream index.
+    const std::size_t a = (static_cast<std::size_t>(link) << 1) |
+                          static_cast<std::size_t>(from > to ? 1 : 0);
+    core::Rng* rng = arc_rng_.empty() ? nullptr : &arc_rng_[a];
+    std::uint8_t* ge_bad = arc_bad_.empty() ? nullptr : &arc_bad_[a];
+    return this->transmit(shard, stats_[static_cast<std::size_t>(shard)].stats,
+                          obs_[static_cast<std::size_t>(shard)],
+                          sim_->now(shard), rng, ge_bad, from, to, link,
+                          message);
   }
 
   /// Shard-index-ordered sum of the per-shard counters: bit-identical
   /// at any shard and thread count.
   NetworkStats stats() const {
     NetworkStats total;
-    for (const PaddedStats& p : stats_) {
-      total.sent += p.stats.sent;
-      total.delivered += p.stats.delivered;
-      total.lost += p.stats.lost;
-      total.duplicated += p.stats.duplicated;
-      total.blocked_sender_crashed += p.stats.blocked_sender_crashed;
-      total.blocked_link_down += p.stats.blocked_link_down;
-      total.blocked_partition += p.stats.blocked_partition;
-      total.dropped_receiver_crashed += p.stats.dropped_receiver_crashed;
-      total.dropped_link_down += p.stats.dropped_link_down;
-      total.dropped_partition += p.stats.dropped_partition;
-    }
+    for (const PaddedStats& p : stats_) total += p.stats;
     return total;
   }
-
-  std::int64_t messages_sent() const { return stats().sent; }
-  std::int64_t messages_lost() const { return stats().lost; }
 
  private:
   struct alignas(64) PaddedStats {
@@ -425,164 +191,52 @@ class ShardedNetwork final : private ShardedSimulator::DeliverSink {
   void on_sharded_deliver(std::int32_t shard, std::int32_t from,
                           std::int32_t to, std::int32_t link,
                           std::int64_t message) override {
-    NetworkStats& stats = stats_[static_cast<std::size_t>(shard)].stats;
-    const obs::SimObs* obs = obs_[static_cast<std::size_t>(shard)];
-    const double now = sim_->now(shard);
-    if (crashed_[static_cast<std::size_t>(to)] != 0) {
-      ++stats.dropped_receiver_crashed;
-      dropped(obs, now, from, to, obs::DropCause::kReceiverCrashed);
-      return;
+    if (this->admit_delivery(stats_[static_cast<std::size_t>(shard)].stats,
+                             obs_[static_cast<std::size_t>(shard)],
+                             sim_->now(shard), from, to, link) &&
+        on_receive_) {
+      on_receive_(shard, to, from, message);
     }
-    if (link_failed_[static_cast<std::size_t>(link)] != 0) {
-      ++stats.dropped_link_down;
-      dropped(obs, now, from, to, obs::DropCause::kLinkDown);
-      return;
-    }
-    if (partition_cuts(from, to)) {
-      ++stats.dropped_partition;
-      dropped(obs, now, from, to, obs::DropCause::kPartition);
-      return;
-    }
-    ++stats.delivered;
-    if (obs != nullptr) {
-      obs->add(obs->net_delivered);
-      obs->event(now, obs::TraceKind::kDeliver, to, from, link);
-    }
-    if (on_receive_) on_receive_(shard, to, from, message);
-  }
-
-  /// Directed arc id: the per-sender-direction RNG/GE stream index.
-  static std::size_t arc_index(std::int32_t link, core::NodeId from,
-                               core::NodeId to) {
-    return (static_cast<std::size_t>(link) << 1) |
-           static_cast<std::size_t>(from > to ? 1 : 0);
   }
 
   /// Lower bound of the latency a copy on `link` can experience.
   double link_floor(std::int32_t link) const {
-    switch (latency_.kind) {
+    switch (this->latency_.kind) {
       case LatencySpec::Kind::kFixed:
       case LatencySpec::Kind::kUniformPerSend:
-        return latency_.base;
+        return this->latency_.base;
       case LatencySpec::Kind::kUniformPerLink:
-        return link_latency_[static_cast<std::size_t>(link)];
+        return this->link_latency_[static_cast<std::size_t>(link)];
     }
     LHG_CHECK(false, "Network: unknown latency kind {}",
-              static_cast<int>(latency_.kind));
+              static_cast<int>(this->latency_.kind));
   }
 
-  double sample_latency(std::size_t arc, std::int32_t link) {
-    switch (latency_.kind) {
-      case LatencySpec::Kind::kFixed:
-        return latency_.base;
-      case LatencySpec::Kind::kUniformPerLink:
-        return link_latency_[static_cast<std::size_t>(link)];
-      case LatencySpec::Kind::kUniformPerSend:
-        return latency_.base + latency_.jitter * arc_rng_[arc].next_double();
-    }
-    LHG_CHECK(false, "Network: unknown latency kind {}",
-              static_cast<int>(latency_.kind));
+  // --- FaultModel hooks: mutations are control events -------------------
+  template <typename F>
+  void schedule_mutation(double at, F&& fn) {
+    sim_->schedule_control_at(
+        at, [fn = std::forward<F>(fn)](std::int32_t /*env*/) mutable { fn(); });
+  }
+  void check_mutable([[maybe_unused]] const char* what) const {
+    LHG_DCHECK(sim_->in_serial_phase(),
+               "ShardedNetwork: {} outside a serial phase", what);
+  }
+  void trace_node(obs::TraceKind kind, core::NodeId node) const {
+    const obs::SimObs* obs =
+        obs_[static_cast<std::size_t>(sim_->shard_of(node))];
+    if (obs != nullptr) obs->event(sim_->env_now(), kind, node);
+  }
+  void schedule_delivery(std::int32_t shard, double time, core::NodeId from,
+                         core::NodeId to, std::int32_t link,
+                         std::int64_t message) {
+    sim_->schedule_deliver_at(shard, time, from, to, link, message);
   }
 
-  bool channel_drops(std::size_t arc) {
-    if (chaos_.gilbert_elliott) {
-      auto& bad = arc_bad_[arc];
-      if (bad == 0) {
-        if (arc_rng_[arc].next_bool(chaos_.ge_good_to_bad)) bad = 1;
-      } else {
-        if (arc_rng_[arc].next_bool(chaos_.ge_bad_to_good)) bad = 0;
-      }
-      const double p = bad != 0 ? chaos_.ge_loss_bad : chaos_.ge_loss_good;
-      return p > 0.0 && arc_rng_[arc].next_bool(p);
-    }
-    return chaos_.loss > 0.0 && arc_rng_[arc].next_bool(chaos_.loss);
-  }
-
-  void schedule_copy(std::int32_t shard, double now, std::size_t arc,
-                     core::NodeId from, core::NodeId to, std::int32_t link,
-                     std::int64_t message) {
-    double delay = sample_latency(arc, link);
-    if (chaos_.reorder > 0.0 && arc_rng_[arc].next_bool(chaos_.reorder)) {
-      delay += chaos_.reorder_jitter * arc_rng_[arc].next_double();
-    }
-    const obs::SimObs* obs = obs_[static_cast<std::size_t>(shard)];
-    if (obs != nullptr) {
-      obs->observe(obs->net_delay, obs::SimObs::milli_ticks(delay));
-    }
-    sim_->schedule_deliver_at(shard, now + delay, from, to, link, message);
-  }
-
-  static void blocked(const obs::SimObs* obs, double now, core::NodeId from,
-                      core::NodeId to, obs::DropCause cause) {
-    if (obs == nullptr) return;
-    obs->add(obs->net_blocked);
-    obs->event(now, obs::TraceKind::kDrop, from, to,
-               static_cast<std::int64_t>(cause));
-  }
-  static void dropped(const obs::SimObs* obs, double now, core::NodeId from,
-                      core::NodeId to, obs::DropCause cause) {
-    if (obs == nullptr) return;
-    obs->add(obs->net_dropped);
-    obs->event(now, obs::TraceKind::kDrop, from, to,
-               static_cast<std::int64_t>(cause));
-  }
-
-  bool partition_cuts(core::NodeId u, core::NodeId v) const {
-    return partition_active_ &&
-           partition_side_[static_cast<std::size_t>(u)] !=
-               partition_side_[static_cast<std::size_t>(v)];
-  }
-
-  const obs::SimObs* node_obs(core::NodeId node) const {
-    return obs_[static_cast<std::size_t>(sim_->shard_of(node))];
-  }
-
-  // Epoch discipline: same as network.h, control-phase only.
-  void bump_crash_epoch(core::NodeId node) {
-    if (crash_epoch_.empty()) {
-      crash_epoch_.assign(static_cast<std::size_t>(topology_->num_nodes()), 0);
-    }
-    ++crash_epoch_[static_cast<std::size_t>(node)];
-  }
-  std::uint64_t crash_epoch_of(core::NodeId node) const {
-    return crash_epoch_.empty() ? 0
-                                : crash_epoch_[static_cast<std::size_t>(node)];
-  }
-  void bump_link_epoch(std::int32_t link) {
-    if (link_epoch_.empty()) {
-      link_epoch_.assign(static_cast<std::size_t>(topology_->num_edges()), 0);
-    }
-    ++link_epoch_[static_cast<std::size_t>(link)];
-  }
-  std::uint64_t link_epoch_of(std::int32_t link) const {
-    return link_epoch_.empty() ? 0
-                               : link_epoch_[static_cast<std::size_t>(link)];
-  }
-  std::size_t new_window() {
-    window_epoch_.push_back(0);
-    return window_epoch_.size() - 1;
-  }
-
-  const Topology* topology_;
   ShardedSimulator* sim_;
-  LatencySpec latency_;
-  ChaosSpec chaos_;
   ReceiveHandler on_receive_;
 
-  // Shared state, read-only during windows.
-  std::vector<std::uint8_t> crashed_;
-  std::int32_t alive_count_ = 0;
-  std::vector<double> link_latency_;       // per edge id (kUniformPerLink)
-  std::vector<std::uint8_t> link_failed_;  // per edge id
-  std::vector<std::uint8_t> partition_side_;
-  bool partition_active_ = false;
-  std::vector<std::uint64_t> crash_epoch_;
-  std::vector<std::uint64_t> link_epoch_;
-  std::uint64_t partition_epoch_ = 0;
-  std::vector<std::uint64_t> window_epoch_;
-
   // Per-directed-arc channel state, owned by the sender's shard.
-  std::uint64_t arc_seed_ = 0;
   std::vector<core::Rng> arc_rng_;
   std::vector<std::uint8_t> arc_bad_;  // GE chain state, per arc
 

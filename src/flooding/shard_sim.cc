@@ -16,35 +16,13 @@ ShardedSimulator::ShardedSimulator(std::int32_t num_nodes,
   const std::int32_t shards = std::min(num_shards, num_nodes);
   block_ = (num_nodes + shards - 1) / shards;
   // block_ >= 1, and ceil(n / block_) == shards by construction.
-  shards_.resize(static_cast<std::size_t>((num_nodes + block_ - 1) / block_));
+  // Built in place: a Shard owns a CallbackSlab and cannot move.
+  shards_ = std::vector<Shard>(
+      static_cast<std::size_t>((num_nodes + block_ - 1) / block_));
   for (Shard& sh : shards_) {
     sh.outbox.resize(shards_.size());
   }
   node_seq_.assign(static_cast<std::size_t>(num_nodes), 0);
-}
-
-ShardedSimulator::~ShardedSimulator() { destroy_pending_callbacks(); }
-
-void ShardedSimulator::destroy_pending_callbacks() {
-  // run_until can leave unexecuted events behind; destroy their
-  // callables exactly as the serial engine's destructor does.  Between
-  // windows the late heaps are empty and outboxes hold only deliver
-  // events, so the shard queues and the control lane cover everything.
-  for (Shard& sh : shards_) {
-    sh.queue.for_each([&](const Queue::Item& item) {
-      if (item.payload.kind == kCallback) {
-        CallbackPayload& cb =
-            shard_slot(sh, static_cast<std::uint32_t>(item.payload.link))
-                .callback;
-        cb.destroy(cb.storage);
-      }
-    });
-  }
-  control_.for_each([this](const ControlQueue::Item& item) {
-    CallbackPayload& cb =
-        env_slot(static_cast<std::uint32_t>(item.payload)).callback;
-    cb.destroy(cb.storage);
-  });
 }
 
 void ShardedSimulator::late_push(Shard& sh, const Event& ev) {
@@ -83,12 +61,7 @@ void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
     sink_->on_sharded_deliver(shard_idx, ev.from, ev.to, ev.link, ev.message);
   } else {
     sh.origin = ev.from;
-    // Invoke in place — slab chunk addresses are stable, so events the
-    // callback schedules (which may carve new chunks) cannot move it.
-    const auto id = static_cast<std::uint32_t>(ev.link);
-    CallbackPayload& cb = shard_slot(sh, id).callback;
-    cb.invoke(cb.storage, shard_idx);
-    shard_free_slot(sh, id);
+    sh.callbacks.invoke(ev.link, shard_idx);
   }
   sh.origin = kEnvOrigin;
 }
@@ -147,11 +120,7 @@ void ShardedSimulator::run_control() {
   control_.advance(ControlQueue::kNoKey);
   env_now_ = ControlQueue::time_of(control_.current_key());
   while (!control_.front_empty()) {
-    const std::int32_t id = control_.pop_front().payload;
-    CallbackPayload& cb = env_slot(static_cast<std::uint32_t>(id)).callback;
-    cb.invoke(cb.storage, kEnvOrigin);
-    env_slot(static_cast<std::uint32_t>(id)).next_free = env_free_head_;
-    env_free_head_ = id;
+    control_callbacks_.invoke(control_.pop_front().payload, kEnvOrigin);
     ++env_processed_;
   }
 }
@@ -233,14 +202,14 @@ std::size_t ShardedSimulator::pending() const {
 }
 
 std::int64_t ShardedSimulator::slots_created() const {
-  std::int64_t total = env_slots_created_;
-  for (const Shard& sh : shards_) total += sh.slots_created;
+  std::int64_t total = control_callbacks_.slots_created();
+  for (const Shard& sh : shards_) total += sh.callbacks.slots_created();
   return total;
 }
 
 std::int64_t ShardedSimulator::callback_heap_allocations() const {
-  std::int64_t total = env_heap_allocs_;
-  for (const Shard& sh : shards_) total += sh.heap_allocs;
+  std::int64_t total = control_callbacks_.heap_allocations();
+  for (const Shard& sh : shards_) total += sh.callbacks.heap_allocations();
   return total;
 }
 

@@ -38,7 +38,8 @@
 //
 // Queue mechanics: each shard, and the control lane, owns one monotone
 // radix time queue (time_queue.h — the single-queue engine's queue), with
-// 40-byte inline events and slab free-list callback slots.  When a shard
+// 40-byte inline events, and one CallbackSlab (callback_slab.h, also the
+// single-queue engine's).  When a shard
 // reaches a timestamp, the queue's front run holds that timestamp's
 // events; the drain sorts it in place by canonical key, and same-time
 // events created *during* the drain go to a small per-shard min-heap
@@ -65,15 +66,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
-#include <memory>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "flooding/callback_slab.h"
 #include "flooding/time_queue.h"
 #include "obs/obs.h"
 
@@ -82,7 +80,8 @@ namespace lhg::flooding {
 class ShardedSimulator {
  public:
   /// Same inline-capture budget as the single-queue engine.
-  static constexpr std::size_t kInlineCallbackCapacity = 48;
+  static constexpr std::size_t kInlineCallbackCapacity =
+      CallbackSlab<std::int32_t>::kInlineCapacity;
 
   /// Origin id of environment-scheduled events (setup, failure plans);
   /// sorts before every node origin at the same timestamp.
@@ -104,7 +103,6 @@ class ShardedSimulator {
   /// blocks of ceil(n / S) (the last may be smaller); shard count is
   /// clamped to [1, num_nodes].
   ShardedSimulator(std::int32_t num_nodes, std::int32_t num_shards);
-  ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
@@ -166,10 +164,8 @@ class ShardedSimulator {
     LHG_CHECK(time == time && time >= env_now_,
               "ShardedSimulator: control time {} is NaN or before now {}",
               time, env_now_);
-    const std::int32_t id = env_alloc_slot();
-    store_callback(env_slot(static_cast<std::uint32_t>(id)).callback,
-                   std::forward<F>(fn), env_heap_allocs_);
-    control_.push(ControlQueue::key_of(time), id);
+    control_.push(ControlQueue::key_of(time),
+                  control_callbacks_.store(std::forward<F>(fn)));
   }
 
   /// Schedules `fn(shard)` to run at `time` on the shard owning
@@ -199,10 +195,7 @@ class ShardedSimulator {
                  owner, ctx, shard_of(owner));
       check_time_shard(dst, time);
     }
-    const std::int32_t id = shard_alloc_slot(dst);
-    store_callback(shard_slot(dst, static_cast<std::uint32_t>(id)).callback,
-                   std::forward<F>(fn), dst.heap_allocs);
-    ev.link = id;
+    ev.link = dst.callbacks.store(std::forward<F>(fn));
     enqueue(dst, Queue::key_of(time), ev);
   }
 
@@ -271,19 +264,6 @@ class ShardedSimulator {
  private:
   enum Kind : std::uint32_t { kDeliver = 0, kCallback = 1 };
 
-  struct CallbackPayload {
-    void (*invoke)(void* storage, std::int32_t shard);
-    void (*destroy)(void* storage);
-    alignas(std::max_align_t) unsigned char storage[kInlineCallbackCapacity];
-  };
-
-  struct Slot {
-    union {
-      CallbackPayload callback;
-      std::int32_t next_free;
-    };
-  };
-
   /// Payload of one queued event.  `canon` is the canonical tie-break
   /// ((origin + 1) << 32 | seq); the time is the queue item's key.
   /// Callback events carry the owner node in `from`/`to` and the slab
@@ -309,11 +289,7 @@ class ShardedSimulator {
     std::vector<Event> late;  // min-heap by canon: same-time mid-drain inserts
     std::int32_t origin = kEnvOrigin;  // acting node while dispatching
 
-    // Callback slab (free-listed chunks, stable addresses).
-    std::vector<std::unique_ptr<Slot[]>> chunks;
-    std::int32_t free_head = -1;
-    std::int64_t slots_created = 0;
-    std::int64_t heap_allocs = 0;
+    CallbackSlab<std::int32_t> callbacks;  // invoked with the shard index
 
     // Cross-shard deliveries created this window, one box per dest.
     std::vector<std::vector<Queue::Item>> outbox;
@@ -321,9 +297,6 @@ class ShardedSimulator {
     std::int64_t processed = 0;
     const obs::SimObs* obs = nullptr;
   };
-
-  static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
   /// Canonical key of an event created in context `ctx`: the acting
   /// node's (origin, seq) pair, or the env counter.  Packs into 64 bits
@@ -352,75 +325,6 @@ class ShardedSimulator {
               sh.now);
   }
 
-  template <typename F>
-  static void store_callback(CallbackPayload& cb, F&& fn,
-                             std::int64_t& heap_allocs) {
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCallbackCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(cb.storage)) Fn(std::forward<F>(fn));
-      cb.invoke = [](void* p, std::int32_t shard) {
-        Fn* f = std::launder(reinterpret_cast<Fn*>(p));
-        (*f)(shard);
-        f->~Fn();
-      };
-      cb.destroy = [](void* p) {
-        std::launder(reinterpret_cast<Fn*>(p))->~Fn();
-      };
-    } else {
-      ++heap_allocs;
-      Fn* owned = new Fn(std::forward<F>(fn));
-      std::memcpy(cb.storage, &owned, sizeof owned);
-      cb.invoke = [](void* p, std::int32_t shard) {
-        Fn* f = *reinterpret_cast<Fn**>(p);
-        (*f)(shard);
-        delete f;
-      };
-      cb.destroy = [](void* p) { delete *reinterpret_cast<Fn**>(p); };
-    }
-  }
-
-  // --- Shard slab ---
-  Slot& shard_slot(Shard& sh, std::uint32_t id) {
-    return sh.chunks[id >> kChunkShift][id & (kChunkSize - 1)];
-  }
-  std::int32_t shard_alloc_slot(Shard& sh) {
-    if (sh.free_head >= 0) {
-      const std::int32_t id = sh.free_head;
-      sh.free_head = shard_slot(sh, static_cast<std::uint32_t>(id)).next_free;
-      return id;
-    }
-    const auto id = static_cast<std::int32_t>(sh.slots_created);
-    if ((static_cast<std::uint32_t>(id) & (kChunkSize - 1)) == 0) {
-      sh.chunks.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-    ++sh.slots_created;
-    return id;
-  }
-  void shard_free_slot(Shard& sh, std::uint32_t id) {
-    shard_slot(sh, id).next_free = sh.free_head;
-    sh.free_head = static_cast<std::int32_t>(id);
-  }
-
-  // --- Control slab ---
-  Slot& env_slot(std::uint32_t id) {
-    return env_chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
-  }
-  std::int32_t env_alloc_slot() {
-    if (env_free_head_ >= 0) {
-      const std::int32_t id = env_free_head_;
-      env_free_head_ = env_slot(static_cast<std::uint32_t>(id)).next_free;
-      return id;
-    }
-    const auto id = static_cast<std::int32_t>(env_slots_created_);
-    if ((static_cast<std::uint32_t>(id) & (kChunkSize - 1)) == 0) {
-      env_chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-    ++env_slots_created_;
-    return id;
-  }
-
   /// Cross-shard accessor.  Every use outside the audited barrier-
   /// exchange path is a determinism bug; the linter flags call sites.
   // lint: allow(cross-shard-state): accessor definition, not a use —
@@ -447,7 +351,6 @@ class ShardedSimulator {
   void exchange();
   void run_control();
   void run_impl(double deadline, bool bounded);
-  void destroy_pending_callbacks();
 
   std::int32_t num_nodes_;
   std::int32_t block_;  // nodes per shard (ceil division)
@@ -461,10 +364,7 @@ class ShardedSimulator {
   bool in_windows_ = false;
 
   ControlQueue control_;  // runs in (time, scheduling) order
-  std::vector<std::unique_ptr<Slot[]>> env_chunks_;
-  std::int32_t env_free_head_ = -1;
-  std::int64_t env_slots_created_ = 0;
-  std::int64_t env_heap_allocs_ = 0;
+  CallbackSlab<std::int32_t> control_callbacks_;  // invoked with kEnvOrigin
   std::int64_t env_processed_ = 0;
 };
 

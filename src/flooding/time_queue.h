@@ -195,18 +195,6 @@ class TimeQueue {
   /// bucket agree that the queue is empty.
   bool empty() const { return front_empty() && occupied_ == 0; }
 
-  /// Visits every pending item (any order); for teardown.
-  template <typename F>
-  void for_each(F&& f) const {
-    for (int b = 0; b < kBuckets; ++b) {
-      const Bucket& bucket = buckets_[b];
-      const std::size_t end = bucket.size();
-      for (std::size_t i = b == 0 ? front_taken() : 0; i < end; ++i) {
-        f(bucket.segments[i >> kSegmentShift][i & (kSegmentItems - 1)]);
-      }
-    }
-  }
-
  private:
   static constexpr int kBuckets = 65;  // bit_width of a 64-bit XOR: 0..64
   static constexpr std::size_t kSegmentShift = 8;

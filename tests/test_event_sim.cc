@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -81,7 +82,7 @@ TEST(Simulator, RejectsPastAndInvalid) {
   sim.schedule_at(2.0, [] {});
   sim.run();
   EXPECT_THROW(sim.schedule_at(1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(sim.schedule_at(3.0, Simulator::Callback{}),
+  EXPECT_THROW(sim.schedule_at(3.0, std::function<void()>{}),
                std::invalid_argument);
   EXPECT_THROW(sim.schedule_at(std::nan(""), [] {}), std::invalid_argument);
 }
@@ -110,7 +111,7 @@ struct RecordingSink : Simulator::DeliverSink {
     std::int64_t message;
     double time;
   };
-  explicit RecordingSink(Simulator& sim) : sim(&sim) {}
+  explicit RecordingSink(Simulator& simulator) : sim(&simulator) {}
   void on_deliver(std::int32_t from, std::int32_t to, std::int32_t link,
                   std::int64_t message) override {
     rows.push_back({from, to, link, message, sim->now()});

@@ -115,7 +115,7 @@ TEST(Incremental, DeltasReplayExactlyUnderRandomChurn) {
     const std::int32_t k = 3;
     IncrementalOverlay o(24, k, c);
     std::vector<Edge> shadow = member_space_edges(o);
-    core::Rng rng(0xfeedULL + static_cast<std::uint64_t>(c));
+    core::Rng rng(std::uint64_t{0xfeed} + static_cast<std::uint64_t>(c));
     for (int step = 0; step < 120; ++step) {
       const bool grow =
           !o.can_shrink() || (o.can_grow() && rng.next_bool(0.55));
@@ -295,11 +295,11 @@ std::uint64_t churn_trial_hash(std::uint64_t trial_seed) {
     MemberDelta delta;
     if (grow) {
       delta = o.join();
-      h = mix(h ^ baseline.add_node().total());
+      h = mix(h ^ static_cast<std::uint64_t>(baseline.add_node().total()));
     } else {
       const auto ids = o.members();
       delta = o.leave(ids[rng.next_below(ids.size())]);
-      h = mix(h ^ baseline.remove_node().total());
+      h = mix(h ^ static_cast<std::uint64_t>(baseline.remove_node().total()));
     }
     h = fold_edges(h, delta.added);
     h = fold_edges(h, delta.removed);
@@ -362,8 +362,9 @@ TEST(Integration, ChurnWithContinuousVerificationStaysKConnected) {
     // removals, plus enough joins to stay near 512.
     const auto ids = o.members();
     const auto n = static_cast<std::int64_t>(ids.size());
-    const std::int64_t budget = 1 + rng.next_below(
-                                        static_cast<std::uint64_t>(n / 10));
+    const std::int64_t budget =
+        1 + static_cast<std::int64_t>(
+                rng.next_below(static_cast<std::uint64_t>(n / 10)));
     std::vector<MemberId> leavers;
     std::vector<std::uint8_t> taken(ids.size(), 0);
     while (static_cast<std::int64_t>(leavers.size()) < budget) {

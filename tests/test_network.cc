@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "flooding/shard_net.h"
 
 namespace lhg::flooding {
 namespace {
@@ -262,109 +266,202 @@ TEST(Network, PartitionDropsInFlightCrossTraffic) {
   EXPECT_FALSE(net.partition_active());
 }
 
+// --- Epoch-guarded windows, on both engines ---------------------------
+// FaultModel (network.h) is shared by the single-queue network and the
+// sharded one, so each window test below runs its body on both: the
+// serial Network, and ShardedNetwork at S=1 and S=4 (on three nodes,
+// S=4 gives every node its own shard).  `at(t, node, fn)` runs `fn` as
+// an event of `node`, where `send` is legal; `control_at(t, fn)` runs a
+// mutation, which the sharded engine allows only between windows.
+
+class SerialEngine {
+ public:
+  explicit SerialEngine(const Graph& g)
+      : net_(g, sim_, LatencySpec::fixed(1.0), rng_) {}
+  Network& net() { return net_; }
+  template <typename F>
+  void at(double t, NodeId /*node*/, F fn) {
+    sim_.schedule_at(t, std::move(fn));
+  }
+  template <typename F>
+  void control_at(double t, F fn) {
+    sim_.schedule_at(t, std::move(fn));
+  }
+  bool send(NodeId from, NodeId to, std::int64_t message) {
+    return net_.send(from, to, message);
+  }
+  void count_receipts(int* received) {
+    net_.set_receive_handler(
+        [received](NodeId, NodeId, std::int64_t) { ++*received; });
+  }
+  void run() { sim_.run(); }
+
+ private:
+  Simulator sim_;
+  core::Rng rng_{1};
+  Network net_;
+};
+
+template <std::int32_t Shards>
+class ShardedEngine {
+ public:
+  explicit ShardedEngine(const Graph& g)
+      : sim_(g.num_nodes(), Shards),
+        net_(g, sim_, LatencySpec::fixed(1.0), rng_, ChaosSpec::none()) {}
+  ShardedNetwork<Graph>& net() { return net_; }
+  template <typename F>
+  void at(double t, NodeId node, F fn) {
+    sim_.schedule_node_at(ShardedSimulator::kEnvOrigin, t, node,
+                          [this, fn = std::move(fn)](std::int32_t shard) {
+                            shard_ = shard;
+                            fn();
+                          });
+  }
+  template <typename F>
+  void control_at(double t, F fn) {
+    sim_.schedule_control_at(t, [fn = std::move(fn)](std::int32_t) { fn(); });
+  }
+  bool send(NodeId from, NodeId to, std::int64_t message) {
+    return net_.send(shard_, from, to, message);
+  }
+  void count_receipts(int* received) {
+    net_.set_receive_handler([received](std::int32_t, NodeId, NodeId,
+                                        std::int64_t) { ++*received; });
+  }
+  void run() { sim_.run(); }
+
+ private:
+  ShardedSimulator sim_;
+  core::Rng rng_{1};
+  ShardedNetwork<Graph> net_;
+  std::int32_t shard_ = 0;  // shard of the node event now running
+};
+
+/// Runs `body.template operator()<Engine>()` on every engine.
+template <typename Body>
+void on_every_engine(Body body) {
+  {
+    SCOPED_TRACE("serial Network");
+    body.template operator()<SerialEngine>();
+  }
+  {
+    SCOPED_TRACE("ShardedNetwork, S=1");
+    body.template operator()<ShardedEngine<1>>();
+  }
+  {
+    SCOPED_TRACE("ShardedNetwork, S=4");
+    body.template operator()<ShardedEngine<4>>();
+  }
+}
+
 // Regression: two overlapping partition windows.  The first window's
 // scheduled clear used to fire unconditionally at its end time, which
 // dissolved the *second* cut mid-window; the epoch guard keeps the
 // replacement cut alive until its own end.
 TEST(Network, OverlappingPartitionWindowsKeepTheSecondCut) {
-  Simulator sim;
-  core::Rng rng(1);
-  Graph g = path3();
-  Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  int received = 0;
-  net.set_receive_handler([&](NodeId, NodeId, std::int64_t) { ++received; });
-  net.partition_during({0, 0, 1}, 2.0, 6.0);
-  net.partition_during({1, 0, 0}, 4.0, 10.0);  // replaces the first at t=4
-  sim.schedule_at(7.0, [&] {
-    // The first window ended at t=6, but its clear must not dissolve
-    // the second cut: (0, 1) still crosses it.
-    EXPECT_TRUE(net.partition_active());
-    EXPECT_FALSE(net.send(0, 1, 1));
+  on_every_engine([]<typename Engine>() {
+    const Graph g = path3();
+    Engine e(g);
+    auto& net = e.net();
+    int received = 0;
+    e.count_receipts(&received);
+    net.partition_during({0, 0, 1}, 2.0, 6.0);
+    net.partition_during({1, 0, 0}, 4.0, 10.0);  // replaces the first at t=4
+    e.at(7.0, 0, [&] {
+      // The first window ended at t=6, but its clear must not dissolve
+      // the second cut: (0, 1) still crosses it.
+      EXPECT_TRUE(net.partition_active());
+      EXPECT_FALSE(e.send(0, 1, 1));
+    });
+    e.at(11.0, 0, [&] {
+      EXPECT_FALSE(net.partition_active());  // second window over
+      EXPECT_TRUE(e.send(0, 1, 2));
+    });
+    e.run();
+    EXPECT_EQ(received, 1);
+    EXPECT_EQ(net.stats().blocked_partition, 1);
   });
-  sim.schedule_at(11.0, [&] {
-    EXPECT_FALSE(net.partition_active());  // second window over
-    EXPECT_TRUE(net.send(0, 1, 2));
-  });
-  sim.run();
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(net.stats().blocked_partition, 1);
 }
 
 // A direct set_partition mid-window also advances the epoch: the
 // window's stale clear must not tear down the cut the caller installed.
 TEST(Network, DirectPartitionSurvivesStaleWindowClear) {
-  Simulator sim;
-  core::Rng rng(1);
-  Graph g = path3();
-  Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  net.partition_during({0, 0, 1}, 2.0, 6.0);
-  sim.schedule_at(4.0, [&] { net.set_partition({1, 0, 0}); });
-  sim.schedule_at(7.0, [&] {
+  on_every_engine([]<typename Engine>() {
+    const Graph g = path3();
+    Engine e(g);
+    auto& net = e.net();
+    net.partition_during({0, 0, 1}, 2.0, 6.0);
+    e.control_at(4.0, [&] { net.set_partition({1, 0, 0}); });
+    e.at(7.0, 0, [&] {
+      EXPECT_TRUE(net.partition_active());
+      EXPECT_FALSE(e.send(0, 1, 1));
+    });
+    e.run();
     EXPECT_TRUE(net.partition_active());
-    EXPECT_FALSE(net.send(0, 1, 1));
   });
-  sim.run();
-  EXPECT_TRUE(net.partition_active());
 }
 
 // Overlapping crash/recovery windows via the paired API: the first
 // window's recovery is stale once the second crash lands, so the node
 // stays down until the latest window ends (the union of the windows).
 TEST(Network, OverlappingCrashWindowsKeepNodeDownUntilLatest) {
-  Simulator sim;
-  core::Rng rng(1);
-  Graph g = path3();
-  Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  const std::size_t w1 = net.crash_windowed(2, 5.0);
-  net.recover_windowed(2, 15.0, w1);
-  const std::size_t w2 = net.crash_windowed(2, 8.0);
-  net.recover_windowed(2, 30.0, w2);
-  sim.schedule_at(20.0, [&] { EXPECT_FALSE(net.is_alive(2)); });
-  sim.schedule_at(31.0, [&] { EXPECT_TRUE(net.is_alive(2)); });
-  sim.run();
-  EXPECT_TRUE(net.is_alive(2));
-  EXPECT_EQ(net.alive_count(), 3);
+  on_every_engine([]<typename Engine>() {
+    const Graph g = path3();
+    Engine e(g);
+    auto& net = e.net();
+    const std::size_t w1 = net.crash_windowed(2, 5.0);
+    net.recover_windowed(2, 15.0, w1);
+    const std::size_t w2 = net.crash_windowed(2, 8.0);
+    net.recover_windowed(2, 30.0, w2);
+    e.at(20.0, 2, [&] { EXPECT_FALSE(net.is_alive(2)); });
+    e.at(31.0, 2, [&] { EXPECT_TRUE(net.is_alive(2)); });
+    e.run();
+    EXPECT_TRUE(net.is_alive(2));
+    EXPECT_EQ(net.alive_count(), 3);
+  });
 }
 
 // A direct crash_now during a window invalidates the window's pending
 // recovery instead of being clobbered by it.
 TEST(Network, DirectCrashNotClobberedByWindowedRecovery) {
-  Simulator sim;
-  core::Rng rng(1);
-  Graph g = path3();
-  Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  const std::size_t w = net.crash_windowed(2, 5.0);
-  net.recover_windowed(2, 15.0, w);
-  sim.schedule_at(10.0, [&] { net.crash_now(2); });  // operator re-downs it
-  sim.schedule_at(20.0, [&] { EXPECT_FALSE(net.is_alive(2)); });
-  sim.run();
-  EXPECT_FALSE(net.is_alive(2));
+  on_every_engine([]<typename Engine>() {
+    const Graph g = path3();
+    Engine e(g);
+    auto& net = e.net();
+    const std::size_t w = net.crash_windowed(2, 5.0);
+    net.recover_windowed(2, 15.0, w);
+    e.control_at(10.0, [&] { net.crash_now(2); });  // operator re-downs it
+    e.at(20.0, 2, [&] { EXPECT_FALSE(net.is_alive(2)); });
+    e.run();
+    EXPECT_FALSE(net.is_alive(2));
+  });
 }
 
 // Overlapping link flap windows, same shape as the crash case: the
 // link stays down until the later window's restore.
 TEST(Network, OverlappingLinkFlapWindowsKeepLinkDownUntilLatest) {
-  Simulator sim;
-  core::Rng rng(1);
-  Graph g = path3();
-  Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  int received = 0;
-  net.set_receive_handler([&](NodeId, NodeId, std::int64_t) { ++received; });
-  const std::size_t w1 = net.fail_link_windowed(0, 1, 5.0);
-  net.restore_link_windowed(0, 1, 15.0, w1);
-  const std::size_t w2 = net.fail_link_windowed(0, 1, 8.0);
-  net.restore_link_windowed(0, 1, 30.0, w2);
-  sim.schedule_at(20.0, [&] {
-    EXPECT_FALSE(net.link_ok(0, 1));
-    EXPECT_FALSE(net.send(0, 1, 1));
+  on_every_engine([]<typename Engine>() {
+    const Graph g = path3();
+    Engine e(g);
+    auto& net = e.net();
+    int received = 0;
+    e.count_receipts(&received);
+    const std::size_t w1 = net.fail_link_windowed(0, 1, 5.0);
+    net.restore_link_windowed(0, 1, 15.0, w1);
+    const std::size_t w2 = net.fail_link_windowed(0, 1, 8.0);
+    net.restore_link_windowed(0, 1, 30.0, w2);
+    e.at(20.0, 0, [&] {
+      EXPECT_FALSE(net.link_ok(0, 1));
+      EXPECT_FALSE(e.send(0, 1, 1));
+    });
+    e.at(31.0, 0, [&] {
+      EXPECT_TRUE(net.link_ok(0, 1));
+      EXPECT_TRUE(e.send(0, 1, 2));
+    });
+    e.run();
+    EXPECT_EQ(received, 1);
+    EXPECT_EQ(net.stats().blocked_link_down, 1);
   });
-  sim.schedule_at(31.0, [&] {
-    EXPECT_TRUE(net.link_ok(0, 1));
-    EXPECT_TRUE(net.send(0, 1, 2));
-  });
-  sim.run();
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(net.stats().blocked_link_down, 1);
 }
 
 TEST(Network, PartitionValidation) {

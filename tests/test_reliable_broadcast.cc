@@ -32,7 +32,7 @@ TEST(ReliableBroadcast, PlainFloodLosesNodesOnLossyLinks) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Simulator sim;
     core::Rng rng(seed);
-    Network net(g, sim, LatencySpec::fixed(1.0), rng, 0.4);
+    Network net(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(0.4));
     std::vector<bool> delivered(static_cast<std::size_t>(g.num_nodes()), false);
     net.set_receive_handler(
         [&](core::NodeId self, core::NodeId from, std::int64_t hops) {
@@ -122,7 +122,7 @@ TEST(Network, LossySendStillCountsMessages) {
   const auto g = lhg::build(10, 3);
   Simulator sim;
   core::Rng rng(1);
-  Network net(g, sim, LatencySpec::fixed(1.0), rng, 0.9);
+  Network net(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(0.9));
   int received = 0;
   net.set_receive_handler(
       [&](core::NodeId, core::NodeId, std::int64_t) { ++received; });
@@ -132,8 +132,9 @@ TEST(Network, LossySendStillCountsMessages) {
   EXPECT_EQ(net.messages_sent(), 200);
   EXPECT_EQ(net.messages_lost() + received, 200);
   EXPECT_GT(net.messages_lost(), 150);  // ~90% drop
-  EXPECT_THROW(Network(g, sim, LatencySpec::fixed(1.0), rng, -0.1),
-               std::invalid_argument);
+  EXPECT_THROW(
+      Network(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(-0.1)),
+      std::invalid_argument);
 }
 
 }  // namespace

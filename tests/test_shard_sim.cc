@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -257,6 +258,48 @@ TEST(ShardedSimulator, RunLeavesEveryQueueBucketEmpty) {
   EXPECT_EQ(sim.events_processed(), 401);
 }
 
+TEST(ShardedSimulator, CallbackSlabsRecycleSlotsAndCountHeapFallbacks) {
+  // Node callbacks on every shard and control events share the engine's
+  // slabs: a self-sustaining chain per node keeps one live callable per
+  // node, so the high-water mark stays flat however long it runs.
+  ShardedSimulator sim(8, 4);
+  std::atomic<std::int64_t> fired{0};  // bumped from parallel lanes
+  std::vector<std::function<void(std::int32_t)>> chain(8);
+  for (std::int32_t node = 0; node < 8; ++node) {
+    chain[static_cast<std::size_t>(node)] = [&, node](std::int32_t shard) {
+      if (++fired < 8000) {
+        sim.schedule_node_at(shard, sim.now(shard) + 1.0, node,
+                             chain[static_cast<std::size_t>(node)]);
+      }
+    };
+    sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 0.0, node,
+                         chain[static_cast<std::size_t>(node)]);
+  }
+  sim.schedule_control_at(5.0, [](std::int32_t) {});
+  sim.run_until(100.0);  // warm up
+  const std::int64_t high_water = sim.slots_created();
+  EXPECT_GT(high_water, 0);
+  sim.run();
+  EXPECT_EQ(fired, 8000 + 7);  // each other chain fires once more
+  EXPECT_EQ(sim.slots_created(), high_water);
+  EXPECT_EQ(sim.callback_heap_allocations(), 0);
+
+  // Oversized captures fall back to the heap, counted on either lane;
+  // empty std::functions are refused.
+  struct Big {
+    double payload[16];
+  };
+  sim.schedule_node_at(ShardedSimulator::kEnvOrigin, sim.env_now(), 3,
+                       [big = Big{}](std::int32_t) { (void)big; });
+  sim.schedule_control_at(sim.env_now(),
+                          [big = Big{}](std::int32_t) { (void)big; });
+  EXPECT_EQ(sim.callback_heap_allocations(), 2);
+  EXPECT_THROW(sim.schedule_control_at(sim.env_now(),
+                                       std::function<void(std::int32_t)>{}),
+               std::invalid_argument);
+  sim.run();
+}
+
 struct RecordingSink : ShardedSimulator::DeliverSink {
   struct Row {
     std::int32_t shard, from, to, link;
@@ -303,16 +346,7 @@ void expect_results_equal(const DisseminationResult& a,
   EXPECT_EQ(a.delivered_alive, b.delivered_alive);
   EXPECT_EQ(a.completion_time, b.completion_time);
   EXPECT_EQ(a.completion_hops, b.completion_hops);
-  EXPECT_EQ(a.net.sent, b.net.sent);
-  EXPECT_EQ(a.net.delivered, b.net.delivered);
-  EXPECT_EQ(a.net.lost, b.net.lost);
-  EXPECT_EQ(a.net.duplicated, b.net.duplicated);
-  EXPECT_EQ(a.net.blocked_sender_crashed, b.net.blocked_sender_crashed);
-  EXPECT_EQ(a.net.blocked_link_down, b.net.blocked_link_down);
-  EXPECT_EQ(a.net.blocked_partition, b.net.blocked_partition);
-  EXPECT_EQ(a.net.dropped_receiver_crashed, b.net.dropped_receiver_crashed);
-  EXPECT_EQ(a.net.dropped_link_down, b.net.dropped_link_down);
-  EXPECT_EQ(a.net.dropped_partition, b.net.dropped_partition);
+  EXPECT_EQ(a.net, b.net);
 }
 
 /// Metrics comparison for single-queue vs sharded runs: every sample
@@ -482,6 +516,70 @@ TEST(ShardedFlood, SingleQueueParityHoldsAcrossThreadCounts) {
     expect_results_equal(serial, flood(g, sharded_cfg));
   }
   core::set_global_thread_count(previous);
+}
+
+// Pins the exact chaos draw order on both engines: bursty loss in both
+// GE states, duplication, reordering and per-send latency over a crash,
+// flap and partition plan.  The single queue draws from one generator
+// in execution order and the sharded engine from per-arc streams, so
+// the two pins differ; S=1 and S=4 share theirs.  Moving any draw in
+// the shared channel code changes these numbers.
+TEST(ShardedFlood, ChaosDrawOrderPinnedOnBothEngines) {
+  const auto g = lhg::build(64, 4);
+  core::Rng plan_rng(29);
+  FailurePlan plan = random_crash_recoveries(g, 3, /*protect=*/0, plan_rng,
+                                             /*crash_time=*/1.5,
+                                             /*downtime=*/3.0);
+  compose(plan, random_link_flaps(g, 4, plan_rng, /*down=*/1.0, /*up=*/4.0));
+  compose(plan, random_partition(g, plan_rng, /*start=*/2.0, /*end=*/3.5));
+  FloodConfig cfg;
+  cfg.source = 0;
+  cfg.seed = 31;
+  cfg.latency = LatencySpec::per_send(0.5, 1.0);
+  cfg.chaos = ChaosSpec::bursty(0.1, 0.3, 0.4);
+  cfg.chaos.ge_loss_good = 0.02;
+  cfg.chaos.duplicate = 0.1;
+  cfg.chaos.reorder = 0.2;
+  cfg.chaos.reorder_jitter = 0.8;
+  const auto delivery_time_sum = [](const DisseminationResult& r) {
+    double sum = 0.0;
+    for (const double t : r.delivery_time) {
+      if (t >= 0.0) sum += t;
+    }
+    return sum;
+  };
+
+  const DisseminationResult serial = flood(g, cfg, plan);
+  EXPECT_EQ(serial.net, (NetworkStats{.sent = 153,
+                                      .delivered = 142,
+                                      .lost = 12,
+                                      .duplicated = 17,
+                                      .blocked_sender_crashed = 0,
+                                      .blocked_link_down = 3,
+                                      .blocked_partition = 21,
+                                      .dropped_receiver_crashed = 5,
+                                      .dropped_link_down = 0,
+                                      .dropped_partition = 11}));
+  EXPECT_EQ(delivery_time_sum(serial), 0x1.a89e7141b68c9p+7);
+
+  for (const std::int32_t shards : {1, 4}) {
+    FloodConfig sharded_cfg = cfg;
+    sharded_cfg.shards = shards;
+    const DisseminationResult sharded = sharded_flood(g, sharded_cfg, plan);
+    EXPECT_EQ(sharded.net, (NetworkStats{.sent = 186,
+                                         .delivered = 185,
+                                         .lost = 7,
+                                         .duplicated = 19,
+                                         .blocked_sender_crashed = 0,
+                                         .blocked_link_down = 1,
+                                         .blocked_partition = 14,
+                                         .dropped_receiver_crashed = 4,
+                                         .dropped_link_down = 0,
+                                         .dropped_partition = 9}))
+        << "shards=" << shards;
+    EXPECT_EQ(delivery_time_sum(sharded), 0x1.817f440328c42p+8)
+        << "shards=" << shards;
+  }
 }
 
 TEST(ShardedFlood, RejectsZeroLookaheadTopology) {
