@@ -105,9 +105,10 @@ int main(int argc, char** argv) {
             // max_retries = 0 is plain flooding on the lossy wire;
             // the reliable machinery adds ACKs + retransmissions.
             return account(reliable_broadcast(
-                g, {.source = 0, .seed = rng(), .loss_probability = loss,
-                    .chaos = chaos, .retransmit_interval = 3.0,
-                    .max_retries = max_retries}));
+                g, {.source = 0,
+                    .seed = rng(),
+                    .chaos = chaos,
+                    .backoff = BackoffPolicy::fixed(3.0, max_retries)}));
           },
           Agg::merge);
       const std::int64_t wall_ns = timer.elapsed_ns();
@@ -124,8 +125,8 @@ int main(int argc, char** argv) {
                       100.0 * agg.complete / trials, agg.msgs / trials / n,
                       agg.time / trials);
     };
-    sweep("flood", 0, ChaosSpec::none());
-    sweep("reliable", 8, ChaosSpec::none());
+    sweep("flood", 0, ChaosSpec::iid(loss));
+    sweep("reliable", 8, ChaosSpec::iid(loss));
     // E20 row: same mean loss delivered in bursts, plus duplication and
     // reordering — the reliable layer must still close every trial.
     if (loss > 0.0) sweep("reliable_burst", 8, burst_chaos(loss));

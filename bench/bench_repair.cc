@@ -15,7 +15,11 @@
 // (retries absorb it, at visibly higher message cost).
 //
 // Trials fan across core::parallel via flooding::TrialRunner;
-// LHG_THREADS controls the lane count.
+// LHG_THREADS controls the lane count.  `--trace <path>` adds one
+// instrumented run (the n=120, k=3, 10%-loss setting) exported as
+// Chrome trace_event JSON; its ring holds the whole run, so the file
+// carries the detector's suspicions and the view changes and rewires
+// they cause (scripts/trace_check.py validates it).
 
 #include <iostream>
 #include <string>
@@ -24,6 +28,7 @@
 #include "flooding/repair.h"
 #include "flooding/trial_runner.h"
 #include "lhg/lhg.h"
+#include "obs/trace.h"
 #include "report.h"
 #include "table.h"
 
@@ -133,5 +138,32 @@ int main(int argc, char** argv) {
   }
   std::cout << "shape check: repaired% == kconn% == 100 on every row; loss "
                "raises vc/hs message cost, not the failure rate\n";
+
+  if (!opts.trace_path.empty()) {
+    const std::int32_t k = 3;
+    const auto g = build(40 * k, k);
+    core::Rng rng(3103);
+    const auto plan = random_crashes(g, k - 1, /*protect=*/0, rng, /*time=*/2.0);
+    RepairConfig cfg;
+    cfg.k = k;
+    cfg.seed = rng();
+    cfg.chaos = ChaosSpec::iid(0.1);
+    cfg.underlay_loss = 0.1;
+    cfg.obs = {.metrics = true, .trace = true, .trace_capacity = 1 << 17};
+    const auto r = run_repair(g, cfg, plan);
+    if (!obs::write_chrome_trace(opts.trace_path, r.trace)) return 1;
+    std::int64_t suspicions = 0;
+    std::int64_t view_changes = 0;
+    std::int64_t rewires = 0;
+    for (const obs::TraceEvent& e : r.trace.events) {
+      suspicions += e.kind == obs::TraceKind::kSuspicion ? 1 : 0;
+      view_changes += e.kind == obs::TraceKind::kViewChange ? 1 : 0;
+      rewires += e.kind == obs::TraceKind::kRewire ? 1 : 0;
+    }
+    std::cout << "wrote " << r.trace.events.size() << " trace events (dropped "
+              << r.trace.dropped << "; " << suspicions << " suspicions, "
+              << view_changes << " view changes, " << rewires << " rewires) to "
+              << opts.trace_path << '\n';
+  }
   return opts.finish(report);
 }

@@ -9,6 +9,11 @@
 // edge.  Edge ids agree between the two forms (lhg/implicit.h), so the
 // per-link state inside BasicNetwork is identical either way and the
 // results are bit-for-bit equal (pinned by tests/test_implicit.cc).
+//
+// The single-queue body, detail::first_copy_flood, takes a relay
+// predicate (self, neighbor, hops) -> bool: `flood` relays to every
+// neighbor, and protocols.cc's probabilistic flood and tree multicast
+// pass a coin flip and a BFS-parent test.
 
 #pragma once
 
@@ -23,15 +28,16 @@ namespace lhg::flooding {
 
 namespace detail {
 
-/// Fills the aggregate DisseminationResult fields from per-node state.
-inline void finalize_dissemination(DisseminationResult& result,
-                                   const std::vector<bool>& alive) {
+/// Fills the aggregate DisseminationResult fields from per-node state,
+/// over the nodes `alive(u)` accepts.
+template <typename Alive>
+void finalize_dissemination(DisseminationResult& result, Alive&& alive) {
   result.alive_nodes = 0;
   result.delivered_alive = 0;
   result.completion_time = 0.0;
   result.completion_hops = 0;
-  for (std::size_t u = 0; u < alive.size(); ++u) {
-    if (!alive[u]) continue;
+  for (std::size_t u = 0; u < result.delivery_time.size(); ++u) {
+    if (!alive(static_cast<core::NodeId>(u))) continue;
     ++result.alive_nodes;
     if (result.delivery_time[u] >= 0.0) {
       ++result.delivered_alive;
@@ -41,17 +47,6 @@ inline void finalize_dissemination(DisseminationResult& result,
           std::max(result.completion_hops, result.delivery_hops[u]);
     }
   }
-}
-
-/// Final alive set of a BasicNetwork or ShardedNetwork.
-template <typename Net>
-std::vector<bool> alive_mask(const Net& net) {
-  std::vector<bool> alive(
-      static_cast<std::size_t>(net.topology().num_nodes()));
-  for (core::NodeId u = 0; u < net.topology().num_nodes(); ++u) {
-    alive[static_cast<std::size_t>(u)] = net.is_alive(u);
-  }
-  return alive;
 }
 
 /// Harvests a drained flood run on either engine: the network and
@@ -67,7 +62,66 @@ void harvest_run(DisseminationResult& result, const Sim& sim, const Net& net,
             "dissemination run: NetworkStats not conserved");
   result.metrics = obs_rt.metrics_snapshot();
   result.trace = obs_rt.trace_log();
-  finalize_dissemination(result, alive_mask(net));
+  finalize_dissemination(result,
+                         [&](core::NodeId u) { return net.is_alive(u); });
+}
+
+/// The single-queue first-copy flood every overlay flood shares: the
+/// source sends to its neighbors at time 0; a node forwards the first
+/// copy it receives, never back to the sender, and absorbs duplicates.
+/// `relay(self, neighbor, hops)` picks which of the remaining neighbors
+/// (in adjacency order) get a copy carrying `hops`, the sender's hop
+/// count (0 at the source).  Channel draws come from `rng`, so a caller
+/// that needs its own stream splits it off before calling; `cfg.seed`
+/// and `cfg.shards` are ignored (the caller seeds `rng` and picks the
+/// engine).
+template <core::EdgeIndexedGraph Topology, typename Relay>
+DisseminationResult first_copy_flood(const Topology& topology,
+                                     const FloodConfig& cfg,
+                                     const FailurePlan& failures,
+                                     core::Rng& rng, Relay&& relay) {
+  using core::NodeId;
+  LHG_CHECK_RANGE(cfg.source, topology.num_nodes());
+  Simulator sim;
+  BasicNetwork<Topology> net(topology, sim, cfg.latency, rng, cfg.chaos);
+  obs::Runtime obs_rt(cfg.obs);
+  sim.set_obs(obs_rt.obs());
+  net.set_obs(obs_rt.obs());
+  apply_failure_plan(net, failures);
+
+  DisseminationResult result;
+  const auto n = static_cast<std::size_t>(topology.num_nodes());
+  result.delivery_time.assign(n, -1.0);
+  result.delivery_hops.assign(n, -1);
+
+  auto forward = [&](NodeId self, NodeId except, std::int32_t hops) {
+    // Each send hands the network its dense edge id directly — no
+    // per-neighbor adjacency search on the hot path.
+    const std::int32_t deg = topology.degree(self);
+    for (std::int32_t i = 0; i < deg; ++i) {
+      const NodeId v = topology.neighbor(self, i);
+      if (v != except && relay(self, v, hops)) {
+        net.send_link(self, v, topology.incident_edge(self, i), hops);
+      }
+    }
+  };
+  net.set_receive_handler([&](NodeId self, NodeId from, std::int64_t hops) {
+    auto& t = result.delivery_time[static_cast<std::size_t>(self)];
+    if (t >= 0.0) return;  // duplicate copy: absorb
+    t = sim.now();
+    result.delivery_hops[static_cast<std::size_t>(self)] =
+        static_cast<std::int32_t>(hops) + 1;
+    forward(self, from, static_cast<std::int32_t>(hops) + 1);
+  });
+
+  if (net.is_alive(cfg.source)) {
+    result.delivery_time[static_cast<std::size_t>(cfg.source)] = 0.0;
+    result.delivery_hops[static_cast<std::size_t>(cfg.source)] = 0;
+    sim.schedule_at(0.0, [&] { forward(cfg.source, -1, 0); });
+  }
+  sim.run();
+  harvest_run(result, sim, net, obs_rt);
+  return result;
 }
 
 }  // namespace detail
@@ -144,50 +198,11 @@ DisseminationResult sharded_flood(const Topology& topology,
 template <core::EdgeIndexedGraph Topology>
 DisseminationResult flood(const Topology& topology, const FloodConfig& cfg,
                           const FailurePlan& failures = {}) {
-  using core::NodeId;
-  LHG_CHECK_RANGE(cfg.source, topology.num_nodes());
   if (cfg.shards > 1) return sharded_flood(topology, cfg, failures);
-  Simulator sim;
   core::Rng rng(cfg.seed);
-  BasicNetwork<Topology> net(topology, sim, cfg.latency, rng, cfg.chaos);
-  obs::Runtime obs_rt(cfg.obs);
-  sim.set_obs(obs_rt.obs());
-  net.set_obs(obs_rt.obs());
-  apply_failure_plan(net, failures);
-
-  DisseminationResult result;
-  const auto n = static_cast<std::size_t>(topology.num_nodes());
-  result.delivery_time.assign(n, -1.0);
-  result.delivery_hops.assign(n, -1);
-
-  auto forward = [&](NodeId self, NodeId except, std::int32_t hops) {
-    // Each send hands the network its dense edge id directly — no
-    // per-neighbor adjacency search on the hot path.
-    const std::int32_t deg = topology.degree(self);
-    for (std::int32_t i = 0; i < deg; ++i) {
-      const NodeId v = topology.neighbor(self, i);
-      if (v != except) {
-        net.send_link(self, v, topology.incident_edge(self, i), hops);
-      }
-    }
-  };
-  net.set_receive_handler([&](NodeId self, NodeId from, std::int64_t hops) {
-    auto& t = result.delivery_time[static_cast<std::size_t>(self)];
-    if (t >= 0.0) return;  // duplicate copy: absorb
-    t = sim.now();
-    result.delivery_hops[static_cast<std::size_t>(self)] =
-        static_cast<std::int32_t>(hops) + 1;
-    forward(self, from, static_cast<std::int32_t>(hops) + 1);
-  });
-
-  if (net.is_alive(cfg.source)) {
-    result.delivery_time[static_cast<std::size_t>(cfg.source)] = 0.0;
-    result.delivery_hops[static_cast<std::size_t>(cfg.source)] = 0;
-    sim.schedule_at(0.0, [&] { forward(cfg.source, -1, 0); });
-  }
-  sim.run();
-  detail::harvest_run(result, sim, net, obs_rt);
-  return result;
+  return detail::first_copy_flood(
+      topology, cfg, failures, rng,
+      [](core::NodeId, core::NodeId, std::int32_t) { return true; });
 }
 
 }  // namespace lhg::flooding

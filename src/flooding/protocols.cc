@@ -3,24 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/bfs.h"
 #include "core/check.h"
 #include "flooding/flood_generic.h"
 
 namespace lhg::flooding {
 
 using core::NodeId;
-
-namespace {
-
-void check_source(const NodeId source, const NodeId n) {
-  LHG_CHECK_RANGE(source, n);
-}
-
-using detail::finalize_dissemination;
-using detail::harvest_run;
-
-}  // namespace
 
 DisseminationResult flood(const core::Graph& topology, const FloodConfig& cfg,
                           const FailurePlan& failures) {
@@ -32,56 +20,21 @@ DisseminationResult flood(const core::Graph& topology, const FloodConfig& cfg,
 DisseminationResult probabilistic_flood(const core::Graph& topology,
                                         const ProbabilisticFloodConfig& cfg,
                                         const FailurePlan& failures) {
-  check_source(cfg.source, topology.num_nodes());
   LHG_CHECK(cfg.forward_probability >= 0.0 && cfg.forward_probability <= 1.0,
             "probabilistic_flood: p {} out of range", cfg.forward_probability);
-  Simulator sim;
   core::Rng rng(cfg.seed);
-  core::Rng coin = rng.split();
-  Network net(topology, sim, cfg.latency, rng);
-  obs::Runtime obs_rt(cfg.obs);
-  sim.set_obs(obs_rt.obs());
-  net.set_obs(obs_rt.obs());
-  apply_failure_plan(net, failures);
-
-  DisseminationResult result;
-  const auto n = static_cast<std::size_t>(topology.num_nodes());
-  result.delivery_time.assign(n, -1.0);
-  result.delivery_hops.assign(n, -1);
-
-  auto forward = [&](NodeId self, NodeId except, std::int32_t hops,
-                     bool always) {
-    std::int32_t arc = topology.arc_begin(self) - 1;
-    for (NodeId v : topology.neighbors(self)) {
-      ++arc;
-      if (v == except) continue;
-      if (always || coin.next_bool(cfg.forward_probability)) {
-        net.send_link(self, v, topology.edge_of_arc(arc), hops);
-      }
-    }
-  };
-  net.set_receive_handler([&](NodeId self, NodeId from, std::int64_t hops) {
-    auto& t = result.delivery_time[static_cast<std::size_t>(self)];
-    if (t >= 0.0) return;
-    t = sim.now();
-    result.delivery_hops[static_cast<std::size_t>(self)] =
-        static_cast<std::int32_t>(hops) + 1;
-    forward(self, from, static_cast<std::int32_t>(hops) + 1, /*always=*/false);
-  });
-
-  if (net.is_alive(cfg.source)) {
-    result.delivery_time[static_cast<std::size_t>(cfg.source)] = 0.0;
-    result.delivery_hops[static_cast<std::size_t>(cfg.source)] = 0;
-    sim.schedule_at(0.0, [&] { forward(cfg.source, -1, 0, /*always=*/true); });
-  }
-  sim.run();
-  harvest_run(result, sim, net, obs_rt);
-  return result;
+  core::Rng coin = rng.split();  // before the network draws anything
+  return detail::first_copy_flood(
+      topology,
+      FloodConfig{.source = cfg.source, .latency = cfg.latency, .obs = cfg.obs},
+      failures, rng, [&](NodeId, NodeId, std::int32_t hops) {
+        return hops == 0 || coin.next_bool(cfg.forward_probability);
+      });
 }
 
 DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
                            const FailurePlan& failures) {
-  check_source(cfg.source, num_nodes);
+  LHG_CHECK_RANGE(cfg.source, num_nodes);
   LHG_CHECK(cfg.fanout >= 1, "gossip: fanout {} < 1", cfg.fanout);
   core::Rng rng(cfg.seed);
 
@@ -165,68 +118,39 @@ DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
     }
     infected.insert(infected.end(), fresh.begin(), fresh.end());
   }
-  finalize_dissemination(result, alive);
+  detail::finalize_dissemination(
+      result, [&](NodeId u) { return alive[static_cast<std::size_t>(u)]; });
   return result;
 }
 
 DisseminationResult spanning_tree_multicast(const core::Graph& topology,
                                             const TreeConfig& cfg,
                                             const FailurePlan& failures) {
-  check_source(cfg.source, topology.num_nodes());
+  LHG_CHECK_RANGE(cfg.source, topology.num_nodes());
   // BFS spanning tree rooted at the source, built on the healthy
   // topology (the tree is a static overlay; failures strike afterwards).
+  // A node's children are the neighbors it discovered, in adjacency
+  // order — exactly the ones the relay predicate lets through.
   const auto n = static_cast<std::size_t>(topology.num_nodes());
-  std::vector<std::vector<NodeId>> children(n);
-  {
-    std::vector<bool> seen(n, false);
-    std::vector<NodeId> queue{cfg.source};
-    seen[static_cast<std::size_t>(cfg.source)] = true;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId u = queue[head];
-      for (NodeId v : topology.neighbors(u)) {
-        if (!seen[static_cast<std::size_t>(v)]) {
-          seen[static_cast<std::size_t>(v)] = true;
-          children[static_cast<std::size_t>(u)].push_back(v);
-          queue.push_back(v);
-        }
+  std::vector<NodeId> parent(n, -1);  // -1: not reached yet
+  parent[static_cast<std::size_t>(cfg.source)] = cfg.source;
+  std::vector<NodeId> queue{cfg.source};
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (NodeId v : topology.neighbors(u)) {
+      if (parent[static_cast<std::size_t>(v)] < 0) {
+        parent[static_cast<std::size_t>(v)] = u;
+        queue.push_back(v);
       }
     }
   }
-
-  Simulator sim;
   core::Rng rng(cfg.seed);
-  Network net(topology, sim, cfg.latency, rng);
-  obs::Runtime obs_rt(cfg.obs);
-  sim.set_obs(obs_rt.obs());
-  net.set_obs(obs_rt.obs());
-  apply_failure_plan(net, failures);
-
-  DisseminationResult result;
-  result.delivery_time.assign(n, -1.0);
-  result.delivery_hops.assign(n, -1);
-
-  auto forward_to_children = [&](NodeId self, std::int32_t hops) {
-    for (NodeId child : children[static_cast<std::size_t>(self)]) {
-      net.send(self, child, hops);
-    }
-  };
-  net.set_receive_handler([&](NodeId self, NodeId /*from*/, std::int64_t hops) {
-    auto& t = result.delivery_time[static_cast<std::size_t>(self)];
-    if (t >= 0.0) return;
-    t = sim.now();
-    result.delivery_hops[static_cast<std::size_t>(self)] =
-        static_cast<std::int32_t>(hops) + 1;
-    forward_to_children(self, static_cast<std::int32_t>(hops) + 1);
-  });
-
-  if (net.is_alive(cfg.source)) {
-    result.delivery_time[static_cast<std::size_t>(cfg.source)] = 0.0;
-    result.delivery_hops[static_cast<std::size_t>(cfg.source)] = 0;
-    sim.schedule_at(0.0, [&] { forward_to_children(cfg.source, 0); });
-  }
-  sim.run();
-  harvest_run(result, sim, net, obs_rt);
-  return result;
+  return detail::first_copy_flood(
+      topology,
+      FloodConfig{.source = cfg.source, .latency = cfg.latency, .obs = cfg.obs},
+      failures, rng, [&](NodeId self, NodeId v, std::int32_t) {
+        return parent[static_cast<std::size_t>(v)] == self;
+      });
 }
 
 }  // namespace lhg::flooding

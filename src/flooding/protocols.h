@@ -4,7 +4,10 @@
 //
 // All three report the same DisseminationResult so the E4–E6 benches can
 // tabulate them side by side: who got the message, when, and how many
-// point-to-point messages it cost.
+// point-to-point messages it cost.  The overlay protocols — flooding,
+// probabilistic flooding and tree multicast — run one first-copy flood
+// body (flood_generic.h) and differ only in its relay predicate: which
+// neighbors other than the sender a node passes its first copy on to.
 
 #pragma once
 

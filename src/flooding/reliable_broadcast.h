@@ -21,6 +21,7 @@
 #include "core/graph.h"
 #include "flooding/failure.h"
 #include "flooding/protocols.h"
+#include "flooding/reliable_link.h"
 
 namespace lhg::flooding {
 
@@ -29,30 +30,11 @@ struct ReliableBroadcastConfig {
   LatencySpec latency = LatencySpec::fixed(1.0);
   std::uint64_t seed = 1;
 
-  /// Per-transmission drop probability in [0, 1).  Ignored when `chaos`
-  /// is enabled (which subsumes it).
-  double loss_probability = 0.0;
-  /// Full adversarial channel; when enabled() it replaces
-  /// `loss_probability`.
+  /// Channel conditions: i.i.d. or bursty loss, duplication, reordering.
   ChaosSpec chaos{};
-
-  /// Virtual-time gap before the first retransmission of an unACKed
-  /// copy (BackoffPolicy::base).
-  double retransmit_interval = 3.0;
-  /// Retransmissions per (sender, receiver) copy after the first send.
-  std::int32_t max_retries = 5;
-  /// Backoff multiplier per retry; 1.0 is the classic fixed interval.
-  double backoff_factor = 1.0;
-  /// Backoff delay cap; 0 disables the cap.
-  double backoff_max = 0.0;
-  /// Multiplicative retry jitter in [0, 1); 0 keeps retries aligned
-  /// (and consumes no Rng draws).
-  double backoff_jitter = 0.0;
-  /// Keep retry timers alive when a send is refused outright (link
-  /// down, partition) instead of abandoning the copy — required for
-  /// delivery across transient partition windows
-  /// (BackoffPolicy::persist_when_blocked).
-  bool persist_when_blocked = false;
+  /// Per-copy retry schedule (ReliableLink validates it); the default is
+  /// a fixed 3.0 interval with 5 retransmissions.
+  BackoffPolicy backoff = BackoffPolicy::fixed(3.0, 5);
 
   /// Metrics / trace recording (off by default: zero overhead).
   obs::ObsConfig obs{};
@@ -61,7 +43,6 @@ struct ReliableBroadcastConfig {
 struct ReliableBroadcastResult : DisseminationResult {
   std::int64_t retransmissions = 0;
   std::int64_t acks_sent = 0;
-  std::int64_t messages_lost = 0;
   std::int64_t duplicates_suppressed = 0;
   /// Frames abandoned by the sender's sliding window (an arc had 1024
   /// unACKed seqs in flight); see ReliableLink::window_overflows.

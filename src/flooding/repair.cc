@@ -4,6 +4,7 @@
 
 #include "core/check.h"
 #include "core/connectivity.h"
+#include "flooding/heartbeat.h"
 #include "membership/incremental.h"
 
 namespace lhg::flooding {
@@ -56,11 +57,8 @@ struct RepairSim {
   std::vector<std::uint8_t> in_perm;  // permanently crashed per node
   std::int32_t perm_count = 0;
 
-  // Suspicion state per directed arc (observer -> target), as in
-  // heartbeat.cc, plus the global first-suspicion metric per node.
-  std::vector<double> last_heard;
-  std::vector<std::uint8_t> suspected;
-  std::vector<double> first_suspect;
+  HeartbeatDetector detector;
+  std::vector<double> first_suspect;  // per node: first true suspicion
 
   // Per-node disseminated view: the down bitset and the highest rumor
   // epoch accepted per (observer, subject) pair (both w * n + x), the
@@ -88,8 +86,23 @@ struct RepairSim {
         obs(obs_rt.obs()),
         n(static_cast<std::size_t>(graph.num_nodes())),
         in_perm(n, 0),
-        last_heard(static_cast<std::size_t>(graph.num_arcs()), 0.0),
-        suspected(static_cast<std::size_t>(graph.num_arcs()), 0),
+        detector(
+            net, config.heartbeat_interval, config.heartbeat_timeout,
+            config.horizon,
+            [this](NodeId u, NodeId v, std::int32_t arc) {
+              return link.send_raw_arc(u, v, arc, 0);
+            },
+            // A true suspicion records the detection time; every
+            // suspicion floods an obituary from the observer.
+            [this](NodeId observer, NodeId target, bool false_alarm) {
+              const auto t = static_cast<std::size_t>(target);
+              if (!false_alarm && first_suspect[t] < 0.0) {
+                first_suspect[t] = sim.now();
+              }
+              learn_down(observer, target,
+                         epoch_seen[static_cast<std::size_t>(observer) * n + t],
+                         /*relay_except=*/-1);
+            }),
         first_suspect(n, -1.0),
         down_view(n * n, 0),
         epoch_seen(n * n, 0),
@@ -99,77 +112,11 @@ struct RepairSim {
     sim.set_obs(obs);
     net.set_obs(obs);
     link.set_obs(obs);
+    detector.set_obs(obs);
   }
 
   bool underlay_drops() {
     return cfg.underlay_loss > 0.0 && rng.next_bool(cfg.underlay_loss);
-  }
-
-  void beat(NodeId u) {
-    if (!net.is_alive(u)) return;
-    std::int32_t arc = g.arc_begin(u);
-    for (NodeId v : g.neighbors(u)) {
-      if (link.send_raw_arc(u, v, arc, 0)) ++res.heartbeats_sent;
-      ++arc;
-    }
-    if (obs != nullptr) obs->add(obs->hb_beats);
-  }
-
-  // Periodic beats re-arm themselves each tick (pending events stay
-  // O(n) for any horizon, the rolling-footprint discipline of
-  // DESIGN.md §12), accumulating the next-beat time as t + interval so
-  // the tick timestamps match the old pre-scheduled loop bit for bit.
-  // Re-arming is unconditional: a crashed node's beat() no-ops but the
-  // tick keeps running, so a recovered node resumes beating exactly as
-  // the pre-scheduled schedule did.
-  void beat_tick(NodeId u, double t) {
-    beat(u);
-    const double next = t + cfg.heartbeat_interval;
-    if (next <= cfg.horizon) {
-      sim.schedule_at(next, [this, u, next] { beat_tick(u, next); });
-    }
-  }
-
-  // Suspicion check `timeout` after the beat that armed it; a newer
-  // beat re-arms a later check, so only the newest matters.
-  void arm_check(NodeId observer, NodeId target, std::int32_t arc,
-                 double armed_at) {
-    sim.schedule_at(
-        armed_at + cfg.heartbeat_timeout,
-        [this, observer, target, arc, armed_at] {
-          if (!net.is_alive(observer)) return;
-          // Beats stop at the horizon; silence past it is an artifact
-          // of the simulation ending, not a failure.
-          if (sim.now() > cfg.horizon) return;
-          const auto a = static_cast<std::size_t>(arc);
-          if (last_heard[a] > armed_at) return;  // newer beat re-armed
-          if (suspected[a] != 0) return;
-          suspected[a] = 1;
-          const auto t = static_cast<std::size_t>(target);
-          const bool false_alarm = net.is_alive(target);
-          if (false_alarm) {
-            ++res.false_suspicions;
-          } else if (first_suspect[t] < 0.0) {
-            first_suspect[t] = sim.now();
-          }
-          if (obs != nullptr) {
-            obs->add(obs->hb_suspicions);
-            if (false_alarm) obs->add(obs->hb_false_suspicions);
-            obs->event(sim.now(), obs::TraceKind::kSuspicion, observer, target,
-                       false_alarm ? 1 : 0);
-          }
-          learn_down(observer, target,
-                     epoch_seen[static_cast<std::size_t>(observer) * n + t],
-                     /*relay_except=*/-1);
-        });
-  }
-
-  void on_raw(NodeId self, NodeId from) {
-    const std::int32_t arc = g.arc_index(self, from);
-    const auto a = static_cast<std::size_t>(arc);
-    last_heard[a] = sim.now();
-    suspected[a] = 0;  // rebut any standing suspicion
-    arm_check(self, from, arc, sim.now());
   }
 
   void relay(NodeId w, NodeId except, std::int64_t payload) {
@@ -332,12 +279,6 @@ struct RepairSim {
 RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
                         const FailurePlan& plan) {
   LHG_CHECK(cfg.k >= 1, "repair: k {} < 1", cfg.k);
-  LHG_CHECK(cfg.heartbeat_interval > 0 &&
-                cfg.heartbeat_timeout > cfg.heartbeat_interval &&
-                cfg.horizon > 0,
-            "repair: need 0 < interval < timeout and horizon > 0, got "
-            "interval={}, timeout={}, horizon={}",
-            cfg.heartbeat_interval, cfg.heartbeat_timeout, cfg.horizon);
   LHG_CHECK(cfg.underlay_latency > 0, "repair: underlay latency {} <= 0",
             cfg.underlay_latency);
   LHG_CHECK(cfg.underlay_loss >= 0.0 && cfg.underlay_loss < 1.0,
@@ -434,24 +375,15 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
   s.res.edges_needed = static_cast<std::int32_t>(s.needed.size());
 
   apply_failure_plan(s.net, plan);
-  s.link.set_raw_handler(
-      [&s](NodeId self, NodeId from, std::int64_t) { s.on_raw(self, from); });
+  s.link.set_raw_handler([&s](NodeId self, NodeId from, std::int64_t) {
+    s.detector.on_beat(self, from);
+  });
   s.link.set_deliver_handler(
       [&s](NodeId self, NodeId from, std::int64_t payload) {
         s.on_deliver(self, from, payload);
       });
 
-  // Periodic self-re-arming beats from every node until the horizon;
-  // everyone starts "heard at 0".
-  for (NodeId u = 0; u < num; ++u) {
-    s.sim.schedule_at(cfg.heartbeat_interval,
-                      [&s, u, t = cfg.heartbeat_interval] { s.beat_tick(u, t); });
-    std::int32_t arc = topology.arc_begin(u);
-    for (NodeId v : topology.neighbors(u)) {
-      s.arm_check(u, v, arc, 0.0);
-      ++arc;
-    }
-  }
+  s.detector.start();
 
   // Recovered nodes announce themselves the moment they are back (the
   // plan's recover event at the same timestamp runs first).
@@ -471,6 +403,8 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
   s.sim.run();
 
   RepairResult res = std::move(s.res);
+  res.heartbeats_sent = s.detector.beats_sent();
+  res.false_suspicions = s.detector.false_suspicions();
   res.view_change_messages += s.link.retransmissions() + s.link.acks_sent();
   res.window_overflows = s.link.window_overflows();
   res.net = s.net.stats();

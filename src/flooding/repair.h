@@ -9,9 +9,10 @@
 // population, restoring the full fault margin.  This module simulates
 // that pipeline end to end on one event engine and instruments it:
 //
-//   1. Detection — every node heartbeats its overlay neighbors (RAW
-//      frames on a ReliableLink); a silent neighbor is suspected after
-//      `heartbeat_timeout` (same accrual scheme as heartbeat.cc).
+//   1. Detection — the HeartbeatDetector of heartbeat.h, with every
+//      beat a RAW frame on a ReliableLink: a neighbor silent for
+//      `heartbeat_timeout` is suspected, and each suspicion floods an
+//      obituary from the observer.
 //   2. Dissemination — the first suspicion of a node floods a
 //      view-change over the surviving overlay on the reliable layer
 //      (ACK/retransmit with backoff), so single drops cannot silence

@@ -409,11 +409,10 @@ TEST(Integration, ChurnWithContinuousVerificationStaysKConnected) {
         static_cast<std::uint64_t>(g.num_nodes())));
     cfg.seed = rng();
     cfg.chaos = chaos;
-    cfg.retransmit_interval = 3.0;
-    cfg.max_retries = 10;
+    cfg.backoff = flooding::BackoffPolicy::fixed(3.0, 10);
     // Retry through the partition window instead of abandoning copies
     // whose first attempt was refused at the cut.
-    cfg.persist_when_blocked = true;
+    cfg.backoff.persist_when_blocked = true;
     const auto rel = flooding::reliable_broadcast(g, cfg, net_plan);
     EXPECT_TRUE(rel.all_alive_delivered());
   }

@@ -56,7 +56,10 @@ TEST(Integration, FullPipeline) {
 
   // 6. Reliable broadcast on lossy links.
   const auto reliable = flooding::reliable_broadcast(
-      g, {.source = 0, .seed = 3, .loss_probability = 0.3, .max_retries = 8});
+      g, {.source = 0,
+          .seed = 3,
+          .chaos = flooding::ChaosSpec::iid(0.3),
+          .backoff = flooding::BackoffPolicy::fixed(3.0, 8)});
   EXPECT_TRUE(reliable.all_alive_delivered());
 
   // 7. A crash is detected by the heartbeat layer.

@@ -65,6 +65,36 @@ TEST(ProbabilisticFlood, DeterministicPerSeed) {
   EXPECT_EQ(a.messages_sent, b.messages_sent);
 }
 
+// Exact pin of the coin and latency draw order under crashes: the
+// coin stream is split off before the network draws, and each relay
+// flips one coin per neighbor other than the sender, in adjacency order.
+TEST(ProbabilisticFlood, ExactPinUnderCrashes) {
+  const auto g = lhg::build(64, 4);
+  core::Rng plan_rng(13);
+  const auto plan = random_crashes(g, 3, /*protect=*/0, plan_rng, /*time=*/1.5);
+  const auto result = probabilistic_flood(
+      g,
+      {.source = 0, .forward_probability = 0.7,
+       .latency = LatencySpec::per_send(0.5, 1.0), .seed = 11},
+      plan);
+  double delivery_time_sum = 0.0;
+  for (const double t : result.delivery_time) {
+    if (t >= 0.0) delivery_time_sum += t;
+  }
+  EXPECT_EQ(result.messages_sent, 126);
+  EXPECT_EQ(delivery_time_sum, 0x1.bfc3e8419f825p+7);
+  EXPECT_EQ(result.net, (NetworkStats{.sent = 126,
+                                      .delivered = 121,
+                                      .lost = 0,
+                                      .duplicated = 0,
+                                      .blocked_sender_crashed = 0,
+                                      .blocked_link_down = 0,
+                                      .blocked_partition = 0,
+                                      .dropped_receiver_crashed = 5,
+                                      .dropped_link_down = 0,
+                                      .dropped_partition = 0}));
+}
+
 TEST(ProbabilisticFlood, Validation) {
   const auto g = lhg::build(10, 3);
   EXPECT_THROW(

@@ -159,6 +159,33 @@ TEST(SpanningTree, SingleCrashLosesSubtree) {
   EXPECT_EQ(result.alive_nodes, 5);
 }
 
+// Exact pin of tree multicast under crashes: one send per tree child,
+// in BFS discovery order, so the per-send latency draws line up.
+TEST(SpanningTree, ExactPinUnderCrashes) {
+  const auto g = lhg::build(64, 4);
+  core::Rng plan_rng(17);
+  const auto plan = random_crashes(g, 2, /*protect=*/0, plan_rng, /*time=*/1.0);
+  const auto result = spanning_tree_multicast(
+      g, {.source = 0, .latency = LatencySpec::per_send(0.5, 1.0), .seed = 11},
+      plan);
+  double delivery_time_sum = 0.0;
+  for (const double t : result.delivery_time) {
+    if (t >= 0.0) delivery_time_sum += t;
+  }
+  EXPECT_EQ(result.messages_sent, 60);
+  EXPECT_EQ(delivery_time_sum, 0x1.2ba5734de3aa5p+7);
+  EXPECT_EQ(result.net, (NetworkStats{.sent = 60,
+                                      .delivered = 58,
+                                      .lost = 0,
+                                      .duplicated = 0,
+                                      .blocked_sender_crashed = 0,
+                                      .blocked_link_down = 0,
+                                      .blocked_partition = 0,
+                                      .dropped_receiver_crashed = 2,
+                                      .dropped_link_down = 0,
+                                      .dropped_partition = 0}));
+}
+
 TEST(Protocols, FloodBeatsGossipOnMessagesAtFullReliability) {
   // E6's headline shape: for the same full delivery, deterministic
   // flooding on a sparse LHG costs fewer messages than fanout gossip.

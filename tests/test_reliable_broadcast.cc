@@ -61,11 +61,11 @@ TEST(ReliableBroadcast, DeliversEverythingAtFortyPercentLoss) {
   const auto g = lhg::build(62, 3);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto result = reliable_broadcast(
-        g, {.source = 0, .seed = seed, .loss_probability = 0.4,
-            .max_retries = 8});
+        g, {.source = 0, .seed = seed, .chaos = ChaosSpec::iid(0.4),
+            .backoff = BackoffPolicy::fixed(3.0, 8)});
     EXPECT_TRUE(result.all_alive_delivered()) << "seed " << seed;
     EXPECT_GT(result.retransmissions, 0) << "seed " << seed;
-    EXPECT_GT(result.messages_lost, 0) << "seed " << seed;
+    EXPECT_GT(result.net.lost, 0) << "seed " << seed;
   }
 }
 
@@ -76,7 +76,8 @@ TEST(ReliableBroadcast, SurvivesLossPlusCrashes) {
     const auto plan = random_crashes(g, 2, 0, rng, /*time=*/0.0);
     const auto result = reliable_broadcast(
         g, {.source = 0, .seed = static_cast<std::uint64_t>(trial) + 1,
-            .loss_probability = 0.25, .max_retries = 8},
+            .chaos = ChaosSpec::iid(0.25),
+            .backoff = BackoffPolicy::fixed(3.0, 8)},
         plan);
     EXPECT_TRUE(result.all_alive_delivered()) << "trial " << trial;
   }
@@ -89,8 +90,8 @@ TEST(ReliableBroadcast, RetryBudgetExhaustionCanLose) {
   int incomplete = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto result = reliable_broadcast(
-        g, {.source = 0, .seed = seed, .loss_probability = 0.5,
-            .max_retries = 0});
+        g, {.source = 0, .seed = seed, .chaos = ChaosSpec::iid(0.5),
+            .backoff = BackoffPolicy::fixed(3.0, 0)});
     incomplete += result.all_alive_delivered() ? 0 : 1;
   }
   EXPECT_GT(incomplete, 0);
@@ -99,7 +100,7 @@ TEST(ReliableBroadcast, RetryBudgetExhaustionCanLose) {
 TEST(ReliableBroadcast, DeterministicPerSeed) {
   const auto g = lhg::build(30, 3);
   const ReliableBroadcastConfig config{
-      .source = 0, .seed = 9, .loss_probability = 0.3};
+      .source = 0, .seed = 9, .chaos = ChaosSpec::iid(0.3)};
   const auto a = reliable_broadcast(g, config);
   const auto b = reliable_broadcast(g, config);
   EXPECT_EQ(a.messages_sent, b.messages_sent);
@@ -107,15 +108,50 @@ TEST(ReliableBroadcast, DeterministicPerSeed) {
   EXPECT_EQ(a.delivery_time, b.delivery_time);
 }
 
+// Exact pin of reliable broadcast under loss and crashes: DATA, ACK
+// and retransmission draws share one generator in execution order.
+TEST(ReliableBroadcast, ExactPinLossAndCrashes) {
+  const auto g = lhg::build(64, 4);
+  core::Rng plan_rng(19);
+  const auto plan = random_crashes(g, 3, /*protect=*/0, plan_rng, /*time=*/2.0);
+  ReliableBroadcastConfig cfg;
+  cfg.source = 0;
+  cfg.latency = LatencySpec::per_send(0.5, 1.0);
+  cfg.seed = 11;
+  cfg.chaos = ChaosSpec::iid(0.2);
+  const auto result = reliable_broadcast(g, cfg, plan);
+  double delivery_time_sum = 0.0;
+  for (const double t : result.delivery_time) {
+    if (t >= 0.0) delivery_time_sum += t;
+  }
+  EXPECT_EQ(result.messages_sent, 585);
+  EXPECT_EQ(delivery_time_sum, 0x1.b9fab33f97f6ep+7);
+  EXPECT_EQ(result.retransmissions, 165);
+  EXPECT_EQ(result.acks_sent, 228);
+  EXPECT_EQ(result.net, (NetworkStats{.sent = 585,
+                                      .delivered = 407,
+                                      .lost = 124,
+                                      .duplicated = 0,
+                                      .blocked_sender_crashed = 0,
+                                      .blocked_link_down = 0,
+                                      .blocked_partition = 0,
+                                      .dropped_receiver_crashed = 54,
+                                      .dropped_link_down = 0,
+                                      .dropped_partition = 0}));
+}
+
 TEST(ReliableBroadcast, Validation) {
   const auto g = lhg::build(10, 3);
   EXPECT_THROW(reliable_broadcast(g, {.source = 99}), std::invalid_argument);
-  EXPECT_THROW(reliable_broadcast(g, {.source = 0, .retransmit_interval = 0}),
+  EXPECT_THROW(reliable_broadcast(
+                   g, {.source = 0, .backoff = BackoffPolicy::fixed(0.0, 5)}),
                std::invalid_argument);
-  EXPECT_THROW(reliable_broadcast(g, {.source = 0, .max_retries = -1}),
+  EXPECT_THROW(reliable_broadcast(
+                   g, {.source = 0, .backoff = BackoffPolicy::fixed(3.0, -1)}),
                std::invalid_argument);
-  EXPECT_THROW(reliable_broadcast(g, {.source = 0, .loss_probability = 1.0}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      reliable_broadcast(g, {.source = 0, .chaos = ChaosSpec::iid(1.0)}),
+      std::invalid_argument);
 }
 
 TEST(Network, LossySendStillCountsMessages) {

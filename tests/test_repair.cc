@@ -241,6 +241,43 @@ TEST(Repair, UndetectableWithoutHeartbeatsIsReportedHonestly) {
   EXPECT_DOUBLE_EQ(res.reconnect_time, -1.0);
 }
 
+// Exact pin of a lossy repair run: detection, view-change
+// dissemination with self-rebuttals, and lossy underlay handshakes, with
+// one node crashing for good and one recovering.  Every count and both
+// times are bit-exact; they move only with a declared semantic change.
+TEST(Repair, ExactPinLossyCrashesAndRecovery) {
+  const auto g = lhg::build(48, 3);
+  FailurePlan plan;
+  plan.crashes.push_back({5, 2.0});
+  plan.crashes.push_back({30, 2.0});
+  plan.recoveries.push_back({30, 12.0});
+  RepairConfig cfg;
+  cfg.k = 3;
+  cfg.seed = 7;
+  cfg.chaos = ChaosSpec::iid(0.15);
+  cfg.underlay_loss = 0.15;
+  const auto res = run_repair(g, cfg, plan);
+  EXPECT_TRUE(res.repaired);
+  EXPECT_TRUE(res.k_connected);
+  EXPECT_EQ(res.heartbeats_sent, 8793);
+  EXPECT_EQ(res.view_change_messages, 11872);
+  EXPECT_EQ(res.handshake_messages, 11);
+  EXPECT_EQ(res.false_suspicions, 24);
+  EXPECT_EQ(res.self_rebuttals, 23);
+  EXPECT_EQ(res.detection_time, 3.5);
+  EXPECT_EQ(res.reconnect_time, 11.5);
+  EXPECT_EQ(res.net, (NetworkStats{.sent = 20665,
+                                   .delivered = 16601,
+                                   .lost = 3111,
+                                   .duplicated = 0,
+                                   .blocked_sender_crashed = 0,
+                                   .blocked_link_down = 0,
+                                   .blocked_partition = 0,
+                                   .dropped_receiver_crashed = 953,
+                                   .dropped_link_down = 0,
+                                   .dropped_partition = 0}));
+}
+
 // --- Satellite: a node recovering mid-broadcast still gets the message.
 
 TEST(Repair, RecoveringNodeReceivesSubsequentMessages) {
@@ -259,8 +296,7 @@ TEST(Repair, RecoveringNodeReceivesSubsequentMessages) {
   // recovery lands.
   ReliableBroadcastConfig cfg;
   cfg.source = 0;
-  cfg.retransmit_interval = 3.0;
-  cfg.max_retries = 5;
+  cfg.backoff = BackoffPolicy::fixed(3.0, 5);
   const auto rel = reliable_broadcast(g, cfg, plan);
   EXPECT_GE(rel.delivery_time[23], 8.0);
   EXPECT_TRUE(rel.all_alive_delivered());
@@ -344,8 +380,7 @@ TEST(Integration, ReliableFloodBeatsRawFloodUnderTwentyPercentLoss) {
     cfg.source = 0;
     cfg.seed = seed;
     cfg.chaos = chaos;
-    cfg.retransmit_interval = 3.0;
-    cfg.max_retries = 8;
+    cfg.backoff = BackoffPolicy::fixed(3.0, 8);
     const auto rel = reliable_broadcast(g, cfg, {});
     EXPECT_TRUE(rel.all_alive_delivered());
     EXPECT_EQ(rel.delivered_alive, 512);
