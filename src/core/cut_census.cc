@@ -82,31 +82,10 @@ CutCensus fatal_node_subsets(const Graph& g, std::int32_t subset_size,
   check_size(g, subset_size);
   const NodeId n = g.num_nodes();
 
-  if (global_thread_count() == 1) {
-    // Serial path: the original incremental enumeration, kept verbatim
-    // so one-thread runs are bit-identical to the historical kernel.
-    CutCensus census;
-    std::vector<NodeId> subset(static_cast<std::size_t>(subset_size));
-    for (std::int32_t i = 0; i < subset_size; ++i) {
-      subset[static_cast<std::size_t>(i)] = i;
-    }
-    while (true) {
-      if (max_subsets >= 0 && census.subsets_checked >= max_subsets) {
-        census.truncated = true;
-        break;
-      }
-      ++census.subsets_checked;
-      if (!is_connected_after_node_removal(g, subset)) ++census.fatal;
-      if (!next_combination(subset, n)) break;
-    }
-    return census;
-  }
-
-  // Parallel path: the combination sequence is split into contiguous
-  // rank ranges; each chunk unranks its first subset and then walks
-  // forward with the same successor function the serial loop uses.
-  // Counts are order-independent, so the totals match the serial path
-  // exactly at every thread count.
+  // The combination sequence is split into contiguous rank ranges; each
+  // chunk unranks its first subset and then walks forward with the
+  // lexicographic successor.  Counts are order-independent, so the
+  // totals are exact at every thread count.
   const std::int64_t total = binomial_capped(
       n, subset_size, std::numeric_limits<std::int64_t>::max());
   const std::int64_t to_check =
@@ -139,24 +118,9 @@ CutCensus sampled_fatal_subsets(const Graph& g, std::int32_t subset_size,
   check_size(g, subset_size);
   LHG_CHECK(trials >= 0, "cut census: negative trials {}", trials);
 
-  if (global_thread_count() == 1) {
-    // Serial path: consume `rng` sequentially, bit-identical to the
-    // historical sampler.
-    CutCensus census;
-    for (std::int64_t t = 0; t < trials; ++t) {
-      const auto sample =
-          rng.sample_without_replacement(g.num_nodes(), subset_size);
-      const std::vector<NodeId> subset(sample.begin(), sample.end());
-      ++census.subsets_checked;
-      if (!is_connected_after_node_removal(g, subset)) ++census.fatal;
-    }
-    return census;
-  }
-
-  // Parallel path: one draw from `rng` seeds a family of per-trial
-  // streams, so the estimate is deterministic for a given (state,
-  // trials) at every thread count >= 2 — though it differs from the
-  // one-thread legacy stream (see DESIGN.md, threading model).
+  // One draw from `rng` seeds a family of per-trial streams, so the
+  // estimate is the same for a given (state, trials) at every thread
+  // count.
   const std::uint64_t stream_seed = rng();
   const std::int64_t grain = std::max<std::int64_t>(
       8, trials / (static_cast<std::int64_t>(global_thread_count()) * 16));

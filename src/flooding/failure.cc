@@ -5,6 +5,7 @@
 #include "core/bfs.h"
 #include "core/check.h"
 #include "core/connectivity.h"
+#include "flooding/event_sim.h"
 #include "flooding/network.h"
 
 namespace lhg::flooding {
@@ -22,6 +23,27 @@ void compose(FailurePlan& plan, const FailurePlan& extra) {
   plan.flaps.insert(plan.flaps.end(), extra.flaps.begin(), extra.flaps.end());
   plan.partitions.insert(plan.partitions.end(), extra.partitions.begin(),
                          extra.partitions.end());
+}
+
+std::vector<std::uint8_t> crashed_at_end(const FailurePlan& plan,
+                                         NodeId num_nodes) {
+  // Runs the node entries on an edgeless network, so the rule has one
+  // implementation: apply_failure_plan's.
+  const core::Graph nodes =
+      core::Graph::from_edges(num_nodes, std::vector<core::Edge>{});
+  Simulator sim;
+  core::Rng rng(0);  // fixed latency: never drawn from
+  Network net(nodes, sim, LatencySpec::fixed(1.0), rng);
+  FailurePlan node_entries;
+  node_entries.crashes = plan.crashes;
+  node_entries.recoveries = plan.recoveries;
+  apply_failure_plan(net, node_entries);
+  sim.run();
+  std::vector<std::uint8_t> down(static_cast<std::size_t>(num_nodes), 0);
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    down[static_cast<std::size_t>(u)] = net.is_alive(u) ? 0 : 1;
+  }
+  return down;
 }
 
 FailurePlan random_crashes(const core::Graph& g, std::int32_t count,

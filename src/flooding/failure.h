@@ -11,13 +11,13 @@
 // argument, so adversaries can strike mid-broadcast, and plans compose
 // with `operator|=`-style merging via `compose`.
 //
-// `apply_failure_plan` is the single place a plan meets a Network:
-// time <= 0 entries fire before the first protocol event, later ones
-// are scheduled on the simulator.
+// `apply_failure_plan` is the single place a plan meets a network, and
+// the only way to inject a fault: every entry opens or closes a counted
+// window, so composed plans whose windows nest, overlap or coincide
+// follow one rule on both engines.
 
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -34,8 +34,8 @@ struct NodeCrash {
   double time = 0.0;
 };
 
-/// Crash-recovery model: `node` rejoins (with no protocol state) at
-/// `time`.  Meaningful only with a matching earlier NodeCrash.
+/// Crash-recovery model: `node` closes one of its open crash windows at
+/// `time` and rejoins (with no protocol state) once none is left open.
 struct NodeRecovery {
   core::NodeId node;
   double time = 0.0;
@@ -134,114 +134,85 @@ FailurePlan adversarial_chaos(const core::Graph& g, std::int32_t count,
                               double crash_time, double partition_start,
                               double partition_end);
 
-namespace detail {
+/// Per node, 1 when the node is down once every crash and recovery of
+/// `plan` has run under the fault rule of `apply_failure_plan` — the
+/// final membership.  Node ids must be in [0, num_nodes).
+std::vector<std::uint8_t> crashed_at_end(const FailurePlan& plan,
+                                         core::NodeId num_nodes);
 
-/// Pairs each recovery with the earliest still-unmatched crash of the
-/// same node strictly before it (composed plans then behave as the
-/// union of their down windows).  Returns, per recovery index, the
-/// paired crash index or npos; `paired[crash]` marks consumed crashes.
-inline std::vector<std::size_t> pair_crash_recoveries(
-    const std::vector<NodeCrash>& crashes,
-    const std::vector<NodeRecovery>& recoveries) {
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> crash_of(recoveries.size(), npos);
-  // Recoveries in (time, index) order claim crashes in (time, index)
-  // order per node; plans are small, so the quadratic scan is fine.
-  std::vector<std::size_t> rec_order(recoveries.size());
-  for (std::size_t i = 0; i < rec_order.size(); ++i) rec_order[i] = i;
-  std::sort(rec_order.begin(), rec_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (recoveries[a].time != recoveries[b].time) {
-                return recoveries[a].time < recoveries[b].time;
-              }
-              return a < b;
-            });
-  std::vector<std::uint8_t> crash_used(crashes.size(), 0);
-  for (const std::size_t r : rec_order) {
-    if (recoveries[r].time <= 0.0) continue;  // immediate: no window
-    std::size_t best = npos;
-    for (std::size_t c = 0; c < crashes.size(); ++c) {
-      if (crash_used[c] != 0 || crashes[c].node != recoveries[r].node ||
-          crashes[c].time >= recoveries[r].time) {
-        continue;
-      }
-      if (best == npos || crashes[c].time < crashes[best].time) best = c;
-    }
-    if (best != npos) {
-      crash_used[best] = 1;
-      crash_of[r] = best;
-    }
-  }
-  return crash_of;
-}
-
-}  // namespace detail
-
-/// Applies `plan` to a live network: entries with time <= 0 fire
-/// immediately (before the first protocol event), later ones are
-/// scheduled at their absolute times.  Works with any overlay the
-/// network is parameterized over (plans only address nodes and links),
-/// and with either network engine — `Net` is a BasicNetwork or a
-/// ShardedNetwork, whose mutators both come from FaultModel (network.h;
-/// the sharded network schedules the timed ones as control events).
+/// Applies `plan` to a network that has not run yet, on either engine
+/// (`Net` is a BasicNetwork or a ShardedNetwork, network.h).  This is
+/// the only way to change fault state, under one rule:
 ///
-/// Timed windows are overlap-safe: each recovery is paired with the
-/// earliest preceding crash of its node and each flap restore with its
-/// own failure, both epoch-guarded (network.h), so composed plans whose
-/// windows overlap keep state down until the *latest* window ends
-/// instead of letting the first window's end-event revive it; the same
-/// guard protects partition windows from stale clears.
+///   * every entry opens a window that holds its fault until the entry
+///     that closes it: a recovery closes one open crash window of its
+///     node, a flap's end closes the flap;
+///   * a node or link is faulty while at least one window holds it;
+///   * a transmission is cut while any open partition window separates
+///     its endpoints;
+///   * a crash with no recovery, or a link failure, never closes; a
+///     recovery with no open crash window does nothing.
+///
+/// An entry with time <= 0 applies at once, before the first protocol
+/// event; a later one becomes exactly one scheduled mutation (a control
+/// event on the sharded engine).  At equal times mutations run in kind
+/// order — crashes, recoveries, link failures, flaps, partitions — so a
+/// crash and a recovery of one node at one instant leave one window
+/// fewer open.  The whole plan is validated before anything applies.
 template <typename Net>
 void apply_failure_plan(Net& net, const FailurePlan& plan) {
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  const std::vector<std::size_t> crash_of =
-      detail::pair_crash_recoveries(plan.crashes, plan.recoveries);
-  std::vector<std::size_t> crash_window(plan.crashes.size(), npos);
-  std::vector<std::uint8_t> crash_paired(plan.crashes.size(), 0);
-  for (const std::size_t c : crash_of) {
-    if (c != npos) crash_paired[c] = 1;
+  LHG_CHECK(net.simulator().events_processed() == 0,
+            "apply_failure_plan: the engine has already run {} events",
+            net.simulator().events_processed());
+  const core::NodeId n = net.topology().num_nodes();
+  for (const NodeCrash& crash : plan.crashes) LHG_CHECK_RANGE(crash.node, n);
+  for (const NodeRecovery& recovery : plan.recoveries) {
+    LHG_CHECK_RANGE(recovery.node, n);
   }
-  for (std::size_t c = 0; c < plan.crashes.size(); ++c) {
-    const NodeCrash& crash = plan.crashes[c];
-    if (crash_paired[c] != 0) {
-      crash_window[c] = net.crash_windowed(crash.node, crash.time);
-    } else if (crash.time <= 0.0) {
-      net.crash_now(crash.node);
-    } else {
-      net.crash_at(crash.node, crash.time);
-    }
-  }
-  for (std::size_t r = 0; r < plan.recoveries.size(); ++r) {
-    const NodeRecovery& recovery = plan.recoveries[r];
-    if (crash_of[r] != npos) {
-      net.recover_windowed(recovery.node, recovery.time,
-                           crash_window[crash_of[r]]);
-    } else if (recovery.time <= 0.0) {
-      net.recover_now(recovery.node);
-    } else {
-      net.recover_at(recovery.node, recovery.time);
-    }
-  }
-  for (const LinkFailure& failure : plan.link_failures) {
-    if (failure.time <= 0.0) {
-      net.fail_link_now(failure.link.u, failure.link.v);
-    } else {
-      net.fail_link_at(failure.link.u, failure.link.v, failure.time);
-    }
-  }
+  auto link_id = [&](const core::Edge& link) {
+    LHG_CHECK_RANGE(link.u, n);
+    LHG_CHECK_RANGE(link.v, n);
+    return net.link_of(link.u, link.v, "failure plan");
+  };
+  for (const LinkFailure& failure : plan.link_failures) link_id(failure.link);
   for (const LinkFlap& flap : plan.flaps) {
     LHG_CHECK(flap.down < flap.up, "flap: empty window [{}, {})", flap.down,
               flap.up);
-    const std::size_t w =
-        net.fail_link_windowed(flap.link.u, flap.link.v, flap.down);
-    net.restore_link_windowed(flap.link.u, flap.link.v, flap.up, w);
+    link_id(flap.link);
   }
   for (const PartitionWindow& window : plan.partitions) {
-    if (window.start <= 0.0) {
-      net.partition_until(window.side, window.end);
-    } else {
-      net.partition_during(window.side, window.start, window.end);
+    LHG_CHECK(window.start < window.end, "partition: empty window [{}, {})",
+              window.start, window.end);
+    LHG_CHECK(static_cast<core::NodeId>(window.side.size()) == n,
+              "partition: side map has {} entries for n={}",
+              window.side.size(), n);
+    for (const std::uint8_t s : window.side) {
+      LHG_CHECK(s <= 1, "partition: side {} is not 0 or 1", s);
     }
+  }
+
+  for (const NodeCrash& crash : plan.crashes) {
+    net.mutate_at(crash.time,
+                  [&net, node = crash.node] { net.open_crash(node); });
+  }
+  for (const NodeRecovery& recovery : plan.recoveries) {
+    net.mutate_at(recovery.time,
+                  [&net, node = recovery.node] { net.close_crash(node); });
+  }
+  for (const LinkFailure& failure : plan.link_failures) {
+    net.mutate_at(failure.time, [&net, link = link_id(failure.link)] {
+      net.open_link(link);
+    });
+  }
+  for (const LinkFlap& flap : plan.flaps) {
+    const std::int32_t link = link_id(flap.link);
+    net.mutate_at(flap.down, [&net, link] { net.open_link(link); });
+    net.mutate_at(flap.up, [&net, link] { net.close_link(link); });
+  }
+  for (const PartitionWindow& window : plan.partitions) {
+    const std::uint8_t* side = net.add_cut(window.side);
+    net.mutate_at(window.start, [&net, side] { net.open_cut(side); });
+    net.mutate_at(window.end, [&net, side] { net.close_cut(side); });
   }
 }
 

@@ -55,9 +55,9 @@ void finalize_dissemination(DisseminationResult& result, Alive&& alive) {
 template <typename Sim, typename Net>
 void harvest_run(DisseminationResult& result, const Sim& sim, const Net& net,
                  const obs::Runtime& obs_rt) {
-  result.messages_sent = net.messages_sent();
-  result.events_processed = sim.events_processed();
   result.net = net.stats();
+  result.messages_sent = result.net.sent;
+  result.events_processed = sim.events_processed();
   LHG_CHECK(result.net.conserved(),
             "dissemination run: NetworkStats not conserved");
   result.metrics = obs_rt.metrics_snapshot();

@@ -9,17 +9,19 @@
 // or an active partition separates the endpoints.  A sender crash only
 // blocks *future* sends: under fail-stop, copies already in flight when
 // the sender dies still arrive (pinned by the regression tests in
-// test_network.cc).  Crash-recovery is symmetric: recover_* clears the
-// crash flag, so copies that would arrive during the down window are
-// lost while later arrivals (and later sends) succeed.
+// test_network.cc).  Crash-recovery is symmetric: once a node's last
+// crash window closes, copies that would have arrived while it was down
+// stay lost while later arrivals (and later sends) succeed.
 //
 // This header holds the one fault model of both event engines:
-// `FaultModel` keeps the crash/link/partition state with its
-// epoch-guarded windows, the send- and delivery-time checks with their
-// NetworkStats/obs accounting, and the channel draws.  Two networks
-// derive from it and add only what their engine needs: `BasicNetwork`
-// below runs on the single-queue Simulator, `ShardedNetwork`
-// (shard_net.h) on the ShardedSimulator.
+// `FaultModel` keeps the crash/link/partition state as counts of open
+// fault windows, the send- and delivery-time checks with their
+// NetworkStats/obs accounting, and the channel draws.  Fault state has
+// one writer, `apply_failure_plan` (failure.h), which opens and closes
+// the windows of a FailurePlan at setup or in scheduled mutations.  Two
+// networks derive from FaultModel and add only what their engine needs:
+// `BasicNetwork` below runs on the single-queue Simulator,
+// `ShardedNetwork` (shard_net.h) on the ShardedSimulator.
 //
 // The overlay is a template parameter: a network needs only
 // `num_nodes()`, `num_edges()` and `edge_index(u, v)` from it, so the
@@ -46,6 +48,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -182,15 +185,19 @@ inline void check_probability(double p, const char* what) {
 
 }  // namespace detail
 
+struct FailurePlan;
+
+/// The only way to change fault state (failure.h).
+template <typename Net>
+void apply_failure_plan(Net& net, const FailurePlan& plan);
+
 /// The fault model and lossy channel of both networks.  `Derived` (a
 /// BasicNetwork or ShardedNetwork, which befriends this base) supplies
-/// what differs per engine through four private hooks:
+/// what differs per engine through three private hooks:
 ///
 ///   * `schedule_mutation(at, fn)` runs `fn()` at virtual time `at`: a
 ///     callback on the single queue, a control event between windows
 ///     on the sharded engine;
-///   * `check_mutable(what)` asserts that shared state may change now
-///     (the sharded engine allows it only in serial phases);
 ///   * `trace_node(kind, node)` records a crash/recover trace event on
 ///     the engine's tap and clock;
 ///   * `schedule_delivery(shard, time, from, to, link, message)` queues
@@ -204,175 +211,6 @@ class FaultModel {
  public:
   const Topology& topology() const { return *topology_; }
 
-  /// Crashes `node` immediately (fail-stop; in-flight messages *from* it
-  /// sent before the crash still arrive, later sends are dropped).
-  /// Every call — including one on an already-crashed node — advances
-  /// the node's crash epoch, so pending windowed recoveries for earlier
-  /// crashes of the node are invalidated (see `crash_windowed`).
-  void crash_now(core::NodeId node) {
-    LHG_CHECK_RANGE(node, topology_->num_nodes());
-    derived().check_mutable("crash_now");
-    bump_crash_epoch(node);
-    if (crashed_[static_cast<std::size_t>(node)] == 0) {
-      crashed_[static_cast<std::size_t>(node)] = 1;
-      --alive_count_;
-      derived().trace_node(obs::TraceKind::kCrash, node);
-    }
-  }
-
-  /// Schedules a crash at absolute virtual time `at`.
-  void crash_at(core::NodeId node, double at) {
-    derived().schedule_mutation(at, [this, node] { crash_now(node); });
-  }
-
-  /// Crash-recovery model: the node comes back with no protocol state
-  /// (state restoration is the protocol's problem, not the network's).
-  /// Copies that arrived during the down window stay lost; arrivals and
-  /// sends after the recovery instant succeed.  Idempotent.
-  void recover_now(core::NodeId node) {
-    LHG_CHECK_RANGE(node, topology_->num_nodes());
-    derived().check_mutable("recover_now");
-    if (crashed_[static_cast<std::size_t>(node)] != 0) {
-      crashed_[static_cast<std::size_t>(node)] = 0;
-      ++alive_count_;
-      derived().trace_node(obs::TraceKind::kRecover, node);
-    }
-  }
-  void recover_at(core::NodeId node, double at) {
-    derived().schedule_mutation(at, [this, node] { recover_now(node); });
-  }
-
-  /// Overlap-safe crash/recovery window.  Crashes `node` at `down`
-  /// (immediately when down <= 0) and returns a window token; the
-  /// matching `recover_windowed(node, up, token)` recovers the node at
-  /// `up` only if this window's crash is still the node's most recent
-  /// one.  A later crash — from another window or a direct
-  /// `crash_now` — advances the epoch, so the stale recovery becomes a
-  /// no-op instead of reviving a node someone else just took down.
-  std::size_t crash_windowed(core::NodeId node, double down) {
-    const std::size_t w = new_window();
-    if (down <= 0.0) {
-      crash_now(node);
-      window_epoch_[w] = crash_epoch_of(node);
-    } else {
-      derived().schedule_mutation(down, [this, node, w] {
-        crash_now(node);
-        window_epoch_[w] = crash_epoch_of(node);
-      });
-    }
-    return w;
-  }
-  void recover_windowed(core::NodeId node, double up, std::size_t window) {
-    LHG_CHECK(window < window_epoch_.size(),
-              "recover_windowed: bad window token {}", window);
-    derived().schedule_mutation(up, [this, node, w = window] {
-      if (crash_epoch_of(node) == window_epoch_[w]) recover_now(node);
-    });
-  }
-
-  /// Fails the link {u, v} immediately / at time `at`.  Messages in
-  /// flight on the link at failure time are lost.  Like `crash_now`,
-  /// every call advances the link's failure epoch, invalidating pending
-  /// windowed restores from earlier failure windows.
-  void fail_link_now(core::NodeId u, core::NodeId v) {
-    const std::int32_t link = link_of(u, v, "fail_link");
-    derived().check_mutable("fail_link_now");
-    bump_link_epoch(link);
-    link_failed_[static_cast<std::size_t>(link)] = 1;
-  }
-  void fail_link_at(core::NodeId u, core::NodeId v, double at) {
-    derived().schedule_mutation(at, [this, u, v] { fail_link_now(u, v); });
-  }
-
-  /// Overlap-safe link flap window, mirroring `crash_windowed`: the
-  /// restore at `up` fires only while this window's failure is still the
-  /// link's most recent one.
-  std::size_t fail_link_windowed(core::NodeId u, core::NodeId v, double down) {
-    const std::int32_t link = link_of(u, v, "fail_link");
-    const std::size_t w = new_window();
-    if (down <= 0.0) {
-      fail_link_now(u, v);
-      window_epoch_[w] = link_epoch_of(link);
-    } else {
-      derived().schedule_mutation(down, [this, u, v, w] {
-        fail_link_now(u, v);
-        window_epoch_[w] = link_epoch_of(topology_->edge_index(u, v));
-      });
-    }
-    return w;
-  }
-  void restore_link_windowed(core::NodeId u, core::NodeId v, double up,
-                             std::size_t window) {
-    LHG_CHECK(window < window_epoch_.size(),
-              "restore_link_windowed: bad window token {}", window);
-    derived().schedule_mutation(up, [this, u, v, w = window] {
-      const std::int32_t link = topology_->edge_index(u, v);
-      if (link_epoch_of(link) == window_epoch_[w]) restore_link_now(u, v);
-    });
-  }
-
-  /// Brings a failed link back up (a "flap" is fail_link_at + this).
-  /// Idempotent.
-  void restore_link_now(core::NodeId u, core::NodeId v) {
-    const std::int32_t link = link_of(u, v, "restore_link");
-    derived().check_mutable("restore_link_now");
-    link_failed_[static_cast<std::size_t>(link)] = 0;
-  }
-  void restore_link_at(core::NodeId u, core::NodeId v, double at) {
-    derived().schedule_mutation(at,
-                                [this, u, v] { restore_link_now(u, v); });
-  }
-
-  /// Activates a bipartition: `side` maps every node to 0 or 1, and
-  /// while active every transmission whose endpoints disagree is
-  /// blocked at send time and dropped at delivery time.  One partition
-  /// is active at a time (a new call replaces the old cut and advances
-  /// the partition epoch, invalidating scheduled window clears for the
-  /// replaced cut).
-  void set_partition(std::vector<std::uint8_t> side) {
-    LHG_CHECK(static_cast<core::NodeId>(side.size()) == topology_->num_nodes(),
-              "partition: side map has {} entries for n={}", side.size(),
-              topology_->num_nodes());
-    derived().check_mutable("set_partition");
-    for (const std::uint8_t s : side) {
-      LHG_CHECK(s <= 1, "partition: side {} is not 0 or 1", s);
-    }
-    partition_side_ = std::move(side);
-    partition_active_ = true;
-    ++partition_epoch_;
-  }
-  void clear_partition() {
-    derived().check_mutable("clear_partition");
-    partition_active_ = false;
-  }
-  bool partition_active() const { return partition_active_; }
-
-  /// Schedules the partition for the window [start, end).  The clear at
-  /// `end` is epoch-guarded: if another partition replaces this one
-  /// mid-window, the stale clear no longer dissolves the new cut.
-  void partition_during(std::vector<std::uint8_t> side, double start,
-                        double end) {
-    LHG_CHECK(start < end, "partition: empty window [{}, {})", start, end);
-    const std::size_t w = new_window();
-    derived().schedule_mutation(
-        start, [this, w, side = std::move(side)]() mutable {
-          set_partition(std::move(side));
-          window_epoch_[w] = partition_epoch_;
-        });
-    derived().schedule_mutation(end, [this, w] {
-      if (partition_epoch_ == window_epoch_[w]) clear_partition();
-    });
-  }
-
-  /// Activates `side` immediately and schedules the epoch-guarded clear
-  /// at `end` — the immediate-start form of `partition_during`.
-  void partition_until(std::vector<std::uint8_t> side, double end) {
-    set_partition(std::move(side));
-    derived().schedule_mutation(end, [this, e = partition_epoch_] {
-      if (partition_epoch_ == e) clear_partition();
-    });
-  }
-
   bool is_alive(core::NodeId node) const {
     return crashed_[static_cast<std::size_t>(node)] == 0;
   }
@@ -382,9 +220,8 @@ class FaultModel {
   }
   std::int32_t alive_count() const { return alive_count_; }
 
-  /// Transmissions accepted / dropped by the loss model so far.
-  std::int64_t messages_sent() const { return derived().stats().sent; }
-  std::int64_t messages_lost() const { return derived().stats().lost; }
+  /// Whether at least one partition window is open.
+  bool partition_active() const { return !open_cuts_.empty(); }
 
  protected:
   /// `topology` must outlive the network.  With kUniformPerLink every
@@ -587,51 +424,80 @@ class FaultModel {
   }
 
   bool partition_cuts(core::NodeId u, core::NodeId v) const {
-    return partition_active_ &&
-           partition_side_[static_cast<std::size_t>(u)] !=
-               partition_side_[static_cast<std::size_t>(v)];
+    return !open_cuts_.empty() && open_cut_separates(u, v);
+  }
+  // Out of line and cold, so the send and deliver paths stay small and
+  // fall through while no cut is open.
+  [[gnu::cold, gnu::noinline]] bool open_cut_separates(core::NodeId u,
+                                                       core::NodeId v) const {
+    const auto a = static_cast<std::size_t>(u);
+    const auto b = static_cast<std::size_t>(v);
+    for (const std::uint8_t* side : open_cuts_) {
+      if (side[a] != side[b]) return true;
+    }
+    return false;
   }
 
-  // --- Mutation epochs (overlap-safe timed windows) ---------------------
-  // Every crash / link-failure / set_partition call advances an epoch;
-  // a windowed end-event captures the epoch its own start produced and
-  // fires only while it still matches, so a window whose state was
-  // replaced mid-flight cannot clobber the replacement.  The per-node /
-  // per-link vectors are lazily allocated: failure-free runs pay nothing.
-  void bump_crash_epoch(core::NodeId node) {
-    if (crash_epoch_.empty()) {
-      crash_epoch_.assign(static_cast<std::size_t>(topology_->num_nodes()), 0);
+  // --- Fault windows ----------------------------------------------------
+  // Reached only by apply_failure_plan (failure.h, which states the rule),
+  // at setup or inside a scheduled mutation.
+  template <typename Net>
+  friend void apply_failure_plan(Net& net, const FailurePlan& plan);
+
+  /// Runs `fn` at once when `time <= 0`, else as one mutation at `time`.
+  template <typename F>
+  void mutate_at(double time, F&& fn) {
+    if (time <= 0.0) {
+      fn();
+    } else {
+      derived().schedule_mutation(time, std::forward<F>(fn));
     }
-    ++crash_epoch_[static_cast<std::size_t>(node)];
-  }
-  std::uint64_t crash_epoch_of(core::NodeId node) const {
-    return crash_epoch_.empty() ? 0
-                                : crash_epoch_[static_cast<std::size_t>(node)];
-  }
-  void bump_link_epoch(std::int32_t link) {
-    if (link_epoch_.empty()) {
-      link_epoch_.assign(static_cast<std::size_t>(topology_->num_edges()), 0);
-    }
-    ++link_epoch_[static_cast<std::size_t>(link)];
-  }
-  std::uint64_t link_epoch_of(std::int32_t link) const {
-    return link_epoch_.empty() ? 0
-                               : link_epoch_[static_cast<std::size_t>(link)];
-  }
-  std::size_t new_window() {
-    window_epoch_.push_back(0);
-    return window_epoch_.size() - 1;
   }
 
-  std::vector<std::uint8_t> crashed_;  // byte-wide: hot-path loads, no bit ops
+  static void open_window(std::uint8_t& count) {
+    LHG_CHECK(count < 255, "fault model: 255 windows open on one target");
+    ++count;
+  }
+  void open_crash(core::NodeId node) {
+    std::uint8_t& count = crashed_[static_cast<std::size_t>(node)];
+    open_window(count);
+    if (count == 1) {
+      --alive_count_;
+      derived().trace_node(obs::TraceKind::kCrash, node);
+    }
+  }
+  /// A recovery with no open crash window does nothing.
+  void close_crash(core::NodeId node) {
+    std::uint8_t& count = crashed_[static_cast<std::size_t>(node)];
+    if (count == 0) return;
+    if (--count == 0) {
+      ++alive_count_;
+      derived().trace_node(obs::TraceKind::kRecover, node);
+    }
+  }
+  void open_link(std::int32_t link) {
+    open_window(link_failed_[static_cast<std::size_t>(link)]);
+  }
+  void close_link(std::int32_t link) {  // always after its own open
+    --link_failed_[static_cast<std::size_t>(link)];
+  }
+
+  /// Keeps a copy of `side` for the network's lifetime; the returned
+  /// pointer names the cut to open_cut / close_cut.
+  const std::uint8_t* add_cut(const std::vector<std::uint8_t>& side) {
+    return cut_sides_.emplace_back(side).data();
+  }
+  void open_cut(const std::uint8_t* side) { open_cuts_.push_back(side); }
+  void close_cut(const std::uint8_t* side) {
+    open_cuts_.erase(std::find(open_cuts_.begin(), open_cuts_.end(), side));
+  }
+
+  // Open-window counts, byte-wide: hot-path loads, no bit ops.
+  std::vector<std::uint8_t> crashed_;  // per node
   std::int32_t alive_count_ = 0;
-  std::vector<std::uint8_t> link_failed_;     // per edge id
-  std::vector<std::uint8_t> partition_side_;  // per node; empty until set
-  bool partition_active_ = false;
-  std::vector<std::uint64_t> crash_epoch_;   // per node; lazy
-  std::vector<std::uint64_t> link_epoch_;    // per edge id; lazy
-  std::uint64_t partition_epoch_ = 0;
-  std::vector<std::uint64_t> window_epoch_;  // one slot per windowed call
+  std::vector<std::uint8_t> link_failed_;  // per edge id
+  std::vector<std::vector<std::uint8_t>> cut_sides_;  // one per window
+  std::vector<const std::uint8_t*> open_cuts_;  // into cut_sides_
 };
 
 /// The fault model on the single-queue Simulator: every timed mutation
@@ -714,7 +580,6 @@ class BasicNetwork final
   void schedule_mutation(double at, F&& fn) {
     sim_->schedule_at(at, std::forward<F>(fn));
   }
-  void check_mutable(const char* /*what*/) const {}
   void trace_node(obs::TraceKind kind, core::NodeId node) const {
     if (obs_ != nullptr) obs_->event(sim_->now(), kind, node);
   }

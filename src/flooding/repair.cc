@@ -293,24 +293,14 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
   const NodeId num = topology.num_nodes();
   const auto n = static_cast<std::size_t>(num);
 
-  // Final membership from the plan: a node is permanently down iff its
-  // last crash is not followed by a recovery.
-  std::vector<double> last_crash(n, -1.0);
-  std::vector<double> last_recover(n, -1.0);
-  for (const NodeCrash& c : plan.crashes) {
-    auto& t = last_crash[static_cast<std::size_t>(c.node)];
-    t = std::max(t, c.time);
-  }
-  for (const NodeRecovery& r : plan.recoveries) {
-    auto& t = last_recover[static_cast<std::size_t>(r.node)];
-    t = std::max(t, r.time);
-  }
-
+  // Final membership: the nodes the plan leaves down under the fault
+  // rule of apply_failure_plan.
+  const std::vector<std::uint8_t> down = crashed_at_end(plan, num);
   RepairSim s(topology, cfg);
   std::vector<NodeId> survivors;
   for (NodeId u = 0; u < num; ++u) {
     const auto i = static_cast<std::size_t>(u);
-    if (last_crash[i] >= 0.0 && last_recover[i] <= last_crash[i]) {
+    if (down[i] != 0) {
       s.in_perm[i] = 1;
       ++s.perm_count;
     } else {

@@ -74,7 +74,7 @@ SessionResult run_broadcast_session(const core::Graph& topology,
             "run_broadcast_session: NetworkStats not conserved");
 
   result.alive_nodes = net.alive_count();
-  result.total_messages_sent = net.messages_sent();
+  result.total_messages_sent = net.stats().sent;
   for (auto& outcome : result.messages) {
     // delivered_alive counted deliveries to nodes that may have crashed
     // later; recount against the final alive set for the strict metric.

@@ -2,16 +2,16 @@
 // of the ShardedSimulator's phase-structured parallelism.
 //
 // ShardedNetwork derives from the same `FaultModel` as BasicNetwork
-// (network.h): one copy of the crash/link/partition state, the epoch-
-// guarded windows, the send/deliver checks and the channel draws.  What
+// (network.h): one copy of the crash/link/partition state, the counted
+// fault windows, the send/deliver checks and the channel draws.  What
 // this file adds is the state split the sharded engine needs:
 //
-//   * Shared, read-only during windows — crash flags, link failures,
-//     partition state, the per-link latency table (all in FaultModel).
-//     Timed mutators schedule *control events*, which run in the
-//     simulator's serial phases, so lanes never observe a mutation
-//     mid-window; the engine's barrier structure is the
-//     synchronization.  Every mutation LHG_DCHECKs `in_serial_phase()`.
+//   * Shared, read-only during windows — crash and link-failure counts,
+//     open cuts, the per-link latency table (all in FaultModel).
+//     apply_failure_plan (failure.h) changes them at setup or in
+//     *control events*, which run in the simulator's serial phases, so
+//     lanes never observe a mutation mid-window; the engine's barrier
+//     structure is the synchronization.
 //
 //   * Per-shard, owned by one lane — NetworkStats (cache-line padded,
 //     summed in shard-index order at report time: int64 sums, so the
@@ -217,10 +217,6 @@ class ShardedNetwork final
   void schedule_mutation(double at, F&& fn) {
     sim_->schedule_control_at(
         at, [fn = std::forward<F>(fn)](std::int32_t /*env*/) mutable { fn(); });
-  }
-  void check_mutable([[maybe_unused]] const char* what) const {
-    LHG_DCHECK(sim_->in_serial_phase(),
-               "ShardedNetwork: {} outside a serial phase", what);
   }
   void trace_node(obs::TraceKind kind, core::NodeId node) const {
     const obs::SimObs* obs =

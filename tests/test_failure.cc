@@ -212,10 +212,9 @@ TEST(Failure, ComposeAppendsEveryKind) {
 }
 
 // Regression for the stale partition-window clear: compose two plans
-// whose partition windows overlap (random_partition [2, 6) replaced by
-// cut_partition [4, 10) mid-window).  Pre-fix, the first window's
-// unconditional clear at t=6 dissolved the second cut four time units
-// early; post-fix the second cut holds until its own end.
+// whose partition windows overlap (random_partition [2, 6) and
+// cut_partition [4, 10)).  The first window's end once dissolved the
+// second cut four time units early; each cut holds until its own end.
 TEST(Failure, ComposedOverlappingPartitionsKeepTheLaterCut) {
   const auto g = lhg::build(26, 3);
   core::Rng rng(11);
@@ -253,8 +252,8 @@ TEST(Failure, ComposedOverlappingPartitionsKeepTheLaterCut) {
 }
 
 // Composed crash-recovery windows overlapping on the same node behave
-// as the union of their down windows: the first window's recovery is
-// paired with its own crash and skipped once the second crash lands.
+// as the union of their down windows: each recovery closes one of the
+// two open windows, and only the second brings the node back.
 TEST(Failure, ComposedOverlappingCrashWindowsStayDownUntilLatest) {
   const auto g = lhg::build(12, 3);
   FailurePlan plan;
@@ -290,17 +289,19 @@ TEST(Failure, ComposedOverlappingFlapsStayDownUntilLatest) {
   EXPECT_TRUE(net.link_ok(link.u, link.v));
 }
 
-// Recoveries without a preceding crash in the plan (pre-crashed nodes)
-// keep the unconditional legacy semantics.
+// A recovery with no crash in its own plan closes the crash window an
+// earlier plan opened on its node (pre-crashed nodes come back).
 TEST(Failure, UnpairedRecoveryStaysUnconditional) {
   const auto g = lhg::build(12, 3);
+  FailurePlan crash;
+  crash.crashes = {{3, 0.0}};  // crashed outside the plan
   FailurePlan plan;
   plan.recoveries = {{3, 5.0}};
 
   Simulator sim;
   core::Rng net_rng(1);
   Network net(g, sim, LatencySpec::fixed(1.0), net_rng);
-  net.crash_now(3);  // crashed outside the plan
+  apply_failure_plan(net, crash);
   apply_failure_plan(net, plan);
   sim.run();
   EXPECT_TRUE(net.is_alive(3));

@@ -192,7 +192,7 @@ std::vector<TraceRow> record_flood_trace(LatencySpec spec,
   sim.schedule_at(0.0, [&] { forward(0, -1, 0); });
   sim.run();
   EXPECT_EQ(sim.events_processed(), 46);
-  EXPECT_EQ(net.messages_sent(), 45);
+  EXPECT_EQ(net.stats().sent, 45);
   return trace;
 }
 

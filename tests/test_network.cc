@@ -6,21 +6,18 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
-#include "flooding/shard_net.h"
+#include "engine_fixtures.h"
+#include "flooding/failure.h"
 
 namespace lhg::flooding {
 namespace {
 
-using core::Edge;
 using core::Graph;
 using core::NodeId;
-
-Graph path3() {
-  return Graph::from_edges(3, std::vector<Edge>{{0, 1}, {1, 2}});
-}
+using testing_engines::on_every_engine;
+using testing_engines::path3;
 
 struct Delivery {
   NodeId to;
@@ -45,7 +42,7 @@ TEST(Network, DeliversAlongLinks) {
   EXPECT_EQ(log[0].from, 0);
   EXPECT_EQ(log[0].message, 42);
   EXPECT_DOUBLE_EQ(log[0].time, 2.0);
-  EXPECT_EQ(net.messages_sent(), 1);
+  EXPECT_EQ(net.stats().sent, 1);
 }
 
 TEST(Network, RejectsNonLinkSends) {
@@ -61,11 +58,13 @@ TEST(Network, CrashedSenderSendsNothing) {
   core::Rng rng(1);
   Graph g = path3();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  net.crash_now(0);
+  FailurePlan plan;
+  plan.crashes = {{0, 0.0}};
+  apply_failure_plan(net, plan);
   EXPECT_FALSE(net.is_alive(0));
   EXPECT_EQ(net.alive_count(), 2);
   EXPECT_FALSE(net.send(0, 1, 7));
-  EXPECT_EQ(net.messages_sent(), 0);
+  EXPECT_EQ(net.stats().sent, 0);
 }
 
 TEST(Network, CrashedReceiverDropsInFlight) {
@@ -75,11 +74,13 @@ TEST(Network, CrashedReceiverDropsInFlight) {
   Network net(g, sim, LatencySpec::fixed(5.0), rng);
   int received = 0;
   net.set_receive_handler([&](NodeId, NodeId, std::int64_t) { ++received; });
-  net.send(0, 1, 7);          // arrives at t=5
-  net.crash_at(1, 2.0);       // crashes first
+  FailurePlan plan;
+  plan.crashes = {{1, 2.0}};  // crashes at t=2...
+  apply_failure_plan(net, plan);
+  net.send(0, 1, 7);  // ...before this copy arrives at t=5
   sim.run();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(net.messages_sent(), 1);  // the attempt still cost a message
+  EXPECT_EQ(net.stats().sent, 1);  // the attempt still cost a message
 }
 
 TEST(Network, SenderCrashDoesNotRecallInFlightMessages) {
@@ -94,8 +95,10 @@ TEST(Network, SenderCrashDoesNotRecallInFlightMessages) {
   net.set_receive_handler([&](NodeId to, NodeId from, std::int64_t msg) {
     log.push_back({to, from, msg, sim.now()});
   });
+  FailurePlan plan;
+  plan.crashes = {{0, 2.0}};  // sender dies mid-flight
+  apply_failure_plan(net, plan);
   EXPECT_TRUE(net.send(0, 1, 7));  // arrives at t=5
-  net.crash_at(0, 2.0);            // sender dies mid-flight
   sim.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].to, 1);
@@ -103,7 +106,7 @@ TEST(Network, SenderCrashDoesNotRecallInFlightMessages) {
   EXPECT_DOUBLE_EQ(log[0].time, 5.0);
   // But the crash does block every later send.
   EXPECT_FALSE(net.send(0, 1, 8));
-  EXPECT_EQ(net.messages_sent(), 1);
+  EXPECT_EQ(net.stats().sent, 1);
 }
 
 TEST(Network, LinkFailureDropsMessages) {
@@ -113,8 +116,10 @@ TEST(Network, LinkFailureDropsMessages) {
   Network net(g, sim, LatencySpec::fixed(5.0), rng);
   int received = 0;
   net.set_receive_handler([&](NodeId, NodeId, std::int64_t) { ++received; });
+  FailurePlan plan;
+  plan.link_failures = {{{0, 1}, 1.0}};  // mid-flight cut
+  apply_failure_plan(net, plan);
   net.send(0, 1, 7);
-  net.fail_link_at(0, 1, 1.0);  // mid-flight cut
   sim.run();
   EXPECT_EQ(received, 0);
   EXPECT_FALSE(net.link_ok(0, 1));
@@ -147,8 +152,12 @@ TEST(Network, Validation) {
   EXPECT_THROW(Network(g, sim, LatencySpec::fixed(-1.0), rng),
                std::invalid_argument);
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  EXPECT_THROW(net.crash_now(9), std::invalid_argument);
-  EXPECT_THROW(net.fail_link_now(0, 2), std::invalid_argument);
+  FailurePlan bad_node;
+  bad_node.crashes = {{9, 0.0}};
+  EXPECT_THROW(apply_failure_plan(net, bad_node), std::invalid_argument);
+  FailurePlan bad_link;
+  bad_link.link_failures = {{{0, 2}, 0.0}};
+  EXPECT_THROW(apply_failure_plan(net, bad_link), std::invalid_argument);
 }
 
 TEST(Network, DoubleCrashIsIdempotent) {
@@ -156,8 +165,9 @@ TEST(Network, DoubleCrashIsIdempotent) {
   core::Rng rng(1);
   Graph g = path3();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  net.crash_now(1);
-  net.crash_now(1);
+  FailurePlan plan;
+  plan.crashes = {{1, 0.0}, {1, 0.0}};
+  apply_failure_plan(net, plan);
   EXPECT_EQ(net.alive_count(), 2);
 }
 
@@ -172,9 +182,11 @@ TEST(Network, RecoveryRestoresDeliveryAndSending) {
   net.set_receive_handler([&](NodeId to, NodeId from, std::int64_t msg) {
     log.push_back({to, from, msg, sim.now()});
   });
-  net.crash_now(1);
-  net.send(0, 1, 7);       // arrives t=1, receiver down: dropped
-  net.recover_at(1, 2.0);  // back up with no state
+  FailurePlan plan;
+  plan.crashes = {{1, 0.0}};
+  plan.recoveries = {{1, 2.0}};  // back up with no state
+  apply_failure_plan(net, plan);
+  net.send(0, 1, 7);  // arrives t=1, receiver down: dropped
   sim.schedule_at(3.0, [&] {
     EXPECT_TRUE(net.send(0, 1, 8));  // arrives t=4, receiver alive
     EXPECT_TRUE(net.send(1, 0, 9));  // recovered node can send again
@@ -194,11 +206,14 @@ TEST(Network, RecoverOnAliveNodeIsIdempotent) {
   core::Rng rng(1);
   Graph g = path3();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  net.recover_now(1);
+  FailurePlan recover_only;
+  recover_only.recoveries = {{1, 0.0}};
+  apply_failure_plan(net, recover_only);
   EXPECT_EQ(net.alive_count(), 3);
-  net.crash_now(1);
-  net.recover_now(1);
-  net.recover_now(1);
+  FailurePlan plan;
+  plan.crashes = {{1, 0.0}};
+  plan.recoveries = {{1, 0.0}, {1, 0.0}};  // the second finds no window
+  apply_failure_plan(net, plan);
   EXPECT_EQ(net.alive_count(), 3);
   EXPECT_TRUE(net.is_alive(1));
 }
@@ -210,8 +225,9 @@ TEST(Network, LinkFlapBlocksOnlyDuringWindow) {
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
   int received = 0;
   net.set_receive_handler([&](NodeId, NodeId, std::int64_t) { ++received; });
-  net.fail_link_at(0, 1, 2.0);
-  net.restore_link_at(0, 1, 5.0);
+  FailurePlan plan;
+  plan.flaps = {{{0, 1}, 2.0, 5.0}};
+  apply_failure_plan(net, plan);
   net.send(0, 1, 1);  // t=0, arrives t=1 before the cut: delivered
   sim.schedule_at(3.0, [&] {
     EXPECT_FALSE(net.send(0, 1, 2));  // inside the down window: refused
@@ -234,18 +250,19 @@ TEST(Network, PartitionBlocksCrossSideTraffic) {
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
   int received = 0;
   net.set_receive_handler([&](NodeId, NodeId, std::int64_t) { ++received; });
-  net.set_partition({0, 0, 1});  // cut between nodes 1 and 2
+  FailurePlan plan;
+  plan.partitions = {{{0, 0, 1}, 0.0, 5.0}};  // cut between nodes 1 and 2
+  apply_failure_plan(net, plan);
   EXPECT_TRUE(net.partition_active());
   EXPECT_TRUE(net.send(0, 1, 1));   // same side: flows
   EXPECT_FALSE(net.send(1, 2, 2));  // cross side: refused at send
-  sim.run();
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(net.stats().blocked_partition, 1);
-  net.clear_partition();
-  EXPECT_FALSE(net.partition_active());
-  EXPECT_TRUE(net.send(1, 2, 3));
+  sim.schedule_at(6.0, [&] {
+    EXPECT_FALSE(net.partition_active());
+    EXPECT_TRUE(net.send(1, 2, 3));
+  });
   sim.run();
   EXPECT_EQ(received, 2);
+  EXPECT_EQ(net.stats().blocked_partition, 1);
 }
 
 TEST(Network, PartitionDropsInFlightCrossTraffic) {
@@ -255,8 +272,10 @@ TEST(Network, PartitionDropsInFlightCrossTraffic) {
   Network net(g, sim, LatencySpec::fixed(5.0), rng);
   int received = 0;
   net.set_receive_handler([&](NodeId, NodeId, std::int64_t) { ++received; });
-  net.send(1, 2, 7);                        // arrives t=5...
-  net.partition_during({0, 0, 1}, 2.0, 9.0);  // ...inside the window
+  FailurePlan plan;
+  plan.partitions = {{{0, 0, 1}, 2.0, 9.0}};
+  apply_failure_plan(net, plan);
+  net.send(1, 2, 7);  // arrives t=5, inside the window
   sim.schedule_at(10.0, [&] {
     EXPECT_TRUE(net.send(1, 2, 8));  // window over: flows again
   });
@@ -266,98 +285,14 @@ TEST(Network, PartitionDropsInFlightCrossTraffic) {
   EXPECT_FALSE(net.partition_active());
 }
 
-// --- Epoch-guarded windows, on both engines ---------------------------
-// FaultModel (network.h) is shared by the single-queue network and the
-// sharded one, so each window test below runs its body on both: the
-// serial Network, and ShardedNetwork at S=1 and S=4 (on three nodes,
-// S=4 gives every node its own shard).  `at(t, node, fn)` runs `fn` as
-// an event of `node`, where `send` is legal; `control_at(t, fn)` runs a
-// mutation, which the sharded engine allows only between windows.
-
-class SerialEngine {
- public:
-  explicit SerialEngine(const Graph& g)
-      : net_(g, sim_, LatencySpec::fixed(1.0), rng_) {}
-  Network& net() { return net_; }
-  template <typename F>
-  void at(double t, NodeId /*node*/, F fn) {
-    sim_.schedule_at(t, std::move(fn));
-  }
-  template <typename F>
-  void control_at(double t, F fn) {
-    sim_.schedule_at(t, std::move(fn));
-  }
-  bool send(NodeId from, NodeId to, std::int64_t message) {
-    return net_.send(from, to, message);
-  }
-  void count_receipts(int* received) {
-    net_.set_receive_handler(
-        [received](NodeId, NodeId, std::int64_t) { ++*received; });
-  }
-  void run() { sim_.run(); }
-
- private:
-  Simulator sim_;
-  core::Rng rng_{1};
-  Network net_;
-};
-
-template <std::int32_t Shards>
-class ShardedEngine {
- public:
-  explicit ShardedEngine(const Graph& g)
-      : sim_(g.num_nodes(), Shards),
-        net_(g, sim_, LatencySpec::fixed(1.0), rng_, ChaosSpec::none()) {}
-  ShardedNetwork<Graph>& net() { return net_; }
-  template <typename F>
-  void at(double t, NodeId node, F fn) {
-    sim_.schedule_node_at(ShardedSimulator::kEnvOrigin, t, node,
-                          [this, fn = std::move(fn)](std::int32_t shard) {
-                            shard_ = shard;
-                            fn();
-                          });
-  }
-  template <typename F>
-  void control_at(double t, F fn) {
-    sim_.schedule_control_at(t, [fn = std::move(fn)](std::int32_t) { fn(); });
-  }
-  bool send(NodeId from, NodeId to, std::int64_t message) {
-    return net_.send(shard_, from, to, message);
-  }
-  void count_receipts(int* received) {
-    net_.set_receive_handler([received](std::int32_t, NodeId, NodeId,
-                                        std::int64_t) { ++*received; });
-  }
-  void run() { sim_.run(); }
-
- private:
-  ShardedSimulator sim_;
-  core::Rng rng_{1};
-  ShardedNetwork<Graph> net_;
-  std::int32_t shard_ = 0;  // shard of the node event now running
-};
-
-/// Runs `body.template operator()<Engine>()` on every engine.
-template <typename Body>
-void on_every_engine(Body body) {
-  {
-    SCOPED_TRACE("serial Network");
-    body.template operator()<SerialEngine>();
-  }
-  {
-    SCOPED_TRACE("ShardedNetwork, S=1");
-    body.template operator()<ShardedEngine<1>>();
-  }
-  {
-    SCOPED_TRACE("ShardedNetwork, S=4");
-    body.template operator()<ShardedEngine<4>>();
-  }
-}
+// --- Overlapping windows, on both engines ----------------------------
+// The fault rule (failure.h) is shared by the single-queue network and
+// the sharded one, so each window test below runs its body on both
+// (engine_fixtures.h).  Every window holds its fault until its own end.
 
 // Regression: two overlapping partition windows.  The first window's
-// scheduled clear used to fire unconditionally at its end time, which
-// dissolved the *second* cut mid-window; the epoch guard keeps the
-// replacement cut alive until its own end.
+// end once dissolved the *second* cut mid-window; the second cut holds
+// until its own end.
 TEST(Network, OverlappingPartitionWindowsKeepTheSecondCut) {
   on_every_engine([]<typename Engine>() {
     const Graph g = path3();
@@ -365,17 +300,18 @@ TEST(Network, OverlappingPartitionWindowsKeepTheSecondCut) {
     auto& net = e.net();
     int received = 0;
     e.count_receipts(&received);
-    net.partition_during({0, 0, 1}, 2.0, 6.0);
-    net.partition_during({1, 0, 0}, 4.0, 10.0);  // replaces the first at t=4
-    e.at(7.0, 0, [&] {
-      // The first window ended at t=6, but its clear must not dissolve
+    FailurePlan plan;
+    plan.partitions = {{{0, 0, 1}, 2.0, 6.0}, {{1, 0, 0}, 4.0, 10.0}};
+    apply_failure_plan(net, plan);
+    e.at(7.0, 0, [&](std::int32_t s) {
+      // The first window ended at t=6, but its end must not dissolve
       // the second cut: (0, 1) still crosses it.
       EXPECT_TRUE(net.partition_active());
-      EXPECT_FALSE(e.send(0, 1, 1));
+      EXPECT_FALSE(e.send(s, 0, 1, 1));
     });
-    e.at(11.0, 0, [&] {
+    e.at(11.0, 0, [&](std::int32_t s) {
       EXPECT_FALSE(net.partition_active());  // second window over
-      EXPECT_TRUE(e.send(0, 1, 2));
+      EXPECT_TRUE(e.send(s, 0, 1, 2));
     });
     e.run();
     EXPECT_EQ(received, 1);
@@ -383,55 +319,55 @@ TEST(Network, OverlappingPartitionWindowsKeepTheSecondCut) {
   });
 }
 
-// A direct set_partition mid-window also advances the epoch: the
-// window's stale clear must not tear down the cut the caller installed.
+// A cut opened at setup outlives a window that ends inside it.
 TEST(Network, DirectPartitionSurvivesStaleWindowClear) {
   on_every_engine([]<typename Engine>() {
     const Graph g = path3();
     Engine e(g);
     auto& net = e.net();
-    net.partition_during({0, 0, 1}, 2.0, 6.0);
-    e.control_at(4.0, [&] { net.set_partition({1, 0, 0}); });
-    e.at(7.0, 0, [&] {
+    FailurePlan plan;
+    plan.partitions = {{{0, 0, 1}, 2.0, 6.0}, {{1, 0, 0}, 0.0, 20.0}};
+    apply_failure_plan(net, plan);
+    e.at(7.0, 0, [&](std::int32_t s) {
       EXPECT_TRUE(net.partition_active());
-      EXPECT_FALSE(e.send(0, 1, 1));
+      EXPECT_FALSE(e.send(s, 0, 1, 1));
     });
     e.run();
-    EXPECT_TRUE(net.partition_active());
+    EXPECT_EQ(net.stats().blocked_partition, 1);
   });
 }
 
-// Overlapping crash/recovery windows via the paired API: the first
-// window's recovery is stale once the second crash lands, so the node
-// stays down until the latest window ends (the union of the windows).
+// Overlapping crash/recovery windows: the node stays down until the
+// latest window ends (the union of the windows).
 TEST(Network, OverlappingCrashWindowsKeepNodeDownUntilLatest) {
   on_every_engine([]<typename Engine>() {
     const Graph g = path3();
     Engine e(g);
     auto& net = e.net();
-    const std::size_t w1 = net.crash_windowed(2, 5.0);
-    net.recover_windowed(2, 15.0, w1);
-    const std::size_t w2 = net.crash_windowed(2, 8.0);
-    net.recover_windowed(2, 30.0, w2);
-    e.at(20.0, 2, [&] { EXPECT_FALSE(net.is_alive(2)); });
-    e.at(31.0, 2, [&] { EXPECT_TRUE(net.is_alive(2)); });
+    FailurePlan plan;
+    plan.crashes = {{2, 5.0}, {2, 8.0}};
+    plan.recoveries = {{2, 15.0}, {2, 30.0}};
+    apply_failure_plan(net, plan);
+    e.at(20.0, 2, [&](std::int32_t) { EXPECT_FALSE(net.is_alive(2)); });
+    e.at(31.0, 2, [&](std::int32_t) { EXPECT_TRUE(net.is_alive(2)); });
     e.run();
     EXPECT_TRUE(net.is_alive(2));
     EXPECT_EQ(net.alive_count(), 3);
   });
 }
 
-// A direct crash_now during a window invalidates the window's pending
-// recovery instead of being clobbered by it.
+// A crash with no recovery inside a crash/recovery window keeps the
+// node down after the window's recovery.
 TEST(Network, DirectCrashNotClobberedByWindowedRecovery) {
   on_every_engine([]<typename Engine>() {
     const Graph g = path3();
     Engine e(g);
     auto& net = e.net();
-    const std::size_t w = net.crash_windowed(2, 5.0);
-    net.recover_windowed(2, 15.0, w);
-    e.control_at(10.0, [&] { net.crash_now(2); });  // operator re-downs it
-    e.at(20.0, 2, [&] { EXPECT_FALSE(net.is_alive(2)); });
+    FailurePlan plan;
+    plan.crashes = {{2, 5.0}, {2, 10.0}};  // the operator re-downs it
+    plan.recoveries = {{2, 15.0}};
+    apply_failure_plan(net, plan);
+    e.at(20.0, 2, [&](std::int32_t) { EXPECT_FALSE(net.is_alive(2)); });
     e.run();
     EXPECT_FALSE(net.is_alive(2));
   });
@@ -446,17 +382,16 @@ TEST(Network, OverlappingLinkFlapWindowsKeepLinkDownUntilLatest) {
     auto& net = e.net();
     int received = 0;
     e.count_receipts(&received);
-    const std::size_t w1 = net.fail_link_windowed(0, 1, 5.0);
-    net.restore_link_windowed(0, 1, 15.0, w1);
-    const std::size_t w2 = net.fail_link_windowed(0, 1, 8.0);
-    net.restore_link_windowed(0, 1, 30.0, w2);
-    e.at(20.0, 0, [&] {
+    FailurePlan plan;
+    plan.flaps = {{{0, 1}, 5.0, 15.0}, {{0, 1}, 8.0, 30.0}};
+    apply_failure_plan(net, plan);
+    e.at(20.0, 0, [&](std::int32_t s) {
       EXPECT_FALSE(net.link_ok(0, 1));
-      EXPECT_FALSE(e.send(0, 1, 1));
+      EXPECT_FALSE(e.send(s, 0, 1, 1));
     });
-    e.at(31.0, 0, [&] {
+    e.at(31.0, 0, [&](std::int32_t s) {
       EXPECT_TRUE(net.link_ok(0, 1));
-      EXPECT_TRUE(e.send(0, 1, 2));
+      EXPECT_TRUE(e.send(s, 0, 1, 2));
     });
     e.run();
     EXPECT_EQ(received, 1);
@@ -469,8 +404,12 @@ TEST(Network, PartitionValidation) {
   core::Rng rng(1);
   Graph g = path3();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  EXPECT_THROW(net.set_partition({0, 1}), std::invalid_argument);  // size
-  EXPECT_THROW(net.set_partition({0, 1, 2}), std::invalid_argument);  // side
+  FailurePlan bad_size;
+  bad_size.partitions = {{{0, 1}, 0.0, 1.0}};
+  EXPECT_THROW(apply_failure_plan(net, bad_size), std::invalid_argument);
+  FailurePlan bad_side;
+  bad_side.partitions = {{{0, 1, 2}, 0.0, 1.0}};
+  EXPECT_THROW(apply_failure_plan(net, bad_side), std::invalid_argument);
 }
 
 // --- Chaos channel --------------------------------------------------
@@ -507,9 +446,9 @@ TEST(Network, GilbertElliottLosesInBursts) {
   net.set_receive_handler([&](NodeId, NodeId, std::int64_t) { ++received; });
   for (int i = 0; i < 400; ++i) net.send(0, 1, i);
   sim.run();
-  EXPECT_GT(net.messages_lost(), 0);
+  EXPECT_GT(net.stats().lost, 0);
   EXPECT_GT(received, 0);
-  EXPECT_EQ(net.messages_lost() + received, 400);
+  EXPECT_EQ(net.stats().lost + received, 400);
 }
 
 TEST(Network, ReorderJitterDelaysSomeCopies) {
@@ -584,8 +523,10 @@ TEST(Network, StatsCountBlockedSends) {
   core::Rng rng(1);
   Graph g = path3();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  net.crash_now(0);
-  net.fail_link_now(1, 2);
+  FailurePlan plan;
+  plan.crashes = {{0, 0.0}};
+  plan.link_failures = {{{1, 2}, 0.0}};
+  apply_failure_plan(net, plan);
   EXPECT_FALSE(net.send(0, 1, 1));
   EXPECT_FALSE(net.send(1, 2, 2));
   EXPECT_EQ(net.stats().blocked_sender_crashed, 1);

@@ -295,9 +295,8 @@ TEST(ParallelDeterminism, TruncatedCensusMatchesSerialSemantics) {
 
 TEST(ParallelDeterminism, SampledCensusInvariantAcrossParallelThreadCounts) {
   const ScopedThreads restore(1);
-  // Thread counts >= 2 share the per-trial stream design, so their
-  // estimates are identical to each other (1 thread keeps the legacy
-  // sequential stream and may legitimately differ).
+  // Every thread count shares the per-trial stream design, so the
+  // estimates are identical.
   const auto g = lhg::harary::circulant(60, 3);
   set_global_thread_count(2);
   Rng rng_a(7);
@@ -307,6 +306,20 @@ TEST(ParallelDeterminism, SampledCensusInvariantAcrossParallelThreadCounts) {
   const auto eight = sampled_fatal_subsets(g, 4, 500, rng_b);
   EXPECT_EQ(two.subsets_checked, eight.subsets_checked);
   EXPECT_EQ(two.fatal, eight.fatal);
+}
+
+TEST(ParallelDeterminism, SampledCensusIdenticalAtOneAndFourThreads) {
+  const ScopedThreads restore(1);
+  const auto g = lhg::harary::circulant(60, 3);
+  Rng rng_one(11);
+  const auto one = sampled_fatal_subsets(g, 4, 2000, rng_one);
+  set_global_thread_count(4);
+  Rng rng_four(11);
+  const auto four = sampled_fatal_subsets(g, 4, 2000, rng_four);
+  EXPECT_EQ(one.subsets_checked, four.subsets_checked);
+  EXPECT_EQ(one.fatal, four.fatal);
+  EXPECT_GT(one.fatal, 0);
+  EXPECT_EQ(rng_one(), rng_four());  // both consumed one seed draw
 }
 
 TEST(ParallelDeterminism, RngStreamsAreStatelessAndDistinct) {

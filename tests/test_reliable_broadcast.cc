@@ -165,9 +165,9 @@ TEST(Network, LossySendStillCountsMessages) {
   const auto e = g.edges()[0];
   for (int i = 0; i < 200; ++i) net.send(e.u, e.v, 1);
   sim.run();
-  EXPECT_EQ(net.messages_sent(), 200);
-  EXPECT_EQ(net.messages_lost() + received, 200);
-  EXPECT_GT(net.messages_lost(), 150);  // ~90% drop
+  EXPECT_EQ(net.stats().sent, 200);
+  EXPECT_EQ(net.stats().lost + received, 200);
+  EXPECT_GT(net.stats().lost, 150);  // ~90% drop
   EXPECT_THROW(
       Network(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(-0.1)),
       std::invalid_argument);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "flooding/failure.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -77,7 +78,7 @@ TEST(ReliableLink, LosslessDeliversOnceWithOneAck) {
   EXPECT_DOUBLE_EQ(log[0].time, 1.0);
   EXPECT_EQ(link.acks_sent(), 1);
   EXPECT_EQ(link.retransmissions(), 0);
-  EXPECT_EQ(net.messages_sent(), 2);  // DATA + ACK
+  EXPECT_EQ(net.stats().sent, 2);  // DATA + ACK
 }
 
 TEST(ReliableLink, RetransmitsUntilDeliveredUnderHeavyLoss) {
@@ -122,12 +123,14 @@ TEST(ReliableLink, AbandonsAfterRetriesExhausted) {
   ReliableLink link(net, BackoffPolicy::fixed(2.0, 3), rng);
   int deliveries = 0;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t) { ++deliveries; });
-  net.crash_now(1);  // receiver dead: DATA is transmitted but dropped
+  FailurePlan plan;
+  plan.crashes = {{1, 0.0}};  // receiver dead: DATA is transmitted but dropped
+  apply_failure_plan(net, plan);
   EXPECT_TRUE(link.send(0, 1, 7));
   sim.run();
   EXPECT_EQ(deliveries, 0);
   EXPECT_EQ(link.retransmissions(), 3);  // bounded: 1 + 3 transmissions
-  EXPECT_EQ(net.messages_sent(), 4);
+  EXPECT_EQ(net.stats().sent, 4);
 }
 
 TEST(ReliableLink, BlockedSendAbandonsByDefault) {
@@ -136,10 +139,12 @@ TEST(ReliableLink, BlockedSendAbandonsByDefault) {
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
   ReliableLink link(net, BackoffPolicy::fixed(2.0, 5), rng);
-  net.fail_link_now(0, 1);
+  FailurePlan plan;
+  plan.link_failures = {{{0, 1}, 0.0}};
+  apply_failure_plan(net, plan);
   EXPECT_FALSE(link.send(0, 1, 7));
   sim.run();
-  EXPECT_EQ(net.messages_sent(), 0);
+  EXPECT_EQ(net.stats().sent, 0);
   EXPECT_EQ(link.retransmissions(), 0);
 }
 
@@ -155,8 +160,9 @@ TEST(ReliableLink, PersistentPolicyRidesOutALinkFlap) {
   link.set_deliver_handler([&](NodeId to, NodeId from, std::int64_t payload) {
     log.push_back({to, from, payload, sim.now()});
   });
-  net.fail_link_now(0, 1);
-  net.restore_link_at(0, 1, 5.0);
+  FailurePlan plan;
+  plan.flaps = {{{0, 1}, 0.0, 5.0}};
+  apply_failure_plan(net, plan);
   EXPECT_TRUE(link.send(0, 1, 7));  // refused now, retried through the flap
   sim.run();
   ASSERT_EQ(log.size(), 1u);
@@ -176,8 +182,10 @@ TEST(ReliableLink, PersistentPolicyReachesARecoveringReceiver) {
   link.set_deliver_handler([&](NodeId to, NodeId from, std::int64_t payload) {
     log.push_back({to, from, payload, sim.now()});
   });
-  net.crash_now(1);
-  net.recover_at(1, 7.0);
+  FailurePlan plan;
+  plan.crashes = {{1, 0.0}};
+  plan.recoveries = {{1, 7.0}};
+  apply_failure_plan(net, plan);
   EXPECT_TRUE(link.send(0, 1, 9));
   sim.run();
   ASSERT_EQ(log.size(), 1u);
@@ -205,7 +213,7 @@ TEST(ReliableLink, RawFramesBypassReliability) {
   EXPECT_EQ(raw[0], 5);
   EXPECT_EQ(reliable, 0);
   EXPECT_EQ(link.acks_sent(), 0);   // raw frames are never ACKed
-  EXPECT_EQ(net.messages_sent(), 2);
+  EXPECT_EQ(net.stats().sent, 2);
 }
 
 TEST(ReliableLink, SequenceSpaceWrapsPastTheOldCap) {

@@ -278,6 +278,25 @@ TEST(Repair, ExactPinLossyCrashesAndRecovery) {
                                    .dropped_partition = 0}));
 }
 
+// The final membership follows the network's fault rule: two crash
+// windows on node 5 and one recovery leave it down, so it is not a
+// survivor and no one is left mourning a live node.
+TEST(Repair, SurvivorsFollowTheFaultRule) {
+  const auto g = lhg::build(48, 3);
+  FailurePlan plan;
+  plan.crashes = {{5, 1.0}, {5, 2.0}};
+  plan.recoveries = {{5, 3.0}};
+  RepairConfig cfg;
+  cfg.k = 3;
+  cfg.seed = 7;
+  const auto res = run_repair(g, cfg, plan);
+  EXPECT_EQ(res.survivors, 47);
+  EXPECT_EQ(std::count(res.survivor_ids.begin(), res.survivor_ids.end(), 5),
+            0);
+  EXPECT_EQ(res.lingering_false_obituaries, 0);
+  EXPECT_TRUE(res.repaired);
+}
+
 // --- Satellite: a node recovering mid-broadcast still gets the message.
 
 TEST(Repair, RecoveringNodeReceivesSubsequentMessages) {
