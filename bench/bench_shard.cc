@@ -7,8 +7,11 @@
 //
 // Per n (65536; the full run adds 10^6), against the storage-free
 // ImplicitLhg view:
-//   flood_single   the PR-3 single-queue engine (cfg.shards = 1)
-//   flood_sharded  the sharded engine at S in {1, 4, 8}
+//   flood_single   the single-queue engine (`flood`, cfg.shards = 1)
+//   flood_sharded  the sharded engine (`sharded_flood`) at S in {1, 4, 8}
+//
+// The S=1 row runs the sharded engine on one shard, so its ratio to
+// flood_single is the engine's own overhead, printed after each n.
 //
 // Every sharded run is compared field-for-field against the
 // single-queue result — delivery vectors, message/event counts and
@@ -134,13 +137,15 @@ int main(int argc, char** argv) {
                 {"events", single.events_processed}},
                single_ns);
 
+    std::int64_t s1_ns = -1;
     std::int64_t s8_ns = -1;
     for (const std::int32_t shards : shard_counts) {
       cfg.shards = shards;
       const bench::WallTimer timer;
-      const auto sharded = flooding::flood(view, cfg);
+      const auto sharded = flooding::sharded_flood(view, cfg);
       const std::int64_t wall_ns = timer.elapsed_ns();
       check_parity(single, sharded, n, shards);
+      if (shards == 1) s1_ns = wall_ns;
       if (shards == 8) s8_ns = wall_ns;
       const double speedup =
           static_cast<double>(single_ns) / static_cast<double>(wall_ns);
@@ -159,6 +164,12 @@ int main(int argc, char** argv) {
                   {"events", sharded.events_processed}},
                  wall_ns);
     }
+
+    std::ostringstream overhead;
+    overhead << std::fixed << std::setprecision(2)
+             << static_cast<double>(s1_ns) / static_cast<double>(single_ns);
+    std::cout << "  n=" << n << ": sharded S=1 / single = " << overhead.str()
+              << "x (one-engine target: <= 1.20x)\n";
 
     // The acceptance gate: >= 3x at S=8 on the n=65536 flood, armed
     // only where 8 lanes have 8 hardware threads to land on.

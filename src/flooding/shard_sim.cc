@@ -66,50 +66,143 @@ void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
   sh.origin = kEnvOrigin;
 }
 
+void ShardedSimulator::run_late_before(Shard& sh, std::int32_t shard_idx,
+                                       std::uint64_t canon) {
+  while (!sh.late.empty() && sh.late.front().canon < canon) {
+    dispatch(sh, shard_idx, late_pop(sh));
+  }
+}
+
+namespace {
+
+/// One pass of a bottom-up natural merge sort over positions [0, n):
+/// merges each pair of adjacent ascending stretches, as ordered by
+/// `key(i)`, into `out` via `entry(i)`.  Returns the number of merged
+/// stretches written.
+template <typename Key, typename Entry, typename Out>
+std::size_t merge_pass(std::size_t n, Key key, Entry entry, Out* out) {
+  std::size_t stretches = 0;
+  for (std::size_t lo = 0; lo < n; ++stretches) {
+    std::size_t mid = lo + 1;
+    while (mid < n && key(mid - 1) < key(mid)) ++mid;
+    std::size_t hi = mid;
+    if (hi < n) ++hi;
+    while (hi < n && key(hi - 1) < key(hi)) ++hi;
+    std::size_t i = lo;
+    std::size_t j = mid;
+    while (i < mid && j < hi) {
+      const bool right = key(j) < key(i);
+      *out++ = entry(right ? j : i);
+      j += right ? 1 : 0;
+      i += right ? 0 : 1;
+    }
+    while (i < mid) *out++ = entry(i++);
+    while (j < hi) *out++ = entry(j++);
+    lo = hi;
+  }
+  return stretches;
+}
+
+}  // namespace
+
+void ShardedSimulator::sort_run(Shard& sh, std::size_t begin,
+                                std::size_t end) {
+  // A natural merge sort, because push order tends to come in long
+  // ascending stretches (the shard's own pushes, then each inbound
+  // box): r stretches cost ceil(log2 r) linear passes.  At S=4 most
+  // large runs of a fixed-latency flood have two, and when stretches are
+  // short the passes cost about what a comparison sort does.  The first
+  // pass reads the keys from the queue; later passes alternate between
+  // `order` and `scratch`.  Both are sized exactly to the run, so they
+  // only ever grow to the shard's largest unsorted run, and `scratch`
+  // only when that run has more than two stretches.
+  const std::size_t n = end - begin;
+  const auto item_key = [&sh, begin](std::size_t i) {
+    return sh.queue.front_at(begin + i).payload.canon;
+  };
+  sh.order.clear();
+  sh.order.resize(n);
+  std::size_t stretches = merge_pass(
+      n, item_key,
+      [&](std::size_t i) { return RunEntry{item_key(i), begin + i}; },
+      sh.order.data());
+  if (stretches == 1) return;
+  sh.scratch.clear();
+  sh.scratch.resize(n);
+  do {
+    const RunEntry* src = sh.order.data();
+    stretches = merge_pass(
+        n, [src](std::size_t i) { return src[i].canon; },
+        [src](std::size_t i) { return src[i]; }, sh.scratch.data());
+    sh.order.swap(sh.scratch);
+  } while (stretches > 1);
+}
+
 void ShardedSimulator::drain_window(std::int32_t s, std::uint64_t limit) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   while (sh.queue.advance(limit)) {
-    // The front run holds every event of this timestamp.  Sort it once
-    // by canonical key: the (origin, seq) order is total, so the sorted
-    // run is independent of the order the events were pushed in.
+    // The front run holds every event of this timestamp, in push order.
+    // Execution order is canonical: by key, a total order, so it does
+    // not depend on the order the events were pushed in.  Handlers may
+    // schedule same-time events; those go to the late heap and run as
+    // soon as their key is the smallest among the unexecuted events.
     sh.now = Queue::time_of(sh.queue.current_key());
-    sh.queue.sort_front(
-        [](const Event& a, const Event& b) { return a.canon < b.canon; });
-    // Execute as a two-way merge against the late heap: handlers may
-    // schedule same-time events, which must slot among the unexecuted
-    // remainder by key (keys only grow along a causal chain, so a late
-    // event never sorts before its already-executed creator).
     sh.draining = true;
-    while (!sh.queue.front_empty() || !sh.late.empty()) {
-      const bool take_late =
-          !sh.late.empty() &&
-          (sh.queue.front_empty() ||
-           sh.late.front().canon < sh.queue.front().payload.canon);
-      const Event ev = take_late ? late_pop(sh) : sh.queue.pop_front().payload;
-      dispatch(sh, s, ev);
+    const std::size_t begin = sh.queue.front_taken();
+    const std::size_t end = sh.queue.front_size();
+    std::size_t sorted_end = begin + 1;
+    while (sorted_end < end &&
+           sh.queue.front_at(sorted_end - 1).payload.canon <
+               sh.queue.front_at(sorted_end).payload.canon) {
+      ++sorted_end;
     }
+    if (sorted_end >= end) {
+      // Already in key order (every one-event run): execute in place.
+      while (!sh.queue.front_empty()) {
+        const Event ev = sh.queue.pop_front().payload;
+        run_late_before(sh, s, ev.canon);
+        dispatch(sh, s, ev);
+      }
+    } else {
+      // Execute through a sorted index of 16-byte (key, position) pairs
+      // rather than moving the 40-byte items.
+      sort_run(sh, begin, end);
+      const std::vector<RunEntry>& order = sh.order;
+      constexpr std::size_t kPrefetch = 8;
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        if (i + kPrefetch < order.size()) {
+          __builtin_prefetch(&sh.queue.front_at(order[i + kPrefetch].pos));
+        }
+        const Event ev = sh.queue.front_at(order[i].pos).payload;
+        run_late_before(sh, s, ev.canon);
+        dispatch(sh, s, ev);
+      }
+      sh.queue.take_front();
+    }
+    run_late_before(sh, s, kNoCanon);
     sh.draining = false;
   }
 }
 
 void ShardedSimulator::exchange() {
-  // The one sanctioned cross-shard touch point: destinations pull each
-  // source's outbox in ascending shard order, at the barrier, after all
-  // lanes have quiesced.  Each box is already in creation order and
-  // every entry's time is >= the closed window's end, so merged events
-  // land after every destination's current time and the canonical key
-  // ordering is preserved.
+  // The one sanctioned cross-shard touch point, at the barrier after
+  // every lane has quiesced: one lane per destination pulls each
+  // source's box for it in ascending shard order.  Box (s, d) is read
+  // and cleared only by destination d's lane, and each destination's
+  // pushes happen in the same order at any lane count.  Each box is
+  // already in creation order and every entry's time is >= the closed
+  // window's end, so merged events land after every destination's
+  // current time and the canonical key ordering is preserved.
   const std::int32_t shards = num_shards();
-  for (std::int32_t d = 0; d < shards; ++d) {
+  core::parallel_for(shards, /*grain=*/1, [&](std::int64_t d, int /*lane*/) {
     Shard& dst = shards_[static_cast<std::size_t>(d)];
     for (std::int32_t s = 0; s < shards; ++s) {
       if (s == d) continue;
-      Shard& src = peer_shard(s);  // lint: allow(cross-shard-state): barrier exchange after lanes quiesce
-      std::vector<Queue::Item>& box = src.outbox[static_cast<std::size_t>(d)];
-      for (const Queue::Item& item : box) dst.queue.push(item);
-      box.clear();
+      Shard& src = peer_shard(s);  // lint: allow(cross-shard-state): barrier exchange, one lane per destination, after every lane has quiesced
+      src.outbox[static_cast<std::size_t>(d)].drain(
+          [&dst](const Queue::Item& item) { dst.queue.push(item); });
     }
-  }
+  });
 }
 
 void ShardedSimulator::run_control() {
@@ -196,7 +289,7 @@ std::size_t ShardedSimulator::pending() const {
   std::size_t total = control_.size();
   for (const Shard& sh : shards_) {
     total += sh.queue.size() + sh.late.size();
-    for (const std::vector<Queue::Item>& box : sh.outbox) total += box.size();
+    for (const Outbox& box : sh.outbox) total += box.size;
   }
   return total;
 }

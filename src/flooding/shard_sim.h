@@ -26,8 +26,10 @@
 // (ShardedNetwork computes it; must be > 0).  A cross-shard message
 // created at time t >= t_min arrives at t + latency >= window_end, so
 // buffering it in a per-(source, dest) outbox and merging at the
-// barrier — destinations pull boxes in ascending source-shard order,
-// each box already in creation order — cannot miss its execution slot.
+// barrier — one lane per destination pulls its boxes in ascending
+// source-shard order, each box already in creation order, so every
+// destination sees the same pushes in the same order at any thread
+// count — cannot miss its execution slot.
 // Within a window shards only touch their own state; control events
 // (crash/recover/link/partition mutations) run serially between
 // windows, so shared network state is read-only while lanes are hot —
@@ -39,19 +41,28 @@
 // Queue mechanics: each shard, and the control lane, owns one monotone
 // radix time queue (time_queue.h — the single-queue engine's queue), with
 // 40-byte inline events, and one CallbackSlab (callback_slab.h, also the
-// single-queue engine's).  When a shard
-// reaches a timestamp, the queue's front run holds that timestamp's
-// events; the drain sorts it in place by canonical key, and same-time
-// events created *during* the drain go to a small per-shard min-heap
-// merged against the sorted remainder — "slot by key among the
-// unexecuted events", the parallel analogue of the serial engine's
-// append-behind-head.  Times are monotone per queue: env and control
-// scheduling must be at or after env_now() (always checked), a window
-// handler's at or after its shard's now() (checked; debug-only on the
-// per-message deliver path).  A shard that stops at a window end or a
-// run_until deadline keeps its current time at its last executed
-// timestamp, so scheduling at exactly that time between windows lands
-// in the front run and still executes.
+// single-queue engine's).  When a shard reaches a timestamp, the queue's
+// front run holds that timestamp's events in push order, and the drain
+// executes them in canonical key order without moving them:
+//
+//   * one pass checks whether push order already is key order (always
+//     true for a one-event run, so nearly every run of a per-link-latency
+//     flood); such a run executes in place, popped front to back;
+//   * otherwise the drain builds a per-shard index of 16-byte (key,
+//     position) pairs with a natural merge sort of the run's ascending
+//     stretches (sort_run), and executes through it with a short
+//     prefetch of the items ahead.
+//
+// Same-time events created *during* the drain go to a small per-shard
+// min-heap; both paths merge it against the unexecuted remainder — "slot
+// by key among the unexecuted events", the parallel analogue of the
+// serial engine's append-behind-head.  Times are monotone per queue: env
+// and control scheduling must be at or after env_now() (always checked),
+// a window handler's at or after its shard's now() (checked; debug-only
+// on the per-message deliver path).  A shard that stops at a window end
+// or a run_until deadline keeps its current time at its last executed
+// timestamp, so scheduling at exactly that time between windows lands in
+// the front run and still executes.
 //
 // What is NOT invariant: the per-timestamp event histogram
 // (sim.bucket_events) depends on how timestamps split across shards,
@@ -67,6 +78,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -235,7 +247,7 @@ class ShardedSimulator {
                "ShardedSimulator: cross-shard delivery at {} inside window "
                "ending {} — lookahead too large for this link",
                time, window_end_);
-    src.outbox[static_cast<std::size_t>(dst)].push_back(
+    src.outbox[static_cast<std::size_t>(dst)].push(
         Queue::Item{Queue::key_of(time), ev});
   }
 
@@ -280,6 +292,45 @@ class ShardedSimulator {
   static_assert(sizeof(Queue::Item) <= 40, "queued event should stay compact");
   using ControlQueue = TimeQueue<std::int32_t>;  // control slab slot ids
 
+  /// Above every canonical key: runs the whole late heap.
+  static constexpr std::uint64_t kNoCanon = ~std::uint64_t{0};
+
+  /// One entry of a front run's execution index: the event's key and
+  /// its position in the run.
+  struct RunEntry {
+    std::uint64_t canon;
+    std::size_t pos;
+  };
+
+  /// Cross-shard deliveries from one shard to one other, in creation
+  /// order: a chain of fixed-size blocks that the box keeps across
+  /// windows.  It allocates only when it outgrows its largest window so
+  /// far, never copies to grow, and holds at most one partial block of
+  /// slack, where a doubling vector holds up to its size again.
+  struct Outbox {
+    static constexpr std::size_t kBlockItems = 256;
+    std::vector<std::unique_ptr<Queue::Item[]>> blocks;
+    std::size_t size = 0;
+
+    void push(const Queue::Item& item) {
+      if (size == blocks.size() * kBlockItems) {
+        blocks.push_back(
+            std::make_unique_for_overwrite<Queue::Item[]>(kBlockItems));
+      }
+      blocks[size / kBlockItems][size % kBlockItems] = item;
+      ++size;
+    }
+    /// Hands every item to `fn` in push order, then empties the box
+    /// (its blocks stay).
+    template <typename F>
+    void drain(F&& fn) {
+      for (std::size_t i = 0; i < size; ++i) {
+        fn(blocks[i / kBlockItems][i % kBlockItems]);
+      }
+      size = 0;
+    }
+  };
+
   struct Shard {
     Queue queue;
 
@@ -287,12 +338,14 @@ class ShardedSimulator {
     double now = 0.0;
     bool draining = false;
     std::vector<Event> late;  // min-heap by canon: same-time mid-drain inserts
+    std::vector<RunEntry> order;    // execution index of an unsorted run
+    std::vector<RunEntry> scratch;  // merge buffer while sorting `order`
     std::int32_t origin = kEnvOrigin;  // acting node while dispatching
 
     CallbackSlab<std::int32_t> callbacks;  // invoked with the shard index
 
     // Cross-shard deliveries created this window, one box per dest.
-    std::vector<std::vector<Queue::Item>> outbox;
+    std::vector<Outbox> outbox;
 
     std::int64_t processed = 0;
     const obs::SimObs* obs = nullptr;
@@ -346,7 +399,12 @@ class ShardedSimulator {
 
   void late_push(Shard& sh, const Event& ev);
   Event late_pop(Shard& sh);
+  /// Executes the late events whose key is below `canon`, in key order.
+  void run_late_before(Shard& sh, std::int32_t shard_idx,
+                       std::uint64_t canon);
   void dispatch(Shard& sh, std::int32_t shard_idx, const Event& ev);
+  /// Fills sh.order with front-run positions [begin, end) in key order.
+  void sort_run(Shard& sh, std::size_t begin, std::size_t end);
   void drain_window(std::int32_t s, std::uint64_t limit);
   void exchange();
   void run_control();

@@ -34,8 +34,11 @@
 // everything already queued.  Items with equal keys always share a
 // bucket, so the front run lists the items of one key in exactly the
 // order they were pushed.  The single-queue engine relies on this for
-// its (time, insertion) order; the sharded engine sorts the front run by
-// its canonical key instead.
+// its (time, insertion) order.  The sharded engine wants a canonical
+// order instead: it reads the front run by position (front_at), checks
+// whether push order already is canonical, and otherwise sorts an index
+// of positions and marks the run taken when done (take_front); the
+// items themselves never move.
 //
 // Contract.  push(key) requires key >= current_key() (a DCHECK here; the
 // engines check their own, stronger, time contracts on every path that
@@ -54,12 +57,10 @@
 
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <ranges>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -163,24 +164,24 @@ class TimeQueue {
            static_cast<std::size_t>(read_ - segment);
   }
 
-  /// Sorts the untaken front run by `less` on payloads, in place.
-  template <typename Less>
-  void sort_front(Less less) {
-    // 32-bit positions keep the view's difference type a plain integer
-    // (libstdc++'s sort cannot take the 128-bit one of a 64-bit iota).
-    const std::size_t end = buckets_[0].size();
-    LHG_DCHECK(end <= UINT32_MAX, "TimeQueue: front run of {} items", end);
-    Item* const* segments = buckets_[0].segments.data();
-    const auto at = [segments](std::uint32_t i) -> Item& {
-      return segments[i >> kSegmentShift][i & (kSegmentItems - 1)];
-    };
-    std::ranges::sort(
-        std::views::iota(static_cast<std::uint32_t>(front_taken()),
-                         static_cast<std::uint32_t>(end)) |
-            std::views::transform(at),
-        [&less](const Item& a, const Item& b) {
-          return less(a.payload, b.payload);
-        });
+  /// Items of the front run, taken or not: positions [front_taken(),
+  /// front_size()) are the untaken ones, in push order.
+  std::size_t front_size() const { return buckets_[0].size(); }
+  /// The front-run item at position `i` < front_size().
+  const Item& front_at(std::size_t i) const {
+    LHG_DCHECK(i < front_size(), "TimeQueue: front position {} of {}", i,
+               front_size());
+    return buckets_[0].segments[i >> kSegmentShift][i & (kSegmentItems - 1)];
+  }
+  /// Marks the whole front run taken, for a caller that read it through
+  /// front_at().  A later push at the current key is untaken again and
+  /// is read by pop_front() as usual.
+  void take_front() {
+    const Bucket& front = buckets_[0];
+    if (front.segments.empty()) return;
+    next_segment_ = front.segments.size();
+    read_ = front.tail;
+    read_end_ = front.tail_end;
   }
 
   /// Pending items, counted bucket by bucket.

@@ -393,6 +393,80 @@ TEST(TimeQueue, AdvanceStopsAtTheLimitWithoutMovingTheCurrentKey) {
   EXPECT_EQ(q.min_key(), Q::kNoKey);
 }
 
+TEST(TimeQueue, FrontAtReadsPushOrderAcrossSegmentBoundaries) {
+  using Q = TimeQueue<int>;
+  Q q;
+  constexpr int kItems = 1000;  // several 256-item segments
+  for (int i = 0; i < kItems; ++i) q.push(Q::key_of(3.0), i);
+  q.push(Q::key_of(4.0), -1);
+  ASSERT_TRUE(q.advance(Q::kNoKey));
+  ASSERT_EQ(q.front_size(), std::size_t{kItems});
+  EXPECT_EQ(q.front_taken(), 0u);
+  for (int i = kItems - 1; i >= 0; --i) {  // any order
+    EXPECT_EQ(q.front_at(static_cast<std::size_t>(i)).payload, i);
+    EXPECT_EQ(q.front_at(static_cast<std::size_t>(i)).key, Q::key_of(3.0));
+  }
+  q.take_front();
+  EXPECT_TRUE(q.front_empty());
+  EXPECT_EQ(q.front_taken(), std::size_t{kItems});
+  EXPECT_EQ(q.size(), 1u);
+  ASSERT_TRUE(q.advance(Q::kNoKey));
+  EXPECT_EQ(q.front_size(), 1u);
+  EXPECT_EQ(q.pop_front().payload, -1);
+  EXPECT_FALSE(q.advance(Q::kNoKey));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(TimeQueue, FrontAtOnAPartlyTakenRun) {
+  using Q = TimeQueue<int>;
+  Q q;
+  for (int i = 0; i < 600; ++i) q.push(Q::key_of(1.0), i);
+  ASSERT_TRUE(q.advance(Q::kNoKey));
+  for (int i = 0; i < 300; ++i) ASSERT_EQ(q.pop_front().payload, i);
+  EXPECT_EQ(q.front_taken(), 300u);
+  EXPECT_EQ(q.front_size(), 600u);
+  EXPECT_EQ(q.size(), 300u);
+  for (std::size_t i = q.front_taken(); i < q.front_size(); ++i) {
+    EXPECT_EQ(q.front_at(i).payload, static_cast<int>(i));
+  }
+  EXPECT_EQ(q.front().payload, 300);  // reading by position took nothing
+  q.take_front();
+  EXPECT_TRUE(q.front_empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_FALSE(q.advance(Q::kNoKey));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(TimeQueue, PushAtTheCurrentKeyAfterTakeFrontIsPopped) {
+  // Run lengths on both sides of a segment boundary: after take_front()
+  // the read cursor sits at the tail, inside a segment or at its end.
+  using Q = TimeQueue<int>;
+  for (const int run : {1, 255, 256, 257, 512}) {
+    Q q;
+    for (int i = 0; i < run; ++i) q.push(Q::key_of(2.0), i);
+    q.push(Q::key_of(5.0), -5);
+    ASSERT_TRUE(q.advance(Q::kNoKey));
+    q.take_front();
+    ASSERT_TRUE(q.front_empty()) << run;
+    q.push(Q::key_of(2.0), 1000);
+    q.push(Q::key_of(2.0), 1001);
+    EXPECT_FALSE(q.front_empty()) << run;
+    EXPECT_EQ(q.size(), 3u) << run;
+    EXPECT_EQ(q.min_key(), Q::key_of(2.0)) << run;
+    ASSERT_TRUE(q.advance(Q::key_of(2.0))) << run;
+    EXPECT_EQ(q.current_key(), Q::key_of(2.0)) << run;
+    EXPECT_EQ(q.front_taken(), static_cast<std::size_t>(run)) << run;
+    EXPECT_EQ(q.front_at(static_cast<std::size_t>(run)).payload, 1000) << run;
+    EXPECT_EQ(q.pop_front().payload, 1000) << run;
+    EXPECT_EQ(q.pop_front().payload, 1001) << run;
+    EXPECT_TRUE(q.front_empty()) << run;
+    ASSERT_TRUE(q.advance(Q::kNoKey)) << run;
+    EXPECT_EQ(q.pop_front().payload, -5) << run;
+    EXPECT_FALSE(q.advance(Q::kNoKey)) << run;
+    EXPECT_TRUE(q.empty()) << run;
+  }
+}
+
 /// A reference queue: pending (time, insertion seq, id) triples, popped
 /// in (time, seq) order — a stable sort by time, computed on demand.
 struct ReferenceQueue {

@@ -16,12 +16,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -332,6 +335,215 @@ TEST(ShardedSimulator, CrossShardDeliveryCrossesTheBarrier) {
   EXPECT_EQ(sink.rows[0].link, 7);
   EXPECT_EQ(sink.rows[0].message, 42);
   EXPECT_DOUBLE_EQ(sim.now(1), 2.0);
+}
+
+// --- Canonical order under adversarial push order -----------------------
+
+/// A same-time workload whose t = 2 runs reach every shard out of key
+/// order.  At t = 1 the environment wakes the nodes in descending id
+/// order, so they act in that order; each sends three messages to other
+/// nodes and schedules one callback on itself, all at t = 2.  A shard's
+/// t = 2 run therefore lists its local events by descending origin,
+/// then each source shard's outbox, also by descending origin.  With
+/// `same_time`, the t = 2 handlers schedule more t = 2 events: every
+/// receiver one callback on itself (whose key may sort before or after
+/// its creator's) and every wake-up callback a chain of two.
+///
+/// Each executed t = 2 event is recorded with its canonical key, which
+/// the script tracks exactly as the engine assigns it, and the key of
+/// the t = 2 event that created it (kFromRun for the run itself).
+class SameTimeScript final : public ShardedSimulator::DeliverSink {
+ public:
+  static constexpr std::uint64_t kFromRun = ~std::uint64_t{0};
+  struct Rec {
+    std::uint64_t key;
+    std::uint64_t creator;
+  };
+
+  SameTimeScript(std::int32_t nodes, std::int32_t shards, bool same_time)
+      : sim_(nodes, shards),
+        same_time_(same_time),
+        made_(static_cast<std::size_t>(nodes), 0),
+        by_shard_(static_cast<std::size_t>(sim_.num_shards())),
+        by_node_(static_cast<std::size_t>(nodes)) {
+    sim_.set_deliver_sink(this);
+    sim_.set_lookahead(1.0);
+    for (std::int32_t v = nodes - 1; v >= 0; --v) {
+      sim_.schedule_node_at(ShardedSimulator::kEnvOrigin, 1.0, v,
+                            [this, v](std::int32_t shard) { wake(shard, v); });
+    }
+    sim_.run();
+  }
+
+  /// Each shard's t = 2 events in execution order.
+  const std::vector<std::vector<Rec>>& by_shard() const { return by_shard_; }
+  /// Each node's t = 2 event keys in execution order.
+  const std::vector<std::vector<std::uint64_t>>& by_node() const {
+    return by_node_;
+  }
+
+  void on_sharded_deliver(std::int32_t shard, std::int32_t /*from*/,
+                          std::int32_t to, std::int32_t /*link*/,
+                          std::int64_t message) override {
+    const auto key = static_cast<std::uint64_t>(message);
+    record(shard, to, key, kFromRun);
+    if (same_time_) self_callback(shard, to, key, 0);
+  }
+
+ private:
+  /// Key of the next event node `v` creates: ((origin + 1) << 32) | seq.
+  std::uint64_t next_key(std::int32_t v) {
+    const std::uint32_t seq = made_[static_cast<std::size_t>(v)]++;
+    return (static_cast<std::uint64_t>(v + 1) << 32) | seq;
+  }
+
+  void wake(std::int32_t shard, std::int32_t v) {
+    const std::int32_t n = sim_.num_nodes();
+    for (std::int32_t j = 0; j < 3; ++j) {
+      const std::int32_t to = (v * 5 + j * 7 + 1) % n;
+      const std::uint64_t key = next_key(v);
+      sim_.schedule_deliver_at(shard, 2.0, v, to, 0,
+                               static_cast<std::int64_t>(key));
+    }
+    self_callback(shard, v, kFromRun, 2);
+  }
+
+  void self_callback(std::int32_t shard, std::int32_t v,
+                     std::uint64_t creator, int chain) {
+    const std::uint64_t key = next_key(v);
+    sim_.schedule_node_at(shard, 2.0, v,
+                          [this, v, key, creator, chain](std::int32_t sh) {
+                            record(sh, v, key, creator);
+                            if (same_time_ && chain > 0) {
+                              self_callback(sh, v, key, chain - 1);
+                            }
+                          });
+  }
+
+  void record(std::int32_t shard, std::int32_t node, std::uint64_t key,
+              std::uint64_t creator) {
+    by_shard_[static_cast<std::size_t>(shard)].push_back({key, creator});
+    by_node_[static_cast<std::size_t>(node)].push_back(key);
+  }
+
+  ShardedSimulator sim_;
+  bool same_time_;
+  std::vector<std::uint32_t> made_;  // per-node creation counters
+  std::vector<std::vector<Rec>> by_shard_;
+  std::vector<std::vector<std::uint64_t>> by_node_;
+};
+
+/// Replays one shard's t = 2 trace: every executed event must be the
+/// smallest key pending on that shard, where the run is pending from
+/// the start and a same-time event from the moment its creator ran.
+void expect_smallest_key_first(const std::vector<SameTimeScript::Rec>& trace) {
+  std::set<std::uint64_t> pending;
+  std::multimap<std::uint64_t, std::uint64_t> created;  // creator -> key
+  for (const SameTimeScript::Rec& r : trace) {
+    if (r.creator == SameTimeScript::kFromRun) {
+      pending.insert(r.key);
+    } else {
+      created.emplace(r.creator, r.key);
+    }
+  }
+  for (const SameTimeScript::Rec& r : trace) {
+    ASSERT_FALSE(pending.empty());
+    EXPECT_EQ(r.key, *pending.begin());
+    pending.erase(r.key);
+    const auto [first, last] = created.equal_range(r.key);
+    for (auto it = first; it != last; ++it) pending.insert(it->second);
+  }
+  EXPECT_TRUE(pending.empty());
+}
+
+/// Runs the script at S in {1, 2, 4} x T in {1, 4}: each shard's trace
+/// must be smallest-key-first and each node's trace the same in every
+/// cell.  Returns the trace of the (S = 1, T = 1) run.
+std::vector<SameTimeScript::Rec> expect_canonical_in_every_cell(
+    std::int32_t nodes, bool same_time, std::size_t events) {
+  const int previous = core::global_thread_count();
+  core::set_global_thread_count(1);
+  SameTimeScript base(nodes, 1, same_time);
+  for (const int threads : {1, 4}) {
+    core::set_global_thread_count(threads);
+    for (const std::int32_t shards : {1, 2, 4}) {
+      const SameTimeScript run(nodes, shards, same_time);
+      std::size_t executed = 0;
+      for (const auto& trace : run.by_shard()) {
+        expect_smallest_key_first(trace);
+        executed += trace.size();
+      }
+      EXPECT_EQ(executed, events) << "shards=" << shards;
+      EXPECT_EQ(run.by_node(), base.by_node())
+          << "shards=" << shards << " threads=" << threads;
+    }
+  }
+  core::set_global_thread_count(previous);
+  return base.by_shard()[0];
+}
+
+TEST(ShardedSimulator, AdversarialPushOrderRunsInCanonicalOrder) {
+  // 24 nodes x (3 messages + 1 callback).  No same-time events: every
+  // shard's trace is its t = 2 run sorted by key.
+  const std::vector<SameTimeScript::Rec> trace =
+      expect_canonical_in_every_cell(24, /*same_time=*/false, 24 * 4);
+  EXPECT_TRUE(std::ranges::is_sorted(trace, {}, &SameTimeScript::Rec::key));
+}
+
+TEST(ShardedSimulator, SameTimeEventsMergeIntoAnUnsortedRunByKey) {
+  // Adds a callback per message and a chain of two per wake-up
+  // callback, all at t = 2, merged by key into the run being executed.
+  const std::vector<SameTimeScript::Rec> trace =
+      expect_canonical_in_every_cell(24, /*same_time=*/true, 24 * 9);
+  bool below = false;
+  bool above = false;
+  for (const SameTimeScript::Rec& r : trace) {
+    if (r.creator == SameTimeScript::kFromRun) continue;
+    below |= r.key < r.creator;
+    above |= r.key > r.creator;
+  }
+  EXPECT_TRUE(below);  // runs at once, ahead of the rest of the run
+  EXPECT_TRUE(above);  // waits for the run's smaller keys
+}
+
+TEST(ShardedSimulator, EventsAtACurrentTimeAlreadyDrainedRunOnce) {
+  // Shard 0 runs three node-origin events at t = 2 and stops at the
+  // deadline with its clock at 2.  The environment then adds three
+  // events at t = 2, whose keys sort before the three already run: they
+  // join the front run at the shard's current time, and only they run,
+  // each once and in creation order, followed by the same-time event
+  // one of them schedules.  (Environment keys ascend, so such a run is
+  // always in key order; the queue-level TimeQueue.FrontAt* tests cover
+  // index access to a partly taken run.)
+  ShardedSimulator sim(4, 2);  // shard 0: {0, 1}
+  std::vector<int> order;
+  sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 1.0, 0,
+                       [&](std::int32_t shard) {
+                         for (int i = 0; i < 3; ++i) {
+                           sim.schedule_node_at(
+                               shard, 2.0, 0,
+                               [&order, i](std::int32_t) {
+                                 order.push_back(10 + i);
+                               });
+                         }
+                       });
+  sim.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<int>{10, 11, 12}));
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 2.0, i % 2,
+                         [&sim, &order, i](std::int32_t shard) {
+                           order.push_back(20 + i);
+                           if (i != 0) return;
+                           sim.schedule_node_at(shard, 2.0, 0,
+                                                [&order](std::int32_t) {
+                                                  order.push_back(30);
+                                                });
+                         });
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{10, 11, 12, 20, 21, 22, 30}));
+  EXPECT_EQ(sim.events_processed(), 8);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 // --- Flood parity ------------------------------------------------------
