@@ -12,6 +12,10 @@
 //
 // The S=1 row runs the sharded engine on one shard, so its ratio to
 // flood_single is the engine's own overhead, printed after each n.
+// Each sharded row also reports the partition it timed — the view's
+// own `shard_owners(S)`, which sharded_flood uses: the share of arcs
+// whose endpoints sit on different shards, and the largest shard's
+// node count over the mean.
 //
 // Every sharded run is compared field-for-field against the
 // single-queue result — delivery vectors, message/event counts and
@@ -29,7 +33,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,6 +96,39 @@ void check_parity(const DisseminationResult& single,
       "sharded flood NetworkStats diverge at n={} S={}", n, shards);
 }
 
+/// What a partition costs the engine: the share of arcs that cross
+/// shards (each a message through the barrier exchange) and the
+/// largest shard over the mean (the slowest lane's extra share).
+struct PartitionShape {
+  double cross_arc_share;
+  double largest_over_mean;
+};
+
+PartitionShape partition_shape(const lhg::ImplicitLhg& view,
+                               std::int32_t shards) {
+  const std::vector<std::int32_t> owner = view.shard_owners(shards);
+  std::vector<std::int64_t> load(static_cast<std::size_t>(shards), 0);
+  std::int64_t cross = 0;
+  for (lhg::core::NodeId u = 0; u < view.num_nodes(); ++u) {
+    const std::int32_t su = owner[static_cast<std::size_t>(u)];
+    ++load[static_cast<std::size_t>(su)];
+    for (std::int32_t i = 0; i < view.degree(u); ++i) {
+      if (owner[static_cast<std::size_t>(view.neighbor(u, i))] != su) ++cross;
+    }
+  }
+  const double mean =
+      static_cast<double>(view.num_nodes()) / static_cast<double>(shards);
+  return {static_cast<double>(cross) / static_cast<double>(view.num_arcs()),
+          static_cast<double>(*std::max_element(load.begin(), load.end())) /
+              mean};
+}
+
+std::string fixed2(double value) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(2) << value;
+  return out.str();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,8 +147,9 @@ int main(int argc, char** argv) {
             << ", fixed latency, hard parity check per row)  [threads="
             << core::global_thread_count()
             << ", speedup gate " << (speedup_armed ? "armed" : "off") << "]\n";
-  bench::Table table(
-      {"n", "engine", "shards", "ms", "Mev/s", "peak_rss_mb", "speedup"}, 13);
+  bench::Table table({"n", "engine", "shards", "ms", "Mev/s", "peak_rss_mb",
+                      "speedup", "cross_arc_%", "max/mean"},
+                     13);
   table.print_header();
 
   std::vector<std::int64_t> sizes = {65'536};
@@ -128,7 +168,8 @@ int main(int argc, char** argv) {
               "single-queue flood missed nodes at n={}", n);
     table.print_row(n, "single", 1, static_cast<double>(single_ns) / 1e6,
                     mev_per_s(single.events_processed, single_ns),
-                    mb(bench::BenchReport::peak_rss_bytes()), "1.00");
+                    mb(bench::BenchReport::peak_rss_bytes()), "1.00", "-",
+                    "-");
     report.add("flood_single/k=" + std::to_string(k) +
                    "/n=" + std::to_string(n),
                {{"k", k},
@@ -149,26 +190,28 @@ int main(int argc, char** argv) {
       if (shards == 8) s8_ns = wall_ns;
       const double speedup =
           static_cast<double>(single_ns) / static_cast<double>(wall_ns);
-      std::ostringstream sp;
-      sp << std::fixed << std::setprecision(2) << speedup;
+      const PartitionShape shape = partition_shape(view, shards);
       table.print_row(n, "sharded", shards,
                       static_cast<double>(wall_ns) / 1e6,
                       mev_per_s(sharded.events_processed, wall_ns),
-                      mb(bench::BenchReport::peak_rss_bytes()), sp.str());
+                      mb(bench::BenchReport::peak_rss_bytes()), fixed2(speedup),
+                      fixed2(100.0 * shape.cross_arc_share),
+                      fixed2(shape.largest_over_mean));
       report.add("flood_sharded/k=" + std::to_string(k) +
                      "/n=" + std::to_string(n) + "/s=" + std::to_string(shards),
                  {{"k", k},
                   {"n", n},
                   {"shards", shards},
                   {"messages", sharded.messages_sent},
-                  {"events", sharded.events_processed}},
+                  {"events", sharded.events_processed},
+                  {"cross_arc_share", shape.cross_arc_share},
+                  {"largest_shard_over_mean", shape.largest_over_mean}},
                  wall_ns);
     }
 
-    std::ostringstream overhead;
-    overhead << std::fixed << std::setprecision(2)
-             << static_cast<double>(s1_ns) / static_cast<double>(single_ns);
-    std::cout << "  n=" << n << ": sharded S=1 / single = " << overhead.str()
+    std::cout << "  n=" << n << ": sharded S=1 / single = "
+              << fixed2(static_cast<double>(s1_ns) /
+                        static_cast<double>(single_ns))
               << "x (one-engine target: <= 1.20x)\n";
 
     // The acceptance gate: >= 3x at S=8 on the n=65536 flood, armed

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -128,13 +129,16 @@ DisseminationResult first_copy_flood(const Topology& topology,
 
 /// Deterministic flooding on the sharded engine: the same protocol as
 /// `flood`, with the node set split over `cfg.shards` time queues
-/// driven by core::parallel lanes (shard_sim.h).  Results are
-/// bit-identical at any shard and thread count; chaos-free runs with
-/// kFixed / kUniformPerLink latencies are additionally bit-equal to the
-/// single-queue `flood` (chaotic runs draw from per-arc streams —
-/// shard_net.h documents the semantic difference).  The per-node result
-/// arrays are written only by each node's owner shard, so the handler
-/// needs no synchronization beyond the engine's phase structure.
+/// driven by core::parallel lanes (shard_sim.h), S clamped to n.  A
+/// topology with a `shard_owners(S)` partition (lhg::ImplicitLhg deals
+/// whole subtrees) is split by it; any other by contiguous id blocks.
+/// Results are bit-identical at any shard and thread count; chaos-free
+/// runs with kFixed / kUniformPerLink latencies are additionally
+/// bit-equal to the single-queue `flood` (chaotic runs draw from
+/// per-arc streams — shard_net.h documents the semantic difference).
+/// The per-node result arrays are written only by each node's owner
+/// shard, so the handler needs no synchronization beyond the engine's
+/// phase structure.
 template <core::EdgeIndexedGraph Topology>
 DisseminationResult sharded_flood(const Topology& topology,
                                   const FloodConfig& cfg,
@@ -143,7 +147,15 @@ DisseminationResult sharded_flood(const Topology& topology,
   LHG_CHECK_RANGE(cfg.source, topology.num_nodes());
   LHG_CHECK(cfg.shards >= 1, "sharded_flood: shard count {} must be >= 1",
             cfg.shards);
-  ShardedSimulator sim(topology.num_nodes(), cfg.shards);
+  // More shards than nodes would only add idle lanes and S² outboxes.
+  const std::int32_t shards = std::min(cfg.shards, topology.num_nodes());
+  ShardedSimulator sim = [&] {
+    if constexpr (requires { topology.shard_owners(shards); }) {
+      return ShardedSimulator(topology.shard_owners(shards), shards);
+    } else {
+      return ShardedSimulator(topology.num_nodes(), shards);
+    }
+  }();
   core::Rng rng(cfg.seed);
   ShardedNetwork<Topology> net(topology, sim, cfg.latency, rng, cfg.chaos);
   obs::Runtime obs_rt(cfg.obs, sim.num_shards(), obs::PerShardHandles{});

@@ -1,29 +1,68 @@
 #include "flooding/shard_sim.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/parallel.h"
 
 namespace lhg::flooding {
 
-ShardedSimulator::ShardedSimulator(std::int32_t num_nodes,
-                                   std::int32_t num_shards)
-    : num_nodes_(num_nodes) {
+namespace {
+
+/// Nodes per block of the id-block partition: ceil(n / S), with S
+/// clamped to [1, n].
+std::int32_t block_size(std::int32_t num_nodes, std::int32_t num_shards) {
   LHG_CHECK(num_nodes > 0, "ShardedSimulator: need at least one node, got {}",
             num_nodes);
   LHG_CHECK(num_shards > 0, "ShardedSimulator: shard count {} must be > 0",
             num_shards);
   const std::int32_t shards = std::min(num_shards, num_nodes);
-  block_ = (num_nodes + shards - 1) / shards;
-  // block_ >= 1, and ceil(n / block_) == shards by construction.
+  return (num_nodes + shards - 1) / shards;
+}
+
+std::vector<std::int32_t> block_owners(std::int32_t num_nodes,
+                                       std::int32_t num_shards) {
+  const std::int32_t block = block_size(num_nodes, num_shards);
+  std::vector<std::int32_t> owner(static_cast<std::size_t>(num_nodes));
+  for (std::int32_t v = 0; v < num_nodes; ++v) {
+    owner[static_cast<std::size_t>(v)] = v / block;
+  }
+  return owner;
+}
+
+/// Blocks the id-block partition fills: ceil(n / block), which can be
+/// below the clamped S (n = 10, S = 8 gives five blocks of two).
+std::int32_t block_count(std::int32_t num_nodes, std::int32_t num_shards) {
+  const std::int32_t block = block_size(num_nodes, num_shards);
+  return (num_nodes + block - 1) / block;
+}
+
+}  // namespace
+
+ShardedSimulator::ShardedSimulator(std::vector<std::int32_t> owner,
+                                   std::int32_t num_shards)
+    : num_nodes_(static_cast<std::int32_t>(owner.size())),
+      owner_(std::move(owner)) {
+  LHG_CHECK(!owner_.empty(), "ShardedSimulator: need at least one node");
+  LHG_CHECK(num_shards > 0, "ShardedSimulator: shard count {} must be > 0",
+            num_shards);
+  for (std::size_t v = 0; v < owner_.size(); ++v) {
+    LHG_CHECK(owner_[v] >= 0 && owner_[v] < num_shards,
+              "ShardedSimulator: node {} owned by shard {}, outside [0, {})",
+              v, owner_[v], num_shards);
+  }
   // Built in place: a Shard owns a CallbackSlab and cannot move.
-  shards_ = std::vector<Shard>(
-      static_cast<std::size_t>((num_nodes + block_ - 1) / block_));
+  shards_ = std::vector<Shard>(static_cast<std::size_t>(num_shards));
   for (Shard& sh : shards_) {
     sh.outbox.resize(shards_.size());
   }
-  node_seq_.assign(static_cast<std::size_t>(num_nodes), 0);
+  node_seq_.assign(owner_.size(), 0);
 }
+
+ShardedSimulator::ShardedSimulator(std::int32_t num_nodes,
+                                   std::int32_t num_shards)
+    : ShardedSimulator(block_owners(num_nodes, num_shards),
+                       block_count(num_nodes, num_shards)) {}
 
 void ShardedSimulator::late_push(Shard& sh, const Event& ev) {
   sh.late.push_back(ev);
@@ -107,11 +146,13 @@ std::size_t merge_pass(std::size_t n, Key key, Entry entry, Out* out) {
 
 void ShardedSimulator::sort_run(Shard& sh, std::size_t begin,
                                 std::size_t end) {
-  // A natural merge sort, because push order tends to come in long
-  // ascending stretches (the shard's own pushes, then each inbound
-  // box): r stretches cost ceil(log2 r) linear passes.  At S=4 most
-  // large runs of a fixed-latency flood have two, and when stretches are
-  // short the passes cost about what a comparison sort does.  The first
+  // A natural merge sort, because push order comes in ascending
+  // stretches (the shard's own pushes, then each inbound box): r
+  // stretches cost ceil(log2 r) linear passes.  Under a tree partition
+  // every shard holds interiors and leaves, so a fixed-latency flood of
+  // ImplicitLhg(10^6, 4) at S=4 still gives each shard about 27 k
+  // stretches over its large runs; when stretches are that short the
+  // passes cost about what a comparison sort does.  The first
   // pass reads the keys from the queue; later passes alternate between
   // `order` and `scratch`.  Both are sized exactly to the run, so they
   // only ever grow to the shard's largest unsorted run, and `scratch`

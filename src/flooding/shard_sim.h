@@ -1,5 +1,10 @@
 // Sharded deterministic discrete-event simulator: one large run spread
-// over S per-shard time queues driven by core::parallel lanes.
+// over S per-shard time queues driven by core::parallel lanes.  Node v
+// lives on shard owner[v], one n-entry table and the engine's only
+// partition rule: either the caller's (lhg::ImplicitLhg::shard_owners
+// deals whole LHG subtrees, so almost no arc crosses shards) or
+// contiguous id blocks.  The table decides where events run, never
+// which run or in what order.
 //
 // The single-queue Simulator (event_sim.h) executes events in (time,
 // insertion) order — inherently serial, since "insertion" depends on
@@ -111,9 +116,17 @@ class ShardedSimulator {
     ~DeliverSink() = default;
   };
 
-  /// Nodes [0, num_nodes) are split into `num_shards` contiguous
-  /// blocks of ceil(n / S) (the last may be smaller); shard count is
-  /// clamped to [1, num_nodes].
+  /// Node v lives on shard `owner[v]`; the table fixes the node count
+  /// (owner.size(), at least one) and every entry must lie in
+  /// [0, num_shards).  A shard may own no node: it never has work.
+  /// The partition changes where events run, not which run or in what
+  /// order, so results do not depend on it (DESIGN.md §17).
+  ShardedSimulator(std::vector<std::int32_t> owner, std::int32_t num_shards);
+
+  /// Nodes [0, num_nodes) split into contiguous blocks of ceil(n / S)
+  /// (the last may be smaller), one shard per block, with S clamped to
+  /// [1, num_nodes] first: the partition for topologies without a
+  /// shard_owners() of their own.
   ShardedSimulator(std::int32_t num_nodes, std::int32_t num_shards);
 
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -123,7 +136,9 @@ class ShardedSimulator {
     return static_cast<std::int32_t>(shards_.size());
   }
   std::int32_t num_nodes() const { return num_nodes_; }
-  std::int32_t shard_of(std::int32_t node) const { return node / block_; }
+  std::int32_t shard_of(std::int32_t node) const {
+    return owner_[static_cast<std::size_t>(node)];
+  }
 
   void set_deliver_sink(DeliverSink* sink) { sink_ = sink; }
 
@@ -411,7 +426,7 @@ class ShardedSimulator {
   void run_impl(double deadline, bool bounded);
 
   std::int32_t num_nodes_;
-  std::int32_t block_;  // nodes per shard (ceil division)
+  std::vector<std::int32_t> owner_;  // shard of each node
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> node_seq_;  // per-origin creation counters
   std::uint64_t env_seq_for_key_ = 0;    // env-origin key counter

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "core/parallel.h"
 #include "lhg/assemble.h"
 
 namespace lhg {
@@ -304,6 +305,54 @@ std::int32_t ImplicitLhg::edge_index(NodeId u, NodeId v) const {
   const std::int32_t rb = b - first_group_;
   if (ra / k_ != rb / k_) return -1;  // different cliques
   return group_fwd_begin(ra / k_, ra % k_) + (rb % k_ - ra % k_ - 1);
+}
+
+std::vector<std::int32_t> ImplicitLhg::shard_owners(
+    std::int32_t shards) const {
+  LHG_CHECK(shards >= 1, "ImplicitLhg::shard_owners: shard count {} must be "
+            ">= 1", shards);
+  // Dealing depth: the shallowest with kDealtPerShard · S interiors.
+  const std::vector<std::int32_t> depth = plan_.interior_depths();
+  std::vector<std::int32_t> per_depth(
+      static_cast<std::size_t>(*std::max_element(depth.begin(), depth.end())) +
+          1,
+      0);
+  for (const std::int32_t d : depth) ++per_depth[static_cast<std::size_t>(d)];
+  const std::int64_t wanted = std::int64_t{kDealtPerShard} * shards;
+  std::int32_t deal = static_cast<std::int32_t>(per_depth.size()) - 1;
+  for (std::int32_t d = 0; d < deal; ++d) {
+    if (per_depth[static_cast<std::size_t>(d)] >= wanted) {
+      deal = d;
+      break;
+    }
+  }
+  // Parents precede children, so an interior below the dealing depth
+  // reads its parent's owner, already set.
+  std::vector<std::int32_t> interior_owner(static_cast<std::size_t>(interiors_));
+  std::int32_t dealt = 0;
+  for (std::int32_t i = 0; i < interiors_; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    if (depth[idx] < deal) {
+      interior_owner[idx] = i % shards;
+    } else if (depth[idx] == deal) {
+      interior_owner[idx] = dealt++ % shards;
+    } else {
+      interior_owner[idx] = interior_owner[static_cast<std::size_t>(
+          plan_.interior_parent[idx])];
+    }
+  }
+  std::vector<std::int32_t> owner(static_cast<std::size_t>(num_nodes_));
+  core::parallel_for(num_nodes_, /*grain=*/4096, [&](std::int64_t u, int) {
+    const auto v = static_cast<NodeId>(u);
+    const std::int32_t a =
+        v < first_shared_ ? abstract_of(v)
+        : v < first_group_
+            ? shared_parent_[static_cast<std::size_t>(v - first_shared_)]
+            : group_parent_[static_cast<std::size_t>((v - first_group_) / k_)];
+    owner[static_cast<std::size_t>(u)] =
+        interior_owner[static_cast<std::size_t>(a)];
+  });
+  return owner;
 }
 
 core::Graph ImplicitLhg::materialize() const {

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/bfs_generic.h"
@@ -162,6 +165,158 @@ TEST(ImplicitCsrDeterminism, BfsAndFloodIdenticalAtOneAndManyThreads) {
     EXPECT_EQ(parallel_flood.messages_sent, serial_flood.messages_sent)
         << threads;
   }
+}
+
+// --- Shard partition ----------------------------------------------------
+
+constexpr Constraint kConstraints[] = {Constraint::kKTree,
+                                       Constraint::kKDiamond};
+constexpr std::int32_t kShardCounts[] = {1, 2, 3, 4, 8};
+
+std::string partition_label(Constraint c, std::int64_t n, std::int32_t k,
+                            std::int32_t shards) {
+  return std::string(c == Constraint::kKTree ? "ktree" : "kdiamond") +
+         " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+         " S=" + std::to_string(shards);
+}
+
+/// Every owner lies in [0, shards), and all k copies of each abstract
+/// interior, its shared leaves and every member of its unshared groups
+/// sit on that interior's shard.
+void expect_families_share_a_shard(const ImplicitLhg& view,
+                                   const std::vector<std::int32_t>& owner,
+                                   std::int32_t shards,
+                                   const std::string& label) {
+  ASSERT_EQ(owner.size(), static_cast<std::size_t>(view.num_nodes())) << label;
+  for (const std::int32_t s : owner) {
+    ASSERT_GE(s, 0) << label;
+    ASSERT_LT(s, shards) << label;
+  }
+  const Layout& layout = view.layout();
+  const auto owner_of = [&](NodeId v) {
+    return owner[static_cast<std::size_t>(v)];
+  };
+  for (std::int32_t i = 0; i < layout.num_interiors; ++i) {
+    const std::int32_t home = owner_of(layout.interior(0, i));
+    for (std::int32_t c = 1; c < layout.k; ++c) {
+      ASSERT_EQ(owner_of(layout.interior(c, i)), home)
+          << label << " interior " << i << " copy " << c;
+    }
+  }
+  const TreePlan& plan = view.plan();
+  for (std::int32_t l = 0; l < plan.num_leaves(); ++l) {
+    const auto idx = static_cast<std::size_t>(l);
+    const std::int32_t home =
+        owner_of(layout.interior(0, plan.leaf_parent[idx]));
+    const std::int32_t slot = layout.leaf_slot[idx];
+    if (plan.leaf_kind[idx] == LeafKind::kShared) {
+      ASSERT_EQ(owner_of(layout.shared_leaf(slot)), home)
+          << label << " shared leaf " << slot;
+    } else {
+      for (std::int32_t c = 0; c < layout.k; ++c) {
+        ASSERT_EQ(owner_of(layout.group_member(slot, c)), home)
+            << label << " group " << slot << " member " << c;
+      }
+    }
+  }
+}
+
+TEST(ImplicitShardOwners, OwnersInRangeAndFamiliesShareAShard) {
+  for (const Constraint c : kConstraints) {
+    for (const std::int32_t k : {3, 4}) {
+      for (const std::int64_t n : {12, 40, 200, 4096}) {
+        const ImplicitLhg view(n, k, c);
+        for (const std::int32_t shards : kShardCounts) {
+          expect_families_share_a_shard(view, view.shard_owners(shards),
+                                        shards,
+                                        partition_label(c, n, k, shards));
+        }
+      }
+    }
+  }
+}
+
+TEST(ImplicitShardOwners, UnsharedGroupsFollowTheirInterior) {
+  // K-DIAMOND at (200, 3) carries an unshared k-clique group, so the
+  // group rule is exercised, not vacuous.
+  const ImplicitLhg view(200, 3, Constraint::kKDiamond);
+  ASSERT_GT(view.layout().num_unshared_groups, 0);
+  for (const std::int32_t shards : kShardCounts) {
+    expect_families_share_a_shard(
+        view, view.shard_owners(shards), shards,
+        partition_label(Constraint::kKDiamond, 200, 3, shards));
+  }
+}
+
+TEST(ImplicitShardOwners, SameTableOnEveryCallAndThreadCount) {
+  const ImplicitLhg view(20'000, 4);
+  ScopedThreads restore(1);
+  const std::vector<std::int32_t> first = view.shard_owners(4);
+  EXPECT_EQ(view.shard_owners(4), first);
+  core::set_global_thread_count(4);
+  EXPECT_EQ(view.shard_owners(4), first);
+  EXPECT_EQ(view.shard_owners(4), first);
+}
+
+TEST(ImplicitShardOwners, NearCutFreeAndBalancedAt65536) {
+  constexpr std::int64_t n = 65'536;
+  for (const Constraint c : kConstraints) {
+    for (const std::int32_t k : {3, 4}) {
+      const ImplicitLhg view(n, k, c);
+      for (const std::int32_t shards : kShardCounts) {
+        const std::string label = partition_label(c, n, k, shards);
+        const std::vector<std::int32_t> owner = view.shard_owners(shards);
+        std::vector<std::int64_t> load(static_cast<std::size_t>(shards), 0);
+        std::int64_t cross = 0;
+        for (NodeId u = 0; u < view.num_nodes(); ++u) {
+          const std::int32_t su = owner[static_cast<std::size_t>(u)];
+          ++load[static_cast<std::size_t>(su)];
+          for (std::int32_t i = 0; i < view.degree(u); ++i) {
+            cross += su != owner[static_cast<std::size_t>(view.neighbor(u, i))]
+                         ? 1
+                         : 0;
+          }
+        }
+        EXPECT_LT(static_cast<double>(cross),
+                  0.01 * static_cast<double>(view.num_arcs()))
+            << label << ": " << cross << " cross-shard arcs";
+        const double mean =
+            static_cast<double>(view.num_nodes()) / static_cast<double>(shards);
+        const std::int64_t largest = *std::max_element(load.begin(), load.end());
+        EXPECT_LE(static_cast<double>(largest), 1.1 * mean)
+            << label << ": largest shard " << largest;
+      }
+    }
+  }
+}
+
+TEST(ImplicitShardOwners, TinyGraphsWithEmptyShardsStillFlood) {
+  // At n = 12 and 40 there are fewer dealable subtrees than shards, so
+  // some shards own nothing; the table stays valid and the sharded
+  // flood still equals the single queue.
+  for (const std::int64_t n : {12, 40}) {
+    const ImplicitLhg view(n, 4);
+    const std::vector<std::int32_t> owner = view.shard_owners(8);
+    std::vector<std::int32_t> load(8, 0);
+    for (const std::int32_t s : owner) ++load[static_cast<std::size_t>(s)];
+    EXPECT_GT(std::count(load.begin(), load.end(), 0), 0) << n;
+    flooding::FloodConfig cfg;
+    cfg.seed = 5;
+    const auto serial = flooding::flood(view, cfg);
+    for (const std::int32_t shards : {8, 1000}) {  // 1000: clamped to n
+      cfg.shards = shards;
+      const auto sharded = flooding::sharded_flood(view, cfg);
+      EXPECT_EQ(sharded.delivery_time, serial.delivery_time) << n;
+      EXPECT_EQ(sharded.delivery_hops, serial.delivery_hops) << n;
+      EXPECT_EQ(sharded.events_processed, serial.events_processed) << n;
+    }
+  }
+}
+
+TEST(ImplicitShardOwners, RejectsANonPositiveShardCount) {
+  const ImplicitLhg view(40, 3);
+  EXPECT_THROW(view.shard_owners(0), std::invalid_argument);
+  EXPECT_THROW(view.shard_owners(-2), std::invalid_argument);
 }
 
 }  // namespace

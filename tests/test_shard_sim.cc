@@ -303,6 +303,38 @@ TEST(ShardedSimulator, CallbackSlabsRecycleSlotsAndCountHeapFallbacks) {
   sim.run();
 }
 
+TEST(ShardedSimulator, OwnerTableConstructorRejectsBadTables) {
+  EXPECT_THROW(ShardedSimulator(std::vector<std::int32_t>{}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(ShardedSimulator({0, 1, 2}, 2), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulator({0, -1, 1}, 2), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulator({0, 0}, 0), std::invalid_argument);
+  const ShardedSimulator sim({1, 0, 1, 1}, 2);
+  EXPECT_EQ(sim.num_nodes(), 4);
+  EXPECT_EQ(sim.num_shards(), 2);
+  EXPECT_EQ(sim.shard_of(0), 1);
+  EXPECT_EQ(sim.shard_of(1), 0);
+}
+
+TEST(ShardedSimulator, BlockConstructorKeepsContiguousBlocksAndClamp) {
+  for (const std::int32_t n : {1, 7, 8, 10, 100}) {
+    for (const std::int32_t s : {1, 2, 3, 4, 8, 200}) {
+      const ShardedSimulator sim(n, s);
+      const std::int32_t clamped = std::min(s, n);
+      const std::int32_t block = (n + clamped - 1) / clamped;
+      EXPECT_EQ(sim.num_shards(), (n + block - 1) / block)
+          << "n=" << n << " S=" << s;
+      for (std::int32_t v = 0; v < n; ++v) {
+        ASSERT_EQ(sim.shard_of(v), v / block) << "n=" << n << " S=" << s;
+      }
+    }
+  }
+  // n = 10 at S = 8: blocks of two fill five shards, not eight.
+  EXPECT_EQ(ShardedSimulator(10, 8).num_shards(), 5);
+  EXPECT_THROW(ShardedSimulator(0, 2), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulator(4, 0), std::invalid_argument);
+}
+
 struct RecordingSink : ShardedSimulator::DeliverSink {
   struct Row {
     std::int32_t shard, from, to, link;
@@ -546,6 +578,44 @@ TEST(ShardedSimulator, EventsAtACurrentTimeAlreadyDrainedRunOnce) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(ShardedSimulator, RunWithEmptyShardsDrainsAndLeavesNothingPending) {
+  // Shards 1, 2 and 4 own no node; deliveries hop between shards 0 and
+  // 3 across barriers, and the idle lanes must neither stall nor keep
+  // anything queued.
+  struct PerShardSink : ShardedSimulator::DeliverSink {
+    std::vector<std::vector<std::int32_t>> received{5};  // lane-owned
+    void on_sharded_deliver(std::int32_t shard, std::int32_t /*from*/,
+                            std::int32_t to, std::int32_t /*link*/,
+                            std::int64_t /*message*/) override {
+      received[static_cast<std::size_t>(shard)].push_back(to);
+    }
+  };
+  ShardedSimulator sim({0, 0, 3, 3}, 5);
+  PerShardSink sink;
+  sim.set_deliver_sink(&sink);
+  sim.set_lookahead(1.0);
+  for (std::int32_t node = 0; node < 4; ++node) {
+    sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 0.5 * node, node,
+                         [&sim, node](std::int32_t shard) {
+                           sim.schedule_deliver_at(shard, sim.now(shard) + 1.0,
+                                                   node, 3 - node, node, node);
+                         });
+  }
+  int controls = 0;
+  sim.schedule_control_at(1.0, [&](std::int32_t) { ++controls; });
+  sim.run_until(1.2);
+  EXPECT_GT(sim.pending(), 0u);
+  sim.run();
+  EXPECT_EQ(controls, 1);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_processed(), 4 + 4 + 1);
+  EXPECT_EQ(sink.received[0], (std::vector<std::int32_t>{1, 0}));
+  EXPECT_EQ(sink.received[3], (std::vector<std::int32_t>{3, 2}));
+  for (const std::size_t idle : {1u, 2u, 4u}) {
+    EXPECT_TRUE(sink.received[idle].empty());
+  }
+}
+
 // --- Flood parity ------------------------------------------------------
 
 void expect_results_equal(const DisseminationResult& a,
@@ -711,6 +781,63 @@ TEST(ShardedFlood, ShardThreadSweepParallelDeterminism) {
   core::set_global_thread_count(previous);
 }
 
+TEST(ShardedFlood, ImplicitBackendShardThreadSweepParallelDeterminism) {
+  // The same matrix on the storage-free view, whose sharded runs use
+  // its subtree partition (ImplicitLhg::shard_owners) instead of id
+  // blocks.  Under one crash, flap and partition plan, chaos-free runs
+  // must equal the single queue and chaotic runs sharded S=1.
+  const int previous = core::global_thread_count();
+  for (const std::int64_t n : {12, 200, 4096}) {
+    const ImplicitLhg view(n, 4);
+    const core::Graph g = view.materialize();
+    core::Rng plan_rng(37);
+    FailurePlan plan = random_crash_recoveries(g, 3, /*protect=*/0, plan_rng,
+                                               /*crash_time=*/2.0,
+                                               /*downtime=*/4.0);
+    compose(plan, random_link_flaps(g, 2, plan_rng, /*down=*/1.0,
+                                    /*up=*/6.0));
+    compose(plan, random_partition(g, plan_rng, /*start=*/2.0, /*end=*/5.0));
+
+    core::set_global_thread_count(1);
+    std::vector<std::pair<FloodConfig, DisseminationResult>> golden;
+    for (const LatencySpec latency :
+         {LatencySpec::fixed(1.0), LatencySpec::per_link(1.0, 0.5)}) {
+      FloodConfig cfg;
+      cfg.source = 0;
+      cfg.seed = 41;
+      cfg.latency = latency;
+      golden.emplace_back(cfg, flood(view, cfg, plan));
+    }
+    FloodConfig chaos_cfg = chaos_config();
+    chaos_cfg.shards = 1;
+    const DisseminationResult chaos_base =
+        sharded_flood(view, chaos_cfg, plan);
+    if (n >= 200) {
+      EXPECT_GT(chaos_base.net.lost, 0) << n;
+    }
+
+    for (const int threads : {1, 4}) {
+      core::set_global_thread_count(threads);
+      for (const std::int32_t shards : {1, 2, 3, 4, 8}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " shards=" << shards
+                                        << " threads=" << threads);
+        for (const auto& [cfg, serial] : golden) {
+          FloodConfig sweep = cfg;
+          sweep.shards = shards;
+          const DisseminationResult got = sharded_flood(view, sweep, plan);
+          expect_results_equal(serial, got);
+        }
+        FloodConfig sweep = chaos_cfg;
+        sweep.shards = shards;
+        const DisseminationResult got = sharded_flood(view, sweep, plan);
+        expect_results_equal(chaos_base, got);
+        EXPECT_EQ(chaos_base.metrics.to_json(), got.metrics.to_json());
+      }
+    }
+  }
+  core::set_global_thread_count(previous);
+}
+
 TEST(ShardedFlood, SingleQueueParityHoldsAcrossThreadCounts) {
   // Golden parity is thread-count-independent too: the chaos-free
   // sharded flood equals the serial flood at LHG_THREADS=1 and 4.
@@ -816,6 +943,49 @@ TEST(ShardedNetworkT, LookaheadIsMinCrossShardLatency) {
   EXPECT_GE(la, 1.0);
   EXPECT_LE(la, 1.5);
   EXPECT_DOUBLE_EQ(sim.lookahead(), la);
+}
+
+TEST(ShardedNetworkT, LookaheadIsMinOverTheTreePartitionsCrossArcs) {
+  const ImplicitLhg view(4096, 4);
+  const LatencySpec latency = LatencySpec::per_link(1.0, 0.5);
+  // The network draws its per-link table from the caller's generator
+  // in canonical edge order; a second generator with the same seed
+  // reproduces it.
+  core::Rng table_rng(7);
+  std::vector<double> table(static_cast<std::size_t>(view.num_edges()));
+  for (double& l : table) l = latency.base + latency.jitter * table_rng.next_double();
+
+  const std::vector<std::int32_t> owner = view.shard_owners(4);
+  double cross_min = std::numeric_limits<double>::infinity();
+  double all_min = std::numeric_limits<double>::infinity();
+  for (NodeId u = 0; u < view.num_nodes(); ++u) {
+    for (std::int32_t i = 0; i < view.degree(u); ++i) {
+      const double l = table[static_cast<std::size_t>(view.incident_edge(u, i))];
+      all_min = std::min(all_min, l);
+      if (owner[static_cast<std::size_t>(u)] !=
+          owner[static_cast<std::size_t>(view.neighbor(u, i))]) {
+        cross_min = std::min(cross_min, l);
+      }
+    }
+  }
+  // Few arcs cross the tree partition, so their minimum sits above the
+  // minimum over all arcs: the lookahead really is the cut's.
+  ASSERT_GT(cross_min, all_min);
+
+  ShardedSimulator sim(owner, 4);
+  core::Rng rng(7);
+  ShardedNetwork<ImplicitLhg> net(view, sim, latency, rng, ChaosSpec::none());
+  EXPECT_EQ(net.min_cross_shard_latency(), cross_min);
+  EXPECT_EQ(sim.lookahead(), cross_min);
+
+  // One shard: no arc crosses, and the windows are unbounded.
+  ShardedSimulator one(view.shard_owners(1), 1);
+  core::Rng rng_one(7);
+  ShardedNetwork<ImplicitLhg> net_one(view, one, latency, rng_one,
+                                      ChaosSpec::none());
+  EXPECT_EQ(net_one.min_cross_shard_latency(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(one.lookahead(), std::numeric_limits<double>::infinity());
 }
 
 }  // namespace
