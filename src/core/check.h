@@ -8,6 +8,8 @@
 //   LHG_CHECK(cond)                 always-on contract; failure is fatal
 //   LHG_CHECK(cond, "x={}", x)      with a formatted diagnostic
 //   LHG_CHECK_RANGE(i, size)        0 <= i < size, signedness-safe
+//   LHG_FAIL("x={}", x)             unconditional failure (unreachable
+//                                   branches); never returns
 //   LHG_DCHECK / LHG_DCHECK_RANGE   debug-only (NDEBUG strips them unless
 //                                   LHG_ENABLE_DCHECKS is defined)
 //   LHG_ASSUME(cond)                checked in debug; optimizer hint in
@@ -139,6 +141,12 @@ constexpr std::size_t as_index(From value) {
                                         #cond __VA_OPT__(, ) __VA_ARGS__); \
     }                                                                     \
   } while (false)
+
+// Unconditional contract failure for branches that must not be reached.
+// Usage: LHG_FAIL(fmt, ...).  A call to a [[noreturn]] function, so a
+// value-returning function may end with it.
+#define LHG_FAIL(...) \
+  ::lhg::core::detail::check_failed(__FILE__, __LINE__, "false", __VA_ARGS__)
 
 // Always-on bounds contract: 0 <= index < size, any integer signedness.
 #define LHG_CHECK_RANGE(index, size)                                      \

@@ -72,9 +72,10 @@ void harvest_run(DisseminationResult& result, const Sim& sim, const Net& net,
 /// copy it receives, never back to the sender, and absorbs duplicates.
 /// `relay(self, neighbor, hops)` picks which of the remaining neighbors
 /// (in adjacency order) get a copy carrying `hops`, the sender's hop
-/// count (0 at the source).  Channel draws come from `rng`, so a caller
-/// that needs its own stream splits it off before calling; `cfg.seed`
-/// and `cfg.shards` are ignored (the caller seeds `rng` and picks the
+/// count (0 at the source).  The network draws its latency table and
+/// arc seed from `rng` at construction (network.h), so a caller that
+/// needs its own stream splits it off before calling; `cfg.seed` and
+/// `cfg.shards` are ignored (the caller seeds `rng` and picks the
 /// engine).
 template <core::EdgeIndexedGraph Topology, typename Relay>
 DisseminationResult first_copy_flood(const Topology& topology,
@@ -132,10 +133,12 @@ DisseminationResult first_copy_flood(const Topology& topology,
 /// driven by core::parallel lanes (shard_sim.h), S clamped to n.  A
 /// topology with a `shard_owners(S)` partition (lhg::ImplicitLhg deals
 /// whole subtrees) is split by it; any other by contiguous id blocks.
-/// Results are bit-identical at any shard and thread count; chaos-free
-/// runs with kFixed / kUniformPerLink latencies are additionally
-/// bit-equal to the single-queue `flood` (chaotic runs draw from
-/// per-arc streams — shard_net.h documents the semantic difference).
+/// Results are bit-identical at any shard and thread count.  Channel
+/// draws follow the single queue's rule (per-arc streams, network.h),
+/// so a run is also bit-equal to the single-queue `flood` whenever no
+/// node runs two events at one timestamp.  Chaos-free kFixed /
+/// kUniformPerLink runs draw nothing on the send path and are bit-equal
+/// to it always (the golden-parity contract).
 /// The per-node result arrays are written only by each node's owner
 /// shard, so the handler needs no synchronization beyond the engine's
 /// phase structure.

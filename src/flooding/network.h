@@ -36,15 +36,27 @@
 // so the send path is branch-light and allocation-free; deliveries ride
 // the engine's typed deliver events straight back into the network.
 //
-// Rng consumption order per transmission (the determinism contract — a
-// disabled knob consumes no draws, so chaos-free runs reproduce the
-// golden traces bit for bit).  BasicNetwork draws from its one
-// generator, ShardedNetwork from the sending arc's own stream:
-//   1. Gilbert–Elliott state transition, if enabled (one draw);
+// Rng consumption (the determinism contract, one rule for both
+// networks).  The constructor draws from the caller's generator: first
+// the kUniformPerLink latency table, one draw per link in canonical edge
+// order; then, only when the ChaosSpec or kUniformPerSend needs draws,
+// one 64-bit arc seed.  Directed arc a = (link << 1) | (from > to) draws
+// from its own `Rng::stream(arc_seed, a)` and keeps its own
+// Gilbert–Elliott state; an arc's draws happen at its sender, in that
+// node's execution order.  Per transmission, the arc's stream yields
+//   1. the Gilbert–Elliott state transition, if enabled (one draw);
 //   2. the loss draw (i.i.d. probability, or the GE state's);
-//   3. the duplication draw, if duplication is enabled;
-//   4. per scheduled copy: the latency sample (kUniformPerSend only),
-//      then the reorder draw and, when it hits, the extra-delay draw.
+//   3. the first copy's draws: the latency sample (kUniformPerSend
+//      only), then the reorder draw and, when it hits, the extra-delay
+//      draw;
+//   4. the duplication draw, if duplication is enabled, and when it
+//      hits, the second copy's draws as in 3.
+// A disabled knob draws nothing, so chaos-free kFixed / kUniformPerLink
+// runs reproduce the golden traces bit for bit.  Both engines therefore
+// draw alike: a run matches draw for draw across them whenever no node
+// runs two events at one timestamp (the engines order such events
+// differently), and the per-arc streams cost 64 B per edge on chaos or
+// per-send runs.
 
 #pragma once
 
@@ -56,6 +68,7 @@
 
 #include "core/check.h"
 #include "core/graph.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "flooding/event_sim.h"
 
@@ -98,9 +111,9 @@ struct ChaosSpec {
   double reorder = 0.0;
   double reorder_jitter = 0.0;
 
-  /// Gilbert–Elliott bursty channel: each link is a two-state Markov
-  /// chain advanced once per transmission; the loss probability depends
-  /// on the state.  Models correlated (bursty) loss.
+  /// Gilbert–Elliott bursty channel: each directed arc is a two-state
+  /// Markov chain advanced once per transmission; the loss probability
+  /// depends on the state.  Models correlated (bursty) loss.
   bool gilbert_elliott = false;
   double ge_good_to_bad = 0.05;  ///< P(good -> bad) per transmission
   double ge_bad_to_good = 0.25;  ///< P(bad -> good) per transmission
@@ -203,9 +216,10 @@ void apply_failure_plan(Net& net, const FailurePlan& plan);
 ///   * `schedule_delivery(shard, time, from, to, link, message)` queues
 ///     one copy on the engine.
 ///
-/// Derived also provides `stats()`.  Stats, obs taps, the clock and the
-/// channel's Rng reach the shared send and deliver paths as arguments,
-/// so each engine keeps its own (one of each, or one per shard / arc).
+/// Derived also provides `stats()`.  Stats, obs taps and the clock
+/// reach the shared send and deliver paths as arguments, so each engine
+/// keeps its own (one of each, or one per shard).  The channel state,
+/// per directed arc, lives here.
 template <typename Derived, typename Topology>
 class FaultModel {
  public:
@@ -224,8 +238,9 @@ class FaultModel {
   bool partition_active() const { return !open_cuts_.empty(); }
 
  protected:
-  /// `topology` must outlive the network.  With kUniformPerLink every
-  /// link's latency is drawn here from `rng`, in canonical edge order.
+  /// `topology` must outlive the network.  Every draw from `rng` happens
+  /// here: the kUniformPerLink latency table, then the arc seed (see the
+  /// header).
   FaultModel(const Topology& topology, LatencySpec latency, core::Rng& rng,
              const ChaosSpec& chaos)
       : topology_(&topology),
@@ -257,6 +272,22 @@ class FaultModel {
         l = latency.base + latency.jitter * rng.next_double();
       }
     }
+    if (chaos.enabled() ||
+        latency.kind == LatencySpec::Kind::kUniformPerSend) {
+      const std::uint64_t arc_seed = rng();
+      const auto arcs = static_cast<std::int64_t>(topology.num_edges()) * 2;
+      arc_rng_.resize(static_cast<std::size_t>(arcs));
+      core::parallel_for(arcs, /*grain=*/4096,
+                         [&](std::int64_t a, int /*lane*/) {
+                           arc_rng_[static_cast<std::size_t>(a)] =
+                               core::Rng::stream(arc_seed,
+                                                 static_cast<std::uint64_t>(a));
+                         });
+      if (chaos.gilbert_elliott) {
+        // Every arc starts in the good state.
+        arc_bad_.assign(static_cast<std::size_t>(arcs), 0);
+      }
+    }
   }
   ~FaultModel() = default;
 
@@ -276,15 +307,15 @@ class FaultModel {
 
   /// One transmission from `from` over `link`, sent at `now`: the
   /// send-time checks, then the channel, then one copy (two when
-  /// duplicated) handed to the engine.  `rng` and `ge_bad` are the
-  /// channel's generator and Gilbert–Elliott state; either may be null
-  /// when the ChaosSpec and LatencySpec never draw from it.  Returns
-  /// whether the transmission was accepted (a copy lost on the wire
-  /// was).
-  bool transmit(std::int32_t shard, NetworkStats& stats,
-                const obs::SimObs* obs, double now, core::Rng* rng,
-                std::uint8_t* ge_bad, core::NodeId from, core::NodeId to,
-                std::int32_t link, std::int64_t message) {
+  /// duplicated) handed to the engine.  Returns whether the
+  /// transmission was accepted (a copy lost on the wire was).
+  /// Always inlined (as is BasicNetwork::send_link), so a chaos-free
+  /// send stays inside the protocol's handler.
+  [[gnu::always_inline]] bool transmit(std::int32_t shard, NetworkStats& stats,
+                                       const obs::SimObs* obs, double now,
+                                       core::NodeId from, core::NodeId to,
+                                       std::int32_t link,
+                                       std::int64_t message) {
     if (crashed_[static_cast<std::size_t>(from)] != 0) {
       ++stats.blocked_sender_crashed;
       blocked(obs, now, from, to, obs::DropCause::kBlockedSenderCrashed);
@@ -305,7 +336,9 @@ class FaultModel {
       obs->add(obs->net_sent);
       obs->event(now, obs::TraceKind::kSend, from, to, link);
     }
-    if (channel_drops(rng, ge_bad)) {
+    const std::size_t arc = (static_cast<std::size_t>(link) << 1) |
+                            static_cast<std::size_t>(from > to ? 1 : 0);
+    if (channel_drops(arc)) {
       ++stats.lost;  // transmitted but dropped on the wire
       if (obs != nullptr) {
         obs->add(obs->net_lost);
@@ -314,11 +347,11 @@ class FaultModel {
       }
       return true;
     }
-    schedule_copy(shard, obs, now, rng, from, to, link, message);
-    if (chaos_.duplicate > 0.0 && rng->next_bool(chaos_.duplicate)) {
+    schedule_copy(shard, obs, now, arc, from, to, link, message);
+    if (chaos_.duplicate > 0.0 && draw_bool(arc, chaos_.duplicate)) {
       ++stats.duplicated;
       if (obs != nullptr) obs->add(obs->net_duplicated);
-      schedule_copy(shard, obs, now, rng, from, to, link, message);
+      schedule_copy(shard, obs, now, arc, from, to, link, message);
     }
     return true;
   }
@@ -363,43 +396,56 @@ class FaultModel {
   Derived& derived() { return static_cast<Derived&>(*this); }
   const Derived& derived() const { return static_cast<const Derived&>(*this); }
 
-  // Advances the channel for one transmission; true = the copy drops.
-  bool channel_drops(core::Rng* rng, std::uint8_t* ge_bad) const {
-    if (chaos_.gilbert_elliott) {
-      std::uint8_t& bad = *ge_bad;
-      // Advance the two-state chain once per transmission, then draw the
-      // loss with the new state's probability.
-      if (bad == 0) {
-        if (rng->next_bool(chaos_.ge_good_to_bad)) bad = 1;
-      } else {
-        if (rng->next_bool(chaos_.ge_bad_to_good)) bad = 0;
-      }
-      const double p = bad != 0 ? chaos_.ge_loss_bad : chaos_.ge_loss_good;
-      return p > 0.0 && rng->next_bool(p);
+  // Advances arc `arc`'s channel for one transmission; true = the copy
+  // drops.
+  bool channel_drops(std::size_t arc) {
+    if (chaos_.gilbert_elliott) return ge_drops(arc);
+    return chaos_.loss > 0.0 && draw_bool(arc, chaos_.loss);
+  }
+  // Advances the arc's two-state chain once, then draws the loss with
+  // the new state's probability.
+  [[gnu::noinline]] bool ge_drops(std::size_t arc) {
+    std::uint8_t& bad = arc_bad_[arc];
+    if (bad == 0) {
+      if (draw_bool(arc, chaos_.ge_good_to_bad)) bad = 1;
+    } else {
+      if (draw_bool(arc, chaos_.ge_bad_to_good)) bad = 0;
     }
-    return chaos_.loss > 0.0 && rng->next_bool(chaos_.loss);
+    const double p = bad != 0 ? chaos_.ge_loss_bad : chaos_.ge_loss_good;
+    return p > 0.0 && draw_bool(arc, p);
   }
 
-  double sample_latency(std::int32_t link, core::Rng* rng) const {
+  // The arc's stream, out of line: only the draw branches reach it, so
+  // the chaos-free send path stays small.
+  [[gnu::noinline]] bool draw_bool(std::size_t arc, double p) {
+    return arc_rng_[arc].next_bool(p);
+  }
+  [[gnu::noinline]] double draw_double(std::size_t arc) {
+    return arc_rng_[arc].next_double();
+  }
+
+  double sample_latency(std::int32_t link, std::size_t arc) {
     switch (latency_.kind) {
       case LatencySpec::Kind::kFixed:
         return latency_.base;
       case LatencySpec::Kind::kUniformPerLink:
         return link_latency_[static_cast<std::size_t>(link)];
       case LatencySpec::Kind::kUniformPerSend:
-        return latency_.base + latency_.jitter * rng->next_double();
+        return latency_.base + latency_.jitter * draw_double(arc);
     }
-    LHG_CHECK(false, "Network: unknown latency kind {}",
-              static_cast<int>(latency_.kind));
+    LHG_FAIL("Network: unknown latency kind {}",
+             static_cast<int>(latency_.kind));
   }
 
   // Schedules one delivery copy (latency + optional reorder jitter).
-  void schedule_copy(std::int32_t shard, const obs::SimObs* obs, double now,
-                     core::Rng* rng, core::NodeId from, core::NodeId to,
-                     std::int32_t link, std::int64_t message) {
-    double delay = sample_latency(link, rng);
-    if (chaos_.reorder > 0.0 && rng->next_bool(chaos_.reorder)) {
-      delay += chaos_.reorder_jitter * rng->next_double();
+  // Inlined into the send path like transmit itself.
+  [[gnu::always_inline]] void schedule_copy(
+      std::int32_t shard, const obs::SimObs* obs, double now, std::size_t arc,
+      core::NodeId from, core::NodeId to, std::int32_t link,
+      std::int64_t message) {
+    double delay = sample_latency(link, arc);
+    if (chaos_.reorder > 0.0 && draw_bool(arc, chaos_.reorder)) {
+      delay += chaos_.reorder_jitter * draw_double(arc);
     }
     if (obs != nullptr) {
       obs->observe(obs->net_delay, obs::SimObs::milli_ticks(delay));
@@ -492,6 +538,11 @@ class FaultModel {
     open_cuts_.erase(std::find(open_cuts_.begin(), open_cuts_.end(), side));
   }
 
+  // Channel state per directed arc, empty unless the channel draws.  An
+  // arc is touched only by its sender, so each shard owns its arcs.
+  std::vector<core::Rng> arc_rng_;
+  std::vector<std::uint8_t> arc_bad_;  // Gilbert–Elliott state
+
   // Open-window counts, byte-wide: hot-path loads, no bit ops.
   std::vector<std::uint8_t> crashed_;  // per node
   std::int32_t alive_count_ = 0;
@@ -501,8 +552,7 @@ class FaultModel {
 };
 
 /// The fault model on the single-queue Simulator: every timed mutation
-/// is a callback event, and every channel draw comes from the one
-/// generator passed in, in global execution order.
+/// is a callback event.
 template <typename Topology>
 class BasicNetwork final
     : public FaultModel<BasicNetwork<Topology>, Topology>,
@@ -511,18 +561,11 @@ class BasicNetwork final
   friend Base;
 
  public:
-  /// `topology` and `sim` must outlive the network.  `rng` is consumed
-  /// for latency sampling and chaos draws (may be shared with the
-  /// caller); with kUniformPerLink every link's latency is drawn here,
-  /// in canonical edge order.
+  /// `topology` and `sim` must outlive the network.  `rng` is drawn
+  /// from here only (FaultModel's constructor), never during the run.
   BasicNetwork(const Topology& topology, Simulator& sim, LatencySpec latency,
                core::Rng& rng, const ChaosSpec& chaos = {})
-      : Base(topology, latency, rng, chaos), sim_(&sim), rng_(&rng) {
-    if (chaos.gilbert_elliott) {
-      // Every link starts in the good state.
-      link_bad_.assign(static_cast<std::size_t>(topology.num_edges()), 0);
-    }
-  }
+      : Base(topology, latency, rng, chaos), sim_(&sim) {}
 
   Simulator& simulator() { return *sim_; }
 
@@ -552,14 +595,13 @@ class BasicNetwork final
   /// {from, to} — e.g. protocols walking a CSR arc range with
   /// `arc_begin` / `edge_of_arc` or `incident_edge`.  Identical
   /// semantics to send(), minus the O(log deg) adjacency search.
-  bool send_link(core::NodeId from, core::NodeId to, std::int32_t link,
-                 std::int64_t message) {
+  [[gnu::always_inline]] bool send_link(core::NodeId from, core::NodeId to,
+                                        std::int32_t link,
+                                        std::int64_t message) {
     LHG_DCHECK(link == this->topology_->edge_index(from, to),
                "send_link: {} is not the edge id of ({}, {})", link, from, to);
-    std::uint8_t* ge_bad =
-        link_bad_.empty() ? nullptr : &link_bad_[static_cast<std::size_t>(link)];
-    return this->transmit(/*shard=*/0, stats_, obs_, sim_->now(), rng_, ge_bad,
-                          from, to, link, message);
+    return this->transmit(/*shard=*/0, stats_, obs_, sim_->now(), from, to,
+                          link, message);
   }
 
   /// Robustness counters (see NetworkStats).
@@ -590,11 +632,9 @@ class BasicNetwork final
   }
 
   Simulator* sim_;
-  core::Rng* rng_;
   NetworkStats stats_;
   const obs::SimObs* obs_ = nullptr;
   ReceiveHandler on_receive_;
-  std::vector<std::uint8_t> link_bad_;  // per edge id: GE channel state
 };
 
 /// The canonical materialized-overlay instantiation (the only one most

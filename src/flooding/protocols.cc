@@ -23,7 +23,7 @@ DisseminationResult probabilistic_flood(const core::Graph& topology,
   LHG_CHECK(cfg.forward_probability >= 0.0 && cfg.forward_probability <= 1.0,
             "probabilistic_flood: p {} out of range", cfg.forward_probability);
   core::Rng rng(cfg.seed);
-  core::Rng coin = rng.split();  // before the network draws anything
+  core::Rng coin = rng.split();  // before the network takes its arc seed
   return detail::first_copy_flood(
       topology,
       FloodConfig{.source = cfg.source, .latency = cfg.latency, .obs = cfg.obs},

@@ -69,10 +69,10 @@ struct FloodConfig {
   obs::ObsConfig obs{};
   /// > 1 runs the flood on the sharded engine (shard_sim.h): the node
   /// set splits into `shards` time queues driven by core::parallel
-  /// lanes, bit-identical at any shard/thread count.  Chaos-free runs
-  /// with kFixed/kUniformPerLink latency are additionally bit-equal to
-  /// the single-queue engine; chaotic runs draw from per-arc streams
-  /// instead of one shared generator (DESIGN.md §17).  Clamped to n.
+  /// lanes, bit-identical at any shard/thread count.  Both engines draw
+  /// the channel from the same per-arc streams, so results also equal
+  /// the single queue's unless a node runs two events at one timestamp
+  /// (DESIGN.md §17).  Clamped to n.
   std::int32_t shards = 1;
 };
 

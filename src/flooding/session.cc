@@ -21,8 +21,7 @@ SessionResult run_broadcast_session(const core::Graph& topology,
 
   Simulator sim;
   core::Rng rng(cfg.seed);
-  Network net(topology, sim, cfg.latency, rng,
-              ChaosSpec::iid(cfg.loss_probability));
+  Network net(topology, sim, cfg.latency, rng);
   apply_failure_plan(net, failures);
 
   // Per-message delivery state.  The wire payload is the message index.

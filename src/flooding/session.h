@@ -27,7 +27,6 @@ struct BroadcastSpec {
 struct SessionConfig {
   LatencySpec latency = LatencySpec::fixed(1.0);
   std::uint64_t seed = 1;
-  double loss_probability = 0.0;
 };
 
 struct MessageOutcome {

@@ -3,8 +3,9 @@
 //
 // ShardedNetwork derives from the same `FaultModel` as BasicNetwork
 // (network.h): one copy of the crash/link/partition state, the counted
-// fault windows, the send/deliver checks and the channel draws.  What
-// this file adds is the state split the sharded engine needs:
+// fault windows, the send/deliver checks and the channel with its
+// per-directed-arc streams.  What this file adds is the state split the
+// sharded engine needs:
 //
 //   * Shared, read-only during windows — crash and link-failure counts,
 //     open cuts, the per-link latency table (all in FaultModel).
@@ -13,27 +14,15 @@
 //     lanes never observe a mutation mid-window; the engine's barrier
 //     structure is the synchronization.
 //
+//   * Per-directed-arc, owned by the sender's shard — the channel
+//     streams and Gilbert–Elliott state in FaultModel.  An arc draws
+//     only at its sending node, in that shard's canonical execution
+//     order, so lossy runs are invariant across shard/thread counts.
+//
 //   * Per-shard, owned by one lane — NetworkStats (cache-line padded,
 //     summed in shard-index order at report time: int64 sums, so the
 //     aggregate is bit-identical at any shard/thread count) and the
 //     per-shard obs::SimObs taps.
-//
-//   * Per-directed-arc, owned by the sender's shard — the chaos RNG.
-//     The single-queue Network draws every chaos decision from ONE
-//     generator in global execution order, which no parallel engine
-//     can reproduce.  Here arc a = (link << 1) | (from > to) draws
-//     from its own `Rng::stream(arc_seed, a)`; all draws for an arc
-//     happen on the sending node's shard in canonical execution order,
-//     so lossy runs are invariant across shard/thread counts — but NOT
-//     draw-for-draw comparable to the single-queue engine (same
-//     documented-semantic-change precedent as the PR 3 engine rewrite;
-//     DESIGN.md §17).  The Gilbert–Elliott chain state is likewise
-//     per-arc rather than per-link.  Chaos-free runs with kFixed /
-//     kUniformPerLink latencies consume no per-arc draws at all (the
-//     per-link table is drawn from the caller's rng in canonical edge
-//     order, exactly like BasicNetwork), so those runs ARE bit-equal
-//     to the single-queue simulator — the golden-parity contract
-//     pinned by tests/test_shard_sim.cc.
 //
 // Lookahead: `min_cross_shard_latency()` scans every arc whose
 // endpoints land in different shards and returns the minimum latency a
@@ -68,31 +57,11 @@ class ShardedNetwork final
   friend Base;
 
  public:
-  /// `topology` and `sim` must outlive the network.  `rng` seeds the
-  /// kUniformPerLink latency table (drawn in canonical edge order,
-  /// bit-equal to BasicNetwork) and, when the channel needs draws, one
-  /// 64-bit value deriving the per-arc streams.
+  /// `topology` and `sim` must outlive the network.  `rng` is drawn
+  /// from here only, exactly as by BasicNetwork (network.h).
   ShardedNetwork(const Topology& topology, ShardedSimulator& sim,
                  LatencySpec latency, core::Rng& rng, const ChaosSpec& chaos)
       : Base(topology, latency, rng, chaos), sim_(&sim) {
-    if (chaos.enabled() ||
-        latency.kind == LatencySpec::Kind::kUniformPerSend) {
-      // Per-directed-arc streams: arc (link, direction) draws only on
-      // the sending shard, in that shard's canonical execution order.
-      const std::uint64_t arc_seed = rng();
-      const auto arcs =
-          static_cast<std::int64_t>(topology.num_edges()) * 2;
-      arc_rng_.resize(static_cast<std::size_t>(arcs));
-      core::parallel_for(arcs, /*grain=*/4096,
-                         [&](std::int64_t a, int /*lane*/) {
-                           arc_rng_[static_cast<std::size_t>(a)] =
-                               core::Rng::stream(arc_seed,
-                                                 static_cast<std::uint64_t>(a));
-                         });
-      if (chaos.gilbert_elliott) {
-        arc_bad_.assign(static_cast<std::size_t>(arcs), 0);
-      }
-    }
     stats_.resize(static_cast<std::size_t>(sim.num_shards()));
     obs_.assign(static_cast<std::size_t>(sim.num_shards()), nullptr);
     sim_->set_deliver_sink(this);
@@ -164,15 +133,9 @@ class ShardedNetwork final
     LHG_DCHECK(sim_->shard_of(from) == shard,
                "send_link: node {} sent from shard {} but lives on shard {}",
                from, shard, sim_->shard_of(from));
-    // Directed arc id: the per-sender-direction RNG/GE stream index.
-    const std::size_t a = (static_cast<std::size_t>(link) << 1) |
-                          static_cast<std::size_t>(from > to ? 1 : 0);
-    core::Rng* rng = arc_rng_.empty() ? nullptr : &arc_rng_[a];
-    std::uint8_t* ge_bad = arc_bad_.empty() ? nullptr : &arc_bad_[a];
     return this->transmit(shard, stats_[static_cast<std::size_t>(shard)].stats,
                           obs_[static_cast<std::size_t>(shard)],
-                          sim_->now(shard), rng, ge_bad, from, to, link,
-                          message);
+                          sim_->now(shard), from, to, link, message);
   }
 
   /// Shard-index-ordered sum of the per-shard counters: bit-identical
@@ -208,8 +171,8 @@ class ShardedNetwork final
       case LatencySpec::Kind::kUniformPerLink:
         return this->link_latency_[static_cast<std::size_t>(link)];
     }
-    LHG_CHECK(false, "Network: unknown latency kind {}",
-              static_cast<int>(this->latency_.kind));
+    LHG_FAIL("Network: unknown latency kind {}",
+             static_cast<int>(this->latency_.kind));
   }
 
   // --- FaultModel hooks: mutations are control events -------------------
@@ -231,10 +194,6 @@ class ShardedNetwork final
 
   ShardedSimulator* sim_;
   ReceiveHandler on_receive_;
-
-  // Per-directed-arc channel state, owned by the sender's shard.
-  std::vector<core::Rng> arc_rng_;
-  std::vector<std::uint8_t> arc_bad_;  // GE chain state, per arc
 
   // Per-shard state, owned by one lane each.
   std::vector<PaddedStats> stats_;

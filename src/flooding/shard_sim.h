@@ -71,12 +71,11 @@
 //
 // What is NOT invariant: the per-timestamp event histogram
 // (sim.bucket_events) depends on how timestamps split across shards,
-// so this engine deliberately never records it; and chaos / per-send
-// latency draws come from per-directed-arc Rng streams
-// (Rng::stream(seed, arc)) instead of one shared generator, so lossy
-// sharded runs are S-invariant but not draw-for-draw comparable to the
-// single-queue engine (same documented-semantic-change precedent as
-// the PR 3 engine rewrite).
+// so this engine deliberately never records it.  Channel draws are
+// S-invariant: both networks draw them from per-directed-arc streams
+// (network.h), so a lossy run equals the single queue's whenever no
+// node runs two events at one timestamp — this engine runs such events
+// in canonical key order, the single queue in insertion order.
 
 #pragma once
 

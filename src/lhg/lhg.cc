@@ -11,7 +11,7 @@ std::string to_string(Constraint c) {
     case Constraint::kKTree: return "k-tree";
     case Constraint::kKDiamond: return "k-diamond";
   }
-  LHG_CHECK(false, "to_string: unknown constraint {}", static_cast<int>(c));
+  LHG_FAIL("to_string: unknown constraint {}", static_cast<int>(c));
 }
 
 TreePlan plan(std::int64_t n, std::int32_t k, Constraint c) {
@@ -25,7 +25,7 @@ TreePlan plan(std::int64_t n, std::int32_t k, Constraint c) {
     case Constraint::kKTree: return ktree::plan(n, k);
     case Constraint::kKDiamond: return kdiamond::plan(n, k);
   }
-  LHG_CHECK(false, "plan: unknown constraint {}", static_cast<int>(c));
+  LHG_FAIL("plan: unknown constraint {}", static_cast<int>(c));
 }
 
 core::Graph build_with_layout(core::NodeId n, std::int32_t k, Constraint c,
@@ -43,7 +43,7 @@ bool exists(std::int64_t n, std::int32_t k, Constraint c) {
     case Constraint::kKTree: return ktree::exists(n, k);
     case Constraint::kKDiamond: return kdiamond::exists(n, k);
   }
-  LHG_CHECK(false, "exists: unknown constraint {}", static_cast<int>(c));
+  LHG_FAIL("exists: unknown constraint {}", static_cast<int>(c));
 }
 
 bool regular_exists(std::int64_t n, std::int32_t k, Constraint c) {
@@ -52,7 +52,7 @@ bool regular_exists(std::int64_t n, std::int32_t k, Constraint c) {
     case Constraint::kKTree: return ktree::regular_exists(n, k);
     case Constraint::kKDiamond: return kdiamond::regular_exists(n, k);
   }
-  LHG_CHECK(false, "regular_exists: unknown constraint {}", static_cast<int>(c));
+  LHG_FAIL("regular_exists: unknown constraint {}", static_cast<int>(c));
 }
 
 }  // namespace lhg

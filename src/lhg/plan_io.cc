@@ -36,7 +36,7 @@ std::string next_data_line(std::istream& in) {
   while (std::getline(in, line)) {
     if (!line.empty() && line[0] != '#') return line;
   }
-  LHG_CHECK(false, "lhg-plan: unexpected end of input");
+  LHG_FAIL("lhg-plan: unexpected end of input");
 }
 
 void expect_keyword(std::istringstream& row, const std::string& keyword) {
@@ -99,7 +99,7 @@ TreePlan read_plan(std::istream& in) {
     } else if (kind == "unshared") {
       plan.leaf_kind.push_back(LeafKind::kUnshared);
     } else {
-      LHG_CHECK(false, "lhg-plan: unknown leaf kind '{}'", kind);
+      LHG_FAIL("lhg-plan: unknown leaf kind '{}'", kind);
     }
   }
   return plan;

@@ -96,7 +96,7 @@ Router::Anchor Router::anchor(const Position& pos, NodeId node,
       return a;
     }
   }
-  LHG_CHECK(false, "Router: unknown position kind");
+  LHG_FAIL("Router: unknown position kind");
 }
 
 std::vector<NodeId> Router::tree_route(std::int32_t copy, std::int32_t a,

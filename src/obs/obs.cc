@@ -34,10 +34,9 @@ SimObs::SimObs(Registry* registry, TraceSink* sink, std::int32_t shard)
   repair_rewires = registry_->counter("repair.rewires");
 }
 
-Runtime::Runtime(const ObsConfig& config, std::int32_t shards)
-    : config_(config) {
+Runtime::Runtime(const ObsConfig& config) : config_(config) {
   if (config_.metrics) {
-    registry_ = std::make_unique<Registry>(shards);
+    registry_ = std::make_unique<Registry>();
   }
   if (config_.trace) {
     sink_ = std::make_unique<TraceSink>(config_.trace_capacity);

@@ -133,7 +133,7 @@ struct PerShardHandles {};
 /// construct when disabled: no allocation at all, `obs()` is nullptr.
 class Runtime {
  public:
-  explicit Runtime(const ObsConfig& config, std::int32_t shards = 1);
+  explicit Runtime(const ObsConfig& config);
 
   /// Per-shard-handles mode, for the sharded engine (shard_sim.h): one
   /// SimObs per shard — all sharing a single registered schema on one

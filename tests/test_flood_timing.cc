@@ -149,17 +149,16 @@ TEST(FloodTiming, PerSendJitterStillDelivers) {
 // --- Golden-trace regression fixtures -------------------------------
 //
 // Each fixture is the complete (time, receiver, sender, hops) delivery
-// sequence of a flood of LHG(22, 3) from node 0 with seed 7, recorded
-// under the pre-typed-event std::function engine.  The fixed and
-// per-send traces must reproduce *exactly* (same Rng consumption
-// order); they prove the typed-event rewrite preserves both the event
-// total order and the latency/loss draw sequence bit for bit.
+// sequence of a flood of LHG(22, 3) from node 0 with seed 7.  The fixed
+// trace was recorded under the pre-typed-event std::function engine and
+// must reproduce *exactly*: it proves the typed-event rewrite preserves
+// the event total order bit for bit.
 //
-// The per-link fixture is different: the rewrite moved kUniformPerLink
-// sampling from lazy (first-send order) to eager (canonical edge order
-// at Network construction), deliberately changing which draw lands on
-// which link.  Its fixture was therefore re-recorded under the new
-// engine and pins the *new* documented semantics.
+// The other two pin declared changes to the Rng consumption order.  The
+// per-link fixture pins kUniformPerLink sampling in canonical edge order
+// at Network construction (the rewrite moved it there from lazy
+// first-send order).  The per-send fixture pins per-send latencies drawn
+// from per-directed-arc streams (network.h).
 
 struct TraceRow {
   double time;
@@ -225,31 +224,31 @@ TEST(GoldenTrace, FixedLatencyMatchesPreRewriteEngine) {
   expect_trace_eq(record_flood_trace(LatencySpec::fixed(1.0), 7), golden);
 }
 
-TEST(GoldenTrace, PerSendJitterMatchesPreRewriteEngine) {
+TEST(GoldenTrace, PerSendJitterPinsPerArcStreams) {
   const std::vector<TraceRow> golden = {
-      {0.77875122947378428, 2, 0, 0},  {1.2005764821796896, 1, 0, 0},
-      {1.3396274618764199, 3, 0, 0},   {1.7613285616725056, 15, 1, 1},
-      {1.9440632511192315, 18, 3, 1},  {2.2433339879789465, 19, 3, 1},
-      {2.2598489544887195, 16, 2, 1},  {2.2696115083068524, 17, 2, 1},
-      {2.4131446690066261, 6, 15, 2},  {2.5733504209248217, 4, 1, 1},
-      {2.8026961602108895, 11, 15, 2}, {2.9261114168548508, 12, 17, 2},
-      {3.016546943080936, 12, 16, 2},  {3.0468463375591446, 5, 6, 3},
-      {3.0845711015582702, 9, 6, 3},   {3.1759214581648454, 8, 18, 2},
-      {3.1947536407104122, 13, 19, 2}, {3.2358696758392833, 7, 17, 2},
-      {3.3207280697381991, 7, 16, 2},  {3.3830288498348344, 13, 18, 2},
-      {3.467028483575695, 16, 12, 3},  {3.5548751083630581, 10, 12, 3},
-      {3.5837726646878516, 10, 11, 3}, {3.6241847497683519, 8, 19, 2},
-      {3.6721448331224145, 21, 9, 4},  {3.7223499776224216, 8, 5, 4},
-      {3.7247067073048719, 20, 4, 2},  {3.7408036273740524, 21, 4, 2},
-      {3.8130096955438271, 5, 8, 3},   {4.0523057106465679, 14, 11, 3},
-      {4.0643093393472247, 20, 9, 4},  {4.0902238567786817, 16, 7, 3},
-      {4.1373212650446094, 7, 5, 4},   {4.1606917089951478, 5, 7, 3},
-      {4.4404272980461394, 9, 20, 3},  {4.4993743436957487, 19, 8, 3},
-      {4.6132782526373344, 18, 13, 3}, {4.6791744320477129, 10, 13, 3},
-      {4.7291446214453838, 20, 14, 4}, {4.7430053692926917, 11, 10, 4},
-      {4.7839023820529443, 14, 20, 3}, {4.9750782034280663, 13, 10, 4},
-      {5.0591412404330383, 14, 21, 5}, {5.1554146248478396, 4, 21, 5},
-      {5.2178316795755872, 21, 14, 4},
+      {0.71660063726802148, 3, 0, 0},  {0.80128971237418856, 1, 0, 0},
+      {1.0368012536833384, 2, 0, 0},   {1.3299295368426984, 4, 1, 1},
+      {1.357999081928875, 18, 3, 1},   {1.6497195983213417, 19, 3, 1},
+      {1.8998101815996826, 8, 18, 2},  {2.0672786945525661, 15, 1, 1},
+      {2.1619221847592063, 16, 2, 1},  {2.2707214362299504, 13, 19, 2},
+      {2.3139411559031124, 17, 2, 1},  {2.5058593497451263, 13, 18, 2},
+      {2.5469914062934631, 20, 4, 2},  {2.5922994135464927, 21, 4, 2},
+      {2.6472640837655419, 11, 15, 2}, {2.8509596546162785, 10, 13, 3},
+      {2.92078398811219, 8, 19, 2},    {2.9700718184610317, 7, 17, 2},
+      {3.1016369264248116, 14, 20, 3}, {3.1648470647790776, 6, 15, 2},
+      {3.1731882989504596, 19, 8, 3},  {3.1994091235879973, 12, 16, 2},
+      {3.3117633037137764, 12, 17, 2}, {3.3366501332963323, 5, 8, 3},
+      {3.3380506604620677, 7, 16, 2},  {3.4055935336218357, 14, 11, 3},
+      {3.5193477658394863, 9, 20, 3},  {3.5433568798782664, 10, 11, 3},
+      {3.5752541074908017, 12, 10, 4}, {3.6289323314303461, 11, 10, 4},
+      {3.661715290193654, 5, 7, 3},    {3.7270639684938414, 14, 21, 3},
+      {3.7415670105196774, 18, 13, 3}, {3.7658697271455273, 16, 7, 3},
+      {3.7820502714277495, 5, 6, 3},   {3.7820613621564361, 9, 21, 3},
+      {4.0850923072613208, 9, 6, 3},   {4.1540549001934117, 17, 12, 3},
+      {4.2103546642417111, 6, 9, 4},   {4.2554119304765177, 6, 5, 4},
+      {4.2706642203329714, 21, 9, 4},  {4.2770321144840509, 21, 14, 4},
+      {4.3322532262607858, 10, 12, 3}, {4.3969225680674295, 7, 5, 4},
+      {4.5168363551202484, 11, 14, 4},
   };
   expect_trace_eq(record_flood_trace(LatencySpec::per_send(0.5, 1.0), 7),
                   golden);

@@ -113,11 +113,11 @@ TEST(Heartbeat, ExactPinLossCrashFlapRecovery) {
        .loss_probability = 0.2, .seed = 5},
       plan);
   EXPECT_EQ(result.heartbeats_sent, 10370);
-  EXPECT_EQ(result.false_suspicions, 52);
+  EXPECT_EQ(result.false_suspicions, 56);
   ASSERT_EQ(result.detections.size(), 2u);
   EXPECT_EQ(result.detections[0].node, 7);
   EXPECT_EQ(result.detections[0].crash_time, 6.0);
-  EXPECT_EQ(result.detections[0].detection_latency, 0x1.5090975348b68p+1);
+  EXPECT_EQ(result.detections[0].detection_latency, 0x1.513996b33cffp+1);
   EXPECT_EQ(result.detections[1].node, 20);
   EXPECT_EQ(result.detections[1].crash_time, 9.0);
   EXPECT_EQ(result.detections[1].detection_latency, -1.0);

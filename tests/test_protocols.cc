@@ -173,7 +173,7 @@ TEST(SpanningTree, ExactPinUnderCrashes) {
     if (t >= 0.0) delivery_time_sum += t;
   }
   EXPECT_EQ(result.messages_sent, 60);
-  EXPECT_EQ(delivery_time_sum, 0x1.2ba5734de3aa5p+7);
+  EXPECT_EQ(delivery_time_sum, 0x1.4103e402850efp+7);
   EXPECT_EQ(result.net, (NetworkStats{.sent = 60,
                                       .delivered = 58,
                                       .lost = 0,

@@ -109,7 +109,7 @@ TEST(ReliableBroadcast, DeterministicPerSeed) {
 }
 
 // Exact pin of reliable broadcast under loss and crashes: DATA, ACK
-// and retransmission draws share one generator in execution order.
+// and retransmission copies draw from their arcs' channel streams.
 TEST(ReliableBroadcast, ExactPinLossAndCrashes) {
   const auto g = lhg::build(64, 4);
   core::Rng plan_rng(19);
@@ -124,13 +124,13 @@ TEST(ReliableBroadcast, ExactPinLossAndCrashes) {
   for (const double t : result.delivery_time) {
     if (t >= 0.0) delivery_time_sum += t;
   }
-  EXPECT_EQ(result.messages_sent, 585);
-  EXPECT_EQ(delivery_time_sum, 0x1.b9fab33f97f6ep+7);
-  EXPECT_EQ(result.retransmissions, 165);
-  EXPECT_EQ(result.acks_sent, 228);
-  EXPECT_EQ(result.net, (NetworkStats{.sent = 585,
-                                      .delivered = 407,
-                                      .lost = 124,
+  EXPECT_EQ(result.messages_sent, 592);
+  EXPECT_EQ(delivery_time_sum, 0x1.234321340d758p+8);
+  EXPECT_EQ(result.retransmissions, 170);
+  EXPECT_EQ(result.acks_sent, 230);
+  EXPECT_EQ(result.net, (NetworkStats{.sent = 592,
+                                      .delivered = 410,
+                                      .lost = 128,
                                       .duplicated = 0,
                                       .blocked_sender_crashed = 0,
                                       .blocked_link_down = 0,

@@ -838,6 +838,45 @@ TEST(ShardedFlood, ImplicitBackendShardThreadSweepParallelDeterminism) {
   core::set_global_thread_count(previous);
 }
 
+TEST(ShardedFlood, PerLinkChaosMatchesSingleQueue) {
+  // Both networks draw the channel from the same per-arc streams.  With
+  // per-link latency no node runs two events at one timestamp, so a
+  // lossy, duplicating run under crashes, flaps and a partition is
+  // draw-for-draw the same on the single queue and at every S x T.
+  const ImplicitLhg view(4096, 4);
+  const core::Graph g = view.materialize();
+  core::Rng plan_rng(43);
+  FailurePlan plan = random_crash_recoveries(g, 3, /*protect=*/0, plan_rng,
+                                             /*crash_time=*/2.0,
+                                             /*downtime=*/4.0);
+  compose(plan, random_link_flaps(g, 2, plan_rng, /*down=*/1.0, /*up=*/6.0));
+  compose(plan, random_partition(g, plan_rng, /*start=*/2.0, /*end=*/5.0));
+  FloodConfig cfg;
+  cfg.source = 0;
+  cfg.seed = 47;
+  cfg.latency = LatencySpec::per_link(1.0, 0.5);
+  cfg.chaos = ChaosSpec::iid(0.1);
+  cfg.chaos.duplicate = 0.05;
+
+  const int previous = core::global_thread_count();
+  core::set_global_thread_count(1);
+  const DisseminationResult single = flood(view, cfg, plan);
+  EXPECT_GT(single.net.lost, 0);
+  EXPECT_GT(single.net.duplicated, 0);
+  EXPECT_GT(single.net.blocked_partition + single.net.dropped_partition, 0);
+  for (const int threads : {1, 4}) {
+    core::set_global_thread_count(threads);
+    for (const std::int32_t shards : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                      << " threads=" << threads);
+      FloodConfig sweep = cfg;
+      sweep.shards = shards;
+      expect_results_equal(single, sharded_flood(view, sweep, plan));
+    }
+  }
+  core::set_global_thread_count(previous);
+}
+
 TEST(ShardedFlood, SingleQueueParityHoldsAcrossThreadCounts) {
   // Golden parity is thread-count-independent too: the chaos-free
   // sharded flood equals the serial flood at LHG_THREADS=1 and 4.
@@ -859,10 +898,10 @@ TEST(ShardedFlood, SingleQueueParityHoldsAcrossThreadCounts) {
 
 // Pins the exact chaos draw order on both engines: bursty loss in both
 // GE states, duplication, reordering and per-send latency over a crash,
-// flap and partition plan.  The single queue draws from one generator
-// in execution order and the sharded engine from per-arc streams, so
-// the two pins differ; S=1 and S=4 share theirs.  Moving any draw in
-// the shared channel code changes these numbers.
+// flap and partition plan.  Both engines draw from the same per-arc
+// streams, and no node here runs two events at one timestamp, so the
+// single queue and S=1 and S=4 share one pin.  Moving any draw in the
+// shared channel code changes these numbers.
 TEST(ShardedFlood, ChaosDrawOrderPinnedOnBothEngines) {
   const auto g = lhg::build(64, 4);
   core::Rng plan_rng(29);
@@ -888,36 +927,29 @@ TEST(ShardedFlood, ChaosDrawOrderPinnedOnBothEngines) {
     return sum;
   };
 
-  const DisseminationResult serial = flood(g, cfg, plan);
-  EXPECT_EQ(serial.net, (NetworkStats{.sent = 153,
-                                      .delivered = 142,
-                                      .lost = 12,
-                                      .duplicated = 17,
-                                      .blocked_sender_crashed = 0,
-                                      .blocked_link_down = 3,
-                                      .blocked_partition = 21,
-                                      .dropped_receiver_crashed = 5,
-                                      .dropped_link_down = 0,
-                                      .dropped_partition = 11}));
-  EXPECT_EQ(delivery_time_sum(serial), 0x1.a89e7141b68c9p+7);
+  const auto expect_pin = [&](const DisseminationResult& run) {
+    EXPECT_EQ(run.net, (NetworkStats{.sent = 186,
+                                     .delivered = 185,
+                                     .lost = 7,
+                                     .duplicated = 19,
+                                     .blocked_sender_crashed = 0,
+                                     .blocked_link_down = 1,
+                                     .blocked_partition = 14,
+                                     .dropped_receiver_crashed = 4,
+                                     .dropped_link_down = 0,
+                                     .dropped_partition = 9}));
+    EXPECT_EQ(delivery_time_sum(run), 0x1.817f440328c42p+8);
+  };
 
+  {
+    SCOPED_TRACE("single queue");
+    expect_pin(flood(g, cfg, plan));
+  }
   for (const std::int32_t shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
     FloodConfig sharded_cfg = cfg;
     sharded_cfg.shards = shards;
-    const DisseminationResult sharded = sharded_flood(g, sharded_cfg, plan);
-    EXPECT_EQ(sharded.net, (NetworkStats{.sent = 186,
-                                         .delivered = 185,
-                                         .lost = 7,
-                                         .duplicated = 19,
-                                         .blocked_sender_crashed = 0,
-                                         .blocked_link_down = 1,
-                                         .blocked_partition = 14,
-                                         .dropped_receiver_crashed = 4,
-                                         .dropped_link_down = 0,
-                                         .dropped_partition = 9}))
-        << "shards=" << shards;
-    EXPECT_EQ(delivery_time_sum(sharded), 0x1.817f440328c42p+8)
-        << "shards=" << shards;
+    expect_pin(sharded_flood(g, sharded_cfg, plan));
   }
 }
 
