@@ -6,7 +6,9 @@ determinism contract statically (DESIGN.md §13).  Rules live in
 ``scripts/determinism_rules.toml``; each bans one nondeterminism source
 (hashed-container iteration, wall clocks, unseeded randomness, pointer
 ordering, ...).  Comments and string literals are stripped before
-matching, so prose about ``rand()`` never trips the gate.
+matching, so prose about ``rand()`` never trips the gate.  A rule's
+``include_patterns`` match the paths of ``#include`` directives instead
+(the test-oracle boundary of ``src/core/testing/``).
 
 Escapes are inline comments on — or in the comment block immediately
 above — the flagged line::
@@ -51,6 +53,10 @@ UNORDERED_DECL_RE = re.compile(
     r"<(?:[^<>]|<[^<>]*>)*>\s*&?\s+(\w+)\s*[;({=,)]")
 UNORDERED_INLINE_ITER_RE = re.compile(
     r"for\s*\([^)]*:\s*[^)]*unordered_(?:multi)?(?:map|set)")
+# An #include directive on a comment-stripped line (its path is blanked
+# with the other string literals) and the path on the raw line.
+INCLUDE_DIRECTIVE_RE = re.compile(r"^\s*#\s*include\b")
+INCLUDE_PATH_RE = re.compile(r'#\s*include\s*[<"]([^>"]+)[>"]')
 
 
 def fail(message):
@@ -167,14 +173,16 @@ def load_config(path):
         fail(f"cannot load config {path}: {err}")
     rules = {}
     for rule_id, spec in doc.get("rules", {}).items():
-        compiled = []
-        for pat in spec.get("patterns", []):
-            try:
-                compiled.append(re.compile(pat))
-            except re.error as err:
-                fail(f"rule {rule_id}: bad pattern {pat!r}: {err}")
+        compiled = {}
+        for key in ("patterns", "include_patterns"):
+            compiled[key] = []
+            for pat in spec.get(key, []):
+                try:
+                    compiled[key].append(re.compile(pat))
+                except re.error as err:
+                    fail(f"rule {rule_id}: bad pattern {pat!r}: {err}")
         rules[rule_id] = {
-            "patterns": compiled,
+            **compiled,
             "builtin": spec.get("builtin"),
             "summary": spec.get("summary", ""),
             "explain": spec.get("explain", "").strip(),
@@ -277,6 +285,13 @@ def lint_file(rel_path, config):
         for pattern in rule["patterns"]:
             for i, line in enumerate(code_lines):
                 if pattern.search(line):
+                    hits.append((i, rule_id, raw_lines[i].strip()))
+        for pattern in rule["include_patterns"]:
+            for i, line in enumerate(code_lines):
+                if not INCLUDE_DIRECTIVE_RE.match(line):
+                    continue
+                m = INCLUDE_PATH_RE.search(raw_lines[i])
+                if m and pattern.search(m.group(1)):
                     hits.append((i, rule_id, raw_lines[i].strip()))
 
     findings, allowed = [], []

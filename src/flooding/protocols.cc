@@ -54,7 +54,7 @@ DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
           ? cfg.max_rounds
           : static_cast<std::int32_t>(
                 std::ceil(std::log2(std::max<NodeId>(2, num_nodes)))) +
-                cfg.extra_rounds;
+                GossipConfig::kExtraRounds;
 
   std::vector<NodeId> infected;
   std::int32_t delivered_alive = 0;

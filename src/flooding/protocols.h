@@ -90,10 +90,12 @@ enum class GossipMode {
 };
 
 struct GossipConfig {
+  /// Rounds past ceil(log2 n) in the classic default round budget.
+  static constexpr std::int32_t kExtraRounds = 4;
+
   core::NodeId source = 0;
   std::int32_t fanout = 3;      // peers contacted per round per node
-  std::int32_t max_rounds = 0;  // 0 = ceil(log2 n) + c rounds (classic)
-  std::int32_t extra_rounds = 4;
+  std::int32_t max_rounds = 0;  // 0 = ceil(log2 n) + kExtraRounds (classic)
   GossipMode mode = GossipMode::kPush;
   std::uint64_t seed = 1;
 };

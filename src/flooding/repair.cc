@@ -11,6 +11,13 @@ namespace lhg::flooding {
 
 using core::NodeId;
 
+static_assert(RepairConfig::kUnderlayLatency > 0.0,
+              "handshake messages need a positive underlay latency");
+static_assert(RepairConfig::kHandshakeBackoff.base > 0.0 &&
+                  RepairConfig::kHandshakeBackoff.factor >= 1.0 &&
+                  RepairConfig::kHandshakeBackoff.max_retries >= 0,
+              "handshake retries need a positive, non-shrinking schedule");
+
 namespace {
 
 // View-change payload on the reliable layer, packed into the 45
@@ -81,7 +88,7 @@ struct RepairSim {
         cfg(config),
         rng(config.seed),
         net(graph, sim, config.latency, rng, config.chaos),
-        link(net, config.view_backoff, rng),
+        link(net, RepairConfig::kViewBackoff, rng),
         obs_rt(config.obs),
         obs(obs_rt.obs()),
         n(static_cast<std::size_t>(graph.num_nodes())),
@@ -238,12 +245,12 @@ struct RepairSim {
       ++res.handshake_messages;  // the REQ
       if (obs != nullptr) obs->add(obs->repair_handshakes);
       if (!underlay_drops()) {
-        sim.schedule_in(cfg.underlay_latency,
+        sim.schedule_in(RepairConfig::kUnderlayLatency,
                         [this, hid] { req_arrive(hid); });
       }
     }
-    if (attempt < cfg.handshake_backoff.max_retries) {
-      sim.schedule_in(cfg.handshake_backoff.delay(attempt, rng),
+    if (attempt < RepairConfig::kHandshakeBackoff.max_retries) {
+      sim.schedule_in(RepairConfig::kHandshakeBackoff.delay(attempt, rng),
                       [this, hid, attempt] {
                         start_handshake(hid, attempt + 1);
                       });
@@ -256,7 +263,8 @@ struct RepairSim {
     ++res.handshake_messages;        // the ACK (re-sent on duplicate REQs)
     if (obs != nullptr) obs->add(obs->repair_handshakes);
     if (!underlay_drops()) {
-      sim.schedule_in(cfg.underlay_latency, [this, hid] { ack_arrive(hid); });
+      sim.schedule_in(RepairConfig::kUnderlayLatency,
+                      [this, hid] { ack_arrive(hid); });
     }
   }
 
@@ -279,16 +287,8 @@ struct RepairSim {
 RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
                         const FailurePlan& plan) {
   LHG_CHECK(cfg.k >= 1, "repair: k {} < 1", cfg.k);
-  LHG_CHECK(cfg.underlay_latency > 0, "repair: underlay latency {} <= 0",
-            cfg.underlay_latency);
   LHG_CHECK(cfg.underlay_loss >= 0.0 && cfg.underlay_loss < 1.0,
             "repair: underlay loss {} out of [0, 1)", cfg.underlay_loss);
-  LHG_CHECK(cfg.handshake_backoff.base > 0.0 &&
-                cfg.handshake_backoff.factor >= 1.0 &&
-                cfg.handshake_backoff.max_retries >= 0,
-            "repair: bad handshake backoff (base={}, factor={}, retries={})",
-            cfg.handshake_backoff.base, cfg.handshake_backoff.factor,
-            cfg.handshake_backoff.max_retries);
 
   const NodeId num = topology.num_nodes();
   const auto n = static_cast<std::size_t>(num);

@@ -68,6 +68,17 @@
 namespace lhg::flooding {
 
 struct RepairConfig {
+  /// Retry schedule for view-change dissemination on the overlay.
+  /// Persists through down windows so flapped links don't eat updates.
+  static constexpr BackoffPolicy kViewBackoff{3.0, 2.0, 24.0, 0.0, 6, true};
+  /// Underlay model for rewiring handshakes: any two survivors can
+  /// exchange REQ/ACK point-to-point at this latency (and at
+  /// `underlay_loss`).
+  static constexpr double kUnderlayLatency = 2.0;
+  /// Retry schedule for REQ/ACK handshakes (per needed edge).
+  static constexpr BackoffPolicy kHandshakeBackoff{4.0, 2.0, 32.0, 0.0, 8,
+                                                   true};
+
   /// Target connectivity: the healed overlay aims at the k-connected
   /// LHG over the survivors.
   std::int32_t k = 3;
@@ -82,16 +93,8 @@ struct RepairConfig {
   /// Overlay channel conditions (loss/burst/duplication/reorder).
   ChaosSpec chaos{};
 
-  /// Retry schedule for view-change dissemination on the overlay.
-  /// Persists through down windows so flapped links don't eat updates.
-  BackoffPolicy view_backoff{3.0, 2.0, 24.0, 0.0, 6, true};
-
-  /// Underlay model for rewiring handshakes: any two survivors can
-  /// exchange REQ/ACK point-to-point at this latency and loss.
-  double underlay_latency = 2.0;
+  /// Loss probability of each underlay REQ/ACK transmission.
   double underlay_loss = 0.0;
-  /// Retry schedule for REQ/ACK handshakes (per needed edge).
-  BackoffPolicy handshake_backoff{4.0, 2.0, 32.0, 0.0, 8, true};
 
   /// Metrics / trace recording (off by default: zero overhead).
   obs::ObsConfig obs{};

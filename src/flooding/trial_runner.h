@@ -22,9 +22,9 @@ struct TrialRunner {
   /// Base seed; trial t draws from the private Rng::stream(seed, t).
   std::uint64_t seed = 1;
   /// Trials per scheduling chunk.  One trial is a whole simulation, so
-  /// the default of 1 keeps the load balanced even when trial costs
-  /// vary (e.g. adversarial vs random failure patterns).
-  std::int64_t grain = 1;
+  /// one per chunk keeps the load balanced even when trial costs vary
+  /// (e.g. adversarial vs random failure patterns).
+  static constexpr std::int64_t kGrain = 1;
 
   /// Runs `trial(t, rng)` for t in [0, trials) and folds the returned
   /// aggregates with `combine(acc, partial)` in trial order, starting
@@ -36,7 +36,7 @@ struct TrialRunner {
   T run(std::int64_t trials, T identity, TrialFn&& trial,
         Combine&& combine) const {
     return core::parallel_reduce<T>(
-        trials, grain, identity,
+        trials, kGrain, identity,
         [&](std::int64_t begin, std::int64_t end, int /*lane*/) {
           T chunk = identity;
           for (std::int64_t t = begin; t < end; ++t) {

@@ -5,7 +5,6 @@
 
 #include "core/check.h"
 #include "core/parallel.h"
-#include "lhg/assemble.h"
 
 namespace lhg {
 

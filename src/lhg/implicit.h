@@ -10,11 +10,17 @@
 // materialized `core::Graph` needs (CSR adjacency + canonical edge
 // list + twin/edge-id arc companions).
 //
+// This closed form is the library's one LHG adjacency rule: `lhg::build`
+// and the membership engine materialize it, and `plan_delta` reads the
+// edges incident to freed and new slots from it.  The edge-by-edge
+// reference assembler in core/testing/reference_assemble.h is the
+// independent oracle the tests hold it to.
+//
 // The view satisfies `core::EdgeIndexedGraph` (core/graph_concept.h):
 // BFS, sampled diameter and the flooding BasicNetwork all run against
 // it unchanged.  Neighbor enumeration is ascending by id, and the edge
 // ids it computes coincide exactly with the canonical edge ordering of
-// `materialize()` / `lhg::build`, so per-link state arrays transfer
+// `materialize()`, so per-link state arrays transfer
 // 1:1 between the implicit and materialized forms (pinned by
 // tests/test_implicit.cc).
 //
@@ -108,8 +114,8 @@ class ImplicitLhg {
 
   /// Materializes the view as a `core::Graph` through the memory-lean
   /// `Graph::from_csr` path: degrees and sorted slices are emitted
-  /// directly from the closed form — no GraphBuilder, no hash-set
-  /// dedup, no edge-list sort.  Equal (operator==) to `lhg::build`.
+  /// directly from the closed form — no hash-set dedup, no edge-list
+  /// sort.  This is what `lhg::build` returns.
   core::Graph materialize() const;
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/check.h"
-#include "lhg/assemble.h"
 
 namespace lhg::jd {
 
@@ -53,13 +52,6 @@ bool regular_exists(std::int64_t n, std::int32_t k) {
   check_k(k);
   if (n < 2 * k) return false;
   return (n - 2 * k) % (2 * (k - 1)) == 0;
-}
-
-core::Graph build(core::NodeId n, std::int32_t k) {
-  auto tree = plan(n, k);
-  LHG_CHECK(tree.has_value(),
-            "no strict Jenkins-Demers LHG exists for (n={}, k={})", n, k);
-  return assemble(*tree);
 }
 
 }  // namespace lhg::jd

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/graph.h"
 #include "lhg/tree_plan.h"
 
 namespace lhg::jd {
@@ -38,9 +37,5 @@ bool exists(std::int64_t n, std::int32_t k);
 /// REG_JD(n, k): true iff the strict rule can realize the pair
 /// k-regularly (no exception interiors), i.e. n = 2k + 2α(k−1).
 bool regular_exists(std::int64_t n, std::int32_t k);
-
-/// Builds the strict-J&D LHG.  Throws std::invalid_argument when
-/// exists(n, k) is false.
-core::Graph build(core::NodeId n, std::int32_t k);
 
 }  // namespace lhg::jd

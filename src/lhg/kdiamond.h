@@ -19,7 +19,6 @@
 
 #include <cstdint>
 
-#include "core/graph.h"
 #include "lhg/tree_plan.h"
 
 namespace lhg::kdiamond {
@@ -36,9 +35,5 @@ bool exists(std::int64_t n, std::int32_t k);
 
 /// REG_KDIAMOND(n, k) = (n = 2k + α(k−1) for some α ∈ ℕ).
 bool regular_exists(std::int64_t n, std::int32_t k);
-
-/// Builds the K-DIAMOND LHG.  Throws std::invalid_argument when
-/// exists(n, k) is false.
-core::Graph build(core::NodeId n, std::int32_t k);
 
 }  // namespace lhg::kdiamond

@@ -1,7 +1,6 @@
 #include "lhg/ktree.h"
 
 #include "core/check.h"
-#include "lhg/assemble.h"
 
 namespace lhg::ktree {
 
@@ -39,10 +38,6 @@ bool exists(std::int64_t n, std::int32_t k) {
 
 bool regular_exists(std::int64_t n, std::int32_t k) {
   return exists(n, k) && (n - 2 * k) % (2 * (k - 1)) == 0;
-}
-
-core::Graph build(core::NodeId n, std::int32_t k) {
-  return assemble(plan(n, k));
 }
 
 }  // namespace lhg::ktree

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "core/graph.h"
 #include "lhg/tree_plan.h"
 
 namespace lhg::ktree {
@@ -35,9 +34,5 @@ bool exists(std::int64_t n, std::int32_t k);
 
 /// REG_KTREE(n, k) = (n = 2k + 2α(k−1) for some α ∈ ℕ).
 bool regular_exists(std::int64_t n, std::int32_t k);
-
-/// Builds the K-TREE LHG.  Throws std::invalid_argument when
-/// exists(n, k) is false.
-core::Graph build(core::NodeId n, std::int32_t k);
 
 }  // namespace lhg::ktree

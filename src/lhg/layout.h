@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/check.h"
 #include "core/graph.h"
 #include "lhg/tree_plan.h"
 
@@ -57,5 +58,26 @@ struct Layout {
     return true;
   }
 };
+
+/// The id layout of `plan`'s realized graph: leaf slots are numbered in
+/// plan order within their population.  The single definition of the
+/// node-id map; ImplicitLhg (lhg/implicit.h) derives every neighbor
+/// from it arithmetically.
+inline Layout layout_of(const TreePlan& plan) {
+  LHG_CHECK(plan.k >= 2, "layout_of: k must be >= 2, got {}", plan.k);
+  Layout layout;
+  layout.k = plan.k;
+  layout.num_interiors = plan.num_interiors();
+  layout.leaf_kind = plan.leaf_kind;
+  layout.leaf_slot.resize(plan.leaf_kind.size());
+  for (std::size_t l = 0; l < plan.leaf_kind.size(); ++l) {
+    if (plan.leaf_kind[l] == LeafKind::kShared) {
+      layout.leaf_slot[l] = layout.num_shared_leaves++;
+    } else {
+      layout.leaf_slot[l] = layout.num_unshared_groups++;
+    }
+  }
+  return layout;
+}
 
 }  // namespace lhg

@@ -1,7 +1,7 @@
 #include "lhg/lhg.h"
 
 #include "core/check.h"
-#include "lhg/assemble.h"
+#include "lhg/implicit.h"
 
 namespace lhg {
 
@@ -30,7 +30,9 @@ TreePlan plan(std::int64_t n, std::int32_t k, Constraint c) {
 
 core::Graph build_with_layout(core::NodeId n, std::int32_t k, Constraint c,
                               Layout* layout) {
-  return assemble(plan(n, k, c), layout);
+  const ImplicitLhg view(n, k, c);
+  if (layout != nullptr) *layout = view.layout();
+  return view.materialize();
 }
 
 core::Graph build(core::NodeId n, std::int32_t k, Constraint c) {

@@ -37,7 +37,8 @@ std::string to_string(Constraint c);
 
 /// Builds an LHG on n nodes tolerating k−1 failures under the given
 /// constraint.  Throws std::invalid_argument if the pair is not
-/// realizable under that constraint (see exists()).
+/// realizable under that constraint (see exists()).  The graph is
+/// ImplicitLhg(n, k, c).materialize() (lhg/implicit.h).
 core::Graph build(core::NodeId n, std::int32_t k,
                   Constraint c = Constraint::kKTree);
 

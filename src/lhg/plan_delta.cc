@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/check.h"
-#include "lhg/assemble.h"
+#include "lhg/implicit.h"
 #include "lhg/layout.h"
 
 namespace lhg {
@@ -13,29 +13,22 @@ namespace {
 using core::Edge;
 using core::NodeId;
 
-/// Appends every realized edge owned by leaf `l` of `plan` under
-/// `layout` (parent attachments in all k copies, plus the clique for
-/// unshared leaves).  Leaf "slot" here is the per-population index the
-/// layout assigned (shared-leaf index or group index).
-void append_leaf_edges(const TreePlan& plan, const Layout& layout,
-                       std::int32_t l, std::vector<Edge>* out) {
-  const auto parent = plan.leaf_parent[static_cast<std::size_t>(l)];
-  const auto slot = layout.leaf_slot[static_cast<std::size_t>(l)];
-  if (plan.leaf_kind[static_cast<std::size_t>(l)] == LeafKind::kShared) {
-    for (std::int32_t c = 0; c < plan.k; ++c) {
-      out->push_back(
-          core::canonical(layout.interior(c, parent), layout.shared_leaf(slot)));
-    }
-  } else {
-    for (std::int32_t c = 0; c < plan.k; ++c) {
-      out->push_back(core::canonical(layout.interior(c, parent),
-                                     layout.group_member(slot, c)));
-      for (std::int32_t c2 = c + 1; c2 < plan.k; ++c2) {
-        out->push_back(core::canonical(layout.group_member(slot, c),
-                                       layout.group_member(slot, c2)));
-      }
+/// The edges of `view` with at least one endpoint in `slots`
+/// (ascending; `in_set` is their membership test), each once, sorted.
+template <typename InSet>
+std::vector<Edge> incident_edges(const ImplicitLhg& view,
+                                 const std::vector<NodeId>& slots,
+                                 InSet in_set) {
+  std::vector<Edge> edges;
+  for (const NodeId s : slots) {
+    for (std::int32_t i = 0; i < view.degree(s); ++i) {
+      const NodeId t = view.neighbor(s, i);
+      if (t < s && in_set(t)) continue;  // listed from t's side
+      edges.push_back(core::canonical(s, t));
     }
   }
+  std::sort(edges.begin(), edges.end());
+  return edges;
 }
 
 /// Buckets leaf indices of `plan` by (parent, kind), preserving plan
@@ -86,40 +79,24 @@ PlanDelta plan_delta(const TreePlan& from, const TreePlan& to) {
               to.interior_parent[static_cast<std::size_t>(i)]);
   }
 
-  const Layout from_layout = layout_of(from);
-  const Layout to_layout = layout_of(to);
-  const auto from_total = from_layout.total_nodes();
-  const auto to_total = to_layout.total_nodes();
-  LHG_CHECK(from_total <= INT32_MAX && to_total <= INT32_MAX,
-            "plan_delta: plan exceeds the NodeId range ({} / {})", from_total,
-            to_total);
+  const ImplicitLhg from_view(from);
+  const ImplicitLhg to_view(to);
+  const Layout& from_layout = from_view.layout();
+  const Layout& to_layout = to_view.layout();
+  const NodeId from_total = from_view.num_nodes();
+  const NodeId to_total = to_view.num_nodes();
 
   PlanDelta delta;
   delta.slot_map.assign(static_cast<std::size_t>(from_total), -1);
   std::vector<std::uint8_t> to_matched(static_cast<std::size_t>(to_total), 0);
 
   // Interiors: BFS-index identity on the common prefix; the rest are
-  // freed (from) or new (to).  Every interior owns its parent edge in
-  // each copy; the root owns nothing.
+  // freed (from) or new (to).
   for (std::int32_t i = 0; i < common; ++i) {
     for (std::int32_t c = 0; c < from.k; ++c) {
       const auto s = from_layout.interior(c, i);
       delta.slot_map[static_cast<std::size_t>(s)] = to_layout.interior(c, i);
       to_matched[static_cast<std::size_t>(to_layout.interior(c, i))] = 1;
-    }
-  }
-  for (std::int32_t i = common; i < from.num_interiors(); ++i) {
-    const auto p = from.interior_parent[static_cast<std::size_t>(i)];
-    for (std::int32_t c = 0; c < from.k; ++c) {
-      delta.removed_edges.push_back(core::canonical(
-          from_layout.interior(c, p), from_layout.interior(c, i)));
-    }
-  }
-  for (std::int32_t i = common; i < to.num_interiors(); ++i) {
-    const auto p = to.interior_parent[static_cast<std::size_t>(i)];
-    for (std::int32_t c = 0; c < to.k; ++c) {
-      delta.added_edges.push_back(
-          core::canonical(to_layout.interior(c, p), to_layout.interior(c, i)));
     }
   }
 
@@ -148,29 +125,28 @@ PlanDelta plan_delta(const TreePlan& from, const TreePlan& to) {
         }
       }
     }
-    for (std::size_t i = matched; i < fb.size(); ++i) {
-      append_leaf_edges(from, from_layout, fb[i], &delta.removed_edges);
-    }
-    for (std::size_t i = matched; i < tb.size(); ++i) {
-      append_leaf_edges(to, to_layout, tb[i], &delta.added_edges);
-    }
   }
 
-  for (NodeId s = 0; s < static_cast<NodeId>(from_total); ++s) {
+  for (NodeId s = 0; s < from_total; ++s) {
     if (delta.slot_map[static_cast<std::size_t>(s)] < 0) {
       delta.freed_slots.push_back(s);
     }
   }
-  for (NodeId s = 0; s < static_cast<NodeId>(to_total); ++s) {
+  for (NodeId s = 0; s < to_total; ++s) {
     if (to_matched[static_cast<std::size_t>(s)] == 0) {
       delta.new_slots.push_back(s);
     }
   }
 
-  // Every abstract edge has a unique owner element, so no edge was
-  // appended twice; sorting alone yields the canonical order.
-  std::sort(delta.removed_edges.begin(), delta.removed_edges.end());
-  std::sort(delta.added_edges.begin(), delta.added_edges.end());
+  // Matched elements keep every realized edge, so the delta is the
+  // edges touching a freed slot (from) or a new slot (to).
+  delta.removed_edges =
+      incident_edges(from_view, delta.freed_slots, [&](NodeId v) {
+        return delta.slot_map[static_cast<std::size_t>(v)] < 0;
+      });
+  delta.added_edges = incident_edges(to_view, delta.new_slots, [&](NodeId v) {
+    return to_matched[static_cast<std::size_t>(v)] == 0;
+  });
   return delta;
 }
 

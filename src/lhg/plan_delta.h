@@ -23,9 +23,12 @@
 //
 // Matched elements keep their realized edges verbatim; the delta is
 // exactly the edges owned by dissolved ("freed") and created ("new")
-// elements.  Non-reshaping size steps free nothing and create one leaf
-// (k edges); interior-count or leaf-kind transitions touch O(k²) edges
-// — never a whole subtree.
+// elements.  A matched element's parent is matched too, so those are
+// the edges of the closed-form view (lhg/implicit.h) incident to a
+// freed or new slot: the module lists no edges of its own.
+// Non-reshaping size steps free nothing and create one leaf (k edges);
+// interior-count or leaf-kind transitions touch O(k²) edges — never a
+// whole subtree.
 
 #pragma once
 
@@ -49,12 +52,12 @@ struct PlanDelta {
   /// To-slots whose element did not exist in `from`, ascending.
   std::vector<core::NodeId> new_slots;
 
-  /// Realized edges owned by freed elements, in from-slot space,
-  /// canonical sorted.  Every edge of the from-graph absent from the
-  /// to-graph (under the element matching) is here.
+  /// Edges of the from-graph incident to a freed slot, in from-slot
+  /// space, canonical sorted.  Every edge of the from-graph absent from
+  /// the to-graph (under the element matching) is here.
   std::vector<core::Edge> removed_edges;
-  /// Realized edges owned by new elements, in to-slot space, canonical
-  /// sorted.
+  /// Edges of the to-graph incident to a new slot, in to-slot space,
+  /// canonical sorted.
   std::vector<core::Edge> added_edges;
 
   std::int64_t rewired() const {

@@ -72,11 +72,20 @@ TreePlan read_plan(std::istream& in) {
   if (num_interiors > 1) {
     std::istringstream row(next_data_line(in));
     expect_keyword(row, "parents");
+    // Interiors come in BFS order, so parents never decrease: each
+    // interior's children are then one contiguous index range, which
+    // the closed-form adjacency (lhg/implicit.h) relies on.
+    std::int32_t previous = 0;
     for (std::int32_t i = 1; i < num_interiors; ++i) {
       std::int32_t parent = -1;
       LHG_CHECK((row >> parent) && parent >= 0 && parent < i,
                 "lhg-plan: bad parent {} for interior {}", parent, i);
+      LHG_CHECK(parent >= previous,
+                "lhg-plan: parent {} of interior {} precedes parent {} of "
+                "interior {} (interiors must be in BFS order)",
+                parent, i, previous, i - 1);
       plan.interior_parent[static_cast<std::size_t>(i)] = parent;
+      previous = parent;
     }
   }
   std::int32_t num_leaves = 0;

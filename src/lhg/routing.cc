@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/check.h"
-#include "lhg/assemble.h"
+#include "lhg/implicit.h"
 
 namespace lhg {
 
@@ -204,11 +204,8 @@ std::vector<NodeId> Router::route(NodeId from, NodeId to) const {
 
 RoutedOverlay make_routed_overlay(core::NodeId n, std::int32_t k,
                                   Constraint constraint) {
-  TreePlan tree = plan(n, k, constraint);
-  Layout layout;
-  core::Graph graph = assemble(tree, &layout);
-  return RoutedOverlay{std::move(graph),
-                       Router(std::move(tree), std::move(layout))};
+  const ImplicitLhg view(n, k, constraint);
+  return RoutedOverlay{view.materialize(), Router(view.plan(), view.layout())};
 }
 
 }  // namespace lhg

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/check.h"
-#include "lhg/assemble.h"
+#include "lhg/implicit.h"
 #include "lhg/plan_delta.h"
 
 namespace lhg::membership {
@@ -58,7 +58,7 @@ IncrementalOverlay::IncrementalOverlay(NodeId n, std::int32_t k,
       constraint_(constraint),
       options_(options),
       plan_(lhg::plan(n, k, constraint)),
-      graph_(assemble(plan_)) {
+      graph_(ImplicitLhg(plan_).materialize()) {
   LHG_CHECK(graph_.num_nodes() == n,
             "IncrementalOverlay: planner realized {} nodes for n={}",
             graph_.num_nodes(), n);
@@ -223,7 +223,7 @@ MemberDelta IncrementalOverlay::apply_rebuild(
     survivors.push_back(next_id_ + j);
   }
 
-  const core::Graph new_graph = assemble(new_plan);
+  const core::Graph new_graph = ImplicitLhg(new_plan).materialize();
   LHG_CHECK(static_cast<std::size_t>(new_graph.num_nodes()) ==
                 survivors.size(),
             "apply_rebuild: {} members for {} slots", survivors.size(),
@@ -254,7 +254,7 @@ void IncrementalOverlay::commit(TreePlan new_plan,
                                 std::span<const MemberId> leavers,
                                 MemberDelta* delta) {
   plan_ = std::move(new_plan);
-  graph_ = assemble(plan_);
+  graph_ = ImplicitLhg(plan_).materialize();
   member_of_slot_ = std::move(new_member_of_slot);
   slot_of_member_.resize(as_index(next_id_ + static_cast<MemberId>(
                                                  delta->joined.size())),

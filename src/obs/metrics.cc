@@ -95,13 +95,6 @@ CounterId Registry::counter(std::string name) {
   return {infos_.back().slot};
 }
 
-GaugeId Registry::gauge(std::string name) {
-  const core::MutexLock hold(register_mu_);
-  infos_.push_back({std::move(name), MetricKind::kGauge, 0});
-  infos_.back().slot = reserve(1);
-  return {infos_.back().slot};
-}
-
 HistogramId Registry::histogram(std::string name) {
   const core::MutexLock hold(register_mu_);
   infos_.push_back({std::move(name), MetricKind::kHistogram, 0});

@@ -1,12 +1,12 @@
-// Metrics registry: counters, gauges and fixed log-bucketed histograms.
+// Metrics registry: counters and fixed log-bucketed histograms.
 //
 // The simulator needs to answer "what happened over time, per run, at
 // scale" without perturbing the run it is measuring.  The registry is
 // therefore split into two phases:
 //
-//   * Registration (setup, allocates): `counter` / `gauge` /
-//     `histogram` append a slot range to every shard slab and return a
-//     typed handle.  Register everything before the hot loop starts.
+//   * Registration (setup, allocates): `counter` / `histogram` append
+//     a slot range to every shard slab and return a typed handle.
+//     Register everything before the hot loop starts.
 //     Registration and `snapshot()` serialize on an annotated mutex
 //     (core/thread_annotations.h), so the schema list is guarded by a
 //     statically checked capability; registering while recorders are
@@ -61,15 +61,12 @@ constexpr std::int64_t histogram_bucket_floor(std::int32_t bucket) {
   return bucket <= 0 ? 0 : std::int64_t{1} << (bucket - 1);
 }
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+enum class MetricKind : std::uint8_t { kCounter, kHistogram };
 
 /// Typed handles: a slot offset into every shard's slab.  Default-
 /// constructed handles are invalid; recording through one is a
 /// contract violation (DCHECK).
 struct CounterId {
-  std::int32_t slot = -1;
-};
-struct GaugeId {
   std::int32_t slot = -1;
 };
 struct HistogramId {
@@ -80,7 +77,7 @@ struct HistogramId {
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  std::int64_t value = 0;  ///< counter / gauge total
+  std::int64_t value = 0;  ///< counter total
   // Histogram only:
   std::int64_t count = 0;
   std::int64_t sum = 0;
@@ -122,7 +119,6 @@ class Registry {
 
   // --- Registration (setup phase; allocates; single-threaded) ---
   CounterId counter(std::string name);
-  GaugeId gauge(std::string name);
   HistogramId histogram(std::string name);
 
   std::int32_t shards() const { return static_cast<std::int32_t>(shards_.size()); }
@@ -131,12 +127,6 @@ class Registry {
   void add(CounterId id, std::int64_t delta, std::int32_t shard = 0) {
     LHG_DCHECK(delta >= 0, "obs: counter delta {} < 0", delta);
     slot_ref(id.slot, shard) += delta;
-  }
-  void add(GaugeId id, std::int64_t delta, std::int32_t shard = 0) {
-    slot_ref(id.slot, shard) += delta;
-  }
-  void set(GaugeId id, std::int64_t value, std::int32_t shard = 0) {
-    slot_ref(id.slot, shard) = value;
   }
   void observe(HistogramId id, std::int64_t value, std::int32_t shard = 0) {
     const std::int32_t slot = id.slot + histogram_bucket(value);

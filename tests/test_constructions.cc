@@ -5,7 +5,7 @@
 
 #include <stdexcept>
 
-#include "lhg/assemble.h"
+#include "lhg/implicit.h"
 #include "lhg/lhg.h"
 
 namespace lhg {
@@ -86,7 +86,7 @@ TEST(Assemble, UnsharedGroupIsCliquePlusOneTreeEdgeEach) {
 TEST(Assemble, RejectsBadPlans) {
   TreePlan bogus;
   bogus.k = 1;
-  EXPECT_THROW(assemble(bogus), std::invalid_argument);
+  EXPECT_THROW(ImplicitLhg{bogus}, std::invalid_argument);
 }
 
 TEST(Build, PaperExampleGraphs) {

@@ -1,7 +1,9 @@
-// Pins lhg::ImplicitLhg (lhg/implicit.h) against the materialized
-// construction: the view must answer every adjacency, arc, and edge-id
-// query exactly as the graph lhg::build returns — same node ids, same
-// ascending neighbor order, same dense edge numbering.  Any divergence
+// Pins lhg::ImplicitLhg (lhg/implicit.h) against the edge-by-edge
+// reference assembler (core/testing/reference_assemble.h): the view must
+// answer every adjacency, arc, and edge-id query exactly as the
+// assembled graph — same node ids, same ascending neighbor order, same
+// dense edge numbering.  lhg::build materializes the view, so these
+// checks are also what keeps every built graph correct.  Any divergence
 // would silently corrupt per-edge state (reliable-link windows,
 // heartbeat tables) for code running against the view.
 
@@ -16,6 +18,7 @@
 #include "core/bfs_generic.h"
 #include "core/graph.h"
 #include "core/parallel.h"
+#include "core/testing/reference_assemble.h"
 #include "flooding/flood_generic.h"
 #include "lhg/implicit.h"
 #include "lhg/lhg.h"
@@ -24,6 +27,7 @@ namespace lhg {
 namespace {
 
 using core::NodeId;
+using core::testing::reference_assemble;
 
 /// Exhaustive implicit-vs-materialized agreement: every node's degree,
 /// full neighbor list, incident edge ids, and arc slice.
@@ -64,8 +68,7 @@ TEST(ImplicitEquivalence, MatchesBuildAcrossGridAndConstraints) {
         const std::string label = to_string(c) + " n=" + std::to_string(n) +
                                   " k=" + std::to_string(k);
         const ImplicitLhg view(n, k, c);
-        const core::Graph g = build(static_cast<NodeId>(n), k, c);
-        expect_equivalent(view, g, label);
+        expect_equivalent(view, reference_assemble(plan(n, k, c)), label);
       }
     }
   }
@@ -73,7 +76,7 @@ TEST(ImplicitEquivalence, MatchesBuildAcrossGridAndConstraints) {
 
 TEST(ImplicitEquivalence, EdgeIndexAgreesIncludingNonEdges) {
   const ImplicitLhg view(200, 4);
-  const core::Graph g = build(200, 4);
+  const core::Graph g = reference_assemble(plan(200, 4));
   // All pairs: present edges get the graph's dense id, absent pairs -1.
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -94,6 +97,24 @@ TEST(ImplicitEquivalence, MaterializeEqualsBuild) {
           << to_string(c) << " n=" << n;
     }
   }
+}
+
+TEST(ImplicitEquivalence, BuildEqualsReferenceOnEveryRealizableSmallTriple) {
+  // Every realizable (n <= 400, k = 2..8, constraint): k = 2 cycles and
+  // wide k >= 6 trees included, whole graphs compared with operator==.
+  std::int32_t checked = 0;
+  for (const Constraint c :
+       {Constraint::kStrictJD, Constraint::kKTree, Constraint::kKDiamond}) {
+    for (std::int32_t k = 2; k <= 8; ++k) {
+      for (NodeId n = 2 * k; n <= 400; ++n) {
+        if (!exists(n, k, c)) continue;
+        ASSERT_EQ(build(n, k, c), reference_assemble(plan(n, k, c)))
+            << to_string(c) << " n=" << n << " k=" << k;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 8120);
 }
 
 TEST(ImplicitEquivalence, PlanConstructorMatchesSizeConstructor) {

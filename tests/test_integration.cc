@@ -12,7 +12,7 @@
 #include "flooding/heartbeat.h"
 #include "flooding/protocols.h"
 #include "flooding/reliable_broadcast.h"
-#include "lhg/assemble.h"
+#include "lhg/implicit.h"
 #include "lhg/lhg.h"
 #include "lhg/plan_io.h"
 #include "lhg/routing.h"
@@ -31,8 +31,9 @@ TEST(Integration, FullPipeline) {
   const TreePlan received = from_plan_string(to_plan_string(planned));
 
   // 2. Assemble the overlay and its coordinates.
-  Layout layout;
-  const core::Graph g = assemble(received, &layout);
+  const ImplicitLhg view(received);
+  const Layout& layout = view.layout();
+  const core::Graph g = view.materialize();
   ASSERT_EQ(g.num_nodes(), n);
 
   // 3. Verify the LHG definition from first principles.

@@ -34,6 +34,7 @@ EXPECTATIONS = {
     "pointer_comparator.cc": (1, "pointer-comparator", 0),
     "unseeded_rng.cc": (1, "unseeded-rng", 0),
     "cross_shard_state.cc": (1, "cross-shard-state", 0),
+    "test_oracle_include.cc": (1, "test-oracle-include", 0),
     "allow_ok.cc": (0, None, 1),
     "allow_missing_justification.cc": (1, "unjustified-allow", 0),
 }

@@ -43,25 +43,21 @@ TEST(Metrics, HistogramBucketBoundaries) {
 TEST(Metrics, CountersGaugesAndHistogramsAccumulate) {
   Registry reg;
   const CounterId sent = reg.counter("sent");
-  const GaugeId depth = reg.gauge("depth");
   const HistogramId delay = reg.histogram("delay");
 
   reg.add(sent, 3);
   reg.add(sent, 4);
-  reg.set(depth, 9);
-  reg.add(depth, -2);
   reg.observe(delay, 1);
   reg.observe(delay, 5);
   reg.observe(delay, 5);
   reg.observe(delay, 0);
 
   const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.samples.size(), 3u);
+  ASSERT_EQ(snap.samples.size(), 2u);
   EXPECT_EQ(snap.samples[0].name, "sent");
   EXPECT_EQ(snap.samples[0].kind, MetricKind::kCounter);
   EXPECT_EQ(snap.samples[0].value, 7);
-  EXPECT_EQ(snap.samples[1].value, 7);  // gauge: 9 - 2
-  const MetricSample& h = snap.samples[2];
+  const MetricSample& h = snap.samples[1];
   EXPECT_EQ(h.kind, MetricKind::kHistogram);
   EXPECT_EQ(h.count, 4);
   EXPECT_EQ(h.sum, 11);

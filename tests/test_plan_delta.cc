@@ -1,6 +1,7 @@
 // Tests for canonical plan deltas: applying plan_delta(from, to) to the
-// realized from-graph must reproduce the realized to-graph exactly, and
-// delta sizes must match the O(k) / O(k²) bounds the incremental
+// from-graph must reproduce the to-graph exactly, both built by the
+// independent reference assembler (core/testing/reference_assemble.h),
+// and delta sizes must match the O(k) / O(k²) bounds the incremental
 // membership engine depends on.
 
 #include "lhg/plan_delta.h"
@@ -11,7 +12,7 @@
 #include <vector>
 
 #include "core/check.h"
-#include "lhg/assemble.h"
+#include "core/testing/reference_assemble.h"
 #include "lhg/lhg.h"
 
 namespace lhg {
@@ -19,6 +20,7 @@ namespace {
 
 using core::Edge;
 using core::NodeId;
+using core::testing::reference_assemble;
 
 /// Applies a delta to the realized from-graph: drop removed_edges,
 /// translate survivors through slot_map, append added_edges.  Dies (via
@@ -96,8 +98,8 @@ TEST(PlanDelta, ConsecutiveSizesRoundTripAcrossAllConstraints) {
         const auto to = plan(n, grid.k, grid.c);
         const auto d = plan_delta(from, to);
         check_delta_well_formed(d, prev, n);
-        const auto from_g = assemble(from);
-        const auto to_g = assemble(to);
+        const auto from_g = reference_assemble(from);
+        const auto to_g = reference_assemble(to);
         EXPECT_EQ(apply_delta(from_g, d, n), to_g);
         // And the reverse direction (a leave) round-trips too.
         const auto rd = plan_delta(to, from);
@@ -126,7 +128,8 @@ TEST(PlanDelta, BatchedJumpsRoundTrip) {
       const auto pb = plan(b, grid.k, grid.c);
       const auto d = plan_delta(pa, pb);
       check_delta_well_formed(d, a, b);
-      EXPECT_EQ(apply_delta(assemble(pa), d, b), assemble(pb));
+      EXPECT_EQ(apply_delta(reference_assemble(pa), d, b),
+                reference_assemble(pb));
     }
   }
 }

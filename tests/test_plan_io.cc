@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
-#include "lhg/assemble.h"
+#include "lhg/implicit.h"
 #include "lhg/lhg.h"
 
 namespace lhg {
@@ -28,7 +29,8 @@ TEST(PlanIo, RoundTripAllConstraints) {
         EXPECT_TRUE(plans_equal(original, back))
             << to_string(constraint) << " n=" << n << " k=" << k;
         // And the realized graphs agree.
-        EXPECT_EQ(assemble(original), assemble(back));
+        EXPECT_EQ(ImplicitLhg(original).materialize(),
+                  ImplicitLhg(back).materialize());
       }
     }
   }
@@ -75,6 +77,25 @@ TEST(PlanIo, MalformedInputsRejected) {
   EXPECT_THROW(
       from_plan_string("lhg-plan 1\nk 3\ninteriors 1\nleaves 2\nleaf 0 shared\n"),
       std::invalid_argument);
+}
+
+TEST(PlanIo, DecreasingParentRejectedAtThatInterior) {
+  // Parents 0 1 0: interior 3 hangs from the root after interior 2 hung
+  // from interior 1, so the root's children {1, 3} are not contiguous.
+  try {
+    from_plan_string(
+        "lhg-plan 1\nk 3\ninteriors 4\nparents 0 1 0\nleaves 0\n");
+    FAIL() << "a decreasing parent was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("lhg-plan: parent 0 of interior 3"), std::string::npos)
+        << what;
+  }
+  // Non-decreasing parents with repeats read fine.
+  EXPECT_EQ(from_plan_string(
+                "lhg-plan 1\nk 3\ninteriors 4\nparents 0 0 1\nleaves 0\n")
+                .num_interiors(),
+            4);
 }
 
 }  // namespace
