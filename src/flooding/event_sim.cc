@@ -1,28 +1,32 @@
 #include "flooding/event_sim.h"
 
-#include <algorithm>
-
 namespace lhg::flooding {
 
-std::uint32_t Simulator::intern_sink(DeliverSink* sink) {
-  const auto index = static_cast<std::uint32_t>(
-      std::find(sinks_.begin(), sinks_.end(), sink) - sinks_.begin());
-  if (index == sinks_.size()) sinks_.push_back(sink);
-  last_sink_ = sink;
-  last_sink_index_ = index;
-  return index;
+void Simulator::latch_sink(DeliverSink* sink) {
+  LHG_CHECK(sink_ == nullptr,
+            "Simulator::schedule_deliver_at: a second deliver sink (a "
+            "simulator delivers to one)");
+  sink_ = sink;
+}
+
+std::int64_t Simulator::pending_deliveries() const {
+  std::int64_t count = 0;
+  queue_.for_each_pending([&count](const Queue::Item& item) {
+    count += item.payload.kind == kDeliver ? 1 : 0;
+  });
+  return count;
 }
 
 void Simulator::dispatch(const Event& ev) {
   ++processed_;
-  const bool deliver = ev.sink != kCallbackSink;
+  const bool deliver = ev.kind == kDeliver;
   if (obs_ != nullptr) {
     obs_->add(deliver ? obs_->sim_deliver_events : obs_->sim_callback_events);
   }
   if (deliver) {
     // The whole payload is in `ev` — copied off the queue, so the sink
     // is free to schedule follow-up events.
-    sinks_[ev.sink]->on_deliver(ev.from, ev.to, ev.link, ev.message);
+    sink_->on_deliver(ev.from, ev.to, ev.link, ev.message);
   } else {
     callbacks_.invoke(ev.link);
   }

@@ -7,11 +7,11 @@
 // call per message) in favour of typed events over pooled storage:
 //
 //   * Two event kinds.  A *deliver* event — the per-message hot path —
-//     is a plain (sink, from, to, link, message) record dispatched
-//     straight into the registered DeliverSink (the Network), with no
-//     type erasure at all.  Its payload is stored inline in the event
-//     queue, so scheduling and executing a message performs no
-//     allocation and chases no pointers.
+//     is a plain (from, to, link, message) record dispatched straight
+//     into the simulator's one DeliverSink (the Network), with no type
+//     erasure at all.  Its payload is stored inline in the event queue,
+//     so scheduling and executing a message performs no allocation and
+//     chases no pointers.
 //
 //   * Slab free-list callback storage.  Everything else (crashes, link
 //     failures, timers, protocol bootstraps) is a *callback* event
@@ -30,8 +30,8 @@
 //     on the same instant); such a run moves to the front with one swap.
 //     Workloads with all-distinct timestamps (per-link or per-send
 //     jitter) pay a few re-filings per event.  A queued event is 32
-//     bytes: its time key and an inline (message, from, to, link, sink
-//     index) payload.
+//     bytes: its time key and an inline (message, from, to, link, kind)
+//     payload.
 //
 // Determinism contract (unchanged from the std::function engine):
 // events execute in (time, insertion) order, a total order, so a run is
@@ -40,7 +40,10 @@
 // the exact (time, event) sequence.  Every radix bucket keeps its items
 // in push order and equal times always share a bucket, so the front run
 // of one timestamp is exactly its events in insertion order
-// (time_queue.h has the argument).
+// (time_queue.h has the argument).  An event scheduled at the current
+// time appends behind everything queued, so a timestamp runs
+// breadth-first: (time, generation, insertion), the sharded engine's
+// rule with insertion in place of its canonical key (shard_sim.h).
 //
 // Monotone time.  Events may only be scheduled at or after now(); the
 // check is always on for callbacks and debug-only (LHG_DCHECK) on the
@@ -53,7 +56,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "core/check.h"
 #include "flooding/callback_slab.h"
@@ -71,7 +73,8 @@ class Simulator {
       CallbackSlab<>::kInlineCapacity;
 
   /// Receiver of first-class deliver events.  `link` is whatever the
-  /// scheduler passed (the Network uses Graph::edge_index ids).
+  /// scheduler passed (the Network uses Graph::edge_index ids).  A
+  /// simulator has one: the first schedule_deliver_* call latches it.
   class DeliverSink {
    public:
     virtual void on_deliver(std::int32_t from, std::int32_t to,
@@ -105,7 +108,7 @@ class Simulator {
     ev.from = 0;
     ev.to = 0;
     ev.link = callbacks_.store(std::forward<F>(fn));
-    ev.sink = kCallbackSink;
+    ev.kind = kCallback;
     queue_.push(Queue::key_of(time), ev);
   }
 
@@ -119,19 +122,21 @@ class Simulator {
   /// absolute time `time`; at that instant `sink->on_deliver` runs with
   /// exactly these arguments.  This is the allocation-free per-message
   /// path: an inline queue record, no slab, no type erasure.  Its time
-  /// contract is debug-only (LHG_DCHECK).
+  /// contract is debug-only (LHG_DCHECK).  `sink` must be the same on
+  /// every call (LHG_CHECK).
   void schedule_deliver_at(double time, DeliverSink* sink, std::int32_t from,
                            std::int32_t to, std::int32_t link,
                            std::int64_t message) {
     LHG_DCHECK(time >= now_, "Simulator: time {} is NaN or before now {}",
                time, now_);
     LHG_DCHECK(sink != nullptr, "Simulator::schedule_deliver_at: null sink");
+    if (sink != sink_) latch_sink(sink);
     Event ev;
     ev.message = message;
     ev.from = from;
     ev.to = to;
     ev.link = link;
-    ev.sink = sink == last_sink_ ? last_sink_index_ : intern_sink(sink);
+    ev.kind = kDeliver;
     queue_.push(Queue::key_of(time), ev);
   }
 
@@ -156,6 +161,10 @@ class Simulator {
   /// Number of events still queued.
   std::size_t pending() const { return queue_.size(); }
 
+  /// Deliver events still queued: the copies in flight after a
+  /// run_until.  Walks the whole queue; meant for end-of-run checks.
+  std::int64_t pending_deliveries() const;
+
   /// Callback slots ever carved from the slab — the storage high-water
   /// mark.  Deliver events never touch the slab (their payload rides in
   /// the time queue), and steady-state callback traffic recycles
@@ -171,18 +180,17 @@ class Simulator {
   }
 
  private:
-  /// Sink index of callback events.
-  static constexpr std::uint32_t kCallbackSink = 0xffffffffu;
+  enum Kind : std::uint32_t { kDeliver = 0, kCallback = 1 };
 
   /// Payload of one queued event.  Deliver events carry their whole
-  /// payload here, with the sink as an index into `sinks_`; callback
-  /// events use `link` as the slab slot id and zero the rest.
+  /// payload here; callback events use `link` as the slab slot id and
+  /// zero the rest.
   struct Event {
     std::int64_t message;
     std::int32_t from;
     std::int32_t to;
     std::int32_t link;  // deliver: link id; callback: slab slot id
-    std::uint32_t sink;  // index into sinks_, or kCallbackSink
+    std::uint32_t kind;
   };
   using Queue = TimeQueue<Event>;
   static_assert(sizeof(Queue::Item) <= 32, "queued event should stay compact");
@@ -192,17 +200,14 @@ class Simulator {
               "Simulator: time {} is NaN or before now {}", time, now_);
   }
 
-  /// Registers a new deliver sink (or finds a known one) and caches it
-  /// as the last one used.
-  std::uint32_t intern_sink(DeliverSink* sink);
+  /// Makes `sink` the deliver sink; fails a contract if one is set.
+  void latch_sink(DeliverSink* sink);
 
   void drain(std::uint64_t limit);  // run events with key <= limit
   void dispatch(const Event& ev);  // execute exactly one event
 
   Queue queue_;
-  std::vector<DeliverSink*> sinks_;  // deliver sinks seen, by index
-  DeliverSink* last_sink_ = nullptr;
-  std::uint32_t last_sink_index_ = 0;
+  DeliverSink* sink_ = nullptr;
 
   CallbackSlab<> callbacks_;
   double now_ = 0.0;

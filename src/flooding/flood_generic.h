@@ -136,9 +136,10 @@ DisseminationResult first_copy_flood(const Topology& topology,
 /// Results are bit-identical at any shard and thread count.  Channel
 /// draws follow the single queue's rule (per-arc streams, network.h),
 /// so a run is also bit-equal to the single-queue `flood` whenever no
-/// node runs two events at one timestamp.  Chaos-free kFixed /
-/// kUniformPerLink runs draw nothing on the send path and are bit-equal
-/// to it always (the golden-parity contract).
+/// node runs two events of one generation at one timestamp
+/// (shard_sim.h).  Chaos-free kFixed / kUniformPerLink runs draw
+/// nothing on the send path and are bit-equal to it always (the
+/// golden-parity contract).
 /// The per-node result arrays are written only by each node's owner
 /// shard, so the handler needs no synchronization beyond the engine's
 /// phase structure.

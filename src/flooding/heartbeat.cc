@@ -113,6 +113,12 @@ HeartbeatResult run_heartbeat(const core::Graph& topology,
   HeartbeatResult result;
   result.heartbeats_sent = detector.beats_sent();
   result.false_suspicions = detector.false_suspicions();
+  result.net = net.stats();
+  result.in_flight = sim.pending_deliveries();
+  LHG_CHECK(result.net.conserved(result.in_flight),
+            "heartbeat run: NetworkStats not conserved with {} copies in "
+            "flight",
+            result.in_flight);
 
   // Post-process detections for crashes scheduled inside the horizon
   // (in failure-plan order, deterministically).

@@ -52,6 +52,13 @@ struct HeartbeatResult {
   /// Suspicions raised against nodes that were alive at the time.
   std::int64_t false_suspicions = 0;
 
+  /// Network counters at the end of the run, and the beats still in
+  /// flight there: the run stops at a deadline, so with latencies above
+  /// `timeout + 1` some copies have not landed.  run_heartbeat checks
+  /// `net.conserved(in_flight)`.
+  NetworkStats net;
+  std::int64_t in_flight = 0;
+
   /// Observability output (empty unless the config enables it).
   obs::Snapshot metrics;
   obs::TraceLog trace;

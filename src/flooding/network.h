@@ -16,12 +16,12 @@
 // This header holds the one fault model of both event engines:
 // `FaultModel` keeps the crash/link/partition state as counts of open
 // fault windows, the send- and delivery-time checks with their
-// NetworkStats/obs accounting, and the channel draws.  Fault state has
-// one writer, `apply_failure_plan` (failure.h), which opens and closes
-// the windows of a FailurePlan at setup or in scheduled mutations.  Two
-// networks derive from FaultModel and add only what their engine needs:
-// `BasicNetwork` below runs on the single-queue Simulator,
-// `ShardedNetwork` (shard_net.h) on the ShardedSimulator.
+// per-shard NetworkStats/obs accounting, and the channel draws.  Fault
+// state has one writer, `apply_failure_plan` (failure.h), which opens
+// and closes the windows of a FailurePlan at setup or in scheduled
+// mutations.  Two networks derive from FaultModel and add only what
+// their engine needs: `BasicNetwork` below runs on the single-queue
+// Simulator, `ShardedNetwork` (shard_net.h) on the ShardedSimulator.
 //
 // The overlay is a template parameter: a network needs only
 // `num_nodes()`, `num_edges()` and `edge_index(u, v)` from it, so the
@@ -54,9 +54,9 @@
 // A disabled knob draws nothing, so chaos-free kFixed / kUniformPerLink
 // runs reproduce the golden traces bit for bit.  Both engines therefore
 // draw alike: a run matches draw for draw across them whenever no node
-// runs two events at one timestamp (the engines order such events
-// differently), and the per-arc streams cost 64 B per edge on chaos or
-// per-send runs.
+// runs two events of one generation at one timestamp (the engines order
+// such events differently; shard_sim.h), and the per-arc streams cost
+// 64 B per edge on chaos or per-send runs.
 
 #pragma once
 
@@ -166,10 +166,11 @@ struct NetworkStats {
            dropped_partition;
   }
 
-  /// The conservation law of a drained run: every accepted copy was
-  /// either delivered or counted as undelivered.
-  bool conserved() const {
-    return delivered + undelivered() == sent + duplicated;
+  /// The conservation law: every accepted copy was delivered, counted
+  /// as undelivered, or is still `in_flight` (0 after a drained run;
+  /// the engine's queued deliveries after a bounded one).
+  bool conserved(std::int64_t in_flight = 0) const {
+    return delivered + undelivered() + in_flight == sent + duplicated;
   }
 
   NetworkStats& operator+=(const NetworkStats& other) {
@@ -204,10 +205,11 @@ struct FailurePlan;
 template <typename Net>
 void apply_failure_plan(Net& net, const FailurePlan& plan);
 
-/// The fault model and lossy channel of both networks.  `Derived` (a
-/// BasicNetwork or ShardedNetwork, which befriends this base) supplies
-/// what differs per engine through three private hooks:
+/// The fault model, lossy channel and accounting of both networks.
+/// `Derived` (a BasicNetwork or ShardedNetwork, which befriends this
+/// base) supplies what differs per engine through four private hooks:
 ///
+///   * `now(shard)` is the executing shard's clock;
 ///   * `schedule_mutation(at, fn)` runs `fn()` at virtual time `at`: a
 ///     callback on the single queue, a control event between windows
 ///     on the sharded engine;
@@ -216,13 +218,22 @@ void apply_failure_plan(Net& net, const FailurePlan& plan);
 ///   * `schedule_delivery(shard, time, from, to, link, message)` queues
 ///     one copy on the engine.
 ///
-/// Derived also provides `stats()`.  Stats, obs taps and the clock
-/// reach the shared send and deliver paths as arguments, so each engine
-/// keeps its own (one of each, or one per shard).  The channel state,
-/// per directed arc, lives here.
+/// The accounting is per shard (one shard on the single queue): each
+/// shard's NetworkStats, cache-line padded, and its obs tap are touched
+/// only by the lane executing that shard.  The channel state, per
+/// directed arc, lives here too.
 template <typename Derived, typename Topology>
 class FaultModel {
  public:
+  /// Robustness counters (see NetworkStats): the shard-index-ordered sum
+  /// of the per-shard counters, int64 sums, so bit-identical at any
+  /// shard and thread count.
+  NetworkStats stats() const {
+    NetworkStats total;
+    for (const ShardAccount& account : accounts_) total += account.stats;
+    return total;
+  }
+
   const Topology& topology() const { return *topology_; }
 
   bool is_alive(core::NodeId node) const {
@@ -240,12 +251,13 @@ class FaultModel {
  protected:
   /// `topology` must outlive the network.  Every draw from `rng` happens
   /// here: the kUniformPerLink latency table, then the arc seed (see the
-  /// header).
+  /// header).  `shards` sizes the per-shard accounting.
   FaultModel(const Topology& topology, LatencySpec latency, core::Rng& rng,
-             const ChaosSpec& chaos)
+             const ChaosSpec& chaos, std::int32_t shards)
       : topology_(&topology),
         latency_(latency),
         chaos_(chaos),
+        accounts_(static_cast<std::size_t>(shards)),
         crashed_(static_cast<std::size_t>(topology.num_nodes()), 0),
         alive_count_(topology.num_nodes()),
         link_failed_(static_cast<std::size_t>(topology.num_edges()), 0) {
@@ -305,17 +317,19 @@ class FaultModel {
     return link;
   }
 
-  /// One transmission from `from` over `link`, sent at `now`: the
-  /// send-time checks, then the channel, then one copy (two when
-  /// duplicated) handed to the engine.  Returns whether the
-  /// transmission was accepted (a copy lost on the wire was).
-  /// Always inlined (as is BasicNetwork::send_link), so a chaos-free
-  /// send stays inside the protocol's handler.
-  [[gnu::always_inline]] bool transmit(std::int32_t shard, NetworkStats& stats,
-                                       const obs::SimObs* obs, double now,
-                                       core::NodeId from, core::NodeId to,
-                                       std::int32_t link,
+  /// One transmission from `from` over `link`, sent by `shard` (the
+  /// sender's) at its current time: the send-time checks, then the
+  /// channel, then one copy (two when duplicated) handed to the engine.
+  /// Returns whether the transmission was accepted (a copy lost on the
+  /// wire was).  Always inlined (as is BasicNetwork::send_link), so a
+  /// chaos-free send stays inside the protocol's handler.
+  [[gnu::always_inline]] bool transmit(std::int32_t shard, core::NodeId from,
+                                       core::NodeId to, std::int32_t link,
                                        std::int64_t message) {
+    ShardAccount& account = accounts_[static_cast<std::size_t>(shard)];
+    NetworkStats& stats = account.stats;
+    const obs::SimObs* obs = account.obs;
+    const double now = derived().now(shard);
     if (crashed_[static_cast<std::size_t>(from)] != 0) {
       ++stats.blocked_sender_crashed;
       blocked(obs, now, from, to, obs::DropCause::kBlockedSenderCrashed);
@@ -356,14 +370,19 @@ class FaultModel {
     return true;
   }
 
-  /// Delivery checks at arrival time `now`: the receiver must be alive,
-  /// the link must still be up, and no active partition may separate
-  /// the endpoints (a message in flight when its link fails or the cut
-  /// activates is lost, modeling a cut trunk).  The sender's state is
-  /// irrelevant here — it was alive at send time or transmit refused.
-  /// Returns whether the copy reaches the receive handler.
-  bool admit_delivery(NetworkStats& stats, const obs::SimObs* obs, double now,
-                      core::NodeId from, core::NodeId to, std::int32_t link) {
+  /// Delivery checks on `shard` (the receiver's) at arrival time: the
+  /// receiver must be alive, the link must still be up, and no active
+  /// partition may separate the endpoints (a message in flight when its
+  /// link fails or the cut activates is lost, modeling a cut trunk).
+  /// The sender's state is irrelevant here — it was alive at send time
+  /// or transmit refused.  Returns whether the copy reaches the receive
+  /// handler.
+  bool admit_delivery(std::int32_t shard, core::NodeId from, core::NodeId to,
+                      std::int32_t link) {
+    ShardAccount& account = accounts_[static_cast<std::size_t>(shard)];
+    NetworkStats& stats = account.stats;
+    const obs::SimObs* obs = account.obs;
+    const double now = derived().now(shard);
     if (crashed_[static_cast<std::size_t>(to)] != 0) {
       ++stats.dropped_receiver_crashed;
       dropped(obs, now, from, to, obs::DropCause::kReceiverCrashed);
@@ -391,6 +410,14 @@ class FaultModel {
   LatencySpec latency_;
   ChaosSpec chaos_;
   std::vector<double> link_latency_;  // per edge id (kUniformPerLink)
+
+  /// One shard's counters and obs tap (may be null), on cache lines of
+  /// their own.
+  struct alignas(64) ShardAccount {
+    NetworkStats stats;
+    const obs::SimObs* obs = nullptr;
+  };
+  std::vector<ShardAccount> accounts_;  // per shard
 
  private:
   Derived& derived() { return static_cast<Derived&>(*this); }
@@ -565,7 +592,7 @@ class BasicNetwork final
   /// from here only (FaultModel's constructor), never during the run.
   BasicNetwork(const Topology& topology, Simulator& sim, LatencySpec latency,
                core::Rng& rng, const ChaosSpec& chaos = {})
-      : Base(topology, latency, rng, chaos), sim_(&sim) {}
+      : Base(topology, latency, rng, chaos, /*shards=*/1), sim_(&sim) {}
 
   Simulator& simulator() { return *sim_; }
 
@@ -573,7 +600,7 @@ class BasicNetwork final
   /// into the metrics registry and emits send/drop/deliver/crash trace
   /// events; recording never draws from the Rng, so enabling it cannot
   /// change a run.
-  void set_obs(const obs::SimObs* obs) { obs_ = obs; }
+  void set_obs(const obs::SimObs* obs) { this->accounts_[0].obs = obs; }
 
   /// Handler invoked on message delivery: (receiver, sender, message id).
   using ReceiveHandler =
@@ -600,30 +627,27 @@ class BasicNetwork final
                                         std::int64_t message) {
     LHG_DCHECK(link == this->topology_->edge_index(from, to),
                "send_link: {} is not the edge id of ({}, {})", link, from, to);
-    return this->transmit(/*shard=*/0, stats_, obs_, sim_->now(), from, to,
-                          link, message);
+    return this->transmit(/*shard=*/0, from, to, link, message);
   }
-
-  /// Robustness counters (see NetworkStats).
-  const NetworkStats& stats() const { return stats_; }
 
  private:
   // Typed-event entry point: delivery-instant checks, then the handler.
   void on_deliver(std::int32_t from, std::int32_t to, std::int32_t link,
                   std::int64_t message) override {
-    if (this->admit_delivery(stats_, obs_, sim_->now(), from, to, link) &&
-        on_receive_) {
+    if (this->admit_delivery(/*shard=*/0, from, to, link) && on_receive_) {
       on_receive_(to, from, message);
     }
   }
 
   // --- FaultModel hooks --------------------------------------------------
+  double now(std::int32_t /*shard*/) const { return sim_->now(); }
   template <typename F>
   void schedule_mutation(double at, F&& fn) {
     sim_->schedule_at(at, std::forward<F>(fn));
   }
   void trace_node(obs::TraceKind kind, core::NodeId node) const {
-    if (obs_ != nullptr) obs_->event(sim_->now(), kind, node);
+    const obs::SimObs* obs = this->accounts_[0].obs;
+    if (obs != nullptr) obs->event(sim_->now(), kind, node);
   }
   void schedule_delivery(std::int32_t /*shard*/, double time,
                          core::NodeId from, core::NodeId to,
@@ -632,8 +656,6 @@ class BasicNetwork final
   }
 
   Simulator* sim_;
-  NetworkStats stats_;
-  const obs::SimObs* obs_ = nullptr;
   ReceiveHandler on_receive_;
 };
 

@@ -71,8 +71,8 @@ struct FloodConfig {
   /// set splits into `shards` time queues driven by core::parallel
   /// lanes, bit-identical at any shard/thread count.  Both engines draw
   /// the channel from the same per-arc streams, so results also equal
-  /// the single queue's unless a node runs two events at one timestamp
-  /// (DESIGN.md §17).  Clamped to n.
+  /// the single queue's unless a node runs two events of one generation
+  /// at one timestamp (DESIGN.md §17).  Clamped to n.
   std::int32_t shards = 1;
 };
 

@@ -19,10 +19,8 @@
 //     only at its sending node, in that shard's canonical execution
 //     order, so lossy runs are invariant across shard/thread counts.
 //
-//   * Per-shard, owned by one lane — NetworkStats (cache-line padded,
-//     summed in shard-index order at report time: int64 sums, so the
-//     aggregate is bit-identical at any shard/thread count) and the
-//     per-shard obs::SimObs taps.
+//   * Per-shard, owned by one lane — NetworkStats and the obs::SimObs
+//     taps, which FaultModel keeps per shard (one per shard here).
 //
 // Lookahead: `min_cross_shard_latency()` scans every arc whose
 // endpoints land in different shards and returns the minimum latency a
@@ -61,9 +59,7 @@ class ShardedNetwork final
   /// from here only, exactly as by BasicNetwork (network.h).
   ShardedNetwork(const Topology& topology, ShardedSimulator& sim,
                  LatencySpec latency, core::Rng& rng, const ChaosSpec& chaos)
-      : Base(topology, latency, rng, chaos), sim_(&sim) {
-    stats_.resize(static_cast<std::size_t>(sim.num_shards()));
-    obs_.assign(static_cast<std::size_t>(sim.num_shards()), nullptr);
+      : Base(topology, latency, rng, chaos, sim.num_shards()), sim_(&sim) {
     sim_->set_deliver_sink(this);
     const double la = min_cross_shard_latency();
     if (la < std::numeric_limits<double>::infinity()) sim_->set_lookahead(la);
@@ -76,10 +72,12 @@ class ShardedNetwork final
   /// s, plus control-phase events for nodes it owns.
   void set_obs(std::vector<const obs::SimObs*> per_shard) {
     LHG_CHECK(per_shard.empty() ||
-                  per_shard.size() == obs_.size(),
+                  per_shard.size() == this->accounts_.size(),
               "ShardedNetwork: {} obs taps for {} shards", per_shard.size(),
-              obs_.size());
-    if (!per_shard.empty()) obs_ = std::move(per_shard);
+              this->accounts_.size());
+    for (std::size_t s = 0; s < this->accounts_.size(); ++s) {
+      this->accounts_[s].obs = per_shard.empty() ? nullptr : per_shard[s];
+    }
   }
 
   /// Minimum latency a message can experience on a cross-shard arc
@@ -133,31 +131,14 @@ class ShardedNetwork final
     LHG_DCHECK(sim_->shard_of(from) == shard,
                "send_link: node {} sent from shard {} but lives on shard {}",
                from, shard, sim_->shard_of(from));
-    return this->transmit(shard, stats_[static_cast<std::size_t>(shard)].stats,
-                          obs_[static_cast<std::size_t>(shard)],
-                          sim_->now(shard), from, to, link, message);
-  }
-
-  /// Shard-index-ordered sum of the per-shard counters: bit-identical
-  /// at any shard and thread count.
-  NetworkStats stats() const {
-    NetworkStats total;
-    for (const PaddedStats& p : stats_) total += p.stats;
-    return total;
+    return this->transmit(shard, from, to, link, message);
   }
 
  private:
-  struct alignas(64) PaddedStats {
-    NetworkStats stats;
-  };
-
   void on_sharded_deliver(std::int32_t shard, std::int32_t from,
                           std::int32_t to, std::int32_t link,
                           std::int64_t message) override {
-    if (this->admit_delivery(stats_[static_cast<std::size_t>(shard)].stats,
-                             obs_[static_cast<std::size_t>(shard)],
-                             sim_->now(shard), from, to, link) &&
-        on_receive_) {
+    if (this->admit_delivery(shard, from, to, link) && on_receive_) {
       on_receive_(shard, to, from, message);
     }
   }
@@ -176,6 +157,7 @@ class ShardedNetwork final
   }
 
   // --- FaultModel hooks: mutations are control events -------------------
+  double now(std::int32_t shard) const { return sim_->now(shard); }
   template <typename F>
   void schedule_mutation(double at, F&& fn) {
     sim_->schedule_control_at(
@@ -183,7 +165,7 @@ class ShardedNetwork final
   }
   void trace_node(obs::TraceKind kind, core::NodeId node) const {
     const obs::SimObs* obs =
-        obs_[static_cast<std::size_t>(sim_->shard_of(node))];
+        this->accounts_[static_cast<std::size_t>(sim_->shard_of(node))].obs;
     if (obs != nullptr) obs->event(sim_->env_now(), kind, node);
   }
   void schedule_delivery(std::int32_t shard, double time, core::NodeId from,
@@ -194,10 +176,6 @@ class ShardedNetwork final
 
   ShardedSimulator* sim_;
   ReceiveHandler on_receive_;
-
-  // Per-shard state, owned by one lane each.
-  std::vector<PaddedStats> stats_;
-  std::vector<const obs::SimObs*> obs_;
 };
 
 }  // namespace lhg::flooding

@@ -64,24 +64,6 @@ ShardedSimulator::ShardedSimulator(std::int32_t num_nodes,
     : ShardedSimulator(block_owners(num_nodes, num_shards),
                        block_count(num_nodes, num_shards)) {}
 
-void ShardedSimulator::late_push(Shard& sh, const Event& ev) {
-  sh.late.push_back(ev);
-  std::push_heap(sh.late.begin(), sh.late.end(),
-                 [](const Event& a, const Event& b) {
-                   return a.canon > b.canon;
-                 });
-}
-
-ShardedSimulator::Event ShardedSimulator::late_pop(Shard& sh) {
-  std::pop_heap(sh.late.begin(), sh.late.end(),
-                [](const Event& a, const Event& b) {
-                  return a.canon > b.canon;
-                });
-  const Event ev = sh.late.back();
-  sh.late.pop_back();
-  return ev;
-}
-
 void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
                                 const Event& ev) {
   ++sh.processed;
@@ -103,13 +85,6 @@ void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
     sh.callbacks.invoke(ev.link, shard_idx);
   }
   sh.origin = kEnvOrigin;
-}
-
-void ShardedSimulator::run_late_before(Shard& sh, std::int32_t shard_idx,
-                                       std::uint64_t canon) {
-  while (!sh.late.empty() && sh.late.front().canon < canon) {
-    dispatch(sh, shard_idx, late_pop(sh));
-  }
 }
 
 namespace {
@@ -148,15 +123,11 @@ void ShardedSimulator::sort_run(Shard& sh, std::size_t begin,
                                 std::size_t end) {
   // A natural merge sort, because push order comes in ascending
   // stretches (the shard's own pushes, then each inbound box): r
-  // stretches cost ceil(log2 r) linear passes.  Under a tree partition
-  // every shard holds interiors and leaves, so a fixed-latency flood of
-  // ImplicitLhg(10^6, 4) at S=4 still gives each shard about 27 k
-  // stretches over its large runs; when stretches are that short the
-  // passes cost about what a comparison sort does.  The first
-  // pass reads the keys from the queue; later passes alternate between
-  // `order` and `scratch`.  Both are sized exactly to the run, so they
-  // only ever grow to the shard's largest unsorted run, and `scratch`
-  // only when that run has more than two stretches.
+  // stretches cost ceil(log2 r) linear passes (DESIGN.md §17 has how
+  // many a flood sees).  The first pass reads the keys from the queue;
+  // later passes alternate between `order` and `scratch`, both sized
+  // exactly to the run, so they only ever grow to the shard's largest
+  // unsorted run, and `scratch` only when it has over two stretches.
   const std::size_t n = end - begin;
   const auto item_key = [&sh, begin](std::size_t i) {
     return sh.queue.front_at(begin + i).payload.canon;
@@ -182,13 +153,12 @@ void ShardedSimulator::sort_run(Shard& sh, std::size_t begin,
 void ShardedSimulator::drain_window(std::int32_t s, std::uint64_t limit) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   while (sh.queue.advance(limit)) {
-    // The front run holds every event of this timestamp, in push order.
-    // Execution order is canonical: by key, a total order, so it does
-    // not depend on the order the events were pushed in.  Handlers may
-    // schedule same-time events; those go to the late heap and run as
-    // soon as their key is the smallest among the unexecuted events.
+    // One generation per pass: the untaken front run as it stands, in
+    // push order.  Execution order is canonical: by key, a total order,
+    // so it does not depend on the order the events were pushed in.
+    // Same-time events its handlers schedule append behind it and are
+    // the next pass's generation.
     sh.now = Queue::time_of(sh.queue.current_key());
-    sh.draining = true;
     const std::size_t begin = sh.queue.front_taken();
     const std::size_t end = sh.queue.front_size();
     std::size_t sorted_end = begin + 1;
@@ -199,10 +169,8 @@ void ShardedSimulator::drain_window(std::int32_t s, std::uint64_t limit) {
     }
     if (sorted_end >= end) {
       // Already in key order (every one-event run): execute in place.
-      while (!sh.queue.front_empty()) {
-        const Event ev = sh.queue.pop_front().payload;
-        run_late_before(sh, s, ev.canon);
-        dispatch(sh, s, ev);
+      for (std::size_t i = begin; i < end; ++i) {
+        dispatch(sh, s, sh.queue.pop_front().payload);
       }
     } else {
       // Execute through a sorted index of 16-byte (key, position) pairs
@@ -214,14 +182,10 @@ void ShardedSimulator::drain_window(std::int32_t s, std::uint64_t limit) {
         if (i + kPrefetch < order.size()) {
           __builtin_prefetch(&sh.queue.front_at(order[i + kPrefetch].pos));
         }
-        const Event ev = sh.queue.front_at(order[i].pos).payload;
-        run_late_before(sh, s, ev.canon);
-        dispatch(sh, s, ev);
+        dispatch(sh, s, sh.queue.front_at(order[i].pos).payload);
       }
-      sh.queue.take_front();
+      sh.queue.take_front(end);
     }
-    run_late_before(sh, s, kNoCanon);
-    sh.draining = false;
   }
 }
 
@@ -329,7 +293,7 @@ std::int64_t ShardedSimulator::events_processed() const {
 std::size_t ShardedSimulator::pending() const {
   std::size_t total = control_.size();
   for (const Shard& sh : shards_) {
-    total += sh.queue.size() + sh.late.size();
+    total += sh.queue.size();
     for (const Outbox& box : sh.outbox) total += box.size;
   }
   return total;

@@ -6,21 +6,22 @@
 // contiguous id blocks.  The table decides where events run, never
 // which run or in what order.
 //
-// The single-queue Simulator (event_sim.h) executes events in (time,
-// insertion) order — inherently serial, since "insertion" depends on
-// the global execution history.  This engine instead executes in
-// *canonical* order
+// Both engines run a timestamp breadth-first, by *generation*: the
+// events queued at t when the engine reaches t are generation 0, and an
+// event scheduled at its creator's own time is one generation later.
+// The single-queue Simulator (event_sim.h) runs a generation in
+// insertion order, which depends on the global execution history.  This
+// engine runs it in *canonical* order instead:
 //
-//     (time, origin node, per-origin creation seq)
+//     (time, generation, origin node, per-origin creation seq)
 //
 // where the origin of an event is the node whose handler created it
 // (the environment — failure plans, protocol bootstraps — is origin -1
 // and sorts first, matching the serial engine's setup-runs-first
-// semantics).  The key is computable at creation time from quantities
-// that are themselves invariant under sharding, so by induction the
-// full execution order — and therefore every result — is bit-identical
-// at any shard count and any thread count (DESIGN.md §17 has the
-// argument).
+// semantics).  Keys and generations are invariant under sharding (a
+// same-time event never leaves its creator's shard, as the lookahead is
+// > 0), so by induction the execution order — and every result — is
+// bit-identical at any shard and thread count (DESIGN.md §17).
 //
 // Conservative PDES windowing (the classic lookahead recipe): between
 // barriers, shard s drains only events with time < window_end, where
@@ -47,8 +48,8 @@
 // radix time queue (time_queue.h — the single-queue engine's queue), with
 // 40-byte inline events, and one CallbackSlab (callback_slab.h, also the
 // single-queue engine's).  When a shard reaches a timestamp, the queue's
-// front run holds that timestamp's events in push order, and the drain
-// executes them in canonical key order without moving them:
+// untaken front run is one generation in push order, and the drain
+// executes it in canonical key order without moving it:
 //
 //   * one pass checks whether push order already is key order (always
 //     true for a one-event run, so nearly every run of a per-link-latency
@@ -58,24 +59,24 @@
 //     stretches (sort_run), and executes through it with a short
 //     prefetch of the items ahead.
 //
-// Same-time events created *during* the drain go to a small per-shard
-// min-heap; both paths merge it against the unexecuted remainder — "slot
-// by key among the unexecuted events", the parallel analogue of the
-// serial engine's append-behind-head.  Times are monotone per queue: env
-// and control scheduling must be at or after env_now() (always checked),
-// a window handler's at or after its shard's now() (checked; debug-only
-// on the per-message deliver path).  A shard that stops at a window end
+// Same-time events created *during* the drain are plain pushes: they
+// append behind the generation being executed and form the next one,
+// which runs next — the serial engine's append-behind-head.  Times are
+// monotone per queue: env and control scheduling must be at or after
+// env_now() (always checked), a window handler's at or after its shard's
+// now() (checked; debug-only on the per-message deliver path).  A shard that stops at a window end
 // or a run_until deadline keeps its current time at its last executed
 // timestamp, so scheduling at exactly that time between windows lands in
-// the front run and still executes.
+// the front run and still executes, as a generation of its own.
 //
 // What is NOT invariant: the per-timestamp event histogram
 // (sim.bucket_events) depends on how timestamps split across shards,
 // so this engine deliberately never records it.  Channel draws are
 // S-invariant: both networks draw them from per-directed-arc streams
 // (network.h), so a lossy run equals the single queue's whenever no
-// node runs two events at one timestamp — this engine runs such events
-// in canonical key order, the single queue in insertion order.
+// node runs two events of one generation at one timestamp — this engine
+// runs such events in canonical key order, the single queue in
+// insertion order.
 
 #pragma once
 
@@ -222,7 +223,7 @@ class ShardedSimulator {
       check_time_shard(dst, time);
     }
     ev.link = dst.callbacks.store(std::forward<F>(fn));
-    enqueue(dst, Queue::key_of(time), ev);
+    dst.queue.push(Queue::key_of(time), ev);
   }
 
   /// Schedules delivery of `message` over `link` at absolute `time`.
@@ -246,7 +247,8 @@ class ShardedSimulator {
       LHG_CHECK(in_serial_phase(),
                 "ShardedSimulator: env-context scheduling inside a window");
       check_time_env(time);
-      enqueue(shards_[static_cast<std::size_t>(dst)], Queue::key_of(time), ev);
+      shards_[static_cast<std::size_t>(dst)].queue.push(Queue::key_of(time),
+                                                        ev);
       return;
     }
     Shard& src = shards_[static_cast<std::size_t>(ctx)];
@@ -254,7 +256,7 @@ class ShardedSimulator {
                "ShardedSimulator: time {} is NaN or before shard now {}", time,
                src.now);
     if (dst == ctx) {
-      enqueue(src, Queue::key_of(time), ev);
+      src.queue.push(Queue::key_of(time), ev);
       return;
     }
     LHG_DCHECK(time >= window_end_,
@@ -306,9 +308,6 @@ class ShardedSimulator {
   static_assert(sizeof(Queue::Item) <= 40, "queued event should stay compact");
   using ControlQueue = TimeQueue<std::int32_t>;  // control slab slot ids
 
-  /// Above every canonical key: runs the whole late heap.
-  static constexpr std::uint64_t kNoCanon = ~std::uint64_t{0};
-
   /// One entry of a front run's execution index: the event's key and
   /// its position in the run.
   struct RunEntry {
@@ -350,8 +349,6 @@ class ShardedSimulator {
 
     // Drain state.
     double now = 0.0;
-    bool draining = false;
-    std::vector<Event> late;  // min-heap by canon: same-time mid-drain inserts
     std::vector<RunEntry> order;    // execution index of an unsorted run
     std::vector<RunEntry> scratch;  // merge buffer while sorting `order`
     std::int32_t origin = kEnvOrigin;  // acting node while dispatching
@@ -400,22 +397,6 @@ class ShardedSimulator {
     return shards_[static_cast<std::size_t>(s)];
   }
 
-  /// Same-time events created while their timestamp is being drained
-  /// slot into the remaining execution by canonical key (the front run
-  /// is already sorted); everything else goes to the time queue.
-  void enqueue(Shard& sh, std::uint64_t key, const Event& ev) {
-    if (sh.draining && key == sh.queue.current_key()) {
-      late_push(sh, ev);
-    } else {
-      sh.queue.push(key, ev);
-    }
-  }
-
-  void late_push(Shard& sh, const Event& ev);
-  Event late_pop(Shard& sh);
-  /// Executes the late events whose key is below `canon`, in key order.
-  void run_late_before(Shard& sh, std::int32_t shard_idx,
-                       std::uint64_t canon);
   void dispatch(Shard& sh, std::int32_t shard_idx, const Event& ev);
   /// Fills sh.order with front-run positions [begin, end) in key order.
   void sort_run(Shard& sh, std::size_t begin, std::size_t end);

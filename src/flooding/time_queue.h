@@ -33,12 +33,15 @@
 // lowest non-empty one; and anything pushed later is newer than
 // everything already queued.  Items with equal keys always share a
 // bucket, so the front run lists the items of one key in exactly the
-// order they were pushed.  The single-queue engine relies on this for
-// its (time, insertion) order.  The sharded engine wants a canonical
-// order instead: it reads the front run by position (front_at), checks
-// whether push order already is canonical, and otherwise sorts an index
-// of positions and marks the run taken when done (take_front); the
-// items themselves never move.
+// order they were pushed, and a push at the current key appends to it.
+// Both engines drain a timestamp generation by generation: the untaken
+// front run is one generation, and what its handlers push at the same
+// time lands behind it as the next.  The single-queue engine pops each
+// generation in push order.  The sharded engine wants a canonical order
+// within a generation instead: it reads the generation by position
+// (front_at), checks whether push order already is canonical, and
+// otherwise sorts an index of positions and marks the generation taken
+// when done (take_front); the items themselves never move.
 //
 // Contract.  push(key) requires key >= current_key() (a DCHECK here; the
 // engines check their own, stronger, time contracts on every path that
@@ -171,17 +174,31 @@ class TimeQueue {
   const Item& front_at(std::size_t i) const {
     LHG_DCHECK(i < front_size(), "TimeQueue: front position {} of {}", i,
                front_size());
-    return buckets_[0].segments[i >> kSegmentShift][i & (kSegmentItems - 1)];
+    return buckets_[0].at(i);
   }
-  /// Marks the whole front run taken, for a caller that read it through
-  /// front_at().  A later push at the current key is untaken again and
-  /// is read by pop_front() as usual.
-  void take_front() {
-    const Bucket& front = buckets_[0];
-    if (front.segments.empty()) return;
-    next_segment_ = front.segments.size();
-    read_ = front.tail;
-    read_end_ = front.tail_end;
+  /// Marks front-run positions below `end` <= front_size() taken, for a
+  /// caller that read them through front_at().  Items at `end` and
+  /// beyond (pushed at the current key while the caller read) stay
+  /// untaken and are read by pop_front() as usual.
+  void take_front(std::size_t end) {
+    LHG_DCHECK(end >= front_taken() && end <= front_size(),
+               "TimeQueue: take_front({}) outside [{}, {}]", end,
+               front_taken(), front_size());
+    if (end == 0) return;
+    next_segment_ = (end - 1) / kSegmentItems + 1;
+    read_end_ = buckets_[0].segments[next_segment_ - 1] + kSegmentItems;
+    read_ = read_end_ - (next_segment_ * kSegmentItems - end);
+  }
+
+  /// Calls `fn(item)` on every pending item (a cold walk of the whole
+  /// queue, for end-of-run accounting).
+  template <typename F>
+  void for_each_pending(F&& fn) const {
+    for (int b = 0; b < kBuckets; ++b) {
+      const Bucket& bucket = buckets_[b];
+      const std::size_t first = b == 0 ? front_taken() : 0;
+      for (std::size_t i = first; i < bucket.size(); ++i) fn(bucket.at(i));
+    }
   }
 
   /// Pending items, counted bucket by bucket.
@@ -215,6 +232,9 @@ class TimeQueue {
       if (segments.empty()) return 0;
       return (segments.size() - 1) * kSegmentItems +
              static_cast<std::size_t>(tail - segments.back());
+    }
+    const Item& at(std::size_t i) const {
+      return segments[i >> kSegmentShift][i & (kSegmentItems - 1)];
     }
   };
 

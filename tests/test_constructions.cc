@@ -14,7 +14,7 @@ namespace {
 using core::Graph;
 using core::NodeId;
 
-TEST(Assemble, SmallestGraphIsCompleteBipartite) {
+TEST(BuildWithLayout, SmallestGraphIsCompleteBipartite) {
   // (2k, k) = k roots + k shared leaves = K_{k,k}.
   Layout layout;
   Graph g = build_with_layout(6, 3, Constraint::kKTree, &layout);
@@ -28,7 +28,7 @@ TEST(Assemble, SmallestGraphIsCompleteBipartite) {
   }
 }
 
-TEST(Assemble, LayoutPopulationsPartitionIds) {
+TEST(BuildWithLayout, LayoutPopulationsPartitionIds) {
   Layout layout;
   Graph g = build_with_layout(38, 4, Constraint::kKTree, &layout);
   EXPECT_EQ(layout.total_nodes(), 38);
@@ -49,7 +49,7 @@ TEST(Assemble, LayoutPopulationsPartitionIds) {
             38);
 }
 
-TEST(Assemble, SharedLeafTouchesEveryCopy) {
+TEST(BuildWithLayout, SharedLeafTouchesEveryCopy) {
   Layout layout;
   Graph g = build_with_layout(22, 4, Constraint::kKTree, &layout);
   ASSERT_GT(layout.num_shared_leaves, 0);
@@ -69,7 +69,7 @@ TEST(Assemble, SharedLeafTouchesEveryCopy) {
   EXPECT_EQ(seen_copies, 4);
 }
 
-TEST(Assemble, UnsharedGroupIsCliquePlusOneTreeEdgeEach) {
+TEST(BuildWithLayout, UnsharedGroupIsCliquePlusOneTreeEdgeEach) {
   // K-DIAMOND at n = 2k + (k-1) forces one unshared group.
   Layout layout;
   Graph g = build_with_layout(8, 3, Constraint::kKDiamond, &layout);
@@ -83,7 +83,7 @@ TEST(Assemble, UnsharedGroupIsCliquePlusOneTreeEdgeEach) {
   }
 }
 
-TEST(Assemble, RejectsBadPlans) {
+TEST(BuildWithLayout, RejectsBadPlans) {
   TreePlan bogus;
   bogus.k = 1;
   EXPECT_THROW(ImplicitLhg{bogus}, std::invalid_argument);

@@ -156,6 +156,25 @@ TEST(Simulator, DeliverAndCallbackEventsInterleaveByInsertionOrder) {
   EXPECT_EQ(sink.rows[1].message, 200);
 }
 
+TEST(Simulator, SecondDeliverSinkIsRejected) {
+  // The first schedule_deliver_* latches the sink; another one fails
+  // the contract and queues nothing.
+  Simulator sim;
+  RecordingSink first(sim);
+  RecordingSink second(sim);
+  sim.schedule_deliver_at(1.0, &first, 0, 1, 0, 10);
+  EXPECT_THROW(sim.schedule_deliver_at(1.0, &second, 0, 1, 0, 20),
+               std::invalid_argument);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.schedule_deliver_in(2.0, &first, 1, 0, 0, 30);
+  EXPECT_EQ(sim.pending_deliveries(), 2);
+  sim.run();
+  ASSERT_EQ(first.rows.size(), 2u);
+  EXPECT_EQ(first.rows[0].message, 10);
+  EXPECT_EQ(first.rows[1].message, 30);
+  EXPECT_TRUE(second.rows.empty());
+}
+
 // --- Slab storage: zero allocations in steady state -----------------
 
 TEST(Simulator, DeliverPathNeverTouchesTheSlab) {
@@ -406,7 +425,7 @@ TEST(TimeQueue, FrontAtReadsPushOrderAcrossSegmentBoundaries) {
     EXPECT_EQ(q.front_at(static_cast<std::size_t>(i)).payload, i);
     EXPECT_EQ(q.front_at(static_cast<std::size_t>(i)).key, Q::key_of(3.0));
   }
-  q.take_front();
+  q.take_front(q.front_size());
   EXPECT_TRUE(q.front_empty());
   EXPECT_EQ(q.front_taken(), std::size_t{kItems});
   EXPECT_EQ(q.size(), 1u);
@@ -430,7 +449,7 @@ TEST(TimeQueue, FrontAtOnAPartlyTakenRun) {
     EXPECT_EQ(q.front_at(i).payload, static_cast<int>(i));
   }
   EXPECT_EQ(q.front().payload, 300);  // reading by position took nothing
-  q.take_front();
+  q.take_front(q.front_size());
   EXPECT_TRUE(q.front_empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_FALSE(q.advance(Q::kNoKey));
@@ -446,7 +465,7 @@ TEST(TimeQueue, PushAtTheCurrentKeyAfterTakeFrontIsPopped) {
     for (int i = 0; i < run; ++i) q.push(Q::key_of(2.0), i);
     q.push(Q::key_of(5.0), -5);
     ASSERT_TRUE(q.advance(Q::kNoKey));
-    q.take_front();
+    q.take_front(q.front_size());
     ASSERT_TRUE(q.front_empty()) << run;
     q.push(Q::key_of(2.0), 1000);
     q.push(Q::key_of(2.0), 1001);
@@ -462,6 +481,30 @@ TEST(TimeQueue, PushAtTheCurrentKeyAfterTakeFrontIsPopped) {
     EXPECT_TRUE(q.front_empty()) << run;
     ASSERT_TRUE(q.advance(Q::kNoKey)) << run;
     EXPECT_EQ(q.pop_front().payload, -5) << run;
+    EXPECT_FALSE(q.advance(Q::kNoKey)) << run;
+    EXPECT_TRUE(q.empty()) << run;
+  }
+}
+
+TEST(TimeQueue, TakeFrontLeavesItemsPushedDuringTheBatchUntaken) {
+  // A caller reading the run [0, 300) by position pushes two items at
+  // the current key meanwhile: take_front(300) marks only the batch,
+  // so the two are the next batch, on both sides of a segment boundary.
+  using Q = TimeQueue<int>;
+  for (const int run : {255, 256, 300}) {
+    Q q;
+    for (int i = 0; i < run; ++i) q.push(Q::key_of(1.0), i);
+    ASSERT_TRUE(q.advance(Q::kNoKey));
+    const std::size_t end = q.front_size();
+    q.push(Q::key_of(1.0), 1000);
+    q.push(Q::key_of(1.0), 1001);
+    q.take_front(end);
+    EXPECT_EQ(q.front_taken(), end) << run;
+    EXPECT_EQ(q.size(), 2u) << run;
+    ASSERT_TRUE(q.advance(Q::kNoKey)) << run;
+    EXPECT_EQ(q.front_size(), end + 2) << run;
+    EXPECT_EQ(q.pop_front().payload, 1000) << run;
+    EXPECT_EQ(q.pop_front().payload, 1001) << run;
     EXPECT_FALSE(q.advance(Q::kNoKey)) << run;
     EXPECT_TRUE(q.empty()) << run;
   }

@@ -24,6 +24,27 @@ TEST(Heartbeat, QuietWhenNothingFails) {
             static_cast<std::int64_t>(2 * g.num_edges()) * 20);
 }
 
+TEST(Heartbeat, BoundedRunConservesWithCopiesInFlight) {
+  // Latencies up to 6 outlast the run's end at horizon + timeout + 1 =
+  // 14.5, so beats sent near the horizon are still queued there; with
+  // loss and a crash, every accepted copy is delivered, counted as
+  // undelivered, or in flight.
+  const auto g = lhg::build(22, 3);
+  FailurePlan plan;
+  plan.crashes.push_back({4, 3.0});
+  const auto result = run_heartbeat(
+      g,
+      {.timeout = 3.5, .horizon = 10.0,
+       .latency = LatencySpec::per_link(4.0, 2.0), .loss_probability = 0.1,
+       .seed = 5},
+      plan);
+  EXPECT_GT(result.in_flight, 0);
+  EXPECT_GT(result.net.lost, 0);
+  EXPECT_GT(result.net.dropped_receiver_crashed, 0);
+  EXPECT_TRUE(result.net.conserved(result.in_flight));
+  EXPECT_FALSE(result.net.conserved());
+}
+
 TEST(Heartbeat, DetectsACrashWithinTimeoutPlusInterval) {
   const auto g = lhg::build(22, 3);
   FailurePlan plan;

@@ -87,18 +87,6 @@ TEST(ImplicitEquivalence, EdgeIndexAgreesIncludingNonEdges) {
   EXPECT_EQ(view.edge_index(0, 0), -1);  // self loops are never edges
 }
 
-TEST(ImplicitEquivalence, MaterializeEqualsBuild) {
-  for (const Constraint c :
-       {Constraint::kStrictJD, Constraint::kKTree, Constraint::kKDiamond}) {
-    for (const std::int64_t n : {40, 100, 257}) {
-      if (!exists(n, 4, c)) continue;
-      const ImplicitLhg view(n, 4, c);
-      EXPECT_EQ(view.materialize(), build(static_cast<NodeId>(n), 4, c))
-          << to_string(c) << " n=" << n;
-    }
-  }
-}
-
 TEST(ImplicitEquivalence, BuildEqualsReferenceOnEveryRealizableSmallTriple) {
   // Every realizable (n <= 400, k = 2..8, constraint): k = 2 cycles and
   // wide k >= 6 trees included, whole graphs compared with operator==.

@@ -2,8 +2,8 @@
 // and the sharded network + flood built on it.
 //
 // The load-bearing claims, in order:
-//   * the engine executes in canonical (time, origin, seq) order, with
-//     control events strictly before same-time node events;
+//   * the engine executes in canonical (time, generation, origin, seq)
+//     order, with control events strictly before same-time node events;
 //   * a sharded flood is BIT-IDENTICAL to the single-queue flood on
 //     chaos-free fixtures (kFixed and kUniformPerLink latencies, with
 //     and without a failure plan) — the golden-parity contract;
@@ -26,9 +26,11 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
+#include "core/rng.h"
 #include "flooding/failure.h"
 #include "flooding/flood_generic.h"
 #include "flooding/shard_net.h"
@@ -102,21 +104,29 @@ TEST(ShardedSimulator, SameTimeEventsRunInCreationOrderPerOrigin) {
 }
 
 TEST(ShardedSimulator, SameTimeMidDrainInsertsSlotByKey) {
-  // A handler scheduling a same-time event on its own shard must see it
-  // execute within the same timestamp (the late-heap path).
+  // At t = 1 node 1 acts first (environment key 0), then node 0, and
+  // each schedules a callback on node 0 at t = 2: X with node 1's key,
+  // then Y with node 0's, the smaller.  Node 0's t = 2 generation runs
+  // Y, X.  Y schedules Z at t = 2; Z's key (node 0's next) sorts below
+  // X's, but Z is the next generation, so it runs after X, at the same
+  // timestamp.
   ShardedSimulator sim(2, 1);
-  std::vector<int> order;
+  std::vector<char> order;
+  const auto at_two = [&](std::int32_t shard, char name) {
+    sim.schedule_node_at(shard, 2.0, 0, [&, name](std::int32_t inner) {
+      order.push_back(name);
+      if (name != 'Y') return;
+      sim.schedule_node_at(inner, 2.0, 0,
+                           [&](std::int32_t) { order.push_back('Z'); });
+    });
+  };
+  sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 1.0, 1,
+                       [&](std::int32_t shard) { at_two(shard, 'X'); });
   sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 1.0, 0,
-                       [&](std::int32_t shard) {
-                         order.push_back(1);
-                         sim.schedule_node_at(shard, 1.0, 0,
-                                              [&](std::int32_t) {
-                                                order.push_back(2);
-                                              });
-                       });
+                       [&](std::int32_t shard) { at_two(shard, 'Y'); });
   sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_DOUBLE_EQ(sim.now(0), 1.0);
+  EXPECT_EQ(order, (std::vector<char>{'Y', 'X', 'Z'}));
+  EXPECT_DOUBLE_EQ(sim.now(0), 2.0);
 }
 
 TEST(ShardedSimulator, RunUntilStopsAtDeadlineAndDestructorCleansUp) {
@@ -465,31 +475,35 @@ class SameTimeScript final : public ShardedSimulator::DeliverSink {
   std::vector<std::vector<std::uint64_t>> by_node_;
 };
 
-/// Replays one shard's t = 2 trace: every executed event must be the
-/// smallest key pending on that shard, where the run is pending from
-/// the start and a same-time event from the moment its creator ran.
-void expect_smallest_key_first(const std::vector<SameTimeScript::Rec>& trace) {
-  std::set<std::uint64_t> pending;
+/// Replays one shard's t = 2 trace generation by generation: the run is
+/// generation 0, the events a generation creates are the next one, and
+/// each generation must execute whole, in ascending key order.
+void expect_generation_order(const std::vector<SameTimeScript::Rec>& trace) {
   std::multimap<std::uint64_t, std::uint64_t> created;  // creator -> key
+  std::set<std::uint64_t> generation;
   for (const SameTimeScript::Rec& r : trace) {
     if (r.creator == SameTimeScript::kFromRun) {
-      pending.insert(r.key);
+      generation.insert(r.key);
     } else {
       created.emplace(r.creator, r.key);
     }
   }
-  for (const SameTimeScript::Rec& r : trace) {
-    ASSERT_FALSE(pending.empty());
-    EXPECT_EQ(r.key, *pending.begin());
-    pending.erase(r.key);
-    const auto [first, last] = created.equal_range(r.key);
-    for (auto it = first; it != last; ++it) pending.insert(it->second);
+  std::size_t at = 0;
+  while (!generation.empty()) {
+    std::set<std::uint64_t> next;
+    for (const std::uint64_t key : generation) {
+      ASSERT_LT(at, trace.size());
+      EXPECT_EQ(trace[at++].key, key);
+      const auto [first, last] = created.equal_range(key);
+      for (auto it = first; it != last; ++it) next.insert(it->second);
+    }
+    generation = std::move(next);
   }
-  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(at, trace.size());
 }
 
 /// Runs the script at S in {1, 2, 4} x T in {1, 4}: each shard's trace
-/// must be smallest-key-first and each node's trace the same in every
+/// must be in generation order and each node's trace the same in every
 /// cell.  Returns the trace of the (S = 1, T = 1) run.
 std::vector<SameTimeScript::Rec> expect_canonical_in_every_cell(
     std::int32_t nodes, bool same_time, std::size_t events) {
@@ -502,7 +516,7 @@ std::vector<SameTimeScript::Rec> expect_canonical_in_every_cell(
       const SameTimeScript run(nodes, shards, same_time);
       std::size_t executed = 0;
       for (const auto& trace : run.by_shard()) {
-        expect_smallest_key_first(trace);
+        expect_generation_order(trace);
         executed += trace.size();
       }
       EXPECT_EQ(executed, events) << "shards=" << shards;
@@ -524,18 +538,295 @@ TEST(ShardedSimulator, AdversarialPushOrderRunsInCanonicalOrder) {
 
 TEST(ShardedSimulator, SameTimeEventsMergeIntoAnUnsortedRunByKey) {
   // Adds a callback per message and a chain of two per wake-up
-  // callback, all at t = 2, merged by key into the run being executed.
+  // callback, all at t = 2.  They run as later generations: the whole
+  // unsorted run first, by key, then what it created, by key — also the
+  // events whose key sorts below their creator's.
   const std::vector<SameTimeScript::Rec> trace =
       expect_canonical_in_every_cell(24, /*same_time=*/true, 24 * 9);
+  const std::size_t run = 24 * 4;
   bool below = false;
-  bool above = false;
-  for (const SameTimeScript::Rec& r : trace) {
-    if (r.creator == SameTimeScript::kFromRun) continue;
-    below |= r.key < r.creator;
-    above |= r.key > r.creator;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace[i].creator == SameTimeScript::kFromRun, i < run) << i;
+    below |= i >= run && trace[i].key < trace[i].creator;
   }
-  EXPECT_TRUE(below);  // runs at once, ahead of the rest of the run
-  EXPECT_TRUE(above);  // waits for the run's smaller keys
+  EXPECT_TRUE(below);  // still waits for the whole run
+}
+
+// --- Generation order against a brute-force reference ------------------
+
+/// A random schedule for GenerationOrderMatchesReferenceOnRandomSchedules.
+/// Every event is named by its canonical key, which the test assigns
+/// exactly as the engine does: ((creator + 1) << 32) | creator's count of
+/// events made so far, or the environment's count for env events.  What
+/// an event does is a pure function of its key, so two executions agree
+/// on every node's (time, key) sequence iff they agree on the order.
+namespace gen_ref {
+
+constexpr double kLookahead = 1.0;
+constexpr int kMaxDepth = 4;
+constexpr std::int32_t kNodes = 12;
+
+/// One event to create: at `now + dt`, for `node`, a delivery from
+/// `from` or a callback.
+struct Action {
+  double dt;
+  std::int32_t node;
+  bool deliver;
+  std::int32_t from;
+};
+
+/// What an event named `key` at `node` creates: same-time callbacks and
+/// self-deliveries, later local timers, and sends to any node at least
+/// one lookahead later (so a send may cross shards).
+std::vector<Action> children(std::uint64_t seed, std::uint64_t key,
+                             std::int32_t node, int depth) {
+  std::vector<Action> out;
+  if (depth >= kMaxDepth) return out;
+  core::Rng rng = core::Rng::stream(seed, key);
+  const auto count = rng.next_below(4);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    switch (rng.next_below(4)) {
+      case 0:
+        out.push_back({0.0, node, false, node});
+        break;
+      case 1:
+        out.push_back({0.0, node, true, node});
+        break;
+      case 2:
+        out.push_back({0.5 * static_cast<double>(1 + rng.next_below(3)), node,
+                       false, node});
+        break;
+      default:
+        out.push_back(
+            {kLookahead + 0.5 * static_cast<double>(rng.next_below(3)),
+             static_cast<std::int32_t>(rng.next_below(kNodes)), true, node});
+        break;
+    }
+  }
+  return out;
+}
+
+/// The environment's part: events at setup, control events (each
+/// creating events at or after its own time), and two run_until cuts,
+/// each followed by more environment events at or after the cut.
+struct Schedule {
+  std::uint64_t seed;
+  std::vector<std::pair<double, Action>> setup;  // absolute times
+  std::vector<std::pair<double, std::vector<Action>>> controls;
+  double cuts[2];
+  std::vector<Action> after_cut[2];  // dt from the cut
+
+  explicit Schedule(std::uint64_t s) : seed(s) {
+    core::Rng rng(s);
+    const auto action = [&rng](double dt) {
+      const auto node = static_cast<std::int32_t>(rng.next_below(kNodes));
+      const bool deliver = rng.next_bool(0.5);
+      const auto from = static_cast<std::int32_t>(rng.next_below(kNodes));
+      return Action{dt, node, deliver, deliver ? from : node};
+    };
+    for (int i = 0; i < 20; ++i) {
+      setup.emplace_back(0.5 * static_cast<double>(rng.next_below(8)),
+                         action(0.0));
+    }
+    for (int i = 0; i < 3; ++i) {
+      std::vector<Action> made;
+      for (int j = 0; j < 3; ++j) {
+        made.push_back(action(0.5 * static_cast<double>(rng.next_below(2))));
+      }
+      controls.emplace_back(0.5 * static_cast<double>(1 + rng.next_below(8)),
+                            std::move(made));
+    }
+    cuts[0] = 0.5 * static_cast<double>(2 + rng.next_below(4));
+    cuts[1] = cuts[0] + 0.5 * static_cast<double>(1 + rng.next_below(4));
+    for (std::vector<Action>& added : after_cut) {
+      for (int j = 0; j < 4; ++j) {
+        added.push_back(action(0.5 * static_cast<double>(rng.next_below(3))));
+      }
+    }
+  }
+};
+
+/// Per node, the (time, key) of every executed event, in order.
+using Trace = std::vector<std::vector<std::pair<double, std::uint64_t>>>;
+
+/// Runs a Schedule on the engine at S shards under a scattered owner
+/// table.
+class EngineRun final : public ShardedSimulator::DeliverSink {
+ public:
+  EngineRun(const Schedule& schedule, std::int32_t shards)
+      : schedule_(schedule),
+        sim_(owners(shards), shards),
+        made_(kNodes, 0),
+        trace_(kNodes) {
+    sim_.set_deliver_sink(this);
+    sim_.set_lookahead(kLookahead);
+    for (const auto& [time, a] : schedule.setup) {
+      create(kEnvOrigin, -1, time, a, 0);
+    }
+    for (const auto& [time, made] : schedule.controls) {
+      sim_.schedule_control_at(time, [this, time, &made](std::int32_t) {
+        for (const Action& a : made) create(kEnvOrigin, -1, time + a.dt, a, 0);
+      });
+    }
+    for (int c = 0; c < 2; ++c) {
+      const double cut = schedule.cuts[c];
+      sim_.run_until(cut);
+      for (const Action& a : schedule.after_cut[c]) {
+        create(kEnvOrigin, -1, cut + a.dt, a, 0);
+      }
+    }
+    sim_.run();
+  }
+
+  const Trace& trace() const { return trace_; }
+
+  void on_sharded_deliver(std::int32_t shard, std::int32_t /*from*/,
+                          std::int32_t to, std::int32_t depth,
+                          std::int64_t key) override {
+    execute(shard, to, static_cast<std::uint64_t>(key), depth);
+  }
+
+ private:
+  static constexpr std::int32_t kEnvOrigin = ShardedSimulator::kEnvOrigin;
+
+  static std::vector<std::int32_t> owners(std::int32_t shards) {
+    std::vector<std::int32_t> owner(kNodes);
+    for (std::int32_t v = 0; v < kNodes; ++v) {
+      owner[static_cast<std::size_t>(v)] = (v * 5 + 3) % shards;
+    }
+    return owner;
+  }
+
+  void execute(std::int32_t shard, std::int32_t node, std::uint64_t key,
+               int depth) {
+    const double now = sim_.now(shard);
+    trace_[static_cast<std::size_t>(node)].emplace_back(now, key);
+    for (const Action& a : children(schedule_.seed, key, node, depth)) {
+      create(shard, node, now + a.dt, a, depth + 1);
+    }
+  }
+
+  /// Schedules `a` at `time` from context `ctx`, created by node
+  /// `creator` (-1: the environment), with the key the engine gives it.
+  void create(std::int32_t ctx, std::int32_t creator, double time,
+              const Action& a, int depth) {
+    const std::uint64_t key =
+        creator < 0 ? env_made_++
+                    : (static_cast<std::uint64_t>(creator + 1) << 32) |
+                          made_[static_cast<std::size_t>(creator)]++;
+    if (a.deliver) {
+      sim_.schedule_deliver_at(ctx, time, a.from, a.node, depth,
+                               static_cast<std::int64_t>(key));
+    } else {
+      sim_.schedule_node_at(ctx, time, a.node,
+                            [this, node = a.node, key, depth](std::int32_t sh) {
+                              execute(sh, node, key, depth);
+                            });
+    }
+  }
+
+  const Schedule& schedule_;
+  ShardedSimulator sim_;
+  std::vector<std::uint32_t> made_;  // per-node creation counts
+  std::uint64_t env_made_ = 0;
+  Trace trace_;
+};
+
+/// The rule itself, by brute force: one global list of pending events,
+/// each run picking the smallest (time, control first, generation, key)
+/// — control events by scheduling order.  An event created at its own
+/// creator's time is one generation later; any other starts at 0.
+Trace reference_run(const Schedule& schedule) {
+  struct Pending {
+    double time;
+    bool control;
+    std::uint64_t order;  // control: scheduling order; node: key
+    int generation;
+    std::int32_t node;
+    int depth;
+  };
+  std::vector<Pending> pending;
+  std::vector<std::uint32_t> made(kNodes, 0);
+  std::uint64_t env_made = 0;
+  Trace trace(kNodes);
+  const auto create = [&](std::int32_t creator, double time, const Action& a,
+                          int depth, int generation) {
+    const std::uint64_t key =
+        creator < 0 ? env_made++
+                    : (static_cast<std::uint64_t>(creator + 1) << 32) |
+                          made[static_cast<std::size_t>(creator)]++;
+    pending.push_back({time, false, key, generation, a.node, depth});
+  };
+  const auto before = [](const Pending& a, const Pending& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.control != b.control) return a.control;
+    if (a.generation != b.generation) return a.generation < b.generation;
+    return a.order < b.order;
+  };
+  const auto run_until = [&](double deadline) {
+    while (!pending.empty()) {
+      const auto it = std::min_element(pending.begin(), pending.end(), before);
+      if (it->time > deadline) return;
+      const Pending ev = *it;
+      pending.erase(it);
+      if (ev.control) {
+        const auto& [time, made_here] =
+            schedule.controls[static_cast<std::size_t>(ev.order)];
+        for (const Action& a : made_here) create(-1, time + a.dt, a, 0, 0);
+        continue;
+      }
+      trace[static_cast<std::size_t>(ev.node)].emplace_back(ev.time, ev.order);
+      for (const Action& a :
+           children(schedule.seed, ev.order, ev.node, ev.depth)) {
+        create(ev.node, ev.time + a.dt, a, ev.depth + 1,
+               a.dt == 0.0 ? ev.generation + 1 : 0);
+      }
+    }
+  };
+  for (const auto& [time, a] : schedule.setup) create(-1, time, a, 0, 0);
+  for (std::size_t c = 0; c < schedule.controls.size(); ++c) {
+    pending.push_back({schedule.controls[c].first, true, c, 0, -1, 0});
+  }
+  for (int c = 0; c < 2; ++c) {
+    const double cut = schedule.cuts[c];
+    run_until(cut);
+    for (const Action& a : schedule.after_cut[c]) {
+      create(-1, cut + a.dt, a, 0, 0);
+    }
+  }
+  run_until(std::numeric_limits<double>::infinity());
+  return trace;
+}
+
+}  // namespace gen_ref
+
+TEST(ShardedSimulator, GenerationOrderMatchesReferenceOnRandomSchedules) {
+  // Seeded random schedules — deliveries and callbacks, cross-shard
+  // sends at >= the lookahead, same-time creation chains, control events
+  // and run_until cuts — must run every node's events in the reference's
+  // (time, generation, key) order at every S x T cell.
+  const int previous = core::global_thread_count();
+  std::int64_t same_time = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const gen_ref::Schedule schedule(seed);
+    const gen_ref::Trace expected = gen_ref::reference_run(schedule);
+    for (const auto& node : expected) {
+      for (std::size_t i = 1; i < node.size(); ++i) {
+        same_time += node[i].first == node[i - 1].first ? 1 : 0;
+      }
+    }
+    for (const int threads : {1, 4}) {
+      core::set_global_thread_count(threads);
+      for (const std::int32_t shards : {1, 2, 4}) {
+        const gen_ref::EngineRun run(schedule, shards);
+        EXPECT_EQ(run.trace(), expected)
+            << "seed=" << seed << " shards=" << shards
+            << " threads=" << threads;
+      }
+    }
+  }
+  core::set_global_thread_count(previous);
+  EXPECT_GT(same_time, 100);  // the schedules do exercise same-time order
 }
 
 TEST(ShardedSimulator, EventsAtACurrentTimeAlreadyDrainedRunOnce) {
@@ -961,6 +1252,31 @@ TEST(ShardedFlood, RejectsZeroLookaheadTopology) {
   cfg.latency = LatencySpec::fixed(0.0);
   cfg.shards = 4;
   EXPECT_THROW(flood(g, cfg), std::invalid_argument);
+}
+
+TEST(ShardedNetworkT, EmptyObsTapListDisablesRecording) {
+  // set_obs({}) after real taps must stop the recording, as documented,
+  // while the NetworkStats still count.
+  const auto g = lhg::build(16, 3);
+  ShardedSimulator sim(g.num_nodes(), 2);
+  core::Rng rng(1);
+  ShardedNetwork<core::Graph> net(g, sim, LatencySpec::fixed(1.0), rng,
+                                  ChaosSpec::none());
+  obs::ObsConfig config;
+  config.metrics = true;
+  obs::Runtime rt(config, sim.num_shards(), obs::PerShardHandles{});
+  net.set_obs(rt.shard_obs());
+  net.set_obs({});
+  const NodeId to = g.neighbors(0)[0];
+  sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 0.0, 0,
+                       [&](std::int32_t shard) { net.send(shard, 0, to, 1); });
+  sim.run();
+  EXPECT_EQ(net.stats().sent, 1);
+  EXPECT_EQ(net.stats().delivered, 1);
+  const obs::Snapshot snapshot = rt.metrics_snapshot();
+  const obs::MetricSample* sent = snapshot.find("net.sent");
+  ASSERT_NE(sent, nullptr);
+  EXPECT_EQ(sent->value, 0);
 }
 
 TEST(ShardedNetworkT, LookaheadIsMinCrossShardLatency) {
