@@ -22,12 +22,14 @@
 //   * Per-shard, owned by one lane — NetworkStats and the obs::SimObs
 //     taps, which FaultModel keeps per shard (one per shard here).
 //
-// Lookahead: `min_cross_shard_latency()` scans every arc whose
-// endpoints land in different shards and returns the minimum latency a
-// message can take across them (the latency floor `base` under
-// kUniformPerSend).  The constructor installs it as the simulator's
-// lookahead; zero-latency cross-shard links are rejected there — a
-// conservative window needs strictly positive lookahead.
+// Lookahead: `min_cross_shard_latency()` returns the minimum latency a
+// message can take across an arc whose endpoints land in different
+// shards.  Under per-link latency that is a scan of every arc; under
+// fixed and per-send latency every arc's floor is `base`, so the first
+// cross-shard arc settles it, and one shard has none.  The constructor
+// installs it as the simulator's lookahead; zero-latency cross-shard
+// links are rejected there — a conservative window needs strictly
+// positive lookahead.
 
 #pragma once
 
@@ -83,21 +85,39 @@ class ShardedNetwork final
   /// Minimum latency a message can experience on a cross-shard arc
   /// (+infinity when every edge is shard-internal).  The conservative
   /// window length; recompute and re-install after changing latency
-  /// classes.
+  /// classes.  One shard has no cross-shard arc, and under kFixed and
+  /// kUniformPerSend every arc's floor is `base`, so only per-link
+  /// latency scans every arc.
   double min_cross_shard_latency() const {
+    constexpr double kNone = std::numeric_limits<double>::infinity();
+    if (sim_->num_shards() == 1) return kNone;
     const Topology& topology = this->topology();
     const std::int64_t n = topology.num_nodes();
+    const auto crosses = [&](core::NodeId u, std::int32_t i) {
+      return sim_->shard_of(u) != sim_->shard_of(topology.neighbor(u, i));
+    };
+    if (this->latency_.kind != LatencySpec::Kind::kUniformPerLink) {
+      for (std::int64_t u = 0; u < n; ++u) {
+        const auto uid = static_cast<core::NodeId>(u);
+        const std::int32_t deg = topology.degree(uid);
+        for (std::int32_t i = 0; i < deg; ++i) {
+          if (crosses(uid, i)) return this->latency_.base;
+        }
+      }
+      return kNone;
+    }
     return core::parallel_reduce(
-        n, /*grain=*/1024, std::numeric_limits<double>::infinity(),
+        n, /*grain=*/1024, kNone,
         [&](std::int64_t begin, std::int64_t end, int /*lane*/) {
-          double local = std::numeric_limits<double>::infinity();
+          double local = kNone;
           for (std::int64_t u = begin; u < end; ++u) {
             const auto uid = static_cast<core::NodeId>(u);
             const std::int32_t deg = topology.degree(uid);
             for (std::int32_t i = 0; i < deg; ++i) {
-              const core::NodeId v = topology.neighbor(uid, i);
-              if (sim_->shard_of(uid) == sim_->shard_of(v)) continue;
-              local = std::min(local, link_floor(topology.incident_edge(uid, i)));
+              if (!crosses(uid, i)) continue;
+              local = std::min(
+                  local, this->link_latency_[static_cast<std::size_t>(
+                             topology.incident_edge(uid, i))]);
             }
           }
           return local;
@@ -141,19 +161,6 @@ class ShardedNetwork final
     if (this->admit_delivery(shard, from, to, link) && on_receive_) {
       on_receive_(shard, to, from, message);
     }
-  }
-
-  /// Lower bound of the latency a copy on `link` can experience.
-  double link_floor(std::int32_t link) const {
-    switch (this->latency_.kind) {
-      case LatencySpec::Kind::kFixed:
-      case LatencySpec::Kind::kUniformPerSend:
-        return this->latency_.base;
-      case LatencySpec::Kind::kUniformPerLink:
-        return this->link_latency_[static_cast<std::size_t>(link)];
-    }
-    LHG_FAIL("Network: unknown latency kind {}",
-             static_cast<int>(this->latency_.kind));
   }
 
   // --- FaultModel hooks: mutations are control events -------------------

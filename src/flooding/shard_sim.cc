@@ -1,6 +1,7 @@
 #include "flooding/shard_sim.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "core/parallel.h"
@@ -129,6 +130,10 @@ void ShardedSimulator::sort_run(Shard& sh, std::size_t begin,
   // exactly to the run, so they only ever grow to the shard's largest
   // unsorted run, and `scratch` only when it has over two stretches.
   const std::size_t n = end - begin;
+  LHG_CHECK(end <= std::numeric_limits<std::uint32_t>::max(),
+            "ShardedSimulator: a front run of {} events overflows the "
+            "32-bit execution index",
+            end);
   const auto item_key = [&sh, begin](std::size_t i) {
     return sh.queue.front_at(begin + i).payload.canon;
   };
@@ -144,7 +149,7 @@ void ShardedSimulator::sort_run(Shard& sh, std::size_t begin,
   do {
     const RunEntry* src = sh.order.data();
     stretches = merge_pass(
-        n, [src](std::size_t i) { return src[i].canon; },
+        n, [src](std::size_t i) { return src[i].canon(); },
         [src](std::size_t i) { return src[i]; }, sh.scratch.data());
     sh.order.swap(sh.scratch);
   } while (stretches > 1);
@@ -173,7 +178,7 @@ void ShardedSimulator::drain_window(std::int32_t s, std::uint64_t limit) {
         dispatch(sh, s, sh.queue.pop_front().payload);
       }
     } else {
-      // Execute through a sorted index of 16-byte (key, position) pairs
+      // Execute through a sorted index of 12-byte (key, position) pairs
       // rather than moving the 40-byte items.
       sort_run(sh, begin, end);
       const std::vector<RunEntry>& order = sh.order;

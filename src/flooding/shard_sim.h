@@ -47,14 +47,17 @@
 // Queue mechanics: each shard, and the control lane, owns one monotone
 // radix time queue (time_queue.h — the single-queue engine's queue), with
 // 40-byte inline events, and one CallbackSlab (callback_slab.h, also the
-// single-queue engine's).  When a shard reaches a timestamp, the queue's
-// untaken front run is one generation in push order, and the drain
-// executes it in canonical key order without moving it:
+// single-queue engine's).  Queue segments and outbox blocks are blocks
+// of the process-wide SegmentPool (segment_pool.h), handed back when the
+// engine goes, so the next engine of the process reuses them.  When a
+// shard reaches a timestamp, the queue's untaken front run is one
+// generation in push order, and the drain executes it in canonical key
+// order without moving it:
 //
 //   * one pass checks whether push order already is key order (always
 //     true for a one-event run, so nearly every run of a per-link-latency
 //     flood); such a run executes in place, popped front to back;
-//   * otherwise the drain builds a per-shard index of 16-byte (key,
+//   * otherwise the drain builds a per-shard index of 12-byte (key,
 //     position) pairs with a natural merge sort of the run's ascending
 //     stretches (sort_run), and executes through it with a short
 //     prefetch of the items ahead.
@@ -82,13 +85,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
-#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
 #include "flooding/callback_slab.h"
+#include "flooding/segment_pool.h"
 #include "flooding/time_queue.h"
 #include "obs/obs.h"
 
@@ -264,7 +269,7 @@ class ShardedSimulator {
                "ending {} — lookahead too large for this link",
                time, window_end_);
     src.outbox[static_cast<std::size_t>(dst)].push(
-        Queue::Item{Queue::key_of(time), ev});
+        Queue::Item{Queue::key_of(time), ev}, src.outbox_blocks);
   }
 
   /// Runs all events (window loop + control phases) until every queue
@@ -309,28 +314,45 @@ class ShardedSimulator {
   using ControlQueue = TimeQueue<std::int32_t>;  // control slab slot ids
 
   /// One entry of a front run's execution index: the event's key and
-  /// its position in the run.
+  /// its position in the run, packed into 12 bytes (the key as bytes,
+  /// so the entry needs no 8-byte alignment; sort_run checks that every
+  /// position fits 32 bits).
   struct RunEntry {
-    std::uint64_t canon;
-    std::size_t pos;
+    unsigned char canon_bytes[sizeof(std::uint64_t)];
+    std::uint32_t pos;
+
+    RunEntry() = default;
+    RunEntry(std::uint64_t canon, std::size_t position)
+        : pos(static_cast<std::uint32_t>(position)) {
+      std::memcpy(canon_bytes, &canon, sizeof canon);
+    }
+    std::uint64_t canon() const {
+      std::uint64_t canon;
+      std::memcpy(&canon, canon_bytes, sizeof canon);
+      return canon;
+    }
   };
+  static_assert(sizeof(RunEntry) == 12, "execution index entry is 12 bytes");
 
   /// Cross-shard deliveries from one shard to one other, in creation
-  /// order: a chain of fixed-size blocks that the box keeps across
-  /// windows.  It allocates only when it outgrows its largest window so
-  /// far, never copies to grow, and holds at most one partial block of
-  /// slack, where a doubling vector holds up to its size again.
+  /// order: a chain of pool blocks (segment_pool.h), drawn from the
+  /// source shard's cache, that the box keeps across windows and hands
+  /// back when its shard goes.  It draws a block only when it outgrows
+  /// its largest window so far, never copies to grow, and holds at most
+  /// one partial block of slack, where a doubling vector holds up to
+  /// its size again.
   struct Outbox {
-    static constexpr std::size_t kBlockItems = 256;
-    std::vector<std::unique_ptr<Queue::Item[]>> blocks;
+    static constexpr std::size_t kBlockItems =
+        SegmentPool::kBlockBytes / sizeof(Queue::Item);
+    std::vector<Queue::Item*> blocks;
     std::size_t size = 0;
 
-    void push(const Queue::Item& item) {
+    void push(const Queue::Item& item, SegmentCache& cache) {
       if (size == blocks.size() * kBlockItems) {
-        blocks.push_back(
-            std::make_unique_for_overwrite<Queue::Item[]>(kBlockItems));
+        blocks.push_back(reinterpret_cast<Queue::Item*>(cache.get()));
       }
-      blocks[size / kBlockItems][size % kBlockItems] = item;
+      ::new (static_cast<void*>(
+          &blocks[size / kBlockItems][size % kBlockItems])) Queue::Item(item);
       ++size;
     }
     /// Hands every item to `fn` in push order, then empties the box
@@ -342,9 +364,24 @@ class ShardedSimulator {
       }
       size = 0;
     }
+    /// Returns every block to `cache`.
+    void release(SegmentCache& cache) {
+      for (Queue::Item* block : blocks) {
+        cache.put(reinterpret_cast<std::byte*>(block));
+      }
+      blocks.clear();
+      size = 0;
+    }
   };
 
   struct Shard {
+    Shard() = default;
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+    ~Shard() {
+      for (Outbox& box : outbox) box.release(outbox_blocks);
+    }
+
     Queue queue;
 
     // Drain state.
@@ -355,7 +392,9 @@ class ShardedSimulator {
 
     CallbackSlab<std::int32_t> callbacks;  // invoked with the shard index
 
-    // Cross-shard deliveries created this window, one box per dest.
+    // Cross-shard deliveries created this window, one box per dest,
+    // and the vacant blocks they draw from (this shard's lane only).
+    SegmentCache outbox_blocks;
     std::vector<Outbox> outbox;
 
     std::int64_t processed = 0;

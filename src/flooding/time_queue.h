@@ -49,26 +49,31 @@
 // key past `limit`, and min_key() never moves it at all, so a caller that
 // stops at a deadline can still push any key >= the current one later.
 //
-// Memory.  Buckets are chains of fixed-size segments drawn from one
-// free list per queue.  A bucket that empties (re-filed, or a front run
-// used up) returns its segments at once, and a re-filed bucket returns
-// each segment as soon as it has been walked, so the queue holds about
-// its live items plus one partial segment per bucket.  Nothing grows by
-// doubling or is copied to grow, no allocation is larger than one
-// segment, and segments are freed only with the queue, so a steady
-// workload allocates nothing.
+// Memory.  Buckets are chains of fixed-size segments, each one block
+// of the process-wide SegmentPool (segment_pool.h), drawn through one
+// SegmentCache per queue.  A bucket that empties (re-filed, or a front
+// run used up) returns its segments to the cache at once, and a
+// re-filed bucket returns each segment as soon as it has been walked,
+// so the queue holds about its live items plus one partial segment per
+// bucket.  Nothing grows by doubling or is copied to grow, no
+// allocation is larger than one segment, and a destroyed queue hands
+// every segment back to the pool, so a steady workload allocates
+// nothing and the next queue of the process reuses memory that is
+// already resident.  The trade: the pool keeps the largest segment
+// footprint the process has held at once, for the process's life.
 
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "flooding/segment_pool.h"
 
 namespace lhg::flooding {
 
@@ -81,6 +86,21 @@ class TimeQueue {
   };
   static_assert(std::is_trivially_copyable_v<Item>,
                 "queued items are copied as raw records");
+  static_assert(alignof(Item) <= SegmentPool::kBlockAlign);
+
+  /// Items per segment: one pool block's worth.
+  static constexpr std::size_t kSegmentItems =
+      SegmentPool::kBlockBytes / sizeof(Item);
+
+  TimeQueue() = default;
+  TimeQueue(const TimeQueue&) = delete;
+  TimeQueue& operator=(const TimeQueue&) = delete;
+  /// Hands every segment back to the pool.
+  ~TimeQueue() {
+    for (Bucket& bucket : buckets_) {
+      for (Item* segment : bucket.segments) release_segment(segment);
+    }
+  }
 
   /// Returned by min_key() on an empty queue; above every time's key.
   static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
@@ -215,9 +235,6 @@ class TimeQueue {
 
  private:
   static constexpr int kBuckets = 65;  // bit_width of a 64-bit XOR: 0..64
-  static constexpr std::size_t kSegmentShift = 8;
-  static constexpr std::size_t kSegmentItems = std::size_t{1}
-                                               << kSegmentShift;
 
   /// A chain of segments filled front to back; only the last one may be
   /// partial.
@@ -234,7 +251,7 @@ class TimeQueue {
              static_cast<std::size_t>(tail - segments.back());
     }
     const Item& at(std::size_t i) const {
-      return segments[i >> kSegmentShift][i & (kSegmentItems - 1)];
+      return segments[i / kSegmentItems][i % kSegmentItems];
     }
   };
 
@@ -245,7 +262,7 @@ class TimeQueue {
 
   void append(Bucket& bucket, const Item& item) {
     if (bucket.tail == bucket.tail_end) add_segment(bucket);
-    *bucket.tail++ = item;
+    ::new (static_cast<void*>(bucket.tail++)) Item(item);  // raw pool slot
   }
 
   void place(int b, const Item& item) {
@@ -259,7 +276,7 @@ class TimeQueue {
   }
 
   /// Walks `src` front to back into lower buckets, returning each
-  /// segment to the free list once it has been walked.
+  /// segment to the cache once it has been walked.
   void refile(Bucket& src) {
     const std::size_t count = src.segments.size();
     for (std::size_t s = 0; s < count; ++s) {
@@ -268,7 +285,7 @@ class TimeQueue {
       for (const Item* it = segment; it != end; ++it) {
         place(bucket_of(it->key), *it);
       }
-      free_.push_back(segment);
+      release_segment(segment);
     }
     src.segments.clear();
     src.tail = nullptr;
@@ -276,24 +293,21 @@ class TimeQueue {
   }
 
   void add_segment(Bucket& bucket) {
-    Item* segment;
-    if (free_.empty()) {
-      storage_.push_back(std::make_unique_for_overwrite<Item[]>(kSegmentItems));
-      segment = storage_.back().get();
-    } else {
-      segment = free_.back();
-      free_.pop_back();
-    }
+    Item* segment = reinterpret_cast<Item*>(cache_.get());
     bucket.segments.push_back(segment);
     bucket.tail = segment;
     bucket.tail_end = segment + kSegmentItems;
   }
 
-  /// Empties the front run: its segments go back to the free list and
-  /// the read cursor restarts.
+  void release_segment(Item* segment) {
+    cache_.put(reinterpret_cast<std::byte*>(segment));
+  }
+
+  /// Empties the front run: its segments go back to the cache and the
+  /// read cursor restarts.
   void release_front() {
     Bucket& front = buckets_[0];
-    free_.insert(free_.end(), front.segments.begin(), front.segments.end());
+    for (Item* segment : front.segments) release_segment(segment);
     front.segments.clear();
     front.tail = nullptr;
     front.tail_end = nullptr;
@@ -307,9 +321,8 @@ class TimeQueue {
     read_end_ = read_ + kSegmentItems;
   }
 
+  SegmentCache cache_;  // vacant segments, declared first: freed last
   Bucket buckets_[kBuckets];
-  std::vector<Item*> free_;                       // vacant segments
-  std::vector<std::unique_ptr<Item[]>> storage_;  // every segment, owned
   std::uint64_t current_ = 0;
   std::uint64_t occupied_ = 0;  // bit b-1 set <=> bucket b >= 1 non-empty
   std::uint64_t last_key_ = kNoKey;  // key of the previous push ...

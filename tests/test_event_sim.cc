@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "core/rng.h"
+#include "flooding/segment_pool.h"
 #include "flooding/time_queue.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -415,7 +417,8 @@ TEST(TimeQueue, AdvanceStopsAtTheLimitWithoutMovingTheCurrentKey) {
 TEST(TimeQueue, FrontAtReadsPushOrderAcrossSegmentBoundaries) {
   using Q = TimeQueue<int>;
   Q q;
-  constexpr int kItems = 1000;  // several 256-item segments
+  constexpr int kItems = 1000;  // more than one segment
+  static_assert(kItems > Q::kSegmentItems);
   for (int i = 0; i < kItems; ++i) q.push(Q::key_of(3.0), i);
   q.push(Q::key_of(4.0), -1);
   ASSERT_TRUE(q.advance(Q::kNoKey));
@@ -460,7 +463,9 @@ TEST(TimeQueue, PushAtTheCurrentKeyAfterTakeFrontIsPopped) {
   // Run lengths on both sides of a segment boundary: after take_front()
   // the read cursor sits at the tail, inside a segment or at its end.
   using Q = TimeQueue<int>;
-  for (const int run : {1, 255, 256, 257, 512}) {
+  constexpr int kSeg = static_cast<int>(Q::kSegmentItems);
+  for (const int run :
+       {1, 255, 256, 257, 512, kSeg - 1, kSeg, kSeg + 1, 2 * kSeg}) {
     Q q;
     for (int i = 0; i < run; ++i) q.push(Q::key_of(2.0), i);
     q.push(Q::key_of(5.0), -5);
@@ -491,7 +496,8 @@ TEST(TimeQueue, TakeFrontLeavesItemsPushedDuringTheBatchUntaken) {
   // the current key meanwhile: take_front(300) marks only the batch,
   // so the two are the next batch, on both sides of a segment boundary.
   using Q = TimeQueue<int>;
-  for (const int run : {255, 256, 300}) {
+  constexpr int kSeg = static_cast<int>(Q::kSegmentItems);
+  for (const int run : {255, 256, 300, kSeg - 1, kSeg, kSeg + 1}) {
     Q q;
     for (int i = 0; i < run; ++i) q.push(Q::key_of(1.0), i);
     ASSERT_TRUE(q.advance(Q::kNoKey));
@@ -508,6 +514,57 @@ TEST(TimeQueue, TakeFrontLeavesItemsPushedDuringTheBatchUntaken) {
     EXPECT_FALSE(q.advance(Q::kNoKey)) << run;
     EXPECT_TRUE(q.empty()) << run;
   }
+}
+
+TEST(TimeQueue, SecondQueueReusesPooledSegments) {
+  // A queue hands every segment back to the process-wide pool when it
+  // goes, so a second queue running the same schedule carves no block.
+  using Q = TimeQueue<int>;
+  const auto run_schedule = [] {
+    Q q;
+    for (int i = 0; i < 20000; ++i) {
+      q.push(Q::key_of(0.5 + (i * 7919) % 100), i);
+    }
+    int popped = 0;
+    while (q.advance(Q::kNoKey)) {
+      while (!q.front_empty()) {
+        const int id = q.pop_front().payload;
+        if (id < 10000) {
+          q.push(Q::key_of(Q::time_of(q.current_key()) + 1.0), id + 20000);
+        }
+        ++popped;
+      }
+    }
+    return popped;
+  };
+  EXPECT_EQ(run_schedule(), 30000);
+  const std::int64_t created = SegmentPool::instance().blocks_created();
+  EXPECT_GT(created, 0);
+  EXPECT_EQ(run_schedule(), 30000);
+  EXPECT_EQ(SegmentPool::instance().blocks_created(), created);
+}
+
+TEST(TimeQueue, ReadingARecycledSegmentTripsAsan) {
+  // A vacant block is poisoned, so a reference into a destroyed queue's
+  // segment is reported, not silently read as some later queue's item.
+  if (!SegmentPool::kPoisonsVacantBlocks) {
+    GTEST_SKIP() << "blocks are poisoned only under AddressSanitizer";
+  }
+  using Q = TimeQueue<int>;
+  const Q::Item* stale = nullptr;
+  {
+    Q q;
+    q.push(Q::key_of(1.0), 7);
+    ASSERT_TRUE(q.advance(Q::kNoKey));
+    stale = &q.front();
+    EXPECT_EQ(stale->payload, 7);
+  }
+  EXPECT_DEATH(
+      {
+        const volatile int* payload = &stale->payload;
+        std::fprintf(stderr, "%d\n", *payload);
+      },
+      "use-after-poison");
 }
 
 /// A reference queue: pending (time, insertion seq, id) triples, popped

@@ -33,6 +33,7 @@
 #include "core/rng.h"
 #include "flooding/failure.h"
 #include "flooding/flood_generic.h"
+#include "flooding/segment_pool.h"
 #include "flooding/shard_net.h"
 #include "lhg/implicit.h"
 #include "lhg/lhg.h"
@@ -1244,6 +1245,32 @@ TEST(ShardedFlood, ChaosDrawOrderPinnedOnBothEngines) {
   }
 }
 
+TEST(ShardedSimulator, BackToBackRunsSharePooledSegments) {
+  // Every queue and outbox hands its blocks back to the process-wide
+  // segment pool when its engine goes, so floods run back to back at
+  // S=4 x T=4 carve no new block after the first one, and every run
+  // still equals the single queue bit for bit.
+  const ImplicitLhg view(50000, 4);
+  FloodConfig cfg;
+  cfg.source = 0;
+  cfg.seed = 23;
+  const int previous = core::global_thread_count();
+  core::set_global_thread_count(1);
+  const DisseminationResult single = flood(view, cfg);
+  core::set_global_thread_count(4);
+  FloodConfig sharded_cfg = cfg;
+  sharded_cfg.shards = 4;
+  expect_results_equal(single, sharded_flood(view, sharded_cfg));
+  const std::int64_t created = SegmentPool::instance().blocks_created();
+  EXPECT_GT(created, 0);
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE(testing::Message() << "run=" << run);
+    expect_results_equal(single, sharded_flood(view, sharded_cfg));
+    EXPECT_EQ(SegmentPool::instance().blocks_created(), created);
+  }
+  core::set_global_thread_count(previous);
+}
+
 TEST(ShardedFlood, RejectsZeroLookaheadTopology) {
   // kFixed base=0 with cross-shard links cannot be windowed; the
   // engine must refuse loudly instead of deadlocking or racing.
@@ -1303,37 +1330,63 @@ TEST(ShardedNetworkT, LookaheadIsMinOverTheTreePartitionsCrossArcs) {
   std::vector<double> table(static_cast<std::size_t>(view.num_edges()));
   for (double& l : table) l = latency.base + latency.jitter * table_rng.next_double();
 
-  const std::vector<std::int32_t> owner = view.shard_owners(4);
-  double cross_min = std::numeric_limits<double>::infinity();
-  double all_min = std::numeric_limits<double>::infinity();
-  for (NodeId u = 0; u < view.num_nodes(); ++u) {
-    for (std::int32_t i = 0; i < view.degree(u); ++i) {
-      const double l = table[static_cast<std::size_t>(view.incident_edge(u, i))];
-      all_min = std::min(all_min, l);
-      if (owner[static_cast<std::size_t>(u)] !=
-          owner[static_cast<std::size_t>(view.neighbor(u, i))]) {
-        cross_min = std::min(cross_min, l);
+  // Brute force: the minimum floor over arcs that cross `owner`, where
+  // a per-link arc's floor is its table entry and every other kind's
+  // is `base`.
+  const auto cross_min = [&](const std::vector<std::int32_t>& owner,
+                             const LatencySpec& spec) {
+    double best = std::numeric_limits<double>::infinity();
+    for (NodeId u = 0; u < view.num_nodes(); ++u) {
+      for (std::int32_t i = 0; i < view.degree(u); ++i) {
+        if (owner[static_cast<std::size_t>(u)] ==
+            owner[static_cast<std::size_t>(view.neighbor(u, i))]) {
+          continue;
+        }
+        const double floor =
+            spec.kind == LatencySpec::Kind::kUniformPerLink
+                ? table[static_cast<std::size_t>(view.incident_edge(u, i))]
+                : spec.base;
+        best = std::min(best, floor);
+      }
+    }
+    return best;
+  };
+  // Few arcs cross the tree partition, so their minimum sits above the
+  // minimum over all arcs: the lookahead really is the cut's.
+  const std::vector<std::int32_t> dealt = view.shard_owners(4);
+  const double all_min = *std::min_element(table.begin(), table.end());
+  ASSERT_GT(cross_min(dealt, latency), all_min);
+
+  // Every latency kind on the dealt and the block partition, and at one
+  // shard, where no arc crosses and the windows are unbounded.
+  for (const LatencySpec spec :
+       {latency, LatencySpec::fixed(2.0), LatencySpec::per_send(1.5, 0.5)}) {
+    for (const std::int32_t shards : {4, 1}) {
+      for (const bool blocks : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "kind=" << static_cast<int>(spec.kind)
+                     << " shards=" << shards << " blocks=" << blocks);
+        const auto sim =
+            blocks ? std::make_unique<ShardedSimulator>(
+                         static_cast<std::int32_t>(view.num_nodes()), shards)
+                   : std::make_unique<ShardedSimulator>(
+                         view.shard_owners(shards), shards);
+        std::vector<std::int32_t> owner(
+            static_cast<std::size_t>(view.num_nodes()));
+        for (NodeId v = 0; v < view.num_nodes(); ++v) {
+          owner[static_cast<std::size_t>(v)] = sim->shard_of(v);
+        }
+        const double expected = cross_min(owner, spec);
+        EXPECT_EQ(expected == std::numeric_limits<double>::infinity(),
+                  shards == 1);
+        core::Rng rng(7);
+        ShardedNetwork<ImplicitLhg> net(view, *sim, spec, rng,
+                                        ChaosSpec::none());
+        EXPECT_EQ(net.min_cross_shard_latency(), expected);
+        EXPECT_EQ(sim->lookahead(), expected);
       }
     }
   }
-  // Few arcs cross the tree partition, so their minimum sits above the
-  // minimum over all arcs: the lookahead really is the cut's.
-  ASSERT_GT(cross_min, all_min);
-
-  ShardedSimulator sim(owner, 4);
-  core::Rng rng(7);
-  ShardedNetwork<ImplicitLhg> net(view, sim, latency, rng, ChaosSpec::none());
-  EXPECT_EQ(net.min_cross_shard_latency(), cross_min);
-  EXPECT_EQ(sim.lookahead(), cross_min);
-
-  // One shard: no arc crosses, and the windows are unbounded.
-  ShardedSimulator one(view.shard_owners(1), 1);
-  core::Rng rng_one(7);
-  ShardedNetwork<ImplicitLhg> net_one(view, one, latency, rng_one,
-                                      ChaosSpec::none());
-  EXPECT_EQ(net_one.min_cross_shard_latency(),
-            std::numeric_limits<double>::infinity());
-  EXPECT_EQ(one.lookahead(), std::numeric_limits<double>::infinity());
 }
 
 }  // namespace
