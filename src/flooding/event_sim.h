@@ -42,8 +42,9 @@
 // of one timestamp is exactly its events in insertion order
 // (time_queue.h has the argument).  An event scheduled at the current
 // time appends behind everything queued, so a timestamp runs
-// breadth-first: (time, generation, insertion), the sharded engine's
-// rule with insertion in place of its canonical key (shard_sim.h).
+// breadth-first: (time, generation, insertion).  The sharded engine
+// keeps (time, generation) and orders only each node's events of a
+// generation, by canonical key (shard_sim.h).
 //
 // Monotone time.  Events may only be scheduled at or after now(); the
 // check is always on for callbacks and debug-only (LHG_DCHECK) on the

@@ -133,16 +133,16 @@ DisseminationResult first_copy_flood(const Topology& topology,
 /// driven by core::parallel lanes (shard_sim.h), S clamped to n.  A
 /// topology with a `shard_owners(S)` partition (lhg::ImplicitLhg deals
 /// whole subtrees) is split by it; any other by contiguous id blocks.
-/// Results are bit-identical at any shard and thread count.  Channel
+/// Results are bit-identical at any shard and thread count: the handler
+/// touches only its own node's result entries and sends on its own arcs,
+/// and the engine fixes each node's event order (shard_sim.h).  Channel
 /// draws follow the single queue's rule (per-arc streams, network.h),
 /// so a run is also bit-equal to the single-queue `flood` whenever no
-/// node runs two events of one generation at one timestamp
-/// (shard_sim.h).  Chaos-free kFixed / kUniformPerLink runs draw
-/// nothing on the send path and are bit-equal to it always (the
-/// golden-parity contract).
-/// The per-node result arrays are written only by each node's owner
-/// shard, so the handler needs no synchronization beyond the engine's
-/// phase structure.
+/// node runs two events of one generation at one timestamp.  Chaos-free
+/// kFixed / kUniformPerLink runs draw nothing on the send path and are
+/// bit-equal to it always (the golden-parity contract).  The per-node
+/// result arrays are written only by each node's owner shard, so the
+/// handler needs no synchronization beyond the engine's phase structure.
 template <core::EdgeIndexedGraph Topology>
 DisseminationResult sharded_flood(const Topology& topology,
                                   const FloodConfig& cfg,
@@ -154,8 +154,10 @@ DisseminationResult sharded_flood(const Topology& topology,
   // More shards than nodes would only add idle lanes and S² outboxes.
   const std::int32_t shards = std::min(cfg.shards, topology.num_nodes());
   ShardedSimulator sim = [&] {
-    if constexpr (requires { topology.shard_owners(shards); }) {
-      return ShardedSimulator(topology.shard_owners(shards), shards);
+    if constexpr (requires { topology.shard_owners(shards, {}); }) {
+      using OwnerSpare = core::Spare<std::vector<std::int32_t>>;
+      return ShardedSimulator(
+          topology.shard_owners(shards, OwnerSpare::take()), shards);
     } else {
       return ShardedSimulator(topology.num_nodes(), shards);
     }

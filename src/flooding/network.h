@@ -54,8 +54,9 @@
 // A disabled knob draws nothing, so chaos-free kFixed / kUniformPerLink
 // runs reproduce the golden traces bit for bit.  Both engines therefore
 // draw alike: a run matches draw for draw across them whenever no node
-// runs two events of one generation at one timestamp (the engines order
-// such events differently; shard_sim.h), and the per-arc streams cost
+// runs two events of one generation at one timestamp (the sharded engine
+// runs such events in key order, the single queue in insertion order;
+// shard_sim.h), and the per-arc streams cost
 // 64 B per edge on chaos or per-send runs.
 
 #pragma once

@@ -16,8 +16,9 @@
 //
 //   * Per-directed-arc, owned by the sender's shard — the channel
 //     streams and Gilbert–Elliott state in FaultModel.  An arc draws
-//     only at its sending node, in that shard's canonical execution
-//     order, so lossy runs are invariant across shard/thread counts.
+//     only at its sending node, in that node's execution order, which
+//     the engine keeps canonical (shard_sim.h), so lossy runs are
+//     invariant across shard/thread counts.
 //
 //   * Per-shard, owned by one lane — NetworkStats and the obs::SimObs
 //     taps, which FaultModel keeps per shard (one per shard here).

@@ -10,6 +10,10 @@ namespace lhg::flooding {
 
 namespace {
 
+using OwnerSpare = core::Spare<std::vector<std::int32_t>>;
+using SeqSpare = core::Spare<std::vector<std::uint32_t>>;
+using HeadSpare = core::Spare<core::ZeroedWords>;
+
 /// Nodes per block of the id-block partition: ceil(n / S), with S
 /// clamped to [1, n].
 std::int32_t block_size(std::int32_t num_nodes, std::int32_t num_shards) {
@@ -24,7 +28,8 @@ std::int32_t block_size(std::int32_t num_nodes, std::int32_t num_shards) {
 std::vector<std::int32_t> block_owners(std::int32_t num_nodes,
                                        std::int32_t num_shards) {
   const std::int32_t block = block_size(num_nodes, num_shards);
-  std::vector<std::int32_t> owner(static_cast<std::size_t>(num_nodes));
+  std::vector<std::int32_t> owner = OwnerSpare::take();
+  owner.resize(static_cast<std::size_t>(num_nodes));
   for (std::int32_t v = 0; v < num_nodes; ++v) {
     owner[static_cast<std::size_t>(v)] = v / block;
   }
@@ -57,7 +62,18 @@ ShardedSimulator::ShardedSimulator(std::vector<std::int32_t> owner,
   for (Shard& sh : shards_) {
     sh.outbox.resize(shards_.size());
   }
+  node_seq_ = SeqSpare::take();
   node_seq_.assign(owner_.size(), 0);
+  heads_ = HeadSpare::take();
+  if (heads_.capacity() < owner_.size()) {
+    heads_ = core::ZeroedWords(owner_.size());
+  }
+}
+
+ShardedSimulator::~ShardedSimulator() {
+  OwnerSpare::give(std::move(owner_));
+  SeqSpare::give(std::move(node_seq_));
+  HeadSpare::give(std::move(heads_));
 }
 
 ShardedSimulator::ShardedSimulator(std::int32_t num_nodes,
@@ -88,108 +104,83 @@ void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
   sh.origin = kEnvOrigin;
 }
 
-namespace {
-
-/// One pass of a bottom-up natural merge sort over positions [0, n):
-/// merges each pair of adjacent ascending stretches, as ordered by
-/// `key(i)`, into `out` via `entry(i)`.  Returns the number of merged
-/// stretches written.
-template <typename Key, typename Entry, typename Out>
-std::size_t merge_pass(std::size_t n, Key key, Entry entry, Out* out) {
-  std::size_t stretches = 0;
-  for (std::size_t lo = 0; lo < n; ++stretches) {
-    std::size_t mid = lo + 1;
-    while (mid < n && key(mid - 1) < key(mid)) ++mid;
-    std::size_t hi = mid;
-    if (hi < n) ++hi;
-    while (hi < n && key(hi - 1) < key(hi)) ++hi;
-    std::size_t i = lo;
-    std::size_t j = mid;
-    while (i < mid && j < hi) {
-      const bool right = key(j) < key(i);
-      *out++ = entry(right ? j : i);
-      j += right ? 1 : 0;
-      i += right ? 0 : 1;
-    }
-    while (i < mid) *out++ = entry(i++);
-    while (j < hi) *out++ = entry(j++);
-    lo = hi;
-  }
-  return stretches;
-}
-
-}  // namespace
-
-void ShardedSimulator::sort_run(Shard& sh, std::size_t begin,
-                                std::size_t end) {
-  // A natural merge sort, because push order comes in ascending
-  // stretches (the shard's own pushes, then each inbound box): r
-  // stretches cost ceil(log2 r) linear passes (DESIGN.md §17 has how
-  // many a flood sees).  The first pass reads the keys from the queue;
-  // later passes alternate between `order` and `scratch`, both sized
-  // exactly to the run, so they only ever grow to the shard's largest
-  // unsorted run, and `scratch` only when it has over two stretches.
-  const std::size_t n = end - begin;
-  LHG_CHECK(end <= std::numeric_limits<std::uint32_t>::max(),
-            "ShardedSimulator: a front run of {} events overflows the "
-            "32-bit execution index",
-            end);
-  const auto item_key = [&sh, begin](std::size_t i) {
-    return sh.queue.front_at(begin + i).payload.canon;
-  };
-  sh.order.clear();
-  sh.order.resize(n);
-  std::size_t stretches = merge_pass(
-      n, item_key,
-      [&](std::size_t i) { return RunEntry{item_key(i), begin + i}; },
-      sh.order.data());
-  if (stretches == 1) return;
-  sh.scratch.clear();
-  sh.scratch.resize(n);
-  do {
-    const RunEntry* src = sh.order.data();
-    stretches = merge_pass(
-        n, [src](std::size_t i) { return src[i].canon(); },
-        [src](std::size_t i) { return src[i]; }, sh.scratch.data());
-    sh.order.swap(sh.scratch);
-  } while (stretches > 1);
-}
-
 void ShardedSimulator::drain_window(std::int32_t s, std::uint64_t limit) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
   while (sh.queue.advance(limit)) {
-    // One generation per pass: the untaken front run as it stands, in
-    // push order.  Execution order is canonical: by key, a total order,
-    // so it does not depend on the order the events were pushed in.
-    // Same-time events its handlers schedule append behind it and are
-    // the next pass's generation.
+    // One generation per pass: the untaken front run as it stands, run
+    // in push order except that each acting node's events run together
+    // at its first position, in key order — the only order a handler
+    // can observe (DESIGN.md §17).  Same-time events its handlers
+    // schedule append behind it and are the next generation.
     sh.now = Queue::time_of(sh.queue.current_key());
     const std::size_t begin = sh.queue.front_taken();
     const std::size_t end = sh.queue.front_size();
-    std::size_t sorted_end = begin + 1;
-    while (sorted_end < end &&
-           sh.queue.front_at(sorted_end - 1).payload.canon <
-               sh.queue.front_at(sorted_end).payload.canon) {
-      ++sorted_end;
+    const auto node_key = [&sh](std::size_t i) {
+      const Event& ev = sh.queue.front_at(i).payload;
+      return std::pair(ev.to, ev.canon);
+    };
+    std::size_t grouped_end = begin + 1;
+    while (grouped_end < end &&
+           node_key(grouped_end - 1) < node_key(grouped_end)) {
+      ++grouped_end;
     }
-    if (sorted_end >= end) {
-      // Already in key order (every one-event run): execute in place.
+    if (grouped_end >= end) {
+      // Ascending by (acting node, key), as is every one-event run.
       for (std::size_t i = begin; i < end; ++i) {
         dispatch(sh, s, sh.queue.pop_front().payload);
       }
     } else {
-      // Execute through a sorted index of 12-byte (key, position) pairs
-      // rather than moving the 40-byte items.
-      sort_run(sh, begin, end);
-      const std::vector<RunEntry>& order = sh.order;
-      constexpr std::size_t kPrefetch = 8;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (i + kPrefetch < order.size()) {
-          __builtin_prefetch(&sh.queue.front_at(order[i + kPrefetch].pos));
-        }
-        dispatch(sh, s, sh.queue.front_at(order[i].pos).payload);
-      }
+      run_by_node(sh, s, begin, end);
       sh.queue.take_front(end);
+    }
+  }
+}
+
+void ShardedSimulator::run_by_node(Shard& sh, std::int32_t s,
+                                   std::size_t begin, std::size_t end) {
+  LHG_CHECK(end < kNoPos, "ShardedSimulator: a front run of {} events "
+            "overflows the 32-bit node lists", end);
+  Queue& queue = sh.queue;
+  const auto node_at = [&queue](std::size_t i) {
+    return static_cast<std::size_t>(queue.front_at(i).payload.to);
+  };
+  // Link pass: each position joins the end of its node's list through
+  // the front words, all but the first flagged kLater.  A head is its
+  // node's last position + 1, and 0 outside this function; a nonzero
+  // head is trusted only if it points into [begin, i) at its node's
+  // event, which this pass linked (a sparse set, Briggs & Torczon 1993),
+  // so heads a handler's exception left set need no clearing.
+  for (std::size_t i = begin; i < end; ++i) {
+    std::uint32_t& head = heads_[node_at(i)];
+    const bool later = head > begin && head <= i &&
+                       node_at(head - 1) == node_at(i);
+    if (later) {
+      std::uint64_t& prev = queue.front_word(head - 1);
+      prev = (prev & kLater) | i;
+    }
+    queue.front_word(i) = later ? kLater | kNoPos : kNoPos;
+    head = static_cast<std::uint32_t>(i + 1);
+  }
+  // Run pass: at a node's first position, its whole list, by key.
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint64_t next = queue.front_word(i);
+    if ((next & kLater) != 0) continue;  // ran at its first position
+    heads_[node_at(i)] = 0;
+    if (next == kNoPos) {
+      dispatch(sh, s, queue.front_at(i).payload);
+      continue;
+    }
+    sh.group.clear();
+    for (std::uint64_t p = i; p != kNoPos; p = queue.front_word(p) & ~kLater) {
+      sh.group.push_back(static_cast<std::uint32_t>(p));
+    }
+    std::sort(sh.group.begin(), sh.group.end(),
+              [&queue](std::uint32_t a, std::uint32_t b) {
+                return queue.front_at(a).payload.canon <
+                       queue.front_at(b).payload.canon;
+              });
+    for (const std::uint32_t p : sh.group) {
+      dispatch(sh, s, queue.front_at(p).payload);
     }
   }
 }

@@ -4,24 +4,27 @@
 // partition rule: either the caller's (lhg::ImplicitLhg::shard_owners
 // deals whole LHG subtrees, so almost no arc crosses shards) or
 // contiguous id blocks.  The table decides where events run, never
-// which run or in what order.
+// what a node observes.
 //
-// Both engines run a timestamp breadth-first, by *generation*: the
-// events queued at t when the engine reaches t are generation 0, and an
-// event scheduled at its creator's own time is one generation later.
-// The single-queue Simulator (event_sim.h) runs a generation in
-// insertion order, which depends on the global execution history.  This
-// engine runs it in *canonical* order instead:
-//
-//     (time, generation, origin node, per-origin creation seq)
-//
-// where the origin of an event is the node whose handler created it
-// (the environment — failure plans, protocol bootstraps — is origin -1
-// and sorts first, matching the serial engine's setup-runs-first
-// semantics).  Keys and generations are invariant under sharding (a
-// same-time event never leaves its creator's shard, as the lookahead is
-// > 0), so by induction the execution order — and every result — is
-// bit-identical at any shard and thread count (DESIGN.md §17).
+// Order.  Both engines run a timestamp breadth-first, by *generation*:
+// the events queued at t when the engine reaches t are generation 0, and
+// an event scheduled at its creator's own time is one generation later.
+// Each event has a canonical key (origin node, per-origin creation seq),
+// where the origin is the node whose handler created it (the
+// environment — failure plans, protocol bootstraps — is origin -1 and
+// sorts first), and an *acting node*: the receiver of a delivery, the
+// owner of a callback.  A generation runs in push order, except that each
+// acting node's events run together at its first position, in key order.
+// Per-node order is all a result can depend on, because a handler
+// touches only its acting node's state, the streams of that node's
+// outgoing arcs (network.h), that node's key counter, and per-shard sums
+// that commute (NetworkStats, obs counters).  Keys, generations and
+// per-node orders do not depend on S (a same-time event never leaves its
+// creator's shard, as the lookahead is > 0), so by induction every
+// result is bit-identical at any shard and thread count (DESIGN.md §17).
+// Different nodes' events interleave in push order, which depends on S,
+// and so does the merged trace (obs::Runtime merges the shard rings by
+// time, then shard); each node's subsequence of it does not.
 //
 // Conservative PDES windowing (the classic lookahead recipe): between
 // barriers, shard s drains only events with time < window_end, where
@@ -48,29 +51,30 @@
 // radix time queue (time_queue.h — the single-queue engine's queue), with
 // 40-byte inline events, and one CallbackSlab (callback_slab.h, also the
 // single-queue engine's).  Queue segments and outbox blocks are blocks
-// of the process-wide SegmentPool (segment_pool.h), handed back when the
-// engine goes, so the next engine of the process reuses them.  When a
-// shard reaches a timestamp, the queue's untaken front run is one
-// generation in push order, and the drain executes it in canonical key
-// order without moving it:
+// of the process-wide SegmentPool (segment_pool.h), and the per-node
+// tables are process-wide spares (core/spare.h), so the next engine of
+// the process reuses resident memory.  When a shard reaches a
+// timestamp, the queue's untaken front run is one generation in push
+// order, drained without moving an item:
 //
-//   * one pass checks whether push order already is key order (always
-//     true for a one-event run, so nearly every run of a per-link-latency
-//     flood); such a run executes in place, popped front to back;
-//   * otherwise the drain builds a per-shard index of 12-byte (key,
-//     position) pairs with a natural merge sort of the run's ascending
-//     stretches (sort_run), and executes through it with a short
-//     prefetch of the items ahead.
+//   * one pass checks whether the run ascends by (acting node, key),
+//     always true for a one-event run, so nearly every run of a
+//     per-link-latency flood; that is the rule's order, executed in place;
+//   * otherwise run_by_node links each position into its node's list
+//     through the item's front word (time_queue.h), with one 32-bit head
+//     per node, and at each node's first position sorts that node's
+//     positions by key and runs them.
 //
 // Same-time events created *during* the drain are plain pushes: they
 // append behind the generation being executed and form the next one,
 // which runs next — the serial engine's append-behind-head.  Times are
 // monotone per queue: env and control scheduling must be at or after
 // env_now() (always checked), a window handler's at or after its shard's
-// now() (checked; debug-only on the per-message deliver path).  A shard that stops at a window end
-// or a run_until deadline keeps its current time at its last executed
-// timestamp, so scheduling at exactly that time between windows lands in
-// the front run and still executes, as a generation of its own.
+// now() (checked; debug-only on the per-message deliver path).  A shard
+// that stops at a window end or a run_until deadline keeps its current
+// time at its last executed timestamp, so scheduling at exactly that
+// time between windows lands in the front run and still executes, as a
+// generation of its own.
 //
 // What is NOT invariant: the per-timestamp event histogram
 // (sim.bucket_events) depends on how timestamps split across shards,
@@ -78,20 +82,19 @@
 // S-invariant: both networks draw them from per-directed-arc streams
 // (network.h), so a lossy run equals the single queue's whenever no
 // node runs two events of one generation at one timestamp — this engine
-// runs such events in canonical key order, the single queue in
-// insertion order.
+// runs such events in key order, the single queue in insertion order.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <new>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "core/spare.h"
 #include "flooding/callback_slab.h"
 #include "flooding/segment_pool.h"
 #include "flooding/time_queue.h"
@@ -133,6 +136,10 @@ class ShardedSimulator {
   /// [1, num_nodes] first: the partition for topologies without a
   /// shard_owners() of their own.
   ShardedSimulator(std::int32_t num_nodes, std::int32_t num_shards);
+
+  /// Hands the per-node tables to the process's spares (core/spare.h)
+  /// for the next engine.
+  ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
@@ -313,26 +320,10 @@ class ShardedSimulator {
   static_assert(sizeof(Queue::Item) <= 40, "queued event should stay compact");
   using ControlQueue = TimeQueue<std::int32_t>;  // control slab slot ids
 
-  /// One entry of a front run's execution index: the event's key and
-  /// its position in the run, packed into 12 bytes (the key as bytes,
-  /// so the entry needs no 8-byte alignment; sort_run checks that every
-  /// position fits 32 bits).
-  struct RunEntry {
-    unsigned char canon_bytes[sizeof(std::uint64_t)];
-    std::uint32_t pos;
-
-    RunEntry() = default;
-    RunEntry(std::uint64_t canon, std::size_t position)
-        : pos(static_cast<std::uint32_t>(position)) {
-      std::memcpy(canon_bytes, &canon, sizeof canon);
-    }
-    std::uint64_t canon() const {
-      std::uint64_t canon;
-      std::memcpy(&canon, canon_bytes, sizeof canon);
-      return canon;
-    }
-  };
-  static_assert(sizeof(RunEntry) == 12, "execution index entry is 12 bytes");
+  /// End of a node's list of front positions, and the flag of a
+  /// position that is not its node's first (run_by_node).
+  static constexpr std::uint32_t kNoPos = ~std::uint32_t{0};
+  static constexpr std::uint64_t kLater = std::uint64_t{1} << 63;
 
   /// Cross-shard deliveries from one shard to one other, in creation
   /// order: a chain of pool blocks (segment_pool.h), drawn from the
@@ -374,7 +365,9 @@ class ShardedSimulator {
     }
   };
 
-  struct Shard {
+  // Cache-line aligned: a lane writes its shard's fields on every event,
+  // and a line shared with a neighbour shard slowed it by half.
+  struct alignas(64) Shard {
     Shard() = default;
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
@@ -386,9 +379,8 @@ class ShardedSimulator {
 
     // Drain state.
     double now = 0.0;
-    std::vector<RunEntry> order;    // execution index of an unsorted run
-    std::vector<RunEntry> scratch;  // merge buffer while sorting `order`
     std::int32_t origin = kEnvOrigin;  // acting node while dispatching
+    std::vector<std::uint32_t> group;  // one node's positions, by key
 
     CallbackSlab<std::int32_t> callbacks;  // invoked with the shard index
 
@@ -403,7 +395,7 @@ class ShardedSimulator {
 
   /// Canonical key of an event created in context `ctx`: the acting
   /// node's (origin, seq) pair, or the env counter.  Packs into 64 bits
-  /// so front-run sorting compares one integer.
+  /// so ordering a node's events compares one integer.
   std::uint64_t make_key(std::int32_t ctx) {
     if (ctx == kEnvOrigin) {
       return static_cast<std::uint64_t>(env_seq_for_key_++);
@@ -437,8 +429,9 @@ class ShardedSimulator {
   }
 
   void dispatch(Shard& sh, std::int32_t shard_idx, const Event& ev);
-  /// Fills sh.order with front-run positions [begin, end) in key order.
-  void sort_run(Shard& sh, std::size_t begin, std::size_t end);
+  /// Runs front positions [begin, end), one acting node at a time.
+  void run_by_node(Shard& sh, std::int32_t s, std::size_t begin,
+                   std::size_t end);
   void drain_window(std::int32_t s, std::uint64_t limit);
   void exchange();
   void run_control();
@@ -448,6 +441,9 @@ class ShardedSimulator {
   std::vector<std::int32_t> owner_;  // shard of each node
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> node_seq_;  // per-origin creation counters
+  // Per node, 1 + its last front position in the run run_by_node is
+  // linking, else 0 (run_by_node).
+  core::ZeroedWords heads_;
   std::uint64_t env_seq_for_key_ = 0;    // env-origin key counter
   DeliverSink* sink_ = nullptr;
   double lookahead_ = std::numeric_limits<double>::infinity();

@@ -37,11 +37,11 @@
 // Both engines drain a timestamp generation by generation: the untaken
 // front run is one generation, and what its handlers push at the same
 // time lands behind it as the next.  The single-queue engine pops each
-// generation in push order.  The sharded engine wants a canonical order
-// within a generation instead: it reads the generation by position
-// (front_at), checks whether push order already is canonical, and
-// otherwise sorts an index of positions and marks the generation taken
-// when done (take_front); the items themselves never move.
+// generation in push order.  The sharded engine runs each node's events
+// of a generation together, in key order, instead: it reads the
+// generation by position (front_at), links positions through the items'
+// key words (front_word), and marks the generation taken when done
+// (take_front); the items themselves never move.
 //
 // Contract.  push(key) requires key >= current_key() (a DCHECK here; the
 // engines check their own, stronger, time contracts on every path that
@@ -195,6 +195,14 @@ class TimeQueue {
     LHG_DCHECK(i < front_size(), "TimeQueue: front position {} of {}", i,
                front_size());
     return buckets_[0].at(i);
+  }
+  /// The key word of front-run item `i`, as scratch for a caller that
+  /// reads the run through front_at() and marks it taken: every
+  /// front-run key is current_key(), so the queue never reads the word.
+  std::uint64_t& front_word(std::size_t i) {
+    LHG_DCHECK(i < front_size(), "TimeQueue: front position {} of {}", i,
+               front_size());
+    return buckets_[0].segments[i / kSegmentItems][i % kSegmentItems].key;
   }
   /// Marks front-run positions below `end` <= front_size() taken, for a
   /// caller that read them through front_at().  Items at `end` and

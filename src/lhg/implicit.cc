@@ -307,7 +307,7 @@ std::int32_t ImplicitLhg::edge_index(NodeId u, NodeId v) const {
 }
 
 std::vector<std::int32_t> ImplicitLhg::shard_owners(
-    std::int32_t shards) const {
+    std::int32_t shards, std::vector<std::int32_t> storage) const {
   LHG_CHECK(shards >= 1, "ImplicitLhg::shard_owners: shard count {} must be "
             ">= 1", shards);
   // Dealing depth: the shallowest with kDealtPerShard · S interiors.
@@ -340,7 +340,8 @@ std::vector<std::int32_t> ImplicitLhg::shard_owners(
           plan_.interior_parent[idx])];
     }
   }
-  std::vector<std::int32_t> owner(static_cast<std::size_t>(num_nodes_));
+  std::vector<std::int32_t> owner = std::move(storage);
+  owner.resize(static_cast<std::size_t>(num_nodes_));  // every entry set below
   core::parallel_for(num_nodes_, /*grain=*/4096, [&](std::int64_t u, int) {
     const auto v = static_cast<NodeId>(u);
     const std::int32_t a =

@@ -110,7 +110,9 @@ class ImplicitLhg {
   /// BFS filling leaves the deeper leaves on the left of the tree, so
   /// dealing (rather than cutting contiguous ranges) balances every
   /// level.  A closed form of the plan: the same table on every call.
-  std::vector<std::int32_t> shard_owners(std::int32_t shards) const;
+  /// The table is written into `storage`, whose capacity is reused.
+  std::vector<std::int32_t> shard_owners(
+      std::int32_t shards, std::vector<std::int32_t> storage = {}) const;
 
   /// Materializes the view as a `core::Graph` through the memory-lean
   /// `Graph::from_csr` path: degrees and sorted slices are emitted

@@ -265,6 +265,10 @@ TEST(ImplicitShardOwners, SameTableOnEveryCallAndThreadCount) {
   core::set_global_thread_count(4);
   EXPECT_EQ(view.shard_owners(4), first);
   EXPECT_EQ(view.shard_owners(4), first);
+  // Reused storage of any size and content gives the same table.
+  EXPECT_EQ(view.shard_owners(4, std::vector<std::int32_t>(7, 3)), first);
+  EXPECT_EQ(view.shard_owners(4, std::vector<std::int32_t>(50'000, -1)),
+            first);
 }
 
 TEST(ImplicitShardOwners, NearCutFreeAndBalancedAt65536) {

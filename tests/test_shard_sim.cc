@@ -2,8 +2,10 @@
 // and the sharded network + flood built on it.
 //
 // The load-bearing claims, in order:
-//   * the engine executes in canonical (time, generation, origin, seq)
-//     order, with control events strictly before same-time node events;
+//   * the engine executes by (time, generation), a generation in push
+//     order except that each node's events run together in canonical
+//     (origin, seq) key order, with control events strictly before
+//     same-time node events;
 //   * a sharded flood is BIT-IDENTICAL to the single-queue flood on
 //     chaos-free fixtures (kFixed and kUniformPerLink latencies, with
 //     and without a failure plan) — the golden-parity contract;
@@ -380,28 +382,47 @@ TEST(ShardedSimulator, CrossShardDeliveryCrossesTheBarrier) {
   EXPECT_DOUBLE_EQ(sim.now(1), 2.0);
 }
 
-// --- Canonical order under adversarial push order -----------------------
+// --- Per-node canonical order under adversarial push order --------------
 
 /// A same-time workload whose t = 2 runs reach every shard out of key
-/// order.  At t = 1 the environment wakes the nodes in descending id
-/// order, so they act in that order; each sends three messages to other
-/// nodes and schedules one callback on itself, all at t = 2.  A shard's
-/// t = 2 run therefore lists its local events by descending origin,
-/// then each source shard's outbox, also by descending origin.  With
-/// `same_time`, the t = 2 handlers schedule more t = 2 events: every
-/// receiver one callback on itself (whose key may sort before or after
-/// its creator's) and every wake-up callback a chain of two.
+/// order, with several events per node.  At t = 1 the environment wakes
+/// the nodes in descending id order, so they act in that order; each
+/// sends three messages to other nodes and schedules one callback on
+/// itself, all at t = 2.  A shard's t = 2 run therefore lists its local
+/// events by descending origin, then each source shard's outbox, also
+/// by descending origin.  With `same_time`, the t = 2 handlers schedule
+/// more t = 2 events: every receiver one callback on itself (whose key
+/// may sort before or after its creator's) and every wake-up callback a
+/// chain of two.
 ///
-/// Each executed t = 2 event is recorded with its canonical key, which
-/// the script tracks exactly as the engine assigns it, and the key of
-/// the t = 2 event that created it (kFromRun for the run itself).
+/// Each executed t = 2 event is recorded with its acting node, its
+/// canonical key, which the script tracks exactly as the engine assigns
+/// it, and the key of the t = 2 event that created it (kFromRun for the
+/// run itself).
 class SameTimeScript final : public ShardedSimulator::DeliverSink {
  public:
   static constexpr std::uint64_t kFromRun = ~std::uint64_t{0};
   struct Rec {
+    std::int32_t node;
     std::uint64_t key;
     std::uint64_t creator;
   };
+
+  /// The (S = 1) t = 2 run in push order, as (acting node, key): the
+  /// nodes act at t = 1 in descending id order, each making its three
+  /// messages and then its wake-up callback.
+  static std::vector<std::pair<std::int32_t, std::uint64_t>> push_order(
+      std::int32_t nodes) {
+    std::vector<std::pair<std::int32_t, std::uint64_t>> pushed;
+    for (std::int32_t v = nodes - 1; v >= 0; --v) {
+      const std::uint64_t origin = static_cast<std::uint64_t>(v + 1) << 32;
+      for (std::int32_t j = 0; j < 3; ++j) {
+        pushed.emplace_back((v * 5 + j * 7 + 1) % nodes, origin | j);
+      }
+      pushed.emplace_back(v, origin | 3);
+    }
+    return pushed;
+  }
 
   SameTimeScript(std::int32_t nodes, std::int32_t shards, bool same_time)
       : sim_(nodes, shards),
@@ -465,7 +486,7 @@ class SameTimeScript final : public ShardedSimulator::DeliverSink {
 
   void record(std::int32_t shard, std::int32_t node, std::uint64_t key,
               std::uint64_t creator) {
-    by_shard_[static_cast<std::size_t>(shard)].push_back({key, creator});
+    by_shard_[static_cast<std::size_t>(shard)].push_back({node, key, creator});
     by_node_[static_cast<std::size_t>(node)].push_back(key);
   }
 
@@ -478,7 +499,8 @@ class SameTimeScript final : public ShardedSimulator::DeliverSink {
 
 /// Replays one shard's t = 2 trace generation by generation: the run is
 /// generation 0, the events a generation creates are the next one, and
-/// each generation must execute whole, in ascending key order.
+/// each generation must execute whole, each node's events together and
+/// in ascending key order.
 void expect_generation_order(const std::vector<SameTimeScript::Rec>& trace) {
   std::multimap<std::uint64_t, std::uint64_t> created;  // creator -> key
   std::set<std::uint64_t> generation;
@@ -491,10 +513,23 @@ void expect_generation_order(const std::vector<SameTimeScript::Rec>& trace) {
   }
   std::size_t at = 0;
   while (!generation.empty()) {
+    ASSERT_LE(at + generation.size(), trace.size());
+    std::set<std::uint64_t> ran;
+    std::set<std::int32_t> done;  // nodes met so far in this generation
+    for (std::size_t i = at; i < at + generation.size(); ++i) {
+      ran.insert(trace[i].key);
+      const bool same_node = i > at && trace[i - 1].node == trace[i].node;
+      if (same_node) {
+        EXPECT_LT(trace[i - 1].key, trace[i].key) << i;
+      } else {
+        EXPECT_TRUE(done.insert(trace[i].node).second) << "node "
+            << trace[i].node << " split at " << i;
+      }
+    }
+    EXPECT_EQ(ran, generation);
+    at += generation.size();
     std::set<std::uint64_t> next;
     for (const std::uint64_t key : generation) {
-      ASSERT_LT(at, trace.size());
-      EXPECT_EQ(trace[at++].key, key);
       const auto [first, last] = created.equal_range(key);
       for (auto it = first; it != last; ++it) next.insert(it->second);
     }
@@ -530,17 +565,33 @@ std::vector<SameTimeScript::Rec> expect_canonical_in_every_cell(
 }
 
 TEST(ShardedSimulator, AdversarialPushOrderRunsInCanonicalOrder) {
-  // 24 nodes x (3 messages + 1 callback).  No same-time events: every
-  // shard's trace is its t = 2 run sorted by key.
+  // 24 nodes x (3 messages + 1 callback).  No same-time events: at one
+  // shard the t = 2 run executes in push order, except that each node's
+  // events run together at its first position, sorted by key — not in
+  // global key order.
   const std::vector<SameTimeScript::Rec> trace =
       expect_canonical_in_every_cell(24, /*same_time=*/false, 24 * 4);
-  EXPECT_TRUE(std::ranges::is_sorted(trace, {}, &SameTimeScript::Rec::key));
+  std::vector<std::int32_t> first_seen;
+  std::map<std::int32_t, std::vector<std::uint64_t>> keys;
+  for (const auto& [node, key] : SameTimeScript::push_order(24)) {
+    if (keys[node].empty()) first_seen.push_back(node);
+    keys[node].push_back(key);
+  }
+  std::vector<std::uint64_t> expected;
+  for (const std::int32_t node : first_seen) {
+    std::ranges::sort(keys[node]);
+    expected.insert(expected.end(), keys[node].begin(), keys[node].end());
+  }
+  std::vector<std::uint64_t> ran;
+  for (const SameTimeScript::Rec& r : trace) ran.push_back(r.key);
+  EXPECT_EQ(ran, expected);
+  EXPECT_FALSE(std::ranges::is_sorted(ran));
 }
 
 TEST(ShardedSimulator, SameTimeEventsMergeIntoAnUnsortedRunByKey) {
   // Adds a callback per message and a chain of two per wake-up
   // callback, all at t = 2.  They run as later generations: the whole
-  // unsorted run first, by key, then what it created, by key — also the
+  // unsorted run first, node by node, then what it created — also the
   // events whose key sorts below their creator's.
   const std::vector<SameTimeScript::Rec> trace =
       expect_canonical_in_every_cell(24, /*same_time=*/true, 24 * 9);
@@ -833,12 +884,12 @@ TEST(ShardedSimulator, GenerationOrderMatchesReferenceOnRandomSchedules) {
 TEST(ShardedSimulator, EventsAtACurrentTimeAlreadyDrainedRunOnce) {
   // Shard 0 runs three node-origin events at t = 2 and stops at the
   // deadline with its clock at 2.  The environment then adds three
-  // events at t = 2, whose keys sort before the three already run: they
-  // join the front run at the shard's current time, and only they run,
-  // each once and in creation order, followed by the same-time event
-  // one of them schedules.  (Environment keys ascend, so such a run is
-  // always in key order; the queue-level TimeQueue.FrontAt* tests cover
-  // index access to a partly taken run.)
+  // events at t = 2, for nodes 0, 1, 0, whose keys sort before the three
+  // already run: they join the front run at the shard's current time,
+  // and only they run, each once, node 0's two together at its first
+  // position in creation (key) order, followed by the same-time event
+  // one of them schedules.  (The queue-level TimeQueue.FrontAt* tests
+  // cover index access to a partly taken run.)
   ShardedSimulator sim(4, 2);  // shard 0: {0, 1}
   std::vector<int> order;
   sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 1.0, 0,
@@ -865,9 +916,60 @@ TEST(ShardedSimulator, EventsAtACurrentTimeAlreadyDrainedRunOnce) {
                          });
   }
   sim.run();
-  EXPECT_EQ(order, (std::vector<int>{10, 11, 12, 20, 21, 22, 30}));
+  EXPECT_EQ(order, (std::vector<int>{10, 11, 12, 20, 22, 21, 30}));
   EXPECT_EQ(sim.events_processed(), 8);
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(ShardedSimulator, GenerationWithNoRepeatedNodeRunsInPushOrder) {
+  // At t = 1 nodes 7, 6, ..., 0 act in that order and each schedules one
+  // callback at t = 2 on node (3v + 1) mod 8, a permutation.  The t = 2
+  // run holds each node once, with descending keys and nodes out of
+  // order: it runs exactly in push order, not in key order.
+  ShardedSimulator sim(8, 1);
+  std::vector<std::int32_t> order;
+  for (std::int32_t v = 7; v >= 0; --v) {
+    sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 1.0, v,
+                         [&sim, &order, v](std::int32_t shard) {
+                           const std::int32_t to = (3 * v + 1) % 8;
+                           sim.schedule_node_at(shard, 2.0, to,
+                                                [&order, to](std::int32_t) {
+                                                  order.push_back(to);
+                                                });
+                         });
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::int32_t>{6, 3, 0, 5, 2, 7, 4, 1}));
+}
+
+TEST(ShardedSimulator, RepeatedNodeEventsRunInKeyOrder) {
+  // At t = 1 nodes 5, 2, 7 act in that order and schedule t = 2
+  // callbacks on nodes 0 and 4, tagged (origin, seq).  Push order at
+  // t = 2 is 0:5.0, 4:5.1, 0:5.2, 0:2.0, 0:2.1, 4:7.0, 0:7.1.  Node 0's
+  // five events run together at its first position, by key (origin,
+  // then seq), and node 4's two after them.
+  ShardedSimulator sim(8, 1);
+  std::vector<std::pair<std::int32_t, int>> order;  // (node, origin*10+seq)
+  const std::vector<std::pair<std::int32_t, std::vector<std::int32_t>>>
+      script = {{5, {0, 4, 0}}, {2, {0, 0}}, {7, {4, 0}}};
+  for (const auto& [origin, targets] : script) {
+    sim.schedule_node_at(
+        ShardedSimulator::kEnvOrigin, 1.0, origin,
+        [&sim, &order, origin, &targets](std::int32_t shard) {
+          for (std::size_t seq = 0; seq < targets.size(); ++seq) {
+            const std::int32_t to = targets[seq];
+            const int tag = origin * 10 + static_cast<int>(seq);
+            sim.schedule_node_at(shard, 2.0, to,
+                                 [&order, to, tag](std::int32_t) {
+                                   order.emplace_back(to, tag);
+                                 });
+          }
+        });
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::pair<std::int32_t, int>>{
+                       {0, 20}, {0, 21}, {0, 50}, {0, 52}, {0, 71},
+                       {4, 51}, {4, 70}}));
 }
 
 TEST(ShardedSimulator, RunWithEmptyShardsDrainsAndLeavesNothingPending) {
@@ -1128,6 +1230,76 @@ TEST(ShardedFlood, ImplicitBackendShardThreadSweepParallelDeterminism) {
     }
   }
   core::set_global_thread_count(previous);
+}
+
+/// Each node's subsequence of a trace, the node being the one whose
+/// handler recorded the event: the receiver for a drop at delivery, the
+/// recorded node for everything else.
+std::map<NodeId, std::vector<obs::TraceEvent>> per_node_trace(
+    const obs::TraceLog& log) {
+  std::map<NodeId, std::vector<obs::TraceEvent>> per_node;
+  for (const obs::TraceEvent& e : log.events) {
+    const auto cause = static_cast<obs::DropCause>(e.detail);
+    const bool at_delivery =
+        e.kind == obs::TraceKind::kDrop &&
+        (cause == obs::DropCause::kReceiverCrashed ||
+         cause == obs::DropCause::kLinkDown ||
+         cause == obs::DropCause::kPartition);
+    per_node[at_delivery ? e.peer : e.node].push_back(e);
+  }
+  return per_node;
+}
+
+TEST(ShardedFlood, TracedChaoticFloodPerNodeTraceIsShardInvariant) {
+  // The merged trace interleaves different nodes' same-time events by
+  // push order and shard, which depend on S; each node's subsequence
+  // must not.  Fixed latency, so nodes take several copies at one
+  // timestamp, under chaos and a crash, flap and partition plan.
+  const auto g = lhg::build(64, 4);
+  const FailurePlan plan = chaos_plan(g);
+  FloodConfig cfg = chaos_config();
+  cfg.obs.trace = true;
+  cfg.obs.trace_capacity = 1 << 16;
+  const int previous = core::global_thread_count();
+  cfg.shards = 1;
+  core::set_global_thread_count(1);
+  const DisseminationResult base = sharded_flood(g, cfg, plan);
+  ASSERT_EQ(base.trace.dropped, 0);
+  const auto expected = per_node_trace(base.trace);
+  ASSERT_EQ(expected.size(), 64u);
+  bool merged_moved = false;
+  for (const int threads : {1, 4}) {
+    core::set_global_thread_count(threads);
+    for (const std::int32_t shards : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << "shards=" << shards << " threads=" << threads);
+      FloodConfig sweep = cfg;
+      sweep.shards = shards;
+      const DisseminationResult got = sharded_flood(g, sweep, plan);
+      expect_results_equal(base, got);
+      ASSERT_EQ(got.trace.dropped, 0);
+      ASSERT_EQ(got.trace.events.size(), base.trace.events.size());
+      const auto per_node = per_node_trace(got.trace);
+      for (const auto& [node, events] : expected) {
+        const auto it = per_node.find(node);
+        ASSERT_NE(it, per_node.end()) << "node " << node;
+        ASSERT_EQ(it->second.size(), events.size()) << "node " << node;
+        for (std::size_t i = 0; i < events.size(); ++i) {
+          const obs::TraceEvent& a = events[i];
+          const obs::TraceEvent& b = it->second[i];
+          EXPECT_TRUE(a.time == b.time && a.kind == b.kind &&
+                      a.node == b.node && a.peer == b.peer &&
+                      a.detail == b.detail)
+              << "node " << node << " event " << i;
+        }
+      }
+      for (std::size_t i = 0; i < got.trace.events.size(); ++i) {
+        merged_moved |= got.trace.events[i].node != base.trace.events[i].node;
+      }
+    }
+  }
+  core::set_global_thread_count(previous);
+  EXPECT_TRUE(merged_moved);  // the merged order itself does depend on S
 }
 
 TEST(ShardedFlood, PerLinkChaosMatchesSingleQueue) {
