@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
         res.rows.push_back(steady);
 
         // --- Continuous verification: the steady mix with the
-        // push-relabel k-connectivity verifier after every batch.
+        // certificate + max-flow k-connectivity verifier after every batch.
         const bench::WallTimer verified_timer;
         std::vector<std::int64_t> verified_costs;
         for (std::int32_t b = 0; b < verified_batches; ++b) {

@@ -5,14 +5,14 @@
 // constraints and for the Harary baseline.
 //
 // E24 claim (verification-scaling sweep): the certificate-then-
-// push-relabel verification stack (DESIGN.md §15) makes k-connectivity
+// augmenting-path verification stack (DESIGN.md §15) makes k-connectivity
 // verification fast enough for million-node overlays:
 //   old_vs_new      retired per-pair Dinic reference vs the production
 //                   path, same capped question, n up to 4096 — expect
 //                   >= 10x at n >= 2048 (target 50x on κ at 4096)
 //   cert_ablation   the same capped pair probes with and without the
 //                   Nagamochi–Ibaraki sparsify step — isolates how much
-//                   of the win is the certificate vs push-relabel
+//                   of the win is the certificate vs the flow engine
 //   verify_implicit certificate construction straight off the O(n/k)
 //                   implicit view plus sampled capped pair probes at
 //                   n = 10^5 (--small) and 10^6 — every row carries
@@ -116,15 +116,15 @@ int main(int argc, char** argv) {
   // --- E24a: old-vs-new on the same capped question -------------------
   // Two topologies on purpose.  LHG is the paper's subject and the
   // best case for the new stack: O(log n) diameter keeps every probe's
-  // augmenting paths short, so the per-probe cost is dominated by the
-  // engine's O(m + n) reset instead of flow routing.  The circulant is
-  // the honest worst case: between ANY probe pair (even adjacent
-  // vertices) some of the k disjoint paths must wrap half the ring, so
-  // every probe pays Θ(n) pushes no matter the probe set, and the
+  // augmenting paths short, so each search meets after exploring a
+  // small ball around both endpoints.  The circulant is the honest
+  // worst case: between ANY probe pair (even adjacent vertices) some of
+  // the k disjoint paths must wrap half the ring, so every augmenting
+  // search explores Θ(n) nodes no matter the probe set, and the
   // old-vs-new gap is constant-factor only.
   constexpr std::int32_t k = 4;
   std::cout << "\nE24a: verification old (per-pair Dinic) vs new "
-               "(certificate + push-relabel), k=4, capped at k+1\n";
+               "(certificate + augmenting paths), k=4, capped at k+1\n";
   bench::Table ovn(
       {"topo", "n", "quantity", "old_ms", "new_ms", "speedup", "agree"}, 11);
   ovn.print_header();
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   }
 
   // --- E24b: certificate ablation -------------------------------------
-  // Same capped pair probes (push-relabel both times); the only
+  // Same capped pair probes (same flow engine both times); the only
   // difference is whether they run on the NI certificate or on the full
   // graph.  Uses a denser G(n, m) so the certificate has fat to trim.
   std::cout << "\nE24b: certificate ablation, capped pair probes on "

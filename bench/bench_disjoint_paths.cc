@@ -14,20 +14,61 @@
 //
 // Expected shape: worst certificate path grows by an additive constant
 // per doubling of n (like the diameter), nowhere near linear.
+//
+// Every returned path set is hard-checked (LHG_CHECK): k paths, each a
+// simple s -> t walk over edges of the graph, no internal vertex shared
+// between two of them.  CI runs this bench once as its own gate.
 
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <vector>
 
+#include "core/check.h"
 #include "core/connectivity.h"
 #include "core/diameter.h"
 #include "core/rng.h"
 #include "lhg/lhg.h"
 #include "table.h"
 
+namespace {
+
+using lhg::core::NodeId;
+
+/// Aborts unless `paths` is a set of `count` internally-vertex-disjoint
+/// simple s-t paths in `g`.
+void check_path_set(const lhg::core::Graph& g, NodeId s, NodeId t,
+                    const std::vector<std::vector<NodeId>>& paths,
+                    std::int32_t count) {
+  LHG_CHECK(static_cast<std::int32_t>(paths.size()) == count,
+            "({}, {}): {} paths, expected {}", s, t, paths.size(), count);
+  // owner[v] = index of the path that already uses v (s and t excepted).
+  std::vector<std::int32_t> owner(static_cast<std::size_t>(g.num_nodes()), -1);
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    const auto& path = paths[p];
+    LHG_CHECK(path.size() >= 2 && path.front() == s && path.back() == t,
+              "({}, {}): path {} does not run from s to t", s, t, p);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      LHG_CHECK(g.has_edge(path[i], path[i + 1]),
+                "({}, {}): path {} steps {} -> {} over a non-edge", s, t, p,
+                path[i], path[i + 1]);
+    }
+    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+      const NodeId v = path[i];
+      LHG_CHECK(v != s && v != t, "({}, {}): path {} revisits an endpoint",
+                s, t, p);
+      auto& o = owner[static_cast<std::size_t>(v)];
+      LHG_CHECK(o == -1, "({}, {}): node {} on paths {} and {}", s, t, v,
+                o, p);
+      o = static_cast<std::int32_t>(p);
+    }
+  }
+}
+
+}  // namespace
+
 int main() {
   using namespace lhg;
-  using core::NodeId;
 
   std::cout << "E19: max path length within k-disjoint-path certificates "
                "(60 sampled pairs per row)\n";
@@ -59,6 +100,7 @@ int main() {
                     << ", " << t << ")\n";
           return 1;
         }
+        check_path_set(g, s, t, *paths, k);
         std::int32_t longest = 0;
         for (const auto& path : *paths) {
           longest = std::max(longest,

@@ -10,6 +10,10 @@
 //   flood_single   the single-queue engine (`flood`, cfg.shards = 1)
 //   flood_sharded  the sharded engine (`sharded_flood`) at S in {1, 4, 8}
 //
+// Every row is the median of 5 timed floods, after one untimed warm-up
+// flood of the same engine in this process, so first-touch set-up
+// (page faults, segment pool growth) is not what a row measures.
+//
 // The S=1 row runs the sharded engine on one shard, so its ratio to
 // flood_single is the engine's own overhead, printed after each n.
 // Each sharded row also reports the partition it timed — the view's
@@ -17,7 +21,8 @@
 // whose endpoints sit on different shards, and the largest shard's
 // node count over the mean.
 //
-// Every sharded run is compared field-for-field against the
+// Every sharded run, warm-up included, is compared field-for-field
+// against the
 // single-queue result — delivery vectors, message/event counts and
 // NetworkStats must be bit-equal (fixed latency, no chaos; DESIGN.md
 // §17).  The comparison is a hard LHG_CHECK: a wrong sharded engine
@@ -123,6 +128,23 @@ PartitionShape partition_shape(const lhg::ImplicitLhg& view,
               mean};
 }
 
+constexpr int kTimedFloods = 5;
+
+/// Median wall time of kTimedFloods calls of `run`; `check` sees every
+/// result.  Callers run one untimed warm-up flood first.
+template <typename Run, typename Check>
+std::int64_t median_flood_ns(const Run& run, const Check& check) {
+  std::vector<std::int64_t> ns;
+  for (int i = 0; i < kTimedFloods; ++i) {
+    const lhg::bench::WallTimer timer;
+    const DisseminationResult result = run();
+    ns.push_back(timer.elapsed_ns());
+    check(result);
+  }
+  std::sort(ns.begin(), ns.end());
+  return ns[kTimedFloods / 2];
+}
+
 std::string fixed2(double value) {
   std::ostringstream out;
   out << std::fixed << std::setprecision(2) << value;
@@ -161,11 +183,16 @@ int main(int argc, char** argv) {
     cfg.source = 0;
     cfg.seed = 25;
 
-    const bench::WallTimer single_timer;
+    // The reference result doubles as the single engine's warm-up.
     const auto single = flooding::flood(view, cfg);
-    const std::int64_t single_ns = single_timer.elapsed_ns();
     LHG_CHECK(single.all_alive_delivered(),
               "single-queue flood missed nodes at n={}", n);
+    const std::int64_t single_ns = median_flood_ns(
+        [&] { return flooding::flood(view, cfg); },
+        [&](const DisseminationResult& result) {
+          LHG_CHECK(result.all_alive_delivered(),
+                    "single-queue flood missed nodes at n={}", n);
+        });
     table.print_row(n, "single", 1, static_cast<double>(single_ns) / 1e6,
                     mev_per_s(single.events_processed, single_ns),
                     mb(bench::BenchReport::peak_rss_bytes()), "1.00", "-",
@@ -182,10 +209,12 @@ int main(int argc, char** argv) {
     std::int64_t s8_ns = -1;
     for (const std::int32_t shards : shard_counts) {
       cfg.shards = shards;
-      const bench::WallTimer timer;
-      const auto sharded = flooding::sharded_flood(view, cfg);
-      const std::int64_t wall_ns = timer.elapsed_ns();
-      check_parity(single, sharded, n, shards);
+      const auto run = [&] { return flooding::sharded_flood(view, cfg); };
+      const auto check = [&](const DisseminationResult& result) {
+        check_parity(single, result, n, shards);
+      };
+      check(run());  // untimed warm-up
+      const std::int64_t wall_ns = median_flood_ns(run, check);
       if (shards == 1) s1_ns = wall_ns;
       if (shards == 8) s8_ns = wall_ns;
       const double speedup =
@@ -193,7 +222,7 @@ int main(int argc, char** argv) {
       const PartitionShape shape = partition_shape(view, shards);
       table.print_row(n, "sharded", shards,
                       static_cast<double>(wall_ns) / 1e6,
-                      mev_per_s(sharded.events_processed, wall_ns),
+                      mev_per_s(single.events_processed, wall_ns),
                       mb(bench::BenchReport::peak_rss_bytes()), fixed2(speedup),
                       fixed2(100.0 * shape.cross_arc_share),
                       fixed2(shape.largest_over_mean));
@@ -202,8 +231,8 @@ int main(int argc, char** argv) {
                  {{"k", k},
                   {"n", n},
                   {"shards", shards},
-                  {"messages", sharded.messages_sent},
-                  {"events", sharded.events_processed},
+                  {"messages", single.messages_sent},
+                  {"events", single.events_processed},
                   {"cross_arc_share", shape.cross_arc_share},
                   {"largest_shard_over_mean", shape.largest_over_mean}},
                  wall_ns);

@@ -24,8 +24,8 @@ void check_pair(const Graph& g, NodeId s, NodeId t) {
 }
 
 /// Unit-capacity digraph: every undirected edge becomes two opposing arcs.
-PushRelabel edge_network(const Graph& g) {
-  PushRelabel net(g.num_nodes());
+FlowNetwork edge_network(const Graph& g) {
+  FlowNetwork net(g.num_nodes());
   for (Edge e : g.edges()) {
     net.add_arc(e.u, e.v, 1);
     net.add_arc(e.v, e.u, 1);
@@ -47,11 +47,11 @@ constexpr std::int32_t out_vertex(NodeId v) { return 2 * v + 1; }
 /// min cut can never select, so minimum_vertex_cut passes n+1 — valid
 /// only for non-adjacent pairs, where every s-t cut must consist of
 /// split arcs.
-PushRelabel split_network(
+FlowNetwork split_network(
     const Graph& g,
     std::vector<std::pair<NodeId, NodeId>>* arc_to_edge = nullptr,
     std::int64_t edge_capacity = 1) {
-  PushRelabel net(2 * g.num_nodes());
+  FlowNetwork net(2 * g.num_nodes());
   std::vector<std::pair<NodeId, NodeId>> mapping;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     net.add_arc(in_vertex(v), out_vertex(v), 1);
@@ -120,8 +120,8 @@ class SharedUpperBound {
 /// Minimum of `probe(pair)` over `pairs`, with shared-bound pruning.
 /// `probe(s, t, limit, lane)` must return min(connectivity(s, t), limit);
 /// `lane` selects per-lane scratch (a ConnectivityProber per lane — the
-/// push-relabel networks hold per-query state, so one solver cannot be
-/// shared across concurrent probes).
+/// flow networks hold per-query state, so one network cannot be shared
+/// across concurrent probes).
 template <typename Probe>
 std::int32_t min_over_pairs(const std::vector<std::pair<NodeId, NodeId>>& pairs,
                             std::int32_t initial, Probe&& probe) {
@@ -268,8 +268,9 @@ std::int32_t vertex_connectivity(const Graph& g, std::int32_t upper_limit) {
   // vertex v and one of its non-neighbors, or between two non-adjacent
   // neighbors of v.  Pairs come from G; probes run on the certificate
   // (same node ids, and min(κ_cert, cap) == min(κ_G, cap) pairwise).
-  // κ is symmetric, so v goes in SINK position: the bulk of the probes
-  // then share one sink and hit the solver's sink-keyed label cache.
+  // κ is symmetric, so v's side of each pair does not change a value;
+  // v goes in SINK position, as in minimum_vertex_cut, whose cut is read
+  // off the sink side and therefore depends on the orientation.
   NodeId v = 0;
   for (NodeId u = 1; u < g.num_nodes(); ++u) {
     if (g.degree(u) < g.degree(v)) v = u;
@@ -321,10 +322,9 @@ std::optional<std::vector<std::vector<NodeId>>> vertex_disjoint_paths(
   // and any path in the certificate is a path in G.
   const Graph cert = sparse_certificate(g, count);
   std::vector<std::pair<NodeId, NodeId>> arc_to_edge;
-  PushRelabel net = split_network(cert, &arc_to_edge);
+  FlowNetwork net = split_network(cert, &arc_to_edge);
   const auto flow = net.max_flow(out_vertex(s), in_vertex(t), count);
   if (flow < count) return std::nullopt;
-  net.convert_to_flow();  // flow_on needs a flow, not a preflow
 
   // Collect directed edges carrying flow and decompose into paths by
   // walking from s.  Vertex capacities are 1, so each internal vertex
@@ -393,8 +393,9 @@ std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g) {
       best_pair = {a, b};
     }
   };
-  // v as the common sink, matching vertex_connectivity: the solver's
-  // sink-keyed label cache then serves every probe in this loop.
+  // v as the common sink, matching vertex_connectivity.  The cut below
+  // is the sink-side one of the pair found here, so this orientation is
+  // part of the result.
   for (NodeId w = 0; w < g.num_nodes(); ++w) {
     if (w != v && !g.has_edge(v, w)) probe(w, v);
   }
@@ -412,7 +413,7 @@ std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g) {
   // non-adjacent by construction), so the min cut is split arcs only.
   // The cut is read off the FULL graph, not the certificate: a
   // certificate separator need not separate G.
-  PushRelabel net = split_network(
+  FlowNetwork net = split_network(
       g, nullptr, static_cast<std::int64_t>(g.num_nodes()) + 1);
   net.max_flow(out_vertex(best_pair.first), in_vertex(best_pair.second));
   const auto source_side = net.min_cut_source_side();

@@ -1,5 +1,5 @@
 // Exact vertex and edge connectivity: Nagamochi–Ibaraki sparse
-// certificates feeding capped push-relabel max-flow (Menger's theorem).
+// certificates feeding capped augmenting-path max-flow (Menger's theorem).
 //
 // The LHG definition is stated in terms of κ(G) (node connectivity, P1)
 // and λ(G) (link connectivity, P2).  Both are computed exactly, in two
@@ -15,9 +15,9 @@
 //     λ(s,t) is a unit-capacity max-flow where every undirected edge
 //     becomes two opposing arcs of capacity 1; κ(s,t) splits every
 //     vertex v into v_in → v_out with an arc of capacity 1 (Even's
-//     construction).  Flows run on the reusable push-relabel solver
-//     (core/maxflow.h) with the cap as the release limit, so a yes/no
-//     question costs O(cap · certificate-size).
+//     construction).  Flows run on the reusable augmenting-path solver
+//     (core/maxflow.h) with the cap as the flow limit, so a yes/no
+//     question costs at most cap+1 searches, O(cap · certificate-size).
 //
 // Global values use the Even / Esfahanian–Hakimi pruning: fix a
 // minimum-degree vertex v, probe v against its non-neighbors, then
@@ -63,8 +63,8 @@ class ConnectivityProber {
 
  private:
   const Graph* g_;
-  std::optional<PushRelabel> vertex_net_;  // Even's split network
-  std::optional<PushRelabel> edge_net_;    // two opposing unit arcs/edge
+  std::optional<FlowNetwork> vertex_net_;  // Even's split network
+  std::optional<FlowNetwork> edge_net_;    // two opposing unit arcs/edge
   MaxflowScratch scratch_;
 };
 

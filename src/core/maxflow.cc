@@ -6,33 +6,23 @@
 
 namespace lhg::core {
 
-namespace {
-
-// A node is retired (can never reach the sink again) once its height
-// reaches n; phase 1 abandons its excess there.  Heights never exceed
-// n, so level bookkeeping needs n+1 slots.
-constexpr std::int32_t kNoNode = -1;
-
-}  // namespace
+constexpr std::int32_t kNoArc = -1;  // parent of a tree root; no meeting
 
 void MaxflowScratch::reserve(std::int32_t num_vertices) {
   const auto n = static_cast<std::size_t>(num_vertices);
-  if (height.size() >= n) return;
-  height.resize(n);
-  excess.resize(n);
-  level_count.resize(n + 1);
-  active_head.resize(n + 1);
-  active_next.resize(n);
-  cur_arc.resize(n);
-  queue.resize(n);
+  if (mark.size() >= n) return;
+  mark.resize(n, 0);
+  parent.resize(n);
+  forward.resize(n);
+  backward.resize(n);
 }
 
-PushRelabel::PushRelabel(std::int32_t num_vertices) {
+FlowNetwork::FlowNetwork(std::int32_t num_vertices) {
   LHG_CHECK(num_vertices >= 0, "negative vertex count {}", num_vertices);
   num_vertices_ = num_vertices;
 }
 
-std::int32_t PushRelabel::add_arc(std::int32_t u, std::int32_t v,
+std::int32_t FlowNetwork::add_arc(std::int32_t u, std::int32_t v,
                                   std::int64_t capacity) {
   LHG_CHECK(u >= 0 && v >= 0 && u < num_vertices_ && v < num_vertices_,
             "arc ({}, {}) out of range for {} vertices", u, v, num_vertices_);
@@ -42,132 +32,41 @@ std::int32_t PushRelabel::add_arc(std::int32_t u, std::int32_t v,
             "capacity {} exceeds the int32 per-arc cap", capacity);
   LHG_CHECK(!finalized_, "add_arc after the first max_flow call");
   arc_to_.push_back(v);
-  arc_tail_.push_back(u);
   arc_cap_.push_back(static_cast<std::int32_t>(capacity));
   arc_to_.push_back(u);
-  arc_tail_.push_back(v);
   arc_cap_.push_back(0);
   return static_cast<std::int32_t>(arc_to_.size() / 2) - 1;
 }
 
-void PushRelabel::finalize() {
+void FlowNetwork::finalize() {
   if (finalized_) return;
   finalized_ = true;
   const auto num_arcs = static_cast<std::int32_t>(arc_to_.size());
   arc_res_.assign(arc_cap_.begin(), arc_cap_.end());
+  dirty_.reserve(static_cast<std::size_t>(num_arcs / 2));
   // Counting sort of internal arcs by tail vertex; within a vertex,
   // insertion order is preserved, so adjacency walks are deterministic.
+  const auto tail = [this](std::int32_t a) {
+    return static_cast<std::size_t>(arc_to_[static_cast<std::size_t>(a ^ 1)]);
+  };
   first_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
-  for (const std::int32_t u : arc_tail_) ++first_[static_cast<std::size_t>(u) + 1];
+  for (std::int32_t a = 0; a < num_arcs; ++a) ++first_[tail(a) + 1];
   for (std::int32_t v = 0; v < num_vertices_; ++v) {
     first_[static_cast<std::size_t>(v) + 1] += first_[static_cast<std::size_t>(v)];
   }
   adj_arc_.resize(static_cast<std::size_t>(num_arcs));
   std::vector<std::int32_t> cursor(first_.begin(), first_.end() - 1);
   for (std::int32_t a = 0; a < num_arcs; ++a) {
-    adj_arc_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(arc_tail_[static_cast<std::size_t>(a)])]++)] = a;
-  }
-  // Global-relabel cadence: rebuild exact labels once the push/relabel
-  // work since the last rebuild would pay for another reverse BFS a
-  // few times over.
-  relabel_period_ = 4 * (static_cast<std::int64_t>(num_arcs) + num_vertices_) + 16;
-}
-
-void PushRelabel::global_relabel(std::int32_t source, std::int32_t sink,
-                                 MaxflowScratch& s) const {
-  // Exact distance-to-sink labels by reverse BFS over residual arcs
-  // (arc a carries residual u -> to[a]; from the head's side that is
-  // the twin's entry in its adjacency slice).  Unreached nodes — and
-  // always the source — are retired at height n.
-  std::fill(s.height.begin(), s.height.begin() + num_vertices_, num_vertices_);
-  std::fill(s.level_count.begin(),
-            s.level_count.begin() + num_vertices_ + 1, 0);
-  std::int32_t head = 0;
-  std::int32_t tail = 0;
-  s.queue[static_cast<std::size_t>(tail++)] = sink;
-  s.height[static_cast<std::size_t>(sink)] = 0;
-  while (head < tail) {
-    const std::int32_t v = s.queue[static_cast<std::size_t>(head++)];
-    const std::int32_t d = s.height[static_cast<std::size_t>(v)] + 1;
-    for (std::int32_t i = first_[static_cast<std::size_t>(v)];
-         i < first_[static_cast<std::size_t>(v) + 1]; ++i) {
-      const std::int32_t a = adj_arc_[static_cast<std::size_t>(i)];
-      const std::int32_t u = arc_to_[static_cast<std::size_t>(a)];
-      // Residual arc u -> v exists iff the twin of a (which is u -> v)
-      // still has residual capacity.
-      if (u == source || arc_res_[static_cast<std::size_t>(a ^ 1)] <= 0 ||
-          s.height[static_cast<std::size_t>(u)] != num_vertices_) {
-        continue;
-      }
-      s.height[static_cast<std::size_t>(u)] = d;
-      s.queue[static_cast<std::size_t>(tail++)] = u;
-    }
-  }
-  for (std::int32_t v = 0; v < num_vertices_; ++v) {
-    ++s.level_count[static_cast<std::size_t>(
-        s.height[static_cast<std::size_t>(v)])];
+    adj_arc_[static_cast<std::size_t>(cursor[tail(a)]++)] = a;
   }
 }
 
-void PushRelabel::load_initial_labels(std::int32_t source, std::int32_t sink,
-                                      MaxflowScratch& s) {
-  const std::int32_t n = num_vertices_;
-  if (init_sink_ != sink) {
-    // First query against this sink: label by reverse BFS at full
-    // capacities, transiting every vertex (unlike the mid-query
-    // global_relabel, no source is pinned).  Labels transiting a future
-    // source stay valid once that source is pinned at n, because the
-    // release step saturates all its out-arcs — so this BFS runs once
-    // per sink, not once per query.
-    std::fill(s.height.begin(), s.height.begin() + n, n);
-    std::int32_t head = 0;
-    std::int32_t tail = 0;
-    s.queue[static_cast<std::size_t>(tail++)] = sink;
-    s.height[static_cast<std::size_t>(sink)] = 0;
-    while (head < tail) {
-      const std::int32_t v = s.queue[static_cast<std::size_t>(head++)];
-      const std::int32_t d = s.height[static_cast<std::size_t>(v)] + 1;
-      for (std::int32_t i = first_[static_cast<std::size_t>(v)];
-           i < first_[static_cast<std::size_t>(v) + 1]; ++i) {
-        const std::int32_t a = adj_arc_[static_cast<std::size_t>(i)];
-        const std::int32_t u = arc_to_[static_cast<std::size_t>(a)];
-        if (arc_cap_[static_cast<std::size_t>(a ^ 1)] <= 0 ||
-            s.height[static_cast<std::size_t>(u)] != n) {
-          continue;
-        }
-        s.height[static_cast<std::size_t>(u)] = d;
-        s.queue[static_cast<std::size_t>(tail++)] = u;
-      }
-    }
-    init_sink_ = sink;
-    init_height_.assign(s.height.begin(), s.height.begin() + n);
-    init_level_count_.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (std::int32_t v = 0; v < n; ++v) {
-      ++init_level_count_[static_cast<std::size_t>(
-          s.height[static_cast<std::size_t>(v)])];
-    }
-  } else {
-    std::copy(init_height_.begin(), init_height_.end(), s.height.begin());
-  }
-  std::copy(init_level_count_.begin(), init_level_count_.end(),
-            s.level_count.begin());
-  // Pin this query's source at n (it never discharges, and no node may
-  // push into it before proving its excess unroutable).
-  auto& hs = s.height[static_cast<std::size_t>(source)];
-  if (hs < n) {
-    --s.level_count[static_cast<std::size_t>(hs)];
-    ++s.level_count[static_cast<std::size_t>(n)];
-    hs = n;
-  }
-}
-
-std::int64_t PushRelabel::max_flow(std::int32_t source, std::int32_t sink,
+std::int64_t FlowNetwork::max_flow(std::int32_t source, std::int32_t sink,
                                    std::int64_t limit) {
   return max_flow(source, sink, limit, scratch_);
 }
 
-std::int64_t PushRelabel::max_flow(std::int32_t source, std::int32_t sink,
+std::int64_t FlowNetwork::max_flow(std::int32_t source, std::int32_t sink,
                                    std::int64_t limit,
                                    MaxflowScratch& scratch) {
   LHG_CHECK_RANGE(source, num_vertices_);
@@ -175,411 +74,157 @@ std::int64_t PushRelabel::max_flow(std::int32_t source, std::int32_t sink,
   LHG_CHECK(source != sink, "max_flow: source == sink == {}", source);
   finalize();
   scratch.reserve(num_vertices_);
-  return run(source, sink, limit, scratch);
-}
-
-std::int64_t PushRelabel::run(std::int32_t source, std::int32_t sink,
-                              std::int64_t limit, MaxflowScratch& s) {
-  const std::int32_t n = num_vertices_;
+  // Back to zero flow: only the arcs the previous query pushed along
+  // differ from their capacities.
+  for (const std::int32_t a : dirty_) {
+    arc_res_[static_cast<std::size_t>(2 * a)] =
+        arc_cap_[static_cast<std::size_t>(2 * a)];
+    arc_res_[static_cast<std::size_t>(2 * a + 1)] = 0;
+  }
+  dirty_.clear();
   last_source_ = source;
   last_sink_ = sink;
+  std::int64_t flow = 0;
+  while (flow < limit) {
+    const std::int64_t pushed = augment(source, sink, limit - flow, scratch);
+    if (pushed == 0) break;
+    flow += pushed;
+  }
+  return flow;
+}
 
-  // --- per-query reset: residuals, labels, excess, active stacks ----
-  std::copy(arc_cap_.begin(), arc_cap_.end(), arc_res_.begin());
-  std::fill(s.excess.begin(), s.excess.begin() + n, 0);
-  std::fill(s.active_head.begin(), s.active_head.begin() + n + 1, kNoNode);
-  std::copy(first_.begin(), first_.end() - 1, s.cur_arc.begin());
-  load_initial_labels(source, sink, s);
-  if (limit <= 0) return 0;
+void FlowNetwork::push(std::int32_t arc, std::int64_t delta) {
+  auto* const res = arc_res_.data();
+  // A pair with no flow is untouched so far; log it for the next reset.
+  if (res[arc | 1] == 0) dirty_.push_back(arc >> 1);
+  res[arc] -= static_cast<std::int32_t>(delta);
+  res[arc ^ 1] += static_cast<std::int32_t>(delta);
+}
 
-  // Active-node selection is lowest-label: the discharge loop always
-  // picks the active node closest to the sink.  On the long, thin
-  // unit-capacity networks the connectivity probes build, this routes
-  // released units straight down the exact distance labels and reaches
-  // the `limit` early exit as soon as possible; highest-label (the
-  // textbook default) measured ~10x more pushes here because it keeps
-  // lifting blocked units before letting settled ones finish.
-  // `lowest`/`highest` bracket the non-empty buckets: `lowest` moves
-  // down only in activate() and sweeps up past empty buckets (amortized
-  // against activations), `highest` is a high-water mark.
-  // The hot loop runs on raw pointer views; none of the underlying
-  // vectors reallocates mid-query.
+std::int64_t FlowNetwork::augment(std::int32_t source, std::int32_t sink,
+                                  std::int64_t room, MaxflowScratch& s) {
+  // One bidirectional BFS over residual arcs.  A node's mark says which
+  // tree holds it in this search (stamps from earlier searches match
+  // neither), and parent[] is the arc that reached it: for the forward
+  // tree the arc into it, for the backward tree the arc out of it
+  // toward the sink.  The trees are disjoint until the first arc that
+  // joins them, where the search stops.
+  if (s.stamp > std::numeric_limits<std::uint32_t>::max() - 2) {
+    std::fill(s.mark.begin(), s.mark.end(), 0);
+    s.stamp = 0;
+  }
+  const std::uint32_t fwd = ++s.stamp;
+  const std::uint32_t bwd = ++s.stamp;
   const std::int32_t* const first = first_.data();
   const std::int32_t* const adj = adj_arc_.data();
-  const std::int32_t* const to_of = arc_to_.data();
-  const std::int32_t* const tail_of = arc_tail_.data();
-  std::int32_t* const res = arc_res_.data();
-  std::int32_t* const height = s.height.data();
-  std::int64_t* const excess = s.excess.data();
-  std::int32_t* const level_count = s.level_count.data();
-  std::int32_t* const active_head = s.active_head.data();
-  std::int32_t* const active_next = s.active_next.data();
-  std::int32_t* const cur_arc = s.cur_arc.data();
+  const std::int32_t* const to = arc_to_.data();
+  const std::int32_t* const res = arc_res_.data();
+  std::uint32_t* const mark = s.mark.data();
+  std::int32_t* const parent = s.parent.data();
+  std::int32_t* const fq = s.forward.data();
+  std::int32_t* const bq = s.backward.data();
 
-  std::int32_t highest = 0;
-  std::int32_t lowest = 0;
-  const auto activate = [&](std::int32_t v) {
-    const std::int32_t h = height[v];
-    active_next[v] = active_head[h];
-    active_head[h] = v;
-    highest = std::max(highest, h);
-    lowest = std::min(lowest, h);
-  };
-  const auto push = [&](std::int32_t a, std::int64_t delta) {
-    res[a] -= static_cast<std::int32_t>(delta);
-    res[a ^ 1] += static_cast<std::int32_t>(delta);
-    // The source's excess is conceptually infinite; letting it go
-    // negative during the release step is harmless (it never
-    // discharges).
-    excess[tail_of[a]] -= delta;
-    const std::int32_t to = to_of[a];
-    const bool was_idle = excess[to] == 0;
-    excess[to] += delta;
-    if (was_idle && to != sink && to != source && height[to] < n) {
-      activate(to);
-    }
-  };
-
-  // --- saturate every source arc ------------------------------------
-  // The full release is required for correctness even under a `limit`:
-  // releasing only `limit` units would pin them to whichever arcs come
-  // first in the adjacency slice, and a unit can be trapped there while
-  // the sink remains reachable through a different source arc.  The cap
-  // is enforced instead by the early exit below, once the sink has
-  // absorbed `limit` units.
-  for (std::int32_t i = first[source]; i < first[source + 1]; ++i) {
-    const std::int32_t a = adj[i];
-    const std::int64_t delta = res[a];
-    if (delta <= 0) continue;
-    push(a, delta);
-  }
-
-  // --- lowest-label discharge loop ----------------------------------
-  // The periodic global relabel is amortized against arc-scan work
-  // (the classic trigger).  A *stall* — a burst of relabels during
-  // which the sink absorbed nothing — instead hands the query to the
-  // augmenting endgame: initial labels are exact, so the productive
-  // phase relabels almost nothing, and a relabel burst means the easy
-  // paths are spent and each remaining unit needs global information
-  // anyway.  `drain_excess` supplies it one targeted BFS at a time,
-  // which profiles far cheaper than rebuilding all n labels once per
-  // stranded unit.  The stall window is deliberately short but gated
-  // on sink progress so relabel-heavy-yet-productive instances don't
-  // bail into the endgame early.
-  std::int64_t work = 0;
-  std::int64_t relabels_since = 0;
-  std::int64_t sink_mark = 0;  // excess[sink] when the window opened
-  const std::int64_t stall_period = 8 + num_vertices_ / 512;
-  while (true) {
-    if (excess[sink] >= limit) break;
-    while (lowest <= highest && active_head[lowest] == kNoNode) {
-      ++lowest;
-    }
-    if (lowest > highest) break;
-    const std::int32_t v = active_head[lowest];
-    active_head[lowest] = active_next[v];
-    if (height[v] >= n) continue;  // retired
-
-    // Discharge v completely: push along admissible arcs, relabel when
-    // the slice is exhausted, stop when empty or retired.
-    while (excess[v] > 0 && height[v] < n) {
-      const std::int32_t h = height[v];
-      if (cur_arc[v] == first[v + 1]) {
-        // Relabel: one past the lowest residual neighbor.
-        ++work;
-        ++relabels_since;
-        std::int32_t new_h = n;
+  mark[source] = fwd;
+  parent[source] = kNoArc;
+  mark[sink] = bwd;
+  parent[sink] = kNoArc;
+  std::int32_t fh = 0;
+  std::int32_t ft = 0;
+  std::int32_t bh = 0;
+  std::int32_t bt = 0;
+  fq[ft++] = source;
+  bq[bt++] = sink;
+  std::int32_t meet = kNoArc;  // residual arc forward tree -> backward tree
+  while (meet == kNoArc && fh < ft && bh < bt) {
+    if (ft - fh <= bt - bh) {
+      // One forward level: residual arcs v -> w out of the frontier.
+      for (const std::int32_t end = ft; fh < end && meet == kNoArc; ++fh) {
+        const std::int32_t v = fq[fh];
         for (std::int32_t i = first[v]; i < first[v + 1]; ++i) {
-          ++work;
           const std::int32_t a = adj[i];
-          if (res[a] > 0) {
-            new_h = std::min(new_h, height[to_of[a]] + 1);
-          }
-        }
-        // Gap heuristic: if v was the last node on level h, no node
-        // above h can reach the sink any more — retire the whole band
-        // (they keep height >= n and are skipped when popped).
-        if (--level_count[h] == 0 && h < n) {
-          for (std::int32_t u = 0; u < n; ++u) {
-            if (height[u] > h && height[u] < n) {
-              --level_count[height[u]];
-              height[u] = n;
-            }
-          }
-          new_h = n;
-        }
-        height[v] = new_h;
-        if (new_h < n) ++level_count[new_h];
-        cur_arc[v] = first[v];
-        continue;
-      }
-      const std::int32_t a = adj[cur_arc[v]];
-      ++work;
-      if (res[a] > 0 && height[to_of[a]] == h - 1) {
-        push(a, std::min<std::int64_t>(excess[v], res[a]));
-      } else {
-        ++cur_arc[v];
-      }
-    }
-
-    // Periodic global relabel: exact labels amortized against the work
-    // since the last rebuild.  Active stacks are rebuilt from excess.
-    if (work >= relabel_period_ || relabels_since >= stall_period) {
-      if (work < relabel_period_ && excess[sink] > sink_mark) {
-        // The sink progressed during this window — not a stall.
-        sink_mark = excess[sink];
-        relabels_since = 0;
-        continue;
-      }
-      if (work < relabel_period_) {
-        // Stall: the discharge loop is done contributing.  The drain
-        // routes every remaining deliverable unit by direct residual
-        // BFS and proves the rest stuck; nothing below it reads the
-        // (now stale) labels or stacks again.
-        drain_excess(source, sink, limit, s);
-        break;
-      }
-      work = 0;
-      relabels_since = 0;
-      sink_mark = excess[sink];
-      global_relabel(source, sink, s);
-      std::fill(s.active_head.begin(), s.active_head.begin() + n + 1, kNoNode);
-      std::copy(first_.begin(), first_.end() - 1, s.cur_arc.begin());
-      highest = 0;
-      lowest = n;
-      for (std::int32_t u = 0; u < n; ++u) {
-        if (u != source && u != sink && excess[u] > 0 && height[u] < n) {
-          activate(u);
-        }
-      }
-    }
-  }
-  return std::min<std::int64_t>(excess[sink], limit);
-}
-
-void PushRelabel::drain_excess(std::int32_t source, std::int32_t sink,
-                               std::int64_t limit, MaxflowScratch& s) {
-  // Augmenting endgame: repeatedly BFS over residual arcs from every
-  // node still holding excess, push the bottleneck along the first
-  // path that reaches the sink, and stop when the BFS exhausts (the
-  // remaining excess provably can never arrive: for any preflow, the
-  // deliverable surplus is exactly the max flow from the excess nodes
-  // to the sink in the residual graph).  One BFS per delivered unit
-  // sounds wasteful next to relabeling once and walking every unit
-  // down the labels, but measures faster: the forward search stops at
-  // first sink contact, so it explores a ball around the stranded
-  // excess instead of labeling all n nodes — and the final, exhausted
-  // BFS that doubles as the termination proof only ever explores the
-  // trapped region.  Every excess node seeds the BFS regardless of its
-  // (now stale) height: the augmentations below invalidate the
-  // distance labels, so a gap/rebuild retirement is no longer proof of
-  // unreachability.  The source is a wall: its out-arcs were saturated
-  // by the release step and nothing ever pushes into it, so no
-  // residual path can transit it.  Seeds enqueue in ascending node
-  // order and slices are walked in arc order, keeping the routing (and
-  // therefore the residual graph handed to min_cut_source_side)
-  // deterministic.
-  const std::int32_t n = num_vertices_;
-  const std::int32_t* const first = first_.data();
-  const std::int32_t* const adj = adj_arc_.data();
-  const std::int32_t* const to_of = arc_to_.data();
-  std::int32_t* const res = arc_res_.data();
-  std::int64_t* const excess = s.excess.data();
-  std::int32_t* const q = s.queue.data();
-  // The discharge loop never resumes after a drain, so its per-node
-  // arrays are free: cur_arc holds BFS parent arcs, height the visited
-  // marks.
-  std::int32_t* const parent = s.cur_arc.data();
-  std::int32_t* const seen = s.height.data();
-  std::fill(seen, seen + n, 0);  // one wipe; per-round marks are stamps
-  for (std::int32_t stamp = 1; excess[sink] < limit; ++stamp) {
-    std::int32_t head = 0;
-    std::int32_t tail = 0;
-    for (std::int32_t v = 0; v < n; ++v) {
-      if (v != source && v != sink && excess[v] > 0) {
-        q[tail++] = v;
-        seen[v] = stamp;
-        parent[v] = kNoNode;
-      }
-    }
-    std::int32_t reached = kNoNode;
-    while (head < tail && reached == kNoNode) {
-      const std::int32_t v = q[head++];
-      for (std::int32_t i = first[v]; i < first[v + 1]; ++i) {
-        const std::int32_t a = adj[i];
-        if (res[a] <= 0) continue;
-        const std::int32_t w = to_of[a];
-        if (w == source || seen[w] == stamp) continue;
-        seen[w] = stamp;
-        parent[w] = a;
-        if (w == sink) {
-          reached = w;
-          break;
-        }
-        q[tail++] = w;
-      }
-    }
-    if (reached == kNoNode) return;
-    // Bottleneck = min residual along the path, capped by the seeding
-    // node's excess and by what the limit still admits.
-    std::int64_t delta = limit - excess[sink];
-    std::int32_t v = sink;
-    while (parent[v] != kNoNode) {
-      const std::int32_t a = parent[v];
-      delta = std::min<std::int64_t>(delta, res[a]);
-      v = arc_tail_[static_cast<std::size_t>(a)];
-    }
-    delta = std::min(delta, excess[v]);
-    excess[v] -= delta;
-    excess[sink] += delta;
-    for (std::int32_t u = sink; parent[u] != kNoNode;) {
-      const std::int32_t a = parent[u];
-      res[a] -= static_cast<std::int32_t>(delta);
-      res[a ^ 1] += static_cast<std::int32_t>(delta);
-      u = arc_tail_[static_cast<std::size_t>(a)];
-    }
-  }
-}
-
-void PushRelabel::convert_to_flow() {
-  LHG_CHECK(last_source_ >= 0, "convert_to_flow before max_flow");
-  const std::int32_t n = num_vertices_;
-  // Recompute node imbalances from arc flows (the scratch excess may
-  // belong to a different solver by now).
-  std::vector<std::int64_t> excess(static_cast<std::size_t>(n), 0);
-  for (std::size_t a = 0; a < arc_to_.size(); a += 2) {
-    const std::int64_t f = arc_cap_[a] - arc_res_[a];
-    if (f <= 0) continue;
-    excess[static_cast<std::size_t>(arc_to_[a])] += f;
-    excess[static_cast<std::size_t>(arc_tail_[a])] -= f;
-  }
-  // Walk each unit of trapped excess backward along flow-carrying arcs
-  // to the source, cancelling as we go; flow cycles met on the walk
-  // are cancelled in place.  `inflow_cursor` is a rolling per-node
-  // pointer — phase 2 only ever reduces flows, so a drained arc never
-  // needs revisiting.
-  std::vector<std::int32_t> inflow_cursor(first_.begin(), first_.end() - 1);
-  std::vector<std::int32_t> on_path(static_cast<std::size_t>(n), -1);
-  std::vector<std::int32_t> path_node;
-  std::vector<std::int32_t> path_arc;  // arc whose TWIN carries the flow
-  for (std::int32_t v = 0; v < n; ++v) {
-    if (v == last_source_ || v == last_sink_) continue;
-    while (excess[static_cast<std::size_t>(v)] > 0) {
-      path_node.assign(1, v);
-      path_arc.clear();
-      on_path[static_cast<std::size_t>(v)] = 0;
-      std::int32_t x = v;
-      while (x != last_source_) {
-        // Find an arc b in x's slice whose twin carries flow into x.
-        auto& cur = inflow_cursor[static_cast<std::size_t>(x)];
-        std::int32_t b = -1;
-        for (; cur < first_[static_cast<std::size_t>(x) + 1]; ++cur) {
-          const std::int32_t cand = adj_arc_[static_cast<std::size_t>(cur)];
-          if (arc_res_[static_cast<std::size_t>(cand)] >
-              arc_cap_[static_cast<std::size_t>(cand)]) {
-            b = cand;
+          if (res[a] <= 0) continue;
+          const std::int32_t w = to[a];
+          if (mark[w] == fwd) continue;
+          if (mark[w] == bwd) {
+            meet = a;
             break;
           }
+          mark[w] = fwd;
+          parent[w] = a;
+          fq[ft++] = w;
         }
-        LHG_CHECK(b >= 0, "convert_to_flow: no inflow at node {}", x);
-        const std::int32_t u = arc_to_[static_cast<std::size_t>(b)];
-        const std::int32_t seen = on_path[static_cast<std::size_t>(u)];
-        if (seen >= 0) {
-          // Flow cycle u -> ... -> x -> u: cancel its minimum.
-          std::int64_t delta =
-              arc_res_[static_cast<std::size_t>(b)] -
-              arc_cap_[static_cast<std::size_t>(b)];
-          for (std::size_t i = static_cast<std::size_t>(seen);
-               i < path_arc.size(); ++i) {
-            const std::int32_t c = path_arc[i];
-            delta = std::min<std::int64_t>(
-                delta, arc_res_[static_cast<std::size_t>(c)] -
-                           arc_cap_[static_cast<std::size_t>(c)]);
+      }
+    } else {
+      // One backward level: residual arcs u -> v into the frontier,
+      // each the twin of an arc in v's slice.
+      for (const std::int32_t end = bt; bh < end && meet == kNoArc; ++bh) {
+        const std::int32_t v = bq[bh];
+        for (std::int32_t i = first[v]; i < first[v + 1]; ++i) {
+          const std::int32_t a = adj[i] ^ 1;
+          if (res[a] <= 0) continue;
+          const std::int32_t u = to[adj[i]];
+          if (mark[u] == bwd) continue;
+          if (mark[u] == fwd) {
+            meet = a;
+            break;
           }
-          const auto cancel = [&](std::int32_t c) {
-            arc_res_[static_cast<std::size_t>(c)] -=
-                static_cast<std::int32_t>(delta);
-            arc_res_[static_cast<std::size_t>(c ^ 1)] +=
-                static_cast<std::int32_t>(delta);
-          };
-          cancel(b);
-          for (std::size_t i = static_cast<std::size_t>(seen);
-               i < path_arc.size(); ++i) {
-            cancel(path_arc[i]);
-          }
-          for (std::size_t i = static_cast<std::size_t>(seen) + 1;
-               i < path_node.size(); ++i) {
-            on_path[static_cast<std::size_t>(path_node[i])] = -1;
-          }
-          path_node.resize(static_cast<std::size_t>(seen) + 1);
-          path_arc.resize(static_cast<std::size_t>(seen));
-          x = u;
-          continue;
+          mark[u] = bwd;
+          parent[u] = a;
+          bq[bt++] = u;
         }
-        path_arc.push_back(b);
-        path_node.push_back(u);
-        if (u != last_source_) {
-          on_path[static_cast<std::size_t>(u)] =
-              static_cast<std::int32_t>(path_arc.size());
-        }
-        x = u;
-      }
-      // Cancel min(excess, path bottleneck) along v -> ... -> source.
-      std::int64_t delta = excess[static_cast<std::size_t>(v)];
-      for (const std::int32_t c : path_arc) {
-        delta = std::min<std::int64_t>(
-            delta, arc_res_[static_cast<std::size_t>(c)] -
-                       arc_cap_[static_cast<std::size_t>(c)]);
-      }
-      for (const std::int32_t c : path_arc) {
-        arc_res_[static_cast<std::size_t>(c)] -=
-            static_cast<std::int32_t>(delta);
-        arc_res_[static_cast<std::size_t>(c ^ 1)] +=
-            static_cast<std::int32_t>(delta);
-      }
-      excess[static_cast<std::size_t>(v)] -= delta;
-      for (const std::int32_t u : path_node) {
-        on_path[static_cast<std::size_t>(u)] = -1;
       }
     }
   }
+  if (meet == kNoArc) return 0;  // one side exhausted: the flow is maximum
+
+  // The path: source ~> tail(meet) -> to[meet] ~> sink.  Push its
+  // bottleneck.
+  const auto for_each_path_arc = [&](const auto& visit) {
+    visit(meet);
+    for (std::int32_t v = to[meet ^ 1]; parent[v] != kNoArc;
+         v = to[parent[v] ^ 1]) {
+      visit(parent[v]);
+    }
+    for (std::int32_t v = to[meet]; parent[v] != kNoArc; v = to[parent[v]]) {
+      visit(parent[v]);
+    }
+  };
+  std::int64_t delta = room;
+  for_each_path_arc([&](std::int32_t a) {
+    delta = std::min<std::int64_t>(delta, res[a]);
+  });
+  for_each_path_arc([&](std::int32_t a) { push(a, delta); });
+  return delta;
 }
 
-std::int64_t PushRelabel::flow_on(std::int32_t arc_index) const {
+std::int64_t FlowNetwork::flow_on(std::int32_t arc_index) const {
   LHG_CHECK_RANGE(arc_index, num_arcs());
-  const auto a = static_cast<std::size_t>(arc_index) * 2;
-  return std::max<std::int64_t>(0, arc_cap_[a] - arc_res_[a]);
+  LHG_CHECK(last_source_ >= 0, "flow_on before max_flow");
+  return arc_res_[static_cast<std::size_t>(arc_index) * 2 + 1];
 }
 
-std::vector<bool> PushRelabel::min_cut_source_side() const {
+std::vector<bool> FlowNetwork::min_cut_source_side() const {
   LHG_CHECK(last_source_ >= 0, "min_cut_source_side before max_flow");
   // Sink side = nodes that reach the sink in the residual graph; the
-  // source side is its complement (see header for why this — and not
-  // forward reachability — is correct for a preflow).
-  std::vector<bool> reaches_sink(static_cast<std::size_t>(num_vertices_),
-                                 false);
+  // source side is its complement (see header for why the cut does not
+  // depend on the flow chosen).
+  std::vector<bool> source_side(static_cast<std::size_t>(num_vertices_), true);
   std::vector<std::int32_t> stack{last_sink_};
-  reaches_sink[static_cast<std::size_t>(last_sink_)] = true;
+  source_side[static_cast<std::size_t>(last_sink_)] = false;
   while (!stack.empty()) {
     const std::int32_t v = stack.back();
     stack.pop_back();
     for (std::int32_t i = first_[static_cast<std::size_t>(v)];
          i < first_[static_cast<std::size_t>(v) + 1]; ++i) {
       const std::int32_t a = adj_arc_[static_cast<std::size_t>(i)];
-      const std::int32_t u = arc_to_[static_cast<std::size_t>(a)];
+      const auto u = static_cast<std::size_t>(arc_to_[static_cast<std::size_t>(a)]);
       // u reaches the sink via v iff the residual arc u -> v (the twin
       // of a) has capacity left.
-      if (arc_res_[static_cast<std::size_t>(a ^ 1)] > 0 &&
-          !reaches_sink[static_cast<std::size_t>(u)]) {
-        reaches_sink[static_cast<std::size_t>(u)] = true;
-        stack.push_back(u);
+      if (arc_res_[static_cast<std::size_t>(a ^ 1)] > 0 && source_side[u]) {
+        source_side[u] = false;
+        stack.push_back(arc_to_[static_cast<std::size_t>(a)]);
       }
     }
-  }
-  std::vector<bool> source_side(static_cast<std::size_t>(num_vertices_));
-  for (std::int32_t v = 0; v < num_vertices_; ++v) {
-    source_side[static_cast<std::size_t>(v)] =
-        !reaches_sink[static_cast<std::size_t>(v)];
   }
   return source_side;
 }

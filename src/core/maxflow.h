@@ -1,57 +1,27 @@
-// Goldberg–Tarjan push-relabel maximum flow on integer-capacity
-// directed networks.
+// Capped augmenting-path maximum flow on integer-capacity directed
+// networks — the engine behind core/connectivity.h, where vertex and
+// edge connectivity reduce to unit-capacity max-flow (Menger).
 //
-// This is the engine behind the connectivity module: vertex and edge
-// connectivity reduce to unit-capacity max-flow by Menger's theorem.
-// The solver runs lowest-label push-relabel with the two classic
-// heuristics that make it fast in practice:
+// Every connectivity query is capped at a small `limit` or bounded by
+// a vertex degree, so it needs only a handful of augmenting paths.
+// Each augmentation is one bidirectional BFS over residual arcs: a
+// forward tree from the source and a backward tree from the sink grow
+// one whole level at a time, always the smaller frontier first; the
+// first residual arc that joins them closes a path, whose bottleneck is
+// pushed.  A query ends when the flow reaches `limit` or a search
+// exhausts, which proves the flow maximum.  Bidirectional, because the
+// same search run one-sided from the source measured 1.4–1.8x slower
+// than the push-relabel engine this replaced on certificate probes,
+// where this one is 3–7x faster (DESIGN.md §15 lists the variants).
 //
-//   * gap relabeling — when a height level empties, every node above
-//     it can no longer reach the sink and is retired immediately;
-//   * periodic global relabeling — exact distance labels recomputed by
-//     a reverse BFS from the sink over the residual graph, amortized
-//     against accumulated push/relabel work.
-//
-// A short relabel burst with no sink progress (a *stall*) instead
-// hands the query to an augmenting endgame (`drain_excess`): a
-// multi-source BFS from every excess-carrying node over residual arcs
-// either proves the remaining excess can never reach the sink (BFS
-// exhausts — done) or yields an augmenting path to push a unit along
-// directly.  Initial labels are exact, so the discharge loop relabels
-// almost nothing while productive; a relabel burst means the easy
-// paths are spent and each further unit needs global information —
-// one targeted BFS per unit is strictly cheaper than rebuilding all
-// n labels per unit, and the final BFS doubles as the termination
-// proof that used to cost a full O(m) global relabel.
-//
-// Lowest-label (always discharge the active node nearest the sink) is
-// deliberate: on the long, thin unit-capacity networks connectivity
-// probes build, it walks each released unit straight down the exact
-// distance labels and hits capped early exits as soon as possible,
-// measuring ~10x fewer pushes than the textbook highest-label rule.
-//
-// Verification workloads ask the same network thousands of s-t
-// questions ("is κ(s,t) >= k?"), so unlike the old per-pair Dinic
-// (now tests-only: core/testing/reference_flow.h) the solver separates
-// the immutable arc structure from per-query state: `add_arc` builds
-// the network once, and every `max_flow` call resets residuals and
-// labels in flat preallocated arrays (`MaxflowScratch`).  After the
-// first query the solver performs zero heap allocations — the no-alloc
-// discipline the event engine already follows (DESIGN.md §9, §15).
-//
-// Phase-1 only by default: `max_flow` computes the maximum *preflow*
-// value (equal to the max-flow value and the min-cut capacity), which
-// is all a connectivity query needs.  Callers that read per-arc flows
-// (`flow_on`, path decomposition) must call `convert_to_flow` first to
-// return trapped excess to the source; `min_cut_source_side` is valid
-// straight after phase 1.
-//
-// The `limit` argument implements capped queries ("is the flow >= k?"):
-// every source arc is saturated (a partial release could strand units
-// on the wrong arcs while the sink stays reachable through others) and
-// the discharge loop stops as soon as the sink has absorbed `limit`
-// units.  Verifying a k-connected pair therefore costs one reverse BFS
-// plus k saturating path pushes, O(k·E).
+// Verification asks one network thousands of s-t questions, so the arc
+// structure is built once (`add_arc`, then a CSR `finalize` on the first
+// query) and each query starts from zero flow by undoing only the arcs
+// the previous query used.  Search state lives in flat arrays
+// (`MaxflowScratch`) with stamped visit marks, so no query sweeps all n
+// nodes or m arcs, and after the first query nothing allocates (the
+// no-alloc discipline of DESIGN.md §9, §15).  The result of every query
+// is a valid flow, read by `flow_on` and `min_cut_source_side`.
 
 #pragma once
 
@@ -61,29 +31,27 @@
 
 namespace lhg::core {
 
-/// Flat per-query state for `PushRelabel::max_flow`, preallocated once
-/// and reused across queries (and across solvers: the arrays size
+/// Flat per-search state for `FlowNetwork::max_flow`, preallocated once
+/// and reused across queries (and across networks: the arrays size
 /// themselves to the largest network seen).  Keeping it external lets
 /// the κ and λ networks of one `ConnectivityProber` share a single
-/// scratch; every `PushRelabel` also owns a lazily-created private one
-/// for the scratch-less overload.
+/// scratch; every `FlowNetwork` also owns a private one for the
+/// scratch-less overload.
 struct MaxflowScratch {
-  std::vector<std::int32_t> height;       // distance labels, [0, 2n]
-  std::vector<std::int64_t> excess;       // preflow imbalance per node
-  std::vector<std::int32_t> level_count;  // nodes per height < n (gap)
-  std::vector<std::int32_t> active_head;  // per-height active stacks...
-  std::vector<std::int32_t> active_next;  // ...threaded through nodes
-  std::vector<std::int32_t> cur_arc;      // current-arc pointer per node
-  std::vector<std::int32_t> queue;        // reverse-BFS worklist
+  std::vector<std::uint32_t> mark;    // per node: search stamp + side
+  std::vector<std::int32_t> parent;   // per node: arc that reached it
+  std::vector<std::int32_t> forward;  // source-side BFS queue
+  std::vector<std::int32_t> backward; // sink-side BFS queue
+  std::uint32_t stamp = 0;            // last stamp handed out
 
   /// Grows every array to cover `num_vertices` nodes.  Idempotent.
   void reserve(std::int32_t num_vertices);
 };
 
-class PushRelabel {
+class FlowNetwork {
  public:
   /// A network with `num_vertices` vertices and no arcs.
-  explicit PushRelabel(std::int32_t num_vertices);
+  explicit FlowNetwork(std::int32_t num_vertices);
 
   /// Adds a directed arc u -> v with the given capacity (in
   /// [0, INT32_MAX]) and its residual reverse arc of capacity 0.
@@ -96,49 +64,34 @@ class PushRelabel {
     return static_cast<std::int32_t>(arc_to_.size() / 2);
   }
 
-  /// Computes the maximum flow *value* from `source` to `sink`, capped
-  /// at `limit` (only `limit` units ever leave the source, so the
-  /// query stops as soon as the sink absorbs them).  Resets all
-  /// per-query state first: the solver is reusable across any number
-  /// of (source, sink, limit) queries with no allocation after the
-  /// first call.  Uses the solver's private scratch.
+  /// Computes a maximum flow from `source` to `sink`, capped at `limit`
+  /// (augmentation stops once the flow reaches it), and returns its
+  /// value.  Every call starts from zero flow: the network is reusable
+  /// across any number of (source, sink, limit) queries with no
+  /// allocation after the first call.  Uses the private scratch.
   std::int64_t max_flow(
       std::int32_t source, std::int32_t sink,
       std::int64_t limit = std::numeric_limits<std::int64_t>::max());
 
-  /// As above with caller-provided scratch (shared across solvers).
+  /// As above with caller-provided scratch (shared across networks).
   std::int64_t max_flow(std::int32_t source, std::int32_t sink,
                         std::int64_t limit, MaxflowScratch& scratch);
 
-  /// After max_flow: converts the maximum preflow into a maximum flow
-  /// by walking trapped excess back to the source along flow-carrying
-  /// arcs (cancelling any flow cycles met on the way).  Required
-  /// before `flow_on`; `max_flow`'s return value is unaffected.
-  void convert_to_flow();
-
-  /// After max_flow + convert_to_flow: flow pushed through arc
-  /// `arc_index` (0 or more).
+  /// After max_flow: flow through arc `arc_index` (0 or more).
   std::int64_t flow_on(std::int32_t arc_index) const;
 
-  /// After max_flow (phase 1 suffices): the source side of a minimum
-  /// cut — the complement of the set of vertices that can still reach
-  /// the sink in the residual graph.  (With a preflow, forward
-  /// reachability from the source is NOT a min cut; sink-side
-  /// reachability is, because phase 1 only ends once every node still
-  /// holding excess has been proven unable to reach the sink — by its
-  /// height reaching n, or by the drain endgame's exhausted BFS.)
+  /// After a max_flow that stopped below its limit: the source side of
+  /// a minimum cut — the complement of the set of vertices that can
+  /// still reach the sink in the residual graph.  That set is the same
+  /// for every maximum flow, so the cut depends only on the network and
+  /// the (source, sink) pair, not on the augmenting paths taken.
   std::vector<bool> min_cut_source_side() const;
 
  private:
   void finalize();
-  std::int64_t run(std::int32_t source, std::int32_t sink, std::int64_t limit,
-                   MaxflowScratch& s);
-  void global_relabel(std::int32_t source, std::int32_t sink,
-                      MaxflowScratch& s) const;
-  void load_initial_labels(std::int32_t source, std::int32_t sink,
-                           MaxflowScratch& s);
-  void drain_excess(std::int32_t source, std::int32_t sink,
-                    std::int64_t limit, MaxflowScratch& s);
+  std::int64_t augment(std::int32_t source, std::int32_t sink,
+                       std::int64_t room, MaxflowScratch& s);
+  void push(std::int32_t arc, std::int64_t delta);
 
   std::int32_t num_vertices_ = 0;
   bool finalized_ = false;
@@ -146,31 +99,17 @@ class PushRelabel {
   std::int32_t last_sink_ = -1;
 
   // Twin arcs live at paired indices: internal arc 2a is the a-th
-  // added arc, 2a+1 its reverse, twin(x) == x ^ 1.
+  // added arc, 2a+1 its reverse, twin(x) == x ^ 1, tail(x) ==
+  // arc_to_[x ^ 1].  arc_res_[2a+1] is the flow on added arc a.
   std::vector<std::int32_t> arc_to_;    // head vertex per internal arc
-  std::vector<std::int32_t> arc_tail_;  // tail vertex per internal arc
   std::vector<std::int32_t> arc_cap_;   // as-added capacity (reverse: 0)
   std::vector<std::int32_t> arc_res_;   // residual capacity, per query
+  std::vector<std::int32_t> dirty_;     // added arcs the last query used
 
   // CSR adjacency over internal arc ids, built by finalize().
   std::vector<std::int32_t> first_;     // size n+1
   std::vector<std::int32_t> adj_arc_;   // arc ids grouped by tail
 
-  std::int64_t relabel_period_ = 0;     // work units between global relabels
-
-  // Sink-keyed initial-label cache.  Every query starts from identical
-  // residuals (full capacities), so the reverse-BFS distance labels for
-  // a given sink never change between queries — and verification
-  // workloads ask thousands of probes against ONE fixed endpoint.
-  // The cache stores labels computed while *transiting* every vertex
-  // (no source is pinned during the BFS), which keeps them valid for
-  // any future source: run() pins its own source at height n after
-  // copying.  See load_initial_labels().
-  std::int32_t init_sink_ = -1;
-  std::vector<std::int32_t> init_height_;
-  std::vector<std::int32_t> init_level_count_;
-
-  // Private scratch for the scratch-less overload (lazily sized).
   MaxflowScratch scratch_;
 };
 

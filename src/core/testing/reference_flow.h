@@ -1,9 +1,9 @@
-// Test-only reference implementations: the pre-push-relabel Dinic
-// max-flow and the per-pair connectivity routines built on it.
+// Test-only reference implementations: the original Dinic max-flow
+// and the per-pair connectivity routines built on it.
 //
 // This is the exact algorithm `core/connectivity.cc` shipped before the
-// certificate-then-push-relabel rewrite (one mutable FlowNetwork per
-// s-t query, no sparsification).  It is deliberately slow and simple —
+// certificate-then-max-flow rewrite (one mutable network per s-t query,
+// no sparsification).  It is deliberately slow and simple —
 // the equivalence suite (tests/test_connectivity_equivalence.cc) and
 // the old-vs-new bench rows cross-check the production path against it,
 // so it must stay independent: nothing here may call into

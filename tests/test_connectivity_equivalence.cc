@@ -1,4 +1,4 @@
-// Old-vs-new connectivity equivalence: the certificate-then-push-relabel
+// Old-vs-new connectivity equivalence: the certificate-then-max-flow
 // production path (core/connectivity.cc) against the retired per-pair
 // Dinic reference (core/testing/reference_flow.h), plus golden value
 // pins on both paths and 1-vs-N thread determinism for the new kernels.

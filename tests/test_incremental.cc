@@ -342,7 +342,7 @@ TEST(IncrementalParallelDeterminism, DeltaStreamsIdenticalAtAnyThreadCount) {
 // LHG(≈512, 4): every simulated minute a view batch of 1–10% of the
 // membership (interleaved joins, graceful leaves, and crash-style
 // removals) is applied through the incremental engine; after EVERY
-// batch the certificate + push-relabel verifier (upper_limit = k+1)
+// batch the certificate + max-flow verifier (upper_limit = k+1)
 // must confirm κ = k on the member graph — not just at quiescence.
 // The view change itself is disseminated over the live overlay by the
 // ack/retry flood under Gilbert–Elliott bursty loss composed with a

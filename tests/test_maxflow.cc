@@ -1,6 +1,7 @@
-// Unit tests for the push-relabel max-flow engine, including the
-// reusable-query contract (one network, many (s, t, limit) questions)
-// and cross-checks against the retired Dinic reference
+// Unit tests for the augmenting-path max-flow engine, including the
+// reusable-query contract (one network, many (s, t, limit) questions),
+// the valid-flow contract (flow_on is a flow after every query), and
+// cross-checks against the retired Dinic reference
 // (core/testing/reference_flow.h).
 
 #include "core/maxflow.h"
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -19,20 +21,20 @@ namespace lhg::core {
 namespace {
 
 TEST(MaxFlow, SingleArc) {
-  PushRelabel net(2);
+  FlowNetwork net(2);
   net.add_arc(0, 1, 5);
   EXPECT_EQ(net.max_flow(0, 1), 5);
 }
 
 TEST(MaxFlow, SeriesTakesMinimum) {
-  PushRelabel net(3);
+  FlowNetwork net(3);
   net.add_arc(0, 1, 7);
   net.add_arc(1, 2, 3);
   EXPECT_EQ(net.max_flow(0, 2), 3);
 }
 
 TEST(MaxFlow, ParallelPathsAdd) {
-  PushRelabel net(4);
+  FlowNetwork net(4);
   net.add_arc(0, 1, 2);
   net.add_arc(1, 3, 2);
   net.add_arc(0, 2, 3);
@@ -42,7 +44,7 @@ TEST(MaxFlow, ParallelPathsAdd) {
 
 TEST(MaxFlow, ClassicTextbookNetwork) {
   // CLRS figure: max flow 23.
-  PushRelabel net(6);
+  FlowNetwork net(6);
   net.add_arc(0, 1, 16);
   net.add_arc(0, 2, 13);
   net.add_arc(1, 2, 10);
@@ -59,7 +61,7 @@ TEST(MaxFlow, ClassicTextbookNetwork) {
 TEST(MaxFlow, RequiresResidualRerouting) {
   // The only max solution reroutes flow pushed greedily through the
   // middle arc.
-  PushRelabel net(4);
+  FlowNetwork net(4);
   net.add_arc(0, 1, 1);
   net.add_arc(0, 2, 1);
   net.add_arc(1, 2, 1);
@@ -69,14 +71,14 @@ TEST(MaxFlow, RequiresResidualRerouting) {
 }
 
 TEST(MaxFlow, LimitStopsEarly) {
-  PushRelabel net(2);
+  FlowNetwork net(2);
   net.add_arc(0, 1, 100);
   EXPECT_EQ(net.max_flow(0, 1, 7), 7);
   EXPECT_EQ(net.max_flow(0, 1, 0), 0);
 }
 
 TEST(MaxFlow, DisconnectedIsZero) {
-  PushRelabel net(3);
+  FlowNetwork net(3);
   net.add_arc(0, 1, 4);
   EXPECT_EQ(net.max_flow(0, 2), 0);
 }
@@ -84,7 +86,7 @@ TEST(MaxFlow, DisconnectedIsZero) {
 TEST(MaxFlow, ReusableAcrossQueries) {
   // The same solver answers many (source, sink, limit) questions; each
   // call resets per-query state, so answers never depend on history.
-  PushRelabel net(4);
+  FlowNetwork net(4);
   net.add_arc(0, 1, 2);
   net.add_arc(1, 3, 2);
   net.add_arc(0, 2, 3);
@@ -99,9 +101,12 @@ TEST(MaxFlow, ReusableAcrossQueries) {
 
 TEST(MaxFlow, SharedScratchAcrossSolvers) {
   MaxflowScratch scratch;
-  PushRelabel small(2);
+  // Start near the top of the visit stamps, so the queries below also
+  // run across their wrap-around.
+  scratch.stamp = std::numeric_limits<std::uint32_t>::max() - 3;
+  FlowNetwork small(2);
   small.add_arc(0, 1, 1);
-  PushRelabel large(5);
+  FlowNetwork large(5);
   large.add_arc(0, 1, 3);
   large.add_arc(1, 4, 2);
   EXPECT_EQ(small.max_flow(0, 1, INT64_MAX, scratch), 1);
@@ -110,35 +115,32 @@ TEST(MaxFlow, SharedScratchAcrossSolvers) {
 }
 
 TEST(MaxFlow, FlowOnReportsPerArc) {
-  PushRelabel net(3);
+  FlowNetwork net(3);
   const auto a01 = net.add_arc(0, 1, 2);
   const auto a12 = net.add_arc(1, 2, 9);
   EXPECT_EQ(net.max_flow(0, 2), 2);
-  net.convert_to_flow();
   EXPECT_EQ(net.flow_on(a01), 2);
   EXPECT_EQ(net.flow_on(a12), 2);
   EXPECT_THROW(net.flow_on(99), std::invalid_argument);
 }
 
-TEST(MaxFlow, ConvertToFlowReturnsTrappedExcess) {
-  // A dead-end branch absorbs preflow that phase 2 must send back:
+TEST(MaxFlow, FlowNeverEntersADeadEnd) {
   // 0 -> 1 (cap 5) with 1 -> 2 -> sink 3 the only way through (cap 1),
-  // plus a trap 1 -> 4 with no exit.
-  PushRelabel net(5);
+  // plus a trap 1 -> 4 with no exit: no flow may end up on the trap.
+  FlowNetwork net(5);
   const auto a01 = net.add_arc(0, 1, 5);
   const auto a12 = net.add_arc(1, 2, 1);
   const auto a23 = net.add_arc(2, 3, 1);
   const auto a14 = net.add_arc(1, 4, 3);
   EXPECT_EQ(net.max_flow(0, 3), 1);
-  net.convert_to_flow();
   EXPECT_EQ(net.flow_on(a01), 1);
   EXPECT_EQ(net.flow_on(a12), 1);
   EXPECT_EQ(net.flow_on(a23), 1);
-  EXPECT_EQ(net.flow_on(a14), 0);  // trapped excess fully withdrawn
+  EXPECT_EQ(net.flow_on(a14), 0);  // the dead end carries nothing
 }
 
 TEST(MaxFlow, MinCutSourceSide) {
-  PushRelabel net(4);
+  FlowNetwork net(4);
   net.add_arc(0, 1, 10);
   net.add_arc(1, 2, 1);  // the bottleneck
   net.add_arc(2, 3, 10);
@@ -151,9 +153,9 @@ TEST(MaxFlow, MinCutSourceSide) {
 }
 
 TEST(MaxFlow, MinCutValidAfterPhaseOneOnly) {
-  // Phase 1 leaves trapped excess on the dead-end branch; the cut read
-  // off sink-side reachability must still have capacity == flow value.
-  PushRelabel net(5);
+  // A dead-end branch hangs off the source side; the cut read off
+  // sink-side reachability must still have capacity == flow value.
+  FlowNetwork net(5);
   net.add_arc(0, 1, 5);
   net.add_arc(1, 2, 1);
   net.add_arc(2, 3, 1);
@@ -179,13 +181,12 @@ TEST(MaxFlow, MinCutValidAfterPhaseOneOnly) {
 }
 
 TEST(MaxFlow, Validation) {
-  EXPECT_THROW(PushRelabel(-1), std::invalid_argument);
-  PushRelabel net(2);
+  EXPECT_THROW(FlowNetwork(-1), std::invalid_argument);
+  FlowNetwork net(2);
   EXPECT_THROW(net.add_arc(0, 5, 1), std::invalid_argument);
   EXPECT_THROW(net.add_arc(0, 1, -1), std::invalid_argument);
   EXPECT_THROW(net.add_arc(0, 1, std::int64_t{1} << 40),
                std::invalid_argument);
-  EXPECT_THROW(net.convert_to_flow(), std::invalid_argument);
   EXPECT_THROW(net.max_flow(0, 0), std::invalid_argument);
   EXPECT_THROW(net.max_flow(0, 9), std::invalid_argument);
   net.add_arc(0, 1, 1);
@@ -196,7 +197,7 @@ TEST(MaxFlow, Validation) {
 
 TEST(MaxFlow, UnitBipartiteMatchingShape) {
   // 3x3 bipartite unit network, perfect matching = 3.
-  PushRelabel net(8);  // 0 src, 1..3 left, 4..6 right, 7 sink
+  FlowNetwork net(8);  // 0 src, 1..3 left, 4..6 right, 7 sink
   for (int l = 1; l <= 3; ++l) net.add_arc(0, l, 1);
   for (int r = 4; r <= 6; ++r) net.add_arc(r, 7, 1);
   net.add_arc(1, 4, 1);
@@ -206,27 +207,42 @@ TEST(MaxFlow, UnitBipartiteMatchingShape) {
   EXPECT_EQ(net.max_flow(0, 7), 3);
 }
 
+struct RandomArc {
+  std::int32_t u, v;
+  std::int64_t cap;
+};
+
+/// A random network on 4..15 vertices with up to 59 arcs.  Capacities
+/// include 0 and repeats so degenerate arcs get exercised.
+std::vector<RandomArc> random_network(Rng& rng, std::int32_t* n) {
+  *n = 4 + static_cast<std::int32_t>(rng.next_below(12));
+  const std::int32_t arcs = static_cast<std::int32_t>(rng.next_below(60));
+  std::vector<RandomArc> out;
+  for (std::int32_t a = 0; a < arcs; ++a) {
+    const auto u = static_cast<std::int32_t>(
+        rng.next_below(static_cast<std::uint64_t>(*n)));
+    const auto v = static_cast<std::int32_t>(
+        rng.next_below(static_cast<std::uint64_t>(*n)));
+    if (u == v) continue;
+    out.push_back({u, v, static_cast<std::int64_t>(rng.next_below(7))});
+  }
+  return out;
+}
+
 TEST(MaxFlow, AgreesWithDinicOnRandomNetworks) {
   // Randomized cross-check against the reference Dinic: same arcs, same
-  // (s, t, limit) queries, identical values.  Capacities include 0 and
-  // repeats so degenerate arcs get exercised.
+  // (s, t, limit) queries, identical values.  The sink-side cut of the
+  // uncapped query must carry exactly its value, and the reversed
+  // query (t, s) must agree too.
   Rng rng(20260809);
   for (int trial = 0; trial < 40; ++trial) {
-    const std::int32_t n =
-        4 + static_cast<std::int32_t>(rng.next_below(12));
-    const std::int32_t arcs =
-        static_cast<std::int32_t>(rng.next_below(60));
-    PushRelabel pr(n);
+    std::int32_t n = 0;
+    const auto arcs = random_network(rng, &n);
+    FlowNetwork pr(n);
     testing::ReferenceFlowNetwork dinic(n);
-    for (std::int32_t a = 0; a < arcs; ++a) {
-      const auto u = static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(n)));
-      const auto v = static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(n)));
-      if (u == v) continue;
-      const auto cap = static_cast<std::int64_t>(rng.next_below(7));
-      pr.add_arc(u, v, cap);
-      dinic.add_arc(u, v, cap);
+    for (const auto& a : arcs) {
+      pr.add_arc(a.u, a.v, a.cap);
+      dinic.add_arc(a.u, a.v, a.cap);
     }
     const std::int32_t s = 0;
     const std::int32_t t = n - 1;
@@ -235,10 +251,90 @@ TEST(MaxFlow, AgreesWithDinicOnRandomNetworks) {
       testing::ReferenceFlowNetwork fresh = dinic;
       ASSERT_EQ(full, fresh.max_flow(s, t)) << "trial " << trial;
     }
-    // Capped query, run on the SAME push-relabel solver (reset path).
+    const auto side = pr.min_cut_source_side();
+    ASSERT_TRUE(side[static_cast<std::size_t>(s)]) << "trial " << trial;
+    ASSERT_FALSE(side[static_cast<std::size_t>(t)]) << "trial " << trial;
+    std::int64_t crossing = 0;
+    for (const auto& a : arcs) {
+      if (side[static_cast<std::size_t>(a.u)] &&
+          !side[static_cast<std::size_t>(a.v)]) {
+        crossing += a.cap;
+      }
+    }
+    ASSERT_EQ(crossing, full) << "trial " << trial;
+    // Capped query, run on the SAME network (reset path).
     const std::int64_t limit = static_cast<std::int64_t>(rng.next_below(5));
     const std::int64_t capped = pr.max_flow(s, t, limit);
     ASSERT_EQ(capped, std::min(full, limit)) << "trial " << trial;
+    {
+      testing::ReferenceFlowNetwork fresh = dinic;
+      ASSERT_EQ(pr.max_flow(t, s), fresh.max_flow(t, s)) << "trial " << trial;
+    }
+  }
+}
+
+TEST(MaxFlow, FlowOnIsAValidFlowAfterEveryQuery) {
+  // Every query leaves a flow, with no conversion step: capacity bounds
+  // on every arc, conservation everywhere but s and t, and the source's
+  // net outflow equal to the returned value.
+  Rng rng(20261019);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::int32_t n = 0;
+    const auto arcs = random_network(rng, &n);
+    FlowNetwork net(n);
+    for (const auto& a : arcs) net.add_arc(a.u, a.v, a.cap);
+    for (int query = 0; query < 6; ++query) {
+      const auto s = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      const auto t = static_cast<std::int32_t>(
+          (s + 1 + static_cast<std::int32_t>(rng.next_below(
+                       static_cast<std::uint64_t>(n - 1)))) % n);
+      const std::int64_t limit =
+          query % 2 == 0 ? std::numeric_limits<std::int64_t>::max()
+                         : static_cast<std::int64_t>(rng.next_below(6));
+      const std::int64_t value = net.max_flow(s, t, limit);
+      std::vector<std::int64_t> net_out(static_cast<std::size_t>(n), 0);
+      for (std::size_t i = 0; i < arcs.size(); ++i) {
+        const std::int64_t f = net.flow_on(static_cast<std::int32_t>(i));
+        ASSERT_GE(f, 0) << "trial " << trial << " arc " << i;
+        ASSERT_LE(f, arcs[i].cap) << "trial " << trial << " arc " << i;
+        net_out[static_cast<std::size_t>(arcs[i].u)] += f;
+        net_out[static_cast<std::size_t>(arcs[i].v)] -= f;
+      }
+      for (std::int32_t v = 0; v < n; ++v) {
+        if (v == s || v == t) continue;
+        ASSERT_EQ(net_out[static_cast<std::size_t>(v)], 0)
+            << "trial " << trial << " query " << query << " vertex " << v;
+      }
+      ASSERT_EQ(net_out[static_cast<std::size_t>(s)], value)
+          << "trial " << trial << " query " << query;
+    }
+  }
+}
+
+TEST(MaxFlow, CancelsEarlierFlowThroughReverseArc) {
+  // The shortest path s -> a -> b -> t is the first augmentation, and it
+  // blocks both longer routes: c's only exit runs through b, and b's
+  // only exit is t.  The maximum (2) needs a second path that walks
+  // s -> c -> c2 -> b, back along the reverse of a -> b, then
+  // a -> d -> d2 -> t — so a -> b ends with no flow.
+  enum : std::int32_t { s, a, b, c, c2, d, d2, t, kNodes };
+  const std::vector<RandomArc> arcs{{s, a, 1},  {s, c, 1},  {a, b, 1},
+                                    {a, d, 1},  {b, t, 1},  {c, c2, 1},
+                                    {c2, b, 1}, {d, d2, 1}, {d2, t, 1}};
+  FlowNetwork net(kNodes);
+  testing::ReferenceFlowNetwork dinic(kNodes);
+  for (const auto& arc : arcs) {
+    net.add_arc(arc.u, arc.v, arc.cap);
+    dinic.add_arc(arc.u, arc.v, arc.cap);
+  }
+  EXPECT_EQ(net.max_flow(s, t, 1), 1);
+  EXPECT_EQ(net.flow_on(2), 1);  // the capped query took a -> b
+  EXPECT_EQ(net.max_flow(s, t), dinic.max_flow(s, t));
+  EXPECT_EQ(net.max_flow(s, t), 2);
+  EXPECT_EQ(net.flow_on(2), 0);  // a -> b cancelled
+  for (const std::int32_t i : {0, 1, 3, 4, 5, 6, 7, 8}) {
+    EXPECT_EQ(net.flow_on(i), 1) << "arc " << i;
   }
 }
 
