@@ -9,10 +9,12 @@
 // per-phase message bill, and whether the verifier certifies the healed
 // overlay k-connected — on clean channels and under adversarial loss.
 //
-// Expected shape: detection ~ crash time + heartbeat timeout;
-// reconnect a few underlay round-trips later; repaired% and kconn%
-// pinned at 100 even with 10% loss on both overlay and underlay
-// (retries absorb it, at visibly higher message cost).
+// Expected shape: detection ~ crash time + heartbeat timeout + one
+// confirmation round (a suspicion floods only once the subject's other
+// neighbors fail to vouch for it); reconnect a few underlay round-trips
+// later; repaired% and kconn% pinned at 100 even with 10% loss on both
+// overlay and underlay (retries absorb it); view-change messages per
+// node about flat in n, up to the n = 10^4 scale row (4096 in --small).
 //
 // Trials fan across core::parallel via flooding::TrialRunner;
 // LHG_THREADS controls the lane count.  `--trace <path>` adds one
@@ -42,6 +44,8 @@ struct Agg {
   double heartbeats = 0;
   double view_msgs = 0;
   double handshake_msgs = 0;
+  double confirm_msgs = 0;
+  double vouched = 0;
   double edges_needed = 0;
   double net_sent = 0;
   double net_lost = 0;
@@ -54,6 +58,8 @@ struct Agg {
     a.heartbeats += b.heartbeats;
     a.view_msgs += b.view_msgs;
     a.handshake_msgs += b.handshake_msgs;
+    a.confirm_msgs += b.confirm_msgs;
+    a.vouched += b.vouched;
     a.edges_needed += b.edges_needed;
     a.net_sent += b.net_sent;
     a.net_lost += b.net_lost;
@@ -70,17 +76,19 @@ int main(int argc, char** argv) {
   const auto opts = bench::BenchOptions::parse(argc, argv);
   bench::BenchReport report("bench_repair");
 
-  const int trials = opts.small ? 8 : 24;
-  std::cout << "E21: repair after f=k-1 crashes at t=2, " << trials
-            << " random crash patterns per row  [threads="
+  const int base_trials = opts.small ? 8 : 24;
+  std::cout << "E21: repair after f=k-1 crashes at t=2, " << base_trials
+            << " random crash patterns per row (scale rows: fewer, see "
+               "trials)  [threads="
             << core::global_thread_count() << "]\n";
-  bench::Table table({"n", "k", "loss", "repaired%", "kconn%", "detect",
-                      "reconnect", "hb/node", "vc_msgs", "hs_msgs"},
-                     11);
+  bench::Table table({"n", "k", "loss", "trials", "repaired%", "kconn%",
+                      "detect", "reconnect", "hb/node", "vc_msgs", "vc/node",
+                      "vouched", "cf_msgs", "hs_msgs"},
+                     10);
   table.print_header();
 
   const auto measure = [&](core::NodeId n, std::int32_t k, double loss,
-                           std::uint64_t seed) {
+                           std::uint64_t seed, int trials) {
     const auto g = build(n, k);
     const bench::WallTimer timer;
     const TrialRunner runner{.seed = seed};
@@ -103,16 +111,20 @@ int main(int argc, char** argv) {
           one.heartbeats = static_cast<double>(r.heartbeats_sent);
           one.view_msgs = static_cast<double>(r.view_change_messages);
           one.handshake_msgs = static_cast<double>(r.handshake_messages);
+          one.confirm_msgs = static_cast<double>(r.confirm_messages);
+          one.vouched = static_cast<double>(r.suspicions_vouched);
           one.edges_needed = r.edges_needed;
           one.net_sent = static_cast<double>(r.net.sent);
           one.net_lost = static_cast<double>(r.net.lost);
           return one;
         },
         Agg::merge);
-    table.print_row(n, k, loss, 100.0 * agg.repaired / trials,
+    table.print_row(n, k, loss, trials, 100.0 * agg.repaired / trials,
                     100.0 * agg.kconn / trials, agg.detect / trials,
                     agg.reconnect / trials, agg.heartbeats / trials / n,
-                    agg.view_msgs / trials, agg.handshake_msgs / trials);
+                    agg.view_msgs / trials, agg.view_msgs / trials / n,
+                    agg.vouched / trials, agg.confirm_msgs / trials,
+                    agg.handshake_msgs / trials);
     report.add("repair/n=" + std::to_string(n) + "/k=" + std::to_string(k) +
                    "/loss=" + std::to_string(static_cast<int>(loss * 100)),
                {{"n", n},
@@ -124,6 +136,9 @@ int main(int argc, char** argv) {
                 {"mean_detect", agg.detect / trials},
                 {"mean_reconnect", agg.reconnect / trials},
                 {"view_msgs", agg.view_msgs / trials},
+                {"view_msgs_per_node", agg.view_msgs / trials / n},
+                {"suspicions_vouched", agg.vouched / trials},
+                {"confirm_msgs", agg.confirm_msgs / trials},
                 {"handshake_msgs", agg.handshake_msgs / trials},
                 {"net_sent", agg.net_sent / trials},
                 {"net_lost", agg.net_lost / trials}},
@@ -132,12 +147,23 @@ int main(int argc, char** argv) {
 
   for (const std::int32_t k : {3, 4}) {
     const core::NodeId n = opts.small ? 40 * k : 80 * k;
-    measure(n, k, /*loss=*/0.0, static_cast<std::uint64_t>(3000 + k));
-    measure(n, k, /*loss=*/0.1, static_cast<std::uint64_t>(3100 + k));
+    measure(n, k, /*loss=*/0.0, static_cast<std::uint64_t>(3000 + k),
+            base_trials);
+    measure(n, k, /*loss=*/0.1, static_cast<std::uint64_t>(3100 + k),
+            base_trials);
     std::cout << '\n';
   }
+  // Scale rows: k=4 at 10% loss, with fewer trials (a trial's cost
+  // grows with n).  View-change messages per node stay about flat, since
+  // false alarms are vouched away instead of flooded.
+  if (opts.small) {
+    measure(4096, 4, /*loss=*/0.1, 3204, 2);
+  } else {
+    measure(10000, 4, /*loss=*/0.1, 3304, 4);
+  }
   std::cout << "shape check: repaired% == kconn% == 100 on every row; loss "
-               "raises vc/hs message cost, not the failure rate\n";
+               "raises vc/hs message cost, not the failure rate; vc/node "
+               "about flat in n\n";
 
   if (!opts.trace_path.empty()) {
     const std::int32_t k = 3;

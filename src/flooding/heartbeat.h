@@ -122,6 +122,12 @@ class HeartbeatDetector {
   /// `self` received a beat from its neighbor `from`.
   void on_beat(core::NodeId self, core::NodeId from);
 
+  /// When the observer of arc `arc` last received a beat from its
+  /// target; 0 before the first.
+  double last_heard(std::int32_t arc) const {
+    return last_heard_[static_cast<std::size_t>(arc)];
+  }
+
   /// When the observer of arc `arc` began suspecting its target; -1
   /// while it does not.
   double suspected_since(std::int32_t arc) const {

@@ -45,6 +45,14 @@ struct Handshake {
   double established = -1.0;
 };
 
+/// One rumor an observer holds: the highest epoch it accepted about
+/// `subject`, and whether that rumor says the subject is down.
+struct ViewEntry {
+  NodeId subject = 0;
+  std::int32_t epoch = 0;
+  bool down = false;
+};
+
 /// The whole simulation's state; methods are the event handlers.
 /// Everything lives on the caller's stack until sim.run() drains.
 struct RepairSim {
@@ -65,17 +73,25 @@ struct RepairSim {
   std::int32_t perm_count = 0;
 
   HeartbeatDetector detector;
-  std::vector<double> first_suspect;  // per node: first true suspicion
+  /// Length of one confirmation round: PROBE and VOUCH each cross the
+  /// underlay once, plus a heartbeat interval for the subject's next
+  /// beat to land at the vouching neighbors.
+  double round;
+  // Per arc w -> x: the start of the latest confirmation round of w's
+  // suspicion of x that a vouch answered; -1 before any.
+  std::vector<double> vouched_at;
+  // Per node: when its first obituary flooded while it was down.
+  std::vector<double> first_obituary;
 
-  // Per-node disseminated view: the down bitset and the highest rumor
-  // epoch accepted per (observer, subject) pair (both w * n + x), the
-  // count of permanent crashes currently in the view, and whether the
-  // node already kicked off its handshakes.  Epochs order rumors about
-  // one subject: an aliveness assertion carries a strictly larger
-  // epoch than every obituary it refutes, so stale down rumors cannot
-  // resurrect a rebutted view entry.
-  std::vector<std::uint8_t> down_view;
-  std::vector<std::int32_t> epoch_seen;
+  // Per-observer disseminated view: the observer's entries sorted by
+  // subject, one per subject it heard a rumor about, so the state is
+  // O(n + rumors) rather than n x n.  Epochs order rumors about one
+  // subject: an aliveness assertion carries a strictly larger epoch
+  // than every obituary it refutes, so stale down rumors cannot
+  // resurrect a rebutted entry.  `match` counts the permanent crashes
+  // currently down in the view, `initiated` whether the node already
+  // kicked off its handshakes.
+  std::vector<std::vector<ViewEntry>> views;
   std::vector<std::int32_t> self_epoch;  // per node: epoch of its last assert
   std::vector<std::int32_t> match;
   std::vector<std::uint8_t> initiated;
@@ -99,20 +115,15 @@ struct RepairSim {
             [this](NodeId u, NodeId v, std::int32_t arc) {
               return link.send_raw_arc(u, v, arc, 0);
             },
-            // A true suspicion records the detection time; every
-            // suspicion floods an obituary from the observer.
-            [this](NodeId observer, NodeId target, bool false_alarm) {
-              const auto t = static_cast<std::size_t>(target);
-              if (!false_alarm && first_suspect[t] < 0.0) {
-                first_suspect[t] = sim.now();
-              }
-              learn_down(observer, target,
-                         epoch_seen[static_cast<std::size_t>(observer) * n + t],
-                         /*relay_except=*/-1);
+            // A suspicion floods nothing yet: the observer first asks
+            // the subject's other neighbors whether they still hear it.
+            [this](NodeId observer, NodeId target, bool) {
+              probe(observer, g.arc_index(observer, target), sim.now());
             }),
-        first_suspect(n, -1.0),
-        down_view(n * n, 0),
-        epoch_seen(n * n, 0),
+        round(2.0 * RepairConfig::kUnderlayLatency + config.heartbeat_interval),
+        vouched_at(static_cast<std::size_t>(graph.num_arcs()), -1.0),
+        first_obituary(n, -1.0),
+        views(n),
         self_epoch(n, 0),
         match(n, 0),
         initiated(n, 0) {
@@ -124,6 +135,87 @@ struct RepairSim {
 
   bool underlay_drops() {
     return cfg.underlay_loss > 0.0 && rng.next_bool(cfg.underlay_loss);
+  }
+
+  // --- Confirmation: indirect probes before an obituary floods ------
+
+  void count_confirm() {
+    ++res.confirm_messages;
+    if (obs != nullptr) obs->add(obs->repair_confirms);
+  }
+
+  // One round of w's confirmation of its suspicion (arc w -> x, begun
+  // at t_s): a PROBE over the underlay to each of x's other overlay
+  // neighbors, asking for a beat from x heard after this round began.
+  void probe(NodeId w, std::int32_t arc, double t_s) {
+    const double t_r = sim.now();
+    const NodeId x = g.arc_target(arc);
+    std::int32_t xy = g.arc_begin(x);
+    for (NodeId y : g.neighbors(x)) {
+      if (y != w) {
+        count_confirm();  // the PROBE
+        if (!underlay_drops()) {
+          sim.schedule_in(RepairConfig::kUnderlayLatency,
+                          [this, y, arc, yx = g.twin_arc(xy), t_s, t_r] {
+                            on_probe(y, arc, yx, t_s, t_r);
+                          });
+        }
+      }
+      ++xy;
+    }
+    sim.schedule_in(round, [this, w, arc, t_s, t_r] {
+      end_round(w, arc, t_s, t_r);
+    });
+  }
+
+  // y vouches for x iff a beat from x (arc y -> x) reached it after the
+  // round began.
+  void on_probe(NodeId y, std::int32_t arc, std::int32_t yx, double t_s,
+                double t_r) {
+    if (!net.is_alive(y) || detector.last_heard(yx) <= t_r) return;
+    count_confirm();  // the VOUCH
+    if (underlay_drops()) return;
+    sim.schedule_in(RepairConfig::kUnderlayLatency, [this, arc, t_s, t_r] {
+      auto& at = vouched_at[static_cast<std::size_t>(arc)];
+      if (at < t_s) {  // the suspicion's first vouch counts it
+        ++res.suspicions_vouched;
+        if (obs != nullptr) obs->add(obs->repair_vouched);
+      }
+      at = std::max(at, t_r);
+    });
+  }
+
+  // The confirmation ends once a beat from x reached w (the suspicion
+  // ended, or a newer one replaced it), w crashed, or x's obituary
+  // already reached w.  Otherwise a vouched round re-probes (while beats still
+  // run) and a round without a vouch floods x's obituary.
+  void end_round(NodeId w, std::int32_t arc, double t_s, double t_r) {
+    const NodeId x = g.arc_target(arc);
+    if (detector.suspected_since(arc) != t_s || !net.is_alive(w)) return;
+    const ViewEntry& e = entry(w, x);
+    if (e.down) return;
+    if (vouched_at[static_cast<std::size_t>(arc)] < t_r) {
+      const auto i = static_cast<std::size_t>(x);
+      if (!net.is_alive(x) && first_obituary[i] < 0.0) {
+        first_obituary[i] = sim.now();
+      }
+      learn_down(w, x, e.epoch, /*relay_except=*/-1);
+    } else if (sim.now() <= cfg.horizon) {
+      probe(w, arc, t_s);
+    }
+  }
+
+  // --- Dissemination ------------------------------------------------
+
+  // w's entry for x, inserted (epoch 0, up: nothing heard) if absent.
+  ViewEntry& entry(NodeId w, NodeId x) {
+    auto& v = views[static_cast<std::size_t>(w)];
+    const auto it = std::lower_bound(
+        v.begin(), v.end(), x,
+        [](const ViewEntry& e, NodeId s) { return e.subject < s; });
+    return it != v.end() && it->subject == x
+               ? *it
+               : *v.insert(it, ViewEntry{x, 0, false});
   }
 
   void relay(NodeId w, NodeId except, std::int64_t payload) {
@@ -145,13 +237,11 @@ struct RepairSim {
   // An obituary is accepted unless a strictly newer epoch already
   // rebutted it; a duplicate at the current epoch is dropped.
   void learn_down(NodeId w, NodeId x, std::int32_t epoch, NodeId relay_except) {
-    const std::size_t wx =
-        static_cast<std::size_t>(w) * n + static_cast<std::size_t>(x);
-    if (epoch < epoch_seen[wx]) return;  // already rebutted at a later epoch
-    auto& flag = down_view[wx];
-    if (flag != 0) return;
-    epoch_seen[wx] = epoch;
-    flag = 1;
+    ViewEntry& e = entry(w, x);
+    if (epoch < e.epoch) return;  // already rebutted at a later epoch
+    if (e.down) return;
+    e.epoch = epoch;
+    e.down = true;
     if (in_perm[static_cast<std::size_t>(x)] != 0) {
       ++match[static_cast<std::size_t>(w)];
     }
@@ -163,13 +253,11 @@ struct RepairSim {
   // anything heard about the subject — assertions always carry a fresh
   // epoch, so echoes and duplicates drop here.
   void learn_up(NodeId w, NodeId r, std::int32_t epoch, NodeId relay_except) {
-    const std::size_t wr =
-        static_cast<std::size_t>(w) * n + static_cast<std::size_t>(r);
-    if (epoch <= epoch_seen[wr]) return;
-    epoch_seen[wr] = epoch;
-    auto& flag = down_view[wr];
-    if (flag != 0) {
-      flag = 0;
+    ViewEntry& e = entry(w, r);
+    if (epoch <= e.epoch) return;
+    e.epoch = epoch;
+    if (e.down) {
+      e.down = false;
       if (in_perm[static_cast<std::size_t>(r)] != 0) {
         --match[static_cast<std::size_t>(w)];
       }
@@ -196,20 +284,16 @@ struct RepairSim {
       return;
     }
     // An assertion heard directly from a rejoiner triggers a state
-    // transfer: the neighbor replays its current down-view so the
-    // recovered node (which lost all protocol state) catches up.
-    const bool direct =
-        from == x && epoch > epoch_seen[static_cast<std::size_t>(self) * n +
-                                        static_cast<std::size_t>(x)];
+    // transfer: the neighbor replays the down entries of its view so
+    // the recovered node (which lost all protocol state) catches up.
+    const bool direct = from == x && epoch > entry(self, x).epoch;
     learn_up(self, x, epoch, from);
     if (direct) {
       const std::int32_t arc = g.arc_index(self, from);
-      for (std::size_t y = 0; y < n; ++y) {
-        if (down_view[static_cast<std::size_t>(self) * n + y] != 0) {
+      for (const ViewEntry& e : views[static_cast<std::size_t>(self)]) {
+        if (e.down) {
           link.send_arc(self, from, arc,
-                        vc_payload(static_cast<NodeId>(y),
-                                   epoch_seen[static_cast<std::size_t>(self) * n + y],
-                                   /*up=*/false));
+                        vc_payload(e.subject, e.epoch, /*up=*/false));
           ++res.view_change_messages;
         }
       }
@@ -231,10 +315,13 @@ struct RepairSim {
     if (initiated[i] != 0 || match[i] != perm_count) return;
     if (!net.is_alive(w)) return;
     initiated[i] = 1;
-    for (std::size_t hid = 0; hid < needed.size(); ++hid) {
-      if (needed[hid].u == w) {
-        start_handshake(static_cast<std::int32_t>(hid), 0);
-      }
+    // `needed` follows the target's canonical edge order, so it is
+    // sorted by requester: w's handshakes are one contiguous run.
+    const auto [first, last] = std::equal_range(
+        needed.begin(), needed.end(), Handshake{w, 0, 0.0},
+        [](const Handshake& a, const Handshake& b) { return a.u < b.u; });
+    for (auto it = first; it != last; ++it) {
+      start_handshake(static_cast<std::int32_t>(it - needed.begin()), 0);
     }
   }
 
@@ -409,11 +496,11 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
   for (NodeId u = 0; u < num; ++u) {
     const auto i = static_cast<std::size_t>(u);
     if (s.in_perm[i] == 0) continue;
-    if (s.first_suspect[i] < 0.0) {
+    if (s.first_obituary[i] < 0.0) {
       res.detection_time = -1.0;
       break;
     }
-    res.detection_time = std::max(res.detection_time, s.first_suspect[i]);
+    res.detection_time = std::max(res.detection_time, s.first_obituary[i]);
   }
 
   // False obituaries still standing at quiescence: observer and
@@ -421,10 +508,8 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
   // marks the subject down.  Epoch'd self-rebuttal keeps this at 0.
   for (NodeId w = 0; w < num; ++w) {
     if (s.in_perm[static_cast<std::size_t>(w)] != 0) continue;
-    for (NodeId x = 0; x < num; ++x) {
-      if (s.in_perm[static_cast<std::size_t>(x)] != 0) continue;
-      if (s.down_view[static_cast<std::size_t>(w) * n +
-                      static_cast<std::size_t>(x)] != 0) {
+    for (const ViewEntry& e : s.views[static_cast<std::size_t>(w)]) {
+      if (e.down && s.in_perm[static_cast<std::size_t>(e.subject)] == 0) {
         ++res.lingering_false_obituaries;
       }
     }

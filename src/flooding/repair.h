@@ -11,14 +11,27 @@
 //
 //   1. Detection — the HeartbeatDetector of heartbeat.h, with every
 //      beat a RAW frame on a ReliableLink: a neighbor silent for
-//      `heartbeat_timeout` is suspected, and each suspicion floods an
-//      obituary from the observer.
-//   2. Dissemination — the first suspicion of a node floods a
-//      view-change over the surviving overlay on the reliable layer
+//      `heartbeat_timeout` is suspected.  A suspicion is not yet an
+//      obituary.  The observer w first confirms it with indirect probes
+//      (SWIM, Das, Gupta & Motivala, DSN 2002): it sends PROBE over the
+//      underlay to the subject x's other overlay neighbors, and each
+//      one that received a beat from x after the round began answers
+//      VOUCH.  While w still hears nothing from x, it re-probes every
+//      round (2 underlay latencies plus a heartbeat interval) until the
+//      horizon; the first round that brings no vouch confirms the
+//      crash.  This is complete: the live neighbor that received x's
+//      last-ever beat suspects x only after every beat of x has landed,
+//      so nobody can vouch for it.  Lost PROBEs or VOUCHes can only
+//      cause an unneeded obituary, which is rebutted below, never hide
+//      a crash.
+//   2. Dissemination — a confirmed suspicion floods a view-change
+//      obituary over the surviving overlay on the reliable layer
 //      (ACK/retransmit with backoff), so single drops cannot silence
 //      the membership update.  Recovered nodes announce themselves the
 //      same way and are brought up to date by a neighbor state
-//      transfer.
+//      transfer.  Each node's view is a sparse list with one (subject,
+//      epoch, down) entry per subject it heard a rumor about, so the
+//      repair state is O(n + rumors), never n x n.
 //   3. Rewiring — once a survivor's disseminated view covers the
 //      adversary's permanent crashes, it rewires toward the
 //      identity-stable incremental target: the in-service overlay is
@@ -34,13 +47,16 @@
 //      through a peer's down window, which is how recovered nodes are
 //      re-adopted.
 //
-// False suspicions rebut themselves: every view-change rumor carries
-// the subject's *epoch*, and a live node that hears its own obituary
-// floods an aliveness assertion under a strictly larger epoch (the
-// same announcement a recovered node makes), which clears the false
-// obituary from every view — stale down rumors lose to the newer
-// epoch instead of resurrecting it.  The result counts the rebuttals
-// and any obituaries of final members still standing at quiescence
+// False suspicions are mostly vouched away: message loss silences one
+// link, not all of a live node's links, so some other neighbor still
+// hears the subject and no obituary floods.  The rest rebut themselves:
+// every view-change rumor carries the subject's *epoch*, and a live
+// node that hears its own obituary floods an aliveness assertion under
+// a strictly larger epoch (the same announcement a recovered node
+// makes), which clears the false obituary from every view — stale down
+// rumors lose to the newer epoch instead of resurrecting it.  The
+// result counts the vouched suspicions, the rebuttals and any
+// obituaries of final members still standing at quiescence
 // (`lingering_false_obituaries`, 0 in healthy runs).
 //
 // Modeling simplifications, stated honestly: the repair target is the
@@ -71,9 +87,9 @@ struct RepairConfig {
   /// Retry schedule for view-change dissemination on the overlay.
   /// Persists through down windows so flapped links don't eat updates.
   static constexpr BackoffPolicy kViewBackoff{3.0, 2.0, 24.0, 0.0, 6, true};
-  /// Underlay model for rewiring handshakes: any two survivors can
-  /// exchange REQ/ACK point-to-point at this latency (and at
-  /// `underlay_loss`).
+  /// Underlay model for confirmation probes and rewiring handshakes:
+  /// any two survivors can exchange PROBE/VOUCH and REQ/ACK
+  /// point-to-point at this latency (and at `underlay_loss`).
   static constexpr double kUnderlayLatency = 2.0;
   /// Retry schedule for REQ/ACK handshakes (per needed edge).
   static constexpr BackoffPolicy kHandshakeBackoff{4.0, 2.0, 32.0, 0.0, 8,
@@ -93,7 +109,7 @@ struct RepairConfig {
   /// Overlay channel conditions (loss/burst/duplication/reorder).
   ChaosSpec chaos{};
 
-  /// Loss probability of each underlay REQ/ACK transmission.
+  /// Loss probability of each underlay PROBE/VOUCH/REQ/ACK transmission.
   double underlay_loss = 0.0;
 
   /// Metrics / trace recording (off by default: zero overhead).
@@ -107,8 +123,9 @@ struct RepairResult {
   /// Verifier check: the healed survivor graph is k-vertex-connected.
   bool k_connected = false;
 
-  /// Max first-suspicion time over permanently crashed nodes; -1 if
-  /// some crash was never detected, 0 when nothing crashed.
+  /// Max over permanently crashed nodes of the time the first
+  /// confirmed obituary of the node (sent while it was down) flooded;
+  /// -1 if some crash was never detected, 0 when nothing crashed.
   double detection_time = 0.0;
   /// Max handshake-completion time over needed edges; -1 if some edge
   /// was never established, 0 when none were needed.
@@ -125,6 +142,11 @@ struct RepairResult {
   /// Underlay REQ + ACK transmissions (including retries).
   std::int64_t handshake_messages = 0;
   std::int64_t false_suspicions = 0;
+  /// Suspicions that a neighbor of the subject vouched for: a VOUCH
+  /// (a beat heard after the probe round began) reached the observer.
+  std::int64_t suspicions_vouched = 0;
+  /// Underlay PROBE + VOUCH transmissions (including re-probes).
+  std::int64_t confirm_messages = 0;
   /// Live nodes that heard their own obituary and flooded an epoch'd
   /// aliveness assertion to refute it (counted per rebuttal flood).
   std::int64_t self_rebuttals = 0;

@@ -32,6 +32,8 @@ SimObs::SimObs(Registry* registry, TraceSink* sink, std::int32_t shard)
   repair_view_changes = registry_->counter("repair.view_changes");
   repair_handshakes = registry_->counter("repair.handshakes");
   repair_rewires = registry_->counter("repair.rewires");
+  repair_confirms = registry_->counter("repair.confirm_messages");
+  repair_vouched = registry_->counter("repair.suspicions_vouched");
 }
 
 Runtime::Runtime(const ObsConfig& config) : config_(config) {

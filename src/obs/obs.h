@@ -90,6 +90,7 @@ class SimObs {
   CounterId repair_view_changes;
   CounterId repair_handshakes;
   CounterId repair_rewires;
+  CounterId repair_confirms;  ///< PROBE + VOUCH messages, retries included
 
   // --- Recording conveniences (hot path) ---
   void add(CounterId id, std::int64_t delta = 1) const {
@@ -124,6 +125,12 @@ class SimObs {
   Registry* registry_;
   TraceSink* sink_;
   std::int32_t shard_;
+
+ public:
+  // Last, in the tail padding after shard_: the members above keep
+  // their offsets, so the inlined recording code of every other layer
+  // compiles unchanged.
+  CounterId repair_vouched;  ///< suspicions a neighbor vouched for
 };
 
 /// Tag selecting Runtime's per-shard-handles mode (sharded engine).

@@ -203,7 +203,8 @@ class MemoryGateTests(unittest.TestCase):
         for key, limit in doc["budgets"].items():
             self.assertTrue(
                 key.startswith(("bench_scaling/", "bench_connectivity/",
-                                "bench_churn/", "bench_shard/")), key)
+                                "bench_churn/", "bench_shard/",
+                                "bench_repair/")), key)
             self.assertGreater(limit, 0)
 
 
