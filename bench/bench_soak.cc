@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
   // Retry period 3.0 > the 2-tick RTT, so a retry never races the ACK
   // of a successful first copy; retransmits then measure loss, not the
   // timer granularity.
-  flooding::ReliableLink link(net, flooding::BackoffPolicy::fixed(3.0, 30),
-                              rng);
+  flooding::ReliableLink link(net, flooding::BackoffPolicy::fixed(3.0, 30));
 
   obs::Runtime obs_rt(obs::ObsConfig{true, true, 1 << 16});
   sim.set_obs(obs_rt.obs());

@@ -164,7 +164,7 @@ DisseminationResult sharded_flood(const Topology& topology,
   }();
   core::Rng rng(cfg.seed);
   ShardedNetwork<Topology> net(topology, sim, cfg.latency, rng, cfg.chaos);
-  obs::Runtime obs_rt(cfg.obs, sim.num_shards(), obs::PerShardHandles{});
+  obs::Runtime obs_rt(cfg.obs, sim.num_shards());
   sim.set_obs(obs_rt.shard_obs());
   net.set_obs(obs_rt.shard_obs());
   apply_failure_plan(net, failures);

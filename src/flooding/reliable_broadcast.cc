@@ -22,7 +22,7 @@ ReliableBroadcastResult reliable_broadcast(const core::Graph& topology,
   net.set_obs(obs_rt.obs());
   apply_failure_plan(net, failures);
 
-  ReliableLink link(net, cfg.backoff, rng);
+  ReliableLink link(net, cfg.backoff);
   link.set_obs(obs_rt.obs());
 
   ReliableBroadcastResult result;

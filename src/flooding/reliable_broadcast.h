@@ -4,9 +4,9 @@
 // Plain flooding assumes reliable channels; on lossy links a dropped
 // copy can silence a whole subtree.  This protocol keeps flooding's
 // structure but rides every link-hop on ReliableLink: DATA is ACKed,
-// unACKed copies are retransmitted on an (optionally exponential,
-// optionally jittered) backoff schedule until retries run out, and
-// duplicate DATA is re-ACKed but not re-forwarded.
+// unACKed copies are retransmitted on a fixed or exponential backoff
+// schedule until retries run out, and duplicate DATA is re-ACKed but
+// not re-forwarded.
 //
 // With i.i.d. loss probability p and fixed-interval retries, a link-hop
 // fails only if all 1+max_retries transmissions drop (p^(r+1)); the E13

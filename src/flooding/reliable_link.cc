@@ -77,23 +77,18 @@ void clear_arc(std::vector<std::uint64_t>& bits, std::int32_t arc) {
 
 }  // namespace
 
-double BackoffPolicy::delay(std::int32_t attempt, core::Rng& rng) const {
-  double d = base * std::pow(factor, static_cast<double>(attempt));
-  if (max > 0.0) d = std::min(d, max);
-  if (jitter > 0.0) d *= 1.0 + jitter * rng.next_double();
-  return d;
+double BackoffPolicy::delay(std::int32_t attempt) const {
+  const double d = base * std::pow(factor, static_cast<double>(attempt));
+  return max > 0.0 ? std::min(d, max) : d;
 }
 
-ReliableLink::ReliableLink(Network& net, const BackoffPolicy& backoff,
-                           core::Rng& rng)
-    : net_(&net), backoff_(backoff), rng_(&rng) {
+ReliableLink::ReliableLink(Network& net, const BackoffPolicy& backoff)
+    : net_(&net), backoff_(backoff) {
   LHG_CHECK(backoff.base > 0.0 && backoff.factor >= 1.0 &&
-                backoff.max >= 0.0 && backoff.jitter >= 0.0 &&
-                backoff.jitter < 1.0 && backoff.max_retries >= 0,
+                backoff.max >= 0.0 && backoff.max_retries >= 0,
             "reliable_link: bad backoff (base={}, factor={}, max={}, "
-            "jitter={}, retries={})",
-            backoff.base, backoff.factor, backoff.max, backoff.jitter,
-            backoff.max_retries);
+            "retries={})",
+            backoff.base, backoff.factor, backoff.max, backoff.max_retries);
   const auto arcs = static_cast<std::size_t>(net.topology().num_arcs());
   next_seq_.assign(arcs, 0);
   send_base_.assign(arcs, 0);
@@ -106,7 +101,10 @@ ReliableLink::ReliableLink(Network& net, const BackoffPolicy& backoff,
 }
 
 bool ReliableLink::send(NodeId from, NodeId to, std::int64_t payload) {
-  return send_arc(from, to, net_->topology().arc_index(from, to), payload);
+  const std::int32_t arc = net_->topology().arc_index(from, to);
+  LHG_CHECK(arc >= 0, "reliable_link: send {} -> {}: not an overlay edge",
+            from, to);
+  return send_arc(from, to, arc, payload);
 }
 
 void ReliableLink::advance_send_base(std::size_t arc) {
@@ -147,7 +145,7 @@ bool ReliableLink::send_arc(NodeId from, NodeId to, std::int32_t arc,
   if (!accepted && !backoff_.persist_when_blocked) return false;
   if (backoff_.max_retries > 0) {
     net_->simulator().schedule_in(
-        backoff_.delay(0, *rng_),
+        backoff_.delay(0),
         [this, from, to, arc, seq, payload] {
           transmit(from, to, arc, seq, payload, 1);
         });
@@ -178,7 +176,7 @@ void ReliableLink::transmit(NodeId from, NodeId to, std::int32_t arc,
   }
   if (attempt >= backoff_.max_retries) return;
   net_->simulator().schedule_in(
-      backoff_.delay(attempt, *rng_),
+      backoff_.delay(attempt),
       [this, from, to, arc, seq, payload, attempt] {
         transmit(from, to, arc, seq, payload, attempt + 1);
       });

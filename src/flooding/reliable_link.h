@@ -7,8 +7,8 @@
 //   * every DATA copy carries a per-arc sequence number and is ACKed by
 //     the receiver (ACKs can be lost too);
 //   * the sender retransmits an unACKed copy on a timeout that backs
-//     off exponentially (base * factor^attempt, capped, with optional
-//     multiplicative jitter) until `max_retries` is exhausted;
+//     off exponentially (base * factor^attempt, capped) until
+//     `max_retries` is exhausted;
 //   * duplicate DATA is re-ACKed (the previous ACK may have dropped)
 //     but handed to the application exactly once.
 //
@@ -58,21 +58,18 @@
 #include <vector>
 
 #include "core/graph.h"
-#include "core/rng.h"
 #include "flooding/network.h"
 #include "obs/obs.h"
 
 namespace lhg::flooding {
 
 /// Retry schedule: attempt i (0-based) is retried after
-/// min(base * factor^i, max) * (1 + jitter * u), u uniform in [0, 1).
-/// With jitter == 0 the schedule consumes no Rng draws (determinism
-/// contract).  `max == 0` means "no cap".
+/// min(base * factor^i, max).  Deterministic: it draws from no Rng.
+/// `max == 0` means "no cap".
 struct BackoffPolicy {
   double base = 3.0;     ///< delay before the first retransmission
   double factor = 2.0;   ///< multiplier per further attempt
   double max = 60.0;     ///< delay ceiling; 0 disables the cap
-  double jitter = 0.0;   ///< in [0, 1): spreads synchronized retries
   std::int32_t max_retries = 5;  ///< retransmissions after the first send
 
   /// Whether a send refused by the Network (sender crashed, link down,
@@ -82,14 +79,13 @@ struct BackoffPolicy {
   /// reach a neighbor that is rebooting.
   bool persist_when_blocked = false;
 
-  /// The classic fixed-interval schedule (factor 1, no cap, no jitter).
+  /// The classic fixed-interval schedule (factor 1, no cap).
   static BackoffPolicy fixed(double interval, std::int32_t retries) {
-    return {interval, 1.0, 0.0, 0.0, retries, false};
+    return {interval, 1.0, 0.0, retries, false};
   }
 
-  /// Delay before retransmission number `attempt + 1`.  Draws from
-  /// `rng` only when jitter > 0.
-  double delay(std::int32_t attempt, core::Rng& rng) const;
+  /// Delay before retransmission number `attempt + 1`.
+  double delay(std::int32_t attempt) const;
 };
 
 /// Reliable transmission over a Network's overlay arcs.  Installs
@@ -108,9 +104,9 @@ class ReliableLink {
   using DeliverHandler =
       std::function<void(core::NodeId, core::NodeId, std::int64_t)>;
 
-  /// `net` and `rng` must outlive the ReliableLink.  Takes over the
-  /// Network's receive handler.
-  ReliableLink(Network& net, const BackoffPolicy& backoff, core::Rng& rng);
+  /// `net` must outlive the ReliableLink.  Takes over the Network's
+  /// receive handler.
+  ReliableLink(Network& net, const BackoffPolicy& backoff);
 
   ReliableLink(const ReliableLink&) = delete;
   ReliableLink& operator=(const ReliableLink&) = delete;
@@ -126,13 +122,14 @@ class ReliableLink {
   }
 
   /// Observability tap (may be null; default).  Recording never draws
-  /// from the Rng or schedules events, so it cannot perturb the run.
+  /// from an Rng or schedules events, so it cannot perturb the run.
   void set_obs(const obs::SimObs* obs) { obs_ = obs; }
 
   /// Sends `payload` reliably from `from` to its overlay neighbor `to`.
   /// Payload must be non-negative and fit in 45 bits.  Returns false if
   /// the first transmission was refused by the Network *and* the policy
-  /// does not persist through blocked sends.
+  /// does not persist through blocked sends.  Fails a contract if `to`
+  /// is not a neighbor of `from`.
   bool send(core::NodeId from, core::NodeId to, std::int64_t payload);
 
   /// Fast path for callers already holding the CSR arc id of from→to.
@@ -160,7 +157,6 @@ class ReliableLink {
 
   Network* net_;
   BackoffPolicy backoff_;
-  core::Rng* rng_;
   DeliverHandler on_deliver_;
   DeliverHandler on_raw_;
   const obs::SimObs* obs_ = nullptr;

@@ -104,7 +104,7 @@ struct RepairSim {
         cfg(config),
         rng(config.seed),
         net(graph, sim, config.latency, rng, config.chaos),
-        link(net, RepairConfig::kViewBackoff, rng),
+        link(net, RepairConfig::kViewBackoff),
         obs_rt(config.obs),
         obs(obs_rt.obs()),
         n(static_cast<std::size_t>(graph.num_nodes())),
@@ -337,7 +337,7 @@ struct RepairSim {
       }
     }
     if (attempt < RepairConfig::kHandshakeBackoff.max_retries) {
-      sim.schedule_in(RepairConfig::kHandshakeBackoff.delay(attempt, rng),
+      sim.schedule_in(RepairConfig::kHandshakeBackoff.delay(attempt),
                       [this, hid, attempt] {
                         start_handshake(hid, attempt + 1);
                       });

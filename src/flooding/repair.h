@@ -86,14 +86,13 @@ namespace lhg::flooding {
 struct RepairConfig {
   /// Retry schedule for view-change dissemination on the overlay.
   /// Persists through down windows so flapped links don't eat updates.
-  static constexpr BackoffPolicy kViewBackoff{3.0, 2.0, 24.0, 0.0, 6, true};
+  static constexpr BackoffPolicy kViewBackoff{3.0, 2.0, 24.0, 6, true};
   /// Underlay model for confirmation probes and rewiring handshakes:
   /// any two survivors can exchange PROBE/VOUCH and REQ/ACK
   /// point-to-point at this latency (and at `underlay_loss`).
   static constexpr double kUnderlayLatency = 2.0;
   /// Retry schedule for REQ/ACK handshakes (per needed edge).
-  static constexpr BackoffPolicy kHandshakeBackoff{4.0, 2.0, 32.0, 0.0, 8,
-                                                   true};
+  static constexpr BackoffPolicy kHandshakeBackoff{4.0, 2.0, 32.0, 8, true};
 
   /// Target connectivity: the healed overlay aims at the k-connected
   /// LHG over the survivors.

@@ -50,13 +50,8 @@ void finalize_edge_delta(std::vector<Edge>* removed, std::vector<Edge>* added) {
 
 IncrementalOverlay::IncrementalOverlay(NodeId n, std::int32_t k,
                                        Constraint constraint)
-    : IncrementalOverlay(n, k, constraint, Options()) {}
-
-IncrementalOverlay::IncrementalOverlay(NodeId n, std::int32_t k,
-                                       Constraint constraint, Options options)
     : k_(k),
       constraint_(constraint),
-      options_(options),
       plan_(lhg::plan(n, k, constraint)),
       graph_(ImplicitLhg(plan_).materialize()) {
   LHG_CHECK(graph_.num_nodes() == n,
@@ -116,15 +111,6 @@ MemberDelta IncrementalOverlay::apply_batch(std::span<const MemberId> leavers,
 
   TreePlan new_plan = lhg::plan(new_n, k_, constraint_);
   const PlanDelta d = plan_delta(plan_, new_plan);
-  const double turnover =
-      static_cast<double>(d.freed_slots.size() + d.new_slots.size());
-  const double threshold =
-      std::max(4.0 * k_, options_.rebuild_fraction *
-                             static_cast<double>(std::max(old_n, new_n)));
-  if (options_.rebuild_fraction <= 0.0 || turnover > threshold) {
-    return apply_rebuild(sorted_leavers, joins, new_plan);
-  }
-
   std::vector<std::uint8_t> leaving_slot(as_index(old_n), 0);
   for (const MemberId id : sorted_leavers) {
     leaving_slot[as_index(slot_of_member_[as_index(id)])] = 1;
@@ -197,55 +183,6 @@ MemberDelta IncrementalOverlay::apply_batch(std::span<const MemberId> leavers,
 
   commit(std::move(new_plan), std::move(new_member_of_slot), sorted_leavers,
          &delta);
-  return delta;
-}
-
-MemberDelta IncrementalOverlay::apply_rebuild(
-    std::span<const MemberId> sorted_leavers, std::int32_t joins,
-    const TreePlan& new_plan) {
-  MemberDelta delta;
-  delta.incremental = false;
-
-  // Dense canonical reassignment: the i-th smallest surviving (or
-  // fresh) member id takes slot i, mirroring membership::Overlay's
-  // labeled behavior.  The delta is the member-space symmetric
-  // difference of the two translated edge sets.
-  std::vector<MemberId> survivors;
-  for (const MemberId id : member_of_slot_) {
-    if (!std::binary_search(sorted_leavers.begin(), sorted_leavers.end(),
-                            id)) {
-      survivors.push_back(id);
-    }
-  }
-  std::sort(survivors.begin(), survivors.end());
-  for (std::int32_t j = 0; j < joins; ++j) {
-    delta.joined.push_back(next_id_ + j);
-    survivors.push_back(next_id_ + j);
-  }
-
-  const core::Graph new_graph = ImplicitLhg(new_plan).materialize();
-  LHG_CHECK(static_cast<std::size_t>(new_graph.num_nodes()) ==
-                survivors.size(),
-            "apply_rebuild: {} members for {} slots", survivors.size(),
-            new_graph.num_nodes());
-  std::vector<Edge> old_edges;
-  std::vector<Edge> new_edges;
-  translate_edges(graph_.edges(), member_of_slot_, &old_edges);
-  translate_edges(new_graph.edges(), survivors, &new_edges);
-  finalize_edge_delta(&old_edges, &new_edges);
-  delta.removed = std::move(old_edges);
-  delta.added = std::move(new_edges);
-
-  for (std::size_t t = 0; t < survivors.size(); ++t) {
-    const MemberId id = survivors[t];
-    if (id < next_id_ && slot_of_member_[as_index(id)] !=
-                             static_cast<NodeId>(t)) {
-      ++delta.relocated;
-    }
-  }
-
-  ++rebuild_fallbacks_;
-  commit(TreePlan(new_plan), std::move(survivors), sorted_leavers, &delta);
   return delta;
 }
 

@@ -35,11 +35,10 @@
 // All cases are ≤ c·k·log₂ n with c = 2 for the benched k = 4, n ≥ 32
 // regime (in general c = ⌈3k/log₂ n⌉), against Θ(n) rebuild-and-diff.
 // Batched view changes (apply_batch) pay one plan delta for the whole
-// batch, so sustained churn composes sublinearly.  When a requested
-// batch would dissolve more than `rebuild_fraction` of all slots, the
-// engine degrades gracefully to a full rebuild (dense canonical
-// reassignment, flagged in the returned delta) instead of shuffling
-// nearly every occupant through the relocation machinery.
+// batch, so sustained churn composes sublinearly.  Every change, however
+// large, takes this one path: on batches that dissolve most slots a
+// dense rebuild-and-diff (membership::Overlay's approach) rewires as
+// many or more edges (DESIGN.md §16).
 //
 // The canonical invariant: after every change the slot-space graph is
 // bit-identical to lhg::build(size(), k, constraint) — the member
@@ -76,8 +75,6 @@ struct MemberDelta {
   /// Surviving members whose tree position changed (their edges are
   /// fully rewired; identity is preserved).
   std::int32_t relocated = 0;
-  /// False when the engine fell back to a full rebuild.
-  bool incremental = true;
 
   std::int64_t total() const {
     return static_cast<std::int64_t>(added.size() + removed.size());
@@ -86,24 +83,12 @@ struct MemberDelta {
 
 class IncrementalOverlay {
  public:
-  struct Options {
-    /// Fall back to full rebuild when a batch dissolves + creates more
-    /// than this fraction of max(old n, new n) slots.  A floor of 4k
-    /// slots keeps every single-step reshape boundary incremental (the
-    /// worst measured single-step turnover is 4k-1 slots, K-DIAMOND).
-    /// Non-positive forces every change down the rebuild path (useful
-    /// as a baseline); values >= 2 disable the fallback.
-    double rebuild_fraction = 0.5;
-  };
-
   /// Seeds the overlay at size n: member i occupies canonical slot i,
   /// so the member graph starts bit-identical to lhg::build(n, k, c).
   /// Throws std::invalid_argument if (n, k) is not realizable under
   /// the constraint.
   IncrementalOverlay(core::NodeId n, std::int32_t k,
                      Constraint constraint = Constraint::kKTree);
-  IncrementalOverlay(core::NodeId n, std::int32_t k, Constraint constraint,
-                     Options options);
 
   std::int32_t k() const { return k_; }
   Constraint constraint() const { return constraint_; }
@@ -154,18 +139,13 @@ class IncrementalOverlay {
   std::int64_t cumulative_churn() const { return cumulative_churn_; }
   /// Membership changes applied (batches count once).
   std::int64_t generations() const { return generations_; }
-  /// Changes that degraded to the full-rebuild path.
-  std::int64_t rebuild_fallbacks() const { return rebuild_fallbacks_; }
 
  private:
-  MemberDelta apply_rebuild(std::span<const MemberId> sorted_leavers,
-                            std::int32_t joins, const TreePlan& new_plan);
   void commit(TreePlan new_plan, std::vector<MemberId> new_member_of_slot,
               std::span<const MemberId> leavers, MemberDelta* delta);
 
   std::int32_t k_;
   Constraint constraint_;
-  Options options_;
   TreePlan plan_;
   core::Graph graph_;  // canonical slot-space graph for plan_
   std::vector<MemberId> member_of_slot_;   // size == size()
@@ -173,7 +153,6 @@ class IncrementalOverlay {
   MemberId next_id_ = 0;
   std::int64_t cumulative_churn_ = 0;
   std::int64_t generations_ = 0;
-  std::int64_t rebuild_fallbacks_ = 0;
 };
 
 }  // namespace lhg::membership

@@ -36,29 +36,16 @@ SimObs::SimObs(Registry* registry, TraceSink* sink, std::int32_t shard)
   repair_vouched = registry_->counter("repair.suspicions_vouched");
 }
 
-Runtime::Runtime(const ObsConfig& config) : config_(config) {
-  if (config_.metrics) {
-    registry_ = std::make_unique<Registry>();
-  }
-  if (config_.trace) {
-    sink_ = std::make_unique<TraceSink>(config_.trace_capacity);
-  }
-  if (config_.enabled()) {
-    sim_obs_ = std::make_unique<SimObs>(registry_.get(), sink_.get());
-  }
-}
-
-Runtime::Runtime(const ObsConfig& config, std::int32_t shards, PerShardHandles)
+Runtime::Runtime(const ObsConfig& config, std::int32_t shards)
     : config_(config) {
   if (!config_.enabled()) return;
   if (config_.metrics) {
     registry_ = std::make_unique<Registry>(shards);
   }
   if (config_.trace) {
-    shard_sinks_.reserve(static_cast<std::size_t>(shards));
+    sinks_.reserve(static_cast<std::size_t>(shards));
     for (std::int32_t s = 0; s < shards; ++s) {
-      shard_sinks_.push_back(
-          std::make_unique<TraceSink>(config_.trace_capacity));
+      sinks_.push_back(std::make_unique<TraceSink>(config_.trace_capacity));
     }
   }
   // One registering bundle, cloned per shard: the schema is registered
@@ -67,7 +54,7 @@ Runtime::Runtime(const ObsConfig& config, std::int32_t shards, PerShardHandles)
   shard_obs_.reserve(static_cast<std::size_t>(shards));
   for (std::int32_t s = 0; s < shards; ++s) {
     shard_obs_.push_back(base.for_shard(
-        s, config_.trace ? shard_sinks_[static_cast<std::size_t>(s)].get()
+        s, config_.trace ? sinks_[static_cast<std::size_t>(s)].get()
                          : nullptr));
   }
 }
@@ -80,7 +67,8 @@ std::vector<const SimObs*> Runtime::shard_obs() const {
 }
 
 TraceLog Runtime::trace_log() const {
-  if (shard_sinks_.empty()) return sink_ ? sink_->log() : TraceLog{};
+  if (sinks_.empty()) return TraceLog{};
+  if (sinks_.size() == 1) return sinks_.front()->log();
   // Merge the shard rings by (time, shard index); within a shard the
   // ring order is preserved, so the merged log is deterministic at any
   // thread count.
@@ -91,8 +79,8 @@ TraceLog Runtime::trace_log() const {
   };
   std::vector<Cursor> cursors;
   std::size_t total = 0;
-  for (std::size_t s = 0; s < shard_sinks_.size(); ++s) {
-    Cursor c{s, shard_sinks_[s]->log()};
+  for (std::size_t s = 0; s < sinks_.size(); ++s) {
+    Cursor c{s, sinks_[s]->log()};
     merged.dropped += c.log.dropped;
     total += c.log.events.size();
     cursors.push_back(std::move(c));

@@ -91,6 +91,7 @@ class SimObs {
   CounterId repair_handshakes;
   CounterId repair_rewires;
   CounterId repair_confirms;  ///< PROBE + VOUCH messages, retries included
+  CounterId repair_vouched;   ///< suspicions a neighbor vouched for
 
   // --- Recording conveniences (hot path) ---
   void add(CounterId id, std::int64_t delta = 1) const {
@@ -125,48 +126,38 @@ class SimObs {
   Registry* registry_;
   TraceSink* sink_;
   std::int32_t shard_;
-
- public:
-  // Last, in the tail padding after shard_: the members above keep
-  // their offsets, so the inlined recording code of every other layer
-  // compiles unchanged.
-  CounterId repair_vouched;  ///< suspicions a neighbor vouched for
 };
 
-/// Tag selecting Runtime's per-shard-handles mode (sharded engine).
-struct PerShardHandles {};
-
-/// Owns the registry + sink for one run (or one trial).  Cheap to
-/// construct when disabled: no allocation at all, `obs()` is nullptr.
+/// Owns the registry + sinks for one run (or one trial): one SimObs per
+/// shard — all sharing a single registered schema on one
+/// Registry(shards) — plus one TraceSink per shard so lanes never share
+/// a ring.  The single-queue engine is the one-shard case.  Cheap to
+/// construct when disabled: no allocation at all, `obs()` is nullptr
+/// and `shard_obs()` empty.
 class Runtime {
  public:
-  explicit Runtime(const ObsConfig& config);
+  explicit Runtime(const ObsConfig& config, std::int32_t shards = 1);
 
-  /// Per-shard-handles mode, for the sharded engine (shard_sim.h): one
-  /// SimObs per shard — all sharing a single registered schema on one
-  /// Registry(shards) — plus one TraceSink per shard so lanes never
-  /// share a ring.  `metrics_snapshot()` merges shard slabs in index
-  /// order as always; `trace_log()` merges the rings by (time, shard),
-  /// summing the per-ring drop counts.  `obs()` is nullptr in this
-  /// mode — use `shard_obs()`.
-  Runtime(const ObsConfig& config, std::int32_t shards, PerShardHandles);
+  /// Shard 0's handle bundle (the whole run's at one shard), or
+  /// nullptr when fully disabled.
+  const SimObs* obs() const {
+    return shard_obs_.empty() ? nullptr : &shard_obs_.front();
+  }
 
-  /// Handle bundle for components, or nullptr when fully disabled.
-  const SimObs* obs() const { return sim_obs_ ? sim_obs_.get() : nullptr; }
-
-  /// Per-shard handle bundle (per-shard mode only; empty otherwise —
-  /// and empty when observability is fully disabled, matching the
-  /// nullptr convention of `obs()`).
+  /// One handle bundle per shard, for the sharded engine (shard_sim.h);
+  /// empty when observability is fully disabled.
   std::vector<const SimObs*> shard_obs() const;
 
-  /// Merged metrics (empty snapshot when metrics are off).
+  /// Merged metrics (empty snapshot when metrics are off): shard slabs
+  /// summed in index order.
   Snapshot metrics_snapshot() const {
     return registry_ ? registry_->snapshot() : Snapshot{};
   }
-  /// Retained trace events (empty log when tracing is off).  In
-  /// per-shard mode: the shard rings merged by (time, shard index) —
-  /// deterministic at any thread count, but interleaved differently
-  /// than a single-queue run's one ring.
+  /// Retained trace events (empty log when tracing is off).  A lone
+  /// ring is returned as recorded; several are merged by (time, shard
+  /// index), summing their drop counts — deterministic at any thread
+  /// count, but interleaved differently than a single-queue run's one
+  /// ring.
   TraceLog trace_log() const;
 
   const ObsConfig& config() const { return config_; }
@@ -174,10 +165,7 @@ class Runtime {
  private:
   ObsConfig config_;
   std::unique_ptr<Registry> registry_;
-  std::unique_ptr<TraceSink> sink_;
-  std::unique_ptr<SimObs> sim_obs_;
-  // Per-shard mode only:
-  std::vector<std::unique_ptr<TraceSink>> shard_sinks_;
+  std::vector<std::unique_ptr<TraceSink>> sinks_;
   std::vector<SimObs> shard_obs_;
 };
 

@@ -31,30 +31,18 @@ struct Delivery {
 };
 
 TEST(BackoffPolicy, ExponentialScheduleWithCap) {
-  core::Rng rng(1);
-  const BackoffPolicy policy{1.0, 2.0, 5.0, 0.0, 10, false};
-  EXPECT_DOUBLE_EQ(policy.delay(0, rng), 1.0);
-  EXPECT_DOUBLE_EQ(policy.delay(1, rng), 2.0);
-  EXPECT_DOUBLE_EQ(policy.delay(2, rng), 4.0);
-  EXPECT_DOUBLE_EQ(policy.delay(3, rng), 5.0);  // capped
-  EXPECT_DOUBLE_EQ(policy.delay(9, rng), 5.0);
-}
-
-TEST(BackoffPolicy, JitterStaysWithinBounds) {
-  core::Rng rng(7);
-  BackoffPolicy policy{2.0, 1.0, 0.0, 0.5, 3, false};
-  for (int i = 0; i < 100; ++i) {
-    const double d = policy.delay(0, rng);
-    EXPECT_GE(d, 2.0);
-    EXPECT_LT(d, 3.0);  // 2 * (1 + 0.5 * u), u in [0, 1)
-  }
+  const BackoffPolicy policy{1.0, 2.0, 5.0, 10, false};
+  EXPECT_DOUBLE_EQ(policy.delay(0), 1.0);
+  EXPECT_DOUBLE_EQ(policy.delay(1), 2.0);
+  EXPECT_DOUBLE_EQ(policy.delay(2), 4.0);
+  EXPECT_DOUBLE_EQ(policy.delay(3), 5.0);  // capped
+  EXPECT_DOUBLE_EQ(policy.delay(9), 5.0);
 }
 
 TEST(BackoffPolicy, FixedFactoryMatchesClassicSchedule) {
-  core::Rng rng(1);
   const auto policy = BackoffPolicy::fixed(3.0, 5);
-  EXPECT_DOUBLE_EQ(policy.delay(0, rng), 3.0);
-  EXPECT_DOUBLE_EQ(policy.delay(4, rng), 3.0);
+  EXPECT_DOUBLE_EQ(policy.delay(0), 3.0);
+  EXPECT_DOUBLE_EQ(policy.delay(4), 3.0);
   EXPECT_EQ(policy.max_retries, 5);
   EXPECT_FALSE(policy.persist_when_blocked);
 }
@@ -64,7 +52,7 @@ TEST(ReliableLink, LosslessDeliversOnceWithOneAck) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5));
   std::vector<Delivery> log;
   link.set_deliver_handler([&](NodeId to, NodeId from, std::int64_t payload) {
     log.push_back({to, from, payload, sim.now()});
@@ -86,7 +74,7 @@ TEST(ReliableLink, RetransmitsUntilDeliveredUnderHeavyLoss) {
   core::Rng rng(3);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(0.6));
-  ReliableLink link(net, BackoffPolicy::fixed(2.0, 20), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(2.0, 20));
   std::vector<std::int64_t> got;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
     got.push_back(payload);
@@ -105,7 +93,7 @@ TEST(ReliableLink, SuppressesDuplicatedFrames) {
   ChaosSpec chaos;
   chaos.duplicate = 0.9;
   Network net(g, sim, LatencySpec::fixed(1.0), rng, chaos);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5));
   int deliveries = 0;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t) { ++deliveries; });
   for (std::int64_t m = 0; m < 20; ++m) link.send(0, 1, m);
@@ -120,7 +108,7 @@ TEST(ReliableLink, AbandonsAfterRetriesExhausted) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(2.0, 3), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(2.0, 3));
   int deliveries = 0;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t) { ++deliveries; });
   FailurePlan plan;
@@ -138,7 +126,7 @@ TEST(ReliableLink, BlockedSendAbandonsByDefault) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(2.0, 5), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(2.0, 5));
   FailurePlan plan;
   plan.link_failures = {{{0, 1}, 0.0}};
   apply_failure_plan(net, plan);
@@ -155,7 +143,7 @@ TEST(ReliableLink, PersistentPolicyRidesOutALinkFlap) {
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
   BackoffPolicy policy = BackoffPolicy::fixed(2.0, 10);
   policy.persist_when_blocked = true;
-  ReliableLink link(net, policy, rng);
+  ReliableLink link(net, policy);
   std::vector<Delivery> log;
   link.set_deliver_handler([&](NodeId to, NodeId from, std::int64_t payload) {
     log.push_back({to, from, payload, sim.now()});
@@ -177,7 +165,7 @@ TEST(ReliableLink, PersistentPolicyReachesARecoveringReceiver) {
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
   BackoffPolicy policy = BackoffPolicy::fixed(2.0, 10);
   policy.persist_when_blocked = true;
-  ReliableLink link(net, policy, rng);
+  ReliableLink link(net, policy);
   std::vector<Delivery> log;
   link.set_deliver_handler([&](NodeId to, NodeId from, std::int64_t payload) {
     log.push_back({to, from, payload, sim.now()});
@@ -200,7 +188,7 @@ TEST(ReliableLink, RawFramesBypassReliability) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5));
   std::vector<std::int64_t> raw;
   int reliable = 0;
   link.set_raw_handler(
@@ -224,7 +212,7 @@ TEST(ReliableLink, SequenceSpaceWrapsPastTheOldCap) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 0), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 0));
   std::vector<std::int64_t> got;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
     got.push_back(payload);
@@ -256,7 +244,7 @@ TEST(ReliableLink, WraparoundBoundaryDedupSuppressesOldSeqReplays) {
   ChaosSpec chaos;
   chaos.duplicate = 0.9;  // most frames arrive twice
   Network net(g, sim, LatencySpec::fixed(1.0), rng, chaos);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 2), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 2));
   std::vector<std::int64_t> got;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
     got.push_back(payload);
@@ -284,7 +272,7 @@ TEST(ReliableLink, BurstBeyondWindowAbandonsOldestAndCountsOverflows) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 2), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 2));
   std::vector<std::int64_t> got;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
     got.push_back(payload);
@@ -313,7 +301,7 @@ TEST(ReliableLink, SoakFourThousandFramesOneArcUnderLoss) {
   core::Rng rng(11);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(0.2));
-  ReliableLink link(net, BackoffPolicy::fixed(2.0, 20), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(2.0, 20));
 
   obs::Runtime obs_rt(obs::ObsConfig{true, true, 1 << 12});
   sim.set_obs(obs_rt.obs());
@@ -371,18 +359,28 @@ TEST(ReliableLink, ValidatesBackoff) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  EXPECT_THROW(ReliableLink(net, BackoffPolicy{0.0, 1.0, 0.0, 0.0, 5, false},
-                            rng),
+  EXPECT_THROW(ReliableLink(net, BackoffPolicy{0.0, 1.0, 0.0, 5, false}),
                std::invalid_argument);
-  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 0.5, 0.0, 0.0, 5, false},
-                            rng),
+  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 0.5, 0.0, 5, false}),
                std::invalid_argument);
-  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 1.0, 0.0, 1.5, 5, false},
-                            rng),
+  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 1.0, 0.0, -1, false}),
                std::invalid_argument);
-  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 1.0, 0.0, 0.0, -1, false},
-                            rng),
-               std::invalid_argument);
+}
+
+TEST(ReliableLink, SendRejectsNonNeighborPairs) {
+  // Path 0 - 1 - 2: (0, 2) is not an overlay edge and 5 is no node, so
+  // neither has an arc whose per-arc sequence state could be indexed.
+  Simulator sim;
+  core::Rng rng(1);
+  Graph g = Graph::from_edges(3, std::vector<Edge>{{0, 1}, {1, 2}});
+  Network net(g, sim, LatencySpec::fixed(1.0), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5));
+  EXPECT_THROW(link.send(0, 2, 1), std::invalid_argument);
+  EXPECT_THROW(link.send(0, 5, 1), std::invalid_argument);
+  EXPECT_THROW(link.send(-1, 1, 1), std::invalid_argument);
+  EXPECT_TRUE(link.send(0, 1, 1));
+  sim.run();
+  EXPECT_EQ(net.stats().sent, 2);  // only the valid send's DATA + ACK
 }
 
 }  // namespace

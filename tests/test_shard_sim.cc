@@ -417,7 +417,8 @@ class SameTimeScript final : public ShardedSimulator::DeliverSink {
     for (std::int32_t v = nodes - 1; v >= 0; --v) {
       const std::uint64_t origin = static_cast<std::uint64_t>(v + 1) << 32;
       for (std::int32_t j = 0; j < 3; ++j) {
-        pushed.emplace_back((v * 5 + j * 7 + 1) % nodes, origin | j);
+        pushed.emplace_back((v * 5 + j * 7 + 1) % nodes,
+                            origin | static_cast<std::uint64_t>(j));
       }
       pushed.emplace_back(v, origin | 3);
     }
@@ -1463,7 +1464,7 @@ TEST(ShardedNetworkT, EmptyObsTapListDisablesRecording) {
                                   ChaosSpec::none());
   obs::ObsConfig config;
   config.metrics = true;
-  obs::Runtime rt(config, sim.num_shards(), obs::PerShardHandles{});
+  obs::Runtime rt(config, sim.num_shards());
   net.set_obs(rt.shard_obs());
   net.set_obs({});
   const NodeId to = g.neighbors(0)[0];
