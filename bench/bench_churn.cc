@@ -149,11 +149,13 @@ int main(int argc, char** argv) {
                  " > 2k*log2(n)");
           }
         }
-        if (inc.canonical_graph() != overlay.graph()) {
+        const std::int64_t inc_ns = inc_timer.elapsed_ns();
+        const core::Graph inc_graph = inc.canonical_graph();
+        if (inc_graph != overlay.graph()) {
           fail(tag + ": incremental and rebuild graphs diverged");
         }
         Row incr{constraint, "incremental", stats_of(inc_costs),
-                 inc.canonical_graph().num_edges(), inc_timer.elapsed_ns()};
+                 inc_graph.num_edges(), inc_ns};
         res.rows.push_back(incr);
 
         // The headline claim: identity-stable deltas cut the p95
@@ -179,9 +181,9 @@ int main(int argc, char** argv) {
                  std::to_string(delta.total()) + " > 6k^2");
           }
         }
+        const std::int64_t steady_ns = steady_timer.elapsed_ns();
         Row steady{constraint, "steady", stats_of(steady_costs),
-                   inc.canonical_graph().num_edges(),
-                   steady_timer.elapsed_ns()};
+                   inc.canonical_graph().num_edges(), steady_ns};
         res.rows.push_back(steady);
 
         // --- Continuous verification: the steady mix with the
@@ -200,9 +202,9 @@ int main(int argc, char** argv) {
                  std::to_string(b));
           }
         }
+        const std::int64_t verified_ns = verified_timer.elapsed_ns();
         Row verified{constraint, "verified", stats_of(verified_costs),
-                     inc.canonical_graph().num_edges(),
-                     verified_timer.elapsed_ns()};
+                     inc.canonical_graph().num_edges(), verified_ns};
         res.rows.push_back(verified);
         return res;
       },

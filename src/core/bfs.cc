@@ -1,6 +1,7 @@
 #include "core/bfs.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "core/bfs_generic.h"
 #include "core/check.h"
@@ -56,29 +57,6 @@ std::int32_t eccentricity(const Graph& g, NodeId source) {
     ecc = std::max(ecc, d);
   }
   return ecc;
-}
-
-Components connected_components(const Graph& g) {
-  Components out;
-  out.label.assign(static_cast<std::size_t>(g.num_nodes()), -1);
-  std::vector<NodeId> stack;
-  for (NodeId start = 0; start < g.num_nodes(); ++start) {
-    if (out.label[static_cast<std::size_t>(start)] != -1) continue;
-    const std::int32_t id = out.count++;
-    stack.push_back(start);
-    out.label[static_cast<std::size_t>(start)] = id;
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (NodeId v : g.neighbors(u)) {
-        if (out.label[static_cast<std::size_t>(v)] == -1) {
-          out.label[static_cast<std::size_t>(v)] = id;
-          stack.push_back(v);
-        }
-      }
-    }
-  }
-  return out;
 }
 
 bool is_connected(const Graph& g) {

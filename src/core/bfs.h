@@ -48,14 +48,6 @@ std::vector<std::int32_t> bfs_distances_masked(const Graph& g, NodeId source,
 /// kUnreachable if some node is unreachable from `source`.
 std::int32_t eccentricity(const Graph& g, NodeId source);
 
-/// Connected-component labels in [0, #components); label of node 0's
-/// component is 0 when n > 0.
-struct Components {
-  std::vector<std::int32_t> label;  // per node
-  std::int32_t count = 0;
-};
-Components connected_components(const Graph& g);
-
 /// True iff the graph is connected.  The empty graph and the singleton
 /// are connected by convention.
 bool is_connected(const Graph& g);

@@ -60,18 +60,4 @@ std::vector<std::int32_t> generic_bfs_distances(const G& g, NodeId source) {
   return std::move(scratch.dist);
 }
 
-/// Eccentricity of `source` over any GraphLike view: max finite BFS
-/// distance, or kUnreachable if some node is unreached.
-template <GraphLike G>
-std::int32_t generic_eccentricity(const G& g, NodeId source,
-                                  BfsScratch& scratch) {
-  const auto& dist = generic_bfs_distances_into(g, source, scratch);
-  std::int32_t ecc = 0;
-  for (const std::int32_t d : dist) {
-    if (d == kUnreachable) return kUnreachable;
-    ecc = ecc < d ? d : ecc;
-  }
-  return ecc;
-}
-
 }  // namespace lhg::core

@@ -20,8 +20,8 @@
 // unscanned node of maximum r on top, and edge {v, u} (v scanned, u
 // not) belongs to forest F_{r(u)+1} — kept iff r(u)+1 ≤ k.  Everything
 // is index arithmetic over the `GraphLike` concept, so the scan runs
-// storage-free against `lhg::ImplicitLhg` views and emits straight into
-// the memory-lean `Graph::from_csr` path.
+// storage-free against `lhg::ImplicitLhg` views; the kept edges go
+// through `Graph::from_edges` like every other edge list.
 //
 // Determinism: buckets are plain vectors popped LIFO with lazy stale
 // entries, nodes enter bucket 0 in descending id order (so node 0 is
@@ -31,8 +31,8 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -40,12 +40,6 @@
 #include "core/graph_concept.h"
 
 namespace lhg::core {
-
-/// CSR assembly for a self-edge-free, duplicate-free undirected edge
-/// list (the shape the certificate scan emits): two counting passes and
-/// a per-node sort, no hash-set dedup, then `Graph::from_csr`.
-Graph graph_from_undirected_edges(NodeId num_nodes,
-                                  const std::vector<Edge>& edges);
 
 /// The Nagamochi–Ibaraki certificate G_k = F₁ ∪ … ∪ F_k of `g`.
 /// Node ids are preserved; the result has the same node count and at
@@ -97,7 +91,7 @@ Graph sparse_certificate(const G& g, std::int32_t k) {
       }
     }
   }
-  return graph_from_undirected_edges(n, kept);
+  return Graph::from_edges(n, kept);
 }
 
 }  // namespace lhg::core

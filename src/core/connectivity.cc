@@ -306,14 +306,6 @@ bool is_k_vertex_connected(const Graph& g, std::int32_t k) {
   return vertex_connectivity(g, k) >= k;
 }
 
-bool is_k_edge_connected(const Graph& g, std::int32_t k) {
-  if (k <= 0) return true;
-  if (g.num_nodes() < 2) return false;
-  if (g.min_degree() < k) return false;
-  if (k == 1) return is_connected(g);
-  return edge_connectivity(g, k) >= k;
-}
-
 std::optional<std::vector<std::vector<NodeId>>> vertex_disjoint_paths(
     const Graph& g, NodeId s, NodeId t, std::int32_t count) {
   check_pair(g, s, t);
@@ -426,121 +418,6 @@ std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g) {
     }
   }
   return cut;
-}
-
-std::vector<NodeId> articulation_points(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<std::int32_t> disc(n, -1);
-  std::vector<std::int32_t> low(n, 0);
-  std::vector<NodeId> parent(n, -1);
-  std::vector<bool> is_cut(n, false);
-  std::int32_t timer = 0;
-
-  struct Frame {
-    NodeId node;
-    std::size_t next_child = 0;
-  };
-  std::vector<Frame> stack;
-
-  for (NodeId root = 0; root < g.num_nodes(); ++root) {
-    if (disc[static_cast<std::size_t>(root)] != -1) continue;
-    std::int32_t root_children = 0;
-    stack.push_back({root});
-    disc[static_cast<std::size_t>(root)] = low[static_cast<std::size_t>(root)] = timer++;
-    while (!stack.empty()) {
-      auto& frame = stack.back();
-      const NodeId u = frame.node;
-      const auto nbrs = g.neighbors(u);
-      if (frame.next_child < nbrs.size()) {
-        const NodeId v = nbrs[frame.next_child++];
-        if (disc[static_cast<std::size_t>(v)] == -1) {
-          parent[static_cast<std::size_t>(v)] = u;
-          if (u == root) ++root_children;
-          disc[static_cast<std::size_t>(v)] = low[static_cast<std::size_t>(v)] = timer++;
-          stack.push_back({v});
-        } else if (v != parent[static_cast<std::size_t>(u)]) {
-          low[static_cast<std::size_t>(u)] =
-              std::min(low[static_cast<std::size_t>(u)], disc[static_cast<std::size_t>(v)]);
-        }
-      } else {
-        stack.pop_back();
-        const NodeId p = parent[static_cast<std::size_t>(u)];
-        if (p != -1) {
-          low[static_cast<std::size_t>(p)] =
-              std::min(low[static_cast<std::size_t>(p)], low[static_cast<std::size_t>(u)]);
-          if (p != root &&
-              low[static_cast<std::size_t>(u)] >= disc[static_cast<std::size_t>(p)]) {
-            is_cut[static_cast<std::size_t>(p)] = true;
-          }
-        }
-      }
-    }
-    if (root_children > 1) is_cut[static_cast<std::size_t>(root)] = true;
-  }
-  std::vector<NodeId> out;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (is_cut[static_cast<std::size_t>(u)]) out.push_back(u);
-  }
-  return out;
-}
-
-std::vector<Edge> bridges(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<std::int32_t> disc(n, -1);
-  std::vector<std::int32_t> low(n, 0);
-  std::vector<NodeId> parent(n, -1);
-  // Parallel-edge-safe parent skip: remember whether the tree edge to the
-  // parent has been skipped once already.  Graph is simple, so a single
-  // skip suffices.
-  std::vector<bool> parent_skipped(n, false);
-  std::int32_t timer = 0;
-  std::vector<Edge> out;
-
-  struct Frame {
-    NodeId node;
-    std::size_t next_child = 0;
-  };
-  std::vector<Frame> stack;
-
-  for (NodeId root = 0; root < g.num_nodes(); ++root) {
-    if (disc[static_cast<std::size_t>(root)] != -1) continue;
-    stack.push_back({root});
-    disc[static_cast<std::size_t>(root)] = low[static_cast<std::size_t>(root)] = timer++;
-    while (!stack.empty()) {
-      auto& frame = stack.back();
-      const NodeId u = frame.node;
-      const auto nbrs = g.neighbors(u);
-      if (frame.next_child < nbrs.size()) {
-        const NodeId v = nbrs[frame.next_child++];
-        if (v == parent[static_cast<std::size_t>(u)] &&
-            !parent_skipped[static_cast<std::size_t>(u)]) {
-          parent_skipped[static_cast<std::size_t>(u)] = true;
-          continue;
-        }
-        if (disc[static_cast<std::size_t>(v)] == -1) {
-          parent[static_cast<std::size_t>(v)] = u;
-          parent_skipped[static_cast<std::size_t>(v)] = false;
-          disc[static_cast<std::size_t>(v)] = low[static_cast<std::size_t>(v)] = timer++;
-          stack.push_back({v});
-        } else {
-          low[static_cast<std::size_t>(u)] =
-              std::min(low[static_cast<std::size_t>(u)], disc[static_cast<std::size_t>(v)]);
-        }
-      } else {
-        stack.pop_back();
-        const NodeId p = parent[static_cast<std::size_t>(u)];
-        if (p != -1) {
-          low[static_cast<std::size_t>(p)] =
-              std::min(low[static_cast<std::size_t>(p)], low[static_cast<std::size_t>(u)]);
-          if (low[static_cast<std::size_t>(u)] > disc[static_cast<std::size_t>(p)]) {
-            out.push_back(canonical(p, u));
-          }
-        }
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace lhg::core

@@ -94,9 +94,6 @@ std::int32_t vertex_connectivity(const Graph& g,
 /// True iff κ(G) >= k (P1).  k <= 0 is trivially true.
 bool is_k_vertex_connected(const Graph& g, std::int32_t k);
 
-/// True iff λ(G) >= k (P2).  k <= 0 is trivially true.
-bool is_k_edge_connected(const Graph& g, std::int32_t k);
-
 /// Extracts `count` pairwise internally-vertex-disjoint s-t paths (each
 /// a node sequence s ... t).  Returns std::nullopt if fewer than `count`
 /// disjoint paths exist.  The returned paths are simple and share no
@@ -108,11 +105,5 @@ std::optional<std::vector<std::vector<NodeId>>> vertex_disjoint_paths(
 /// (witness for κ(G) when G is not complete).  Returns std::nullopt for
 /// complete graphs (no vertex cut exists).
 std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g);
-
-/// Articulation points (cut vertices) via Tarjan's lowlink DFS.
-std::vector<NodeId> articulation_points(const Graph& g);
-
-/// Bridges (cut edges) via Tarjan's lowlink DFS, canonical order.
-std::vector<Edge> bridges(const Graph& g);
 
 }  // namespace lhg::core

@@ -1,6 +1,7 @@
 #include "core/graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/format.h"
 
@@ -18,57 +19,42 @@ void validate_edge(NodeId num_nodes, Edge e) {
 
 Graph Graph::from_edges(NodeId num_nodes, std::span<const Edge> edges) {
   LHG_CHECK(num_nodes >= 0, "negative node count {}", num_nodes);
-  Graph g;
-  g.edges_.reserve(edges.size());
-  for (Edge e : edges) {
+  // Counting pass, then fill both directions of every listed edge.
+  std::vector<std::int32_t> offsets(static_cast<std::size_t>(num_nodes) + 1,
+                                    0);
+  for (const Edge e : edges) {
     validate_edge(num_nodes, e);
-    g.edges_.push_back(canonical(e.u, e.v));
+    ++offsets[as_index(e.u) + 1];
+    ++offsets[as_index(e.v) + 1];
   }
-  std::sort(g.edges_.begin(), g.edges_.end());
-  g.edges_.erase(std::unique(g.edges_.begin(), g.edges_.end()), g.edges_.end());
-
-  // Counting pass, then CSR fill.
-  g.offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  for (Edge e : g.edges_) {
-    ++g.offsets_[static_cast<std::size_t>(e.u) + 1];
-    ++g.offsets_[static_cast<std::size_t>(e.v) + 1];
-  }
-  for (std::size_t i = 1; i < g.offsets_.size(); ++i) {
-    g.offsets_[i] += g.offsets_[i - 1];
-  }
-  g.adjacency_.resize(static_cast<std::size_t>(g.offsets_.back()));
-  std::vector<std::int32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (Edge e : g.edges_) {
-    g.adjacency_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.u)]++)] = e.v;
-    g.adjacency_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
-  }
-  // Edges were inserted in sorted order, so each node's slice is sorted
-  // with respect to the partner that comes from `e.v`; the `e.u` inserts
-  // interleave, so sort each slice to restore the invariant.
   for (NodeId u = 0; u < num_nodes; ++u) {
-    auto* lo = g.adjacency_.data() + g.offsets_[static_cast<std::size_t>(u)];
-    auto* hi = g.adjacency_.data() + g.offsets_[static_cast<std::size_t>(u) + 1];
-    std::sort(lo, hi);
+    offsets[as_index(u) + 1] += offsets[as_index(u)];
   }
-  // CSR well-formedness: the final offset must account for both
-  // endpoints of every edge.
-  LHG_DCHECK(static_cast<std::size_t>(g.offsets_.back()) == 2 * g.edges_.size(),
-             "CSR offsets end at {} but expected {}", g.offsets_.back(),
-             2 * g.edges_.size());
-  // Arc companion arrays: reverse-arc twin and undirected edge id, one
-  // pass over the canonical edge list.
-  g.twin_.resize(g.adjacency_.size());
-  g.arc_edge_.resize(g.adjacency_.size());
-  for (std::size_t i = 0; i < g.edges_.size(); ++i) {
-    const Edge e = g.edges_[i];
-    const std::int32_t uv = g.arc_index(e.u, e.v);
-    const std::int32_t vu = g.arc_index(e.v, e.u);
-    g.twin_[static_cast<std::size_t>(uv)] = vu;
-    g.twin_[static_cast<std::size_t>(vu)] = uv;
-    g.arc_edge_[static_cast<std::size_t>(uv)] = static_cast<std::int32_t>(i);
-    g.arc_edge_[static_cast<std::size_t>(vu)] = static_cast<std::int32_t>(i);
+  std::vector<NodeId> adjacency(static_cast<std::size_t>(offsets.back()));
+  std::vector<std::int32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const Edge e : edges) {
+    adjacency[static_cast<std::size_t>(cursor[as_index(e.u)]++)] = e.v;
+    adjacency[static_cast<std::size_t>(cursor[as_index(e.v)]++)] = e.u;
   }
-  return g;
+  // Sort and dedup each slice (a duplicated or flipped edge leaves the
+  // same repeat in both endpoints' slices, so symmetry survives), then
+  // compact the slices leftwards over the removed repeats.
+  std::int32_t write = 0;
+  std::int32_t lo = 0;
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    const std::int32_t hi = offsets[as_index(u) + 1];
+    const auto first = adjacency.begin() + lo;
+    std::sort(first, adjacency.begin() + hi);
+    const auto last = std::unique(first, adjacency.begin() + hi);
+    offsets[as_index(u)] = write;
+    for (auto it = first; it != last; ++it) {
+      adjacency[static_cast<std::size_t>(write++)] = *it;
+    }
+    lo = hi;
+  }
+  offsets.back() = write;
+  adjacency.resize(static_cast<std::size_t>(write));
+  return from_csr(num_nodes, std::move(offsets), std::move(adjacency));
 }
 
 Graph Graph::from_csr(NodeId num_nodes, std::vector<std::int32_t> offsets,
@@ -191,28 +177,6 @@ Graph Graph::induced_without(std::span<const NodeId> removed,
   }
   if (mapping != nullptr) *mapping = std::move(relabel);
   return from_edges(next, kept);
-}
-
-GraphBuilder::GraphBuilder(NodeId num_nodes) : num_nodes_(num_nodes) {
-  LHG_CHECK(num_nodes >= 0, "negative node count {}", num_nodes);
-}
-
-void GraphBuilder::check_endpoint(NodeId x) const {
-  LHG_CHECK(x >= 0 && x < num_nodes_, "node {} out of range for n={}", x,
-            num_nodes_);
-}
-
-bool GraphBuilder::add_edge(NodeId u, NodeId v) {
-  check_endpoint(u);
-  check_endpoint(v);
-  LHG_CHECK(u != v, "self-loop at node {}", u);
-  if (!seen_.insert(edge_key(u, v)).second) return false;
-  edges_.push_back(canonical(u, v));
-  return true;
-}
-
-Graph GraphBuilder::build() const {
-  return Graph::from_edges(num_nodes_, edges_);
 }
 
 std::string describe(const Graph& g) {

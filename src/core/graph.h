@@ -7,15 +7,17 @@
 // and immutable after construction, which lets every algorithm in this
 // library take `const Graph&` without defensive copies.
 //
-// Mutation happens through `GraphBuilder`, which deduplicates parallel
-// edges and rejects self-loops (an LHG is a simple graph by definition).
+// Construction has one path: `from_csr` adopts finished CSR arrays and
+// derives the canonical edge list and the arc companions; `from_edges`
+// turns an arbitrary edge list (duplicates and flipped copies allowed,
+// self-loops rejected: an LHG is a simple graph) into such arrays and
+// hands them to `from_csr`.
 
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/check.h"
@@ -51,20 +53,22 @@ class Graph {
   /// Empty graph (0 nodes, 0 edges).
   Graph() = default;
 
-  /// Builds a graph with `num_nodes` nodes from an arbitrary edge list.
-  /// Edges are normalized, deduplicated, and validated (endpoints in
-  /// range, no self-loops).  Bad input fails an LHG_CHECK contract
-  /// (fatal by default; throwing under a test failure handler).
+  /// Builds a graph with `num_nodes` nodes from an arbitrary edge list
+  /// in any order; duplicate and flipped copies of an edge collapse to
+  /// one.  Endpoints are validated (in range, no self-loops), counted
+  /// into CSR slices, and each slice is sorted, deduplicated and
+  /// compacted before `from_csr` finishes the graph.  Bad input fails
+  /// an LHG_CHECK contract (fatal by default; throwing under a test
+  /// failure handler).
   static Graph from_edges(NodeId num_nodes, std::span<const Edge> edges);
 
-  /// Memory-lean build path: adopts already-finished CSR arrays —
-  /// `offsets` of size n+1 and `adjacency` of size 2m with every
-  /// node's slice strictly ascending.  Unlike `from_edges` there is no
-  /// edge-list copy, no sort and no hash-set dedup; the canonical edge
-  /// list and the twin/edge-id arc companions are derived in two flat
-  /// O(m) passes, during which symmetry (v in adj[u] <=> u in adj[v])
-  /// is verified.  Malformed input fails an LHG_CHECK contract.
-  /// This is how implicit views materialize at n = 10^6 and beyond.
+  /// Adopts already-finished CSR arrays — `offsets` of size n+1 and
+  /// `adjacency` of size 2m with every node's slice strictly ascending
+  /// — and derives the canonical edge list and the twin/edge-id arc
+  /// companions in two flat O(m) passes, during which symmetry (v in
+  /// adj[u] <=> u in adj[v]) is verified.  The only code that writes
+  /// those derived arrays.  Malformed input fails an LHG_CHECK
+  /// contract.  Implicit views materialize through it directly.
   static Graph from_csr(NodeId num_nodes, std::vector<std::int32_t> offsets,
                         std::vector<NodeId> adjacency);
 
@@ -193,42 +197,6 @@ class Graph {
   // construction: the reverse-arc position and the undirected edge id.
   std::vector<std::int32_t> twin_;
   std::vector<std::int32_t> arc_edge_;
-};
-
-/// Incremental construction of a `Graph`.  O(1) amortized per edge.
-/// Not thread-safe.
-class GraphBuilder {
- public:
-  /// Prepares a builder for `num_nodes` nodes.  Negative counts fail a
-  /// contract.
-  explicit GraphBuilder(NodeId num_nodes);
-
-  /// Adds the undirected edge {u,v}.  Self-loops and out-of-range
-  /// endpoints fail a contract; duplicate insertions are idempotent.
-  /// Returns true if the edge was new.
-  bool add_edge(NodeId u, NodeId v);
-
-  /// True iff {u,v} has been added.
-  bool has_edge(NodeId u, NodeId v) const {
-    return seen_.contains(edge_key(u, v));
-  }
-
-  NodeId num_nodes() const { return num_nodes_; }
-  std::int64_t num_edges() const { return static_cast<std::int64_t>(edges_.size()); }
-
-  /// Finalizes into an immutable Graph.  The builder may be reused
-  /// afterwards (it retains its edges).
-  Graph build() const;
-
- private:
-  void check_endpoint(NodeId x) const;
-
-  NodeId num_nodes_ = 0;
-  std::vector<Edge> edges_;                // canonical, insertion order
-  // Membership-only dedup (contains/insert, never iterated): edge order
-  // is carried by `edges_`, so the hashed layout never reaches a built
-  // Graph — fine under the determinism linter's `unordered-iteration`.
-  std::unordered_set<std::uint64_t> seen_;  // packed edge keys for dedup
 };
 
 /// Human-readable one-line summary, e.g. "Graph(n=14, m=21, deg 3..3)".

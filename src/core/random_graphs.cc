@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 #include "core/bfs.h"
 #include "core/check.h"
@@ -14,13 +15,16 @@ Graph random_gnm(NodeId num_nodes, std::int64_t num_edges, Rng& rng) {
       static_cast<std::int64_t>(num_nodes) * (num_nodes - 1) / 2;
   LHG_CHECK(num_edges >= 0 && num_edges <= max_edges,
             "G(n,m): m={} out of range for n={}", num_edges, num_nodes);
-  GraphBuilder builder(num_nodes);
-  while (builder.num_edges() < num_edges) {
+  std::vector<Edge> edges;
+  // Membership-only dedup (insert, never iterated): the draw order alone
+  // fixes `edges`, so the hashed layout is invisible to results.
+  std::unordered_set<std::uint64_t> seen;
+  while (static_cast<std::int64_t>(edges.size()) < num_edges) {
     const auto u = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(num_nodes)));
     const auto v = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(num_nodes)));
-    if (u != v) builder.add_edge(u, v);
+    if (u != v && seen.insert(edge_key(u, v)).second) edges.push_back({u, v});
   }
-  return builder.build();
+  return Graph::from_edges(num_nodes, edges);
 }
 
 Graph random_regular(NodeId num_nodes, std::int32_t k, Rng& rng) {

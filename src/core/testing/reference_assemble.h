@@ -2,8 +2,8 @@
 //
 // This is the edge-by-edge assembler `lhg::build` used before the
 // closed-form view (lhg/implicit.h) became the one adjacency rule: it
-// adds every tree edge, leaf attachment and clique edge of a TreePlan
-// through a deduplicating `core::GraphBuilder`.  The equivalence
+// lists every tree edge, leaf attachment and clique edge of a TreePlan
+// and hands the list to `Graph::from_edges`.  The equivalence
 // suites (tests/test_implicit.cc, tests/test_plan_delta.cc) compare the
 // production path against it, so it must stay independent: nothing
 // here may call into lhg/implicit.h or lhg/plan_delta.h.
@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/check.h"
 #include "core/graph.h"
@@ -38,14 +39,14 @@ inline Graph reference_assemble(const TreePlan& plan,
 
   const auto n = layout.total_nodes();
   LHG_CHECK(n <= INT32_MAX, "assemble: {} nodes exceed the NodeId range", n);
-  GraphBuilder builder(static_cast<NodeId>(n));
+  std::vector<Edge> edges;
 
   // Tree edges, once per copy.
   for (std::int32_t c = 0; c < plan.k; ++c) {
     for (std::int32_t i = 1; i < plan.num_interiors(); ++i) {
-      builder.add_edge(
-          layout.interior(c, plan.interior_parent[static_cast<std::size_t>(i)]),
-          layout.interior(c, i));
+      edges.push_back(
+          {layout.interior(c, plan.interior_parent[static_cast<std::size_t>(i)]),
+           layout.interior(c, i)});
     }
   }
 
@@ -55,22 +56,22 @@ inline Graph reference_assemble(const TreePlan& plan,
     const auto slot = layout.leaf_slot[static_cast<std::size_t>(l)];
     if (plan.leaf_kind[static_cast<std::size_t>(l)] == LeafKind::kShared) {
       for (std::int32_t c = 0; c < plan.k; ++c) {
-        builder.add_edge(layout.interior(c, parent), layout.shared_leaf(slot));
+        edges.push_back({layout.interior(c, parent), layout.shared_leaf(slot)});
       }
     } else {
       for (std::int32_t c = 0; c < plan.k; ++c) {
-        builder.add_edge(layout.interior(c, parent),
-                         layout.group_member(slot, c));
+        edges.push_back(
+            {layout.interior(c, parent), layout.group_member(slot, c)});
         for (std::int32_t c2 = c + 1; c2 < plan.k; ++c2) {
-          builder.add_edge(layout.group_member(slot, c),
-                           layout.group_member(slot, c2));
+          edges.push_back(
+              {layout.group_member(slot, c), layout.group_member(slot, c2)});
         }
       }
     }
   }
 
   if (layout_out != nullptr) *layout_out = std::move(layout);
-  return builder.build();
+  return Graph::from_edges(static_cast<NodeId>(n), edges);
 }
 
 }  // namespace lhg::core::testing

@@ -517,23 +517,23 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
 
   // The healed overlay: surviving original edges (dead links excluded)
   // plus everything the handshakes established, on dense survivor ids.
-  core::GraphBuilder healed(n_surv);
+  std::vector<core::Edge> healed;
   std::int32_t idx = 0;
   for (const core::Edge& e : topology.edges()) {
     const NodeId du = dense[static_cast<std::size_t>(e.u)];
     const NodeId dv = dense[static_cast<std::size_t>(e.v)];
     if (du >= 0 && dv >= 0 && link_dead[static_cast<std::size_t>(idx)] == 0) {
-      healed.add_edge(du, dv);
+      healed.push_back({du, dv});
     }
     ++idx;
   }
   for (const Handshake& h : s.needed) {
     if (h.established >= 0.0) {
-      healed.add_edge(dense[static_cast<std::size_t>(h.u)],
-                      dense[static_cast<std::size_t>(h.v)]);
+      healed.push_back({dense[static_cast<std::size_t>(h.u)],
+                        dense[static_cast<std::size_t>(h.v)]});
     }
   }
-  res.healed = healed.build();
+  res.healed = core::Graph::from_edges(n_surv, healed);
   res.survivor_ids = std::move(survivors);
   res.k_connected = core::is_k_vertex_connected(res.healed, cfg.k);
   return res;

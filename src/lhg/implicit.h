@@ -11,8 +11,8 @@
 // list + twin/edge-id arc companions).
 //
 // This closed form is the library's one LHG adjacency rule: `lhg::build`
-// and the membership engine materialize it, and `plan_delta` reads the
-// edges incident to freed and new slots from it.  The edge-by-edge
+// materializes it, the membership engine walks it in place, and
+// `plan_delta` reads the edges incident to freed and new slots from it.  The edge-by-edge
 // reference assembler in core/testing/reference_assemble.h is the
 // independent oracle the tests hold it to.
 //

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/check.h"
-#include "lhg/implicit.h"
 #include "lhg/plan_delta.h"
 
 namespace lhg::membership {
@@ -52,11 +51,10 @@ IncrementalOverlay::IncrementalOverlay(NodeId n, std::int32_t k,
                                        Constraint constraint)
     : k_(k),
       constraint_(constraint),
-      plan_(lhg::plan(n, k, constraint)),
-      graph_(ImplicitLhg(plan_).materialize()) {
-  LHG_CHECK(graph_.num_nodes() == n,
+      view_(lhg::plan(n, k, constraint)) {
+  LHG_CHECK(view_.num_nodes() == n,
             "IncrementalOverlay: planner realized {} nodes for n={}",
-            graph_.num_nodes(), n);
+            view_.num_nodes(), n);
   member_of_slot_.resize(as_index(n));
   slot_of_member_.resize(as_index(n));
   for (NodeId i = 0; i < n; ++i) {
@@ -110,7 +108,7 @@ MemberDelta IncrementalOverlay::apply_batch(std::span<const MemberId> leavers,
   const NodeId new_n = core::checked_cast<NodeId>(new_n64);
 
   TreePlan new_plan = lhg::plan(new_n, k_, constraint_);
-  const PlanDelta d = plan_delta(plan_, new_plan);
+  const PlanDelta d = plan_delta(view_.plan(), new_plan);
   std::vector<std::uint8_t> leaving_slot(as_index(old_n), 0);
   for (const MemberId id : sorted_leavers) {
     leaving_slot[as_index(slot_of_member_[as_index(id)])] = 1;
@@ -169,7 +167,8 @@ MemberDelta IncrementalOverlay::apply_batch(std::span<const MemberId> leavers,
     const NodeId s = slot_of_member_[as_index(id)];
     const NodeId t = d.slot_map[as_index(s)];
     if (t < 0) continue;
-    for (const NodeId nbr : graph_.neighbors(s)) {
+    for (std::int32_t i = 0; i < view_.degree(s); ++i) {
+      const NodeId nbr = view_.neighbor(s, i);
       const NodeId nbr_t = d.slot_map[as_index(nbr)];
       if (nbr_t < 0) continue;
       delta.removed.push_back(core::canonical(member_of_slot_[as_index(s)],
@@ -190,8 +189,7 @@ void IncrementalOverlay::commit(TreePlan new_plan,
                                 std::vector<MemberId> new_member_of_slot,
                                 std::span<const MemberId> leavers,
                                 MemberDelta* delta) {
-  plan_ = std::move(new_plan);
-  graph_ = ImplicitLhg(plan_).materialize();
+  view_ = ImplicitLhg(std::move(new_plan));
   member_of_slot_ = std::move(new_member_of_slot);
   slot_of_member_.resize(as_index(next_id_ + static_cast<MemberId>(
                                                  delta->joined.size())),
@@ -225,15 +223,18 @@ NodeId IncrementalOverlay::slot_of_member(MemberId id) const {
 core::Graph IncrementalOverlay::member_graph(
     std::vector<MemberId>* ids) const {
   const std::vector<MemberId> sorted = members();
+  // Dense node id of each slot: its occupant's rank among the members.
+  std::vector<NodeId> dense(as_index(size()));
+  for (NodeId i = 0; i < size(); ++i) {
+    dense[as_index(slot_of_member_[as_index(sorted[as_index(i)])])] = i;
+  }
   std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(graph_.num_edges()));
-  const auto dense = [&sorted](MemberId id) {
-    return static_cast<NodeId>(
-        std::lower_bound(sorted.begin(), sorted.end(), id) - sorted.begin());
-  };
-  for (const Edge& e : graph_.edges()) {
-    edges.push_back(core::canonical(dense(member_of_slot_[as_index(e.u)]),
-                                    dense(member_of_slot_[as_index(e.v)])));
+  edges.reserve(static_cast<std::size_t>(view_.num_edges()));
+  for (NodeId u = 0; u < size(); ++u) {
+    for (std::int32_t i = 0; i < view_.degree(u); ++i) {
+      const NodeId v = view_.neighbor(u, i);
+      if (u < v) edges.push_back({dense[as_index(u)], dense[as_index(v)]});
+    }
   }
   if (ids != nullptr) *ids = sorted;
   return core::Graph::from_edges(size(), edges);

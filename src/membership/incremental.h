@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "core/graph.h"
+#include "lhg/implicit.h"
 #include "lhg/lhg.h"
 #include "lhg/tree_plan.h"
 
@@ -92,7 +93,7 @@ class IncrementalOverlay {
 
   std::int32_t k() const { return k_; }
   Constraint constraint() const { return constraint_; }
-  core::NodeId size() const { return graph_.num_nodes(); }
+  core::NodeId size() const { return view_.num_nodes(); }
 
   /// True iff the overlay can grow/shrink by one under its constraint.
   bool can_grow() const;
@@ -128,9 +129,10 @@ class IncrementalOverlay {
 
   /// The current abstract plan (always the planner's canonical output
   /// for (size, k, constraint)).
-  const TreePlan& plan() const { return plan_; }
-  /// Slot-space overlay: bit-identical to lhg::build(size, k, c).
-  const core::Graph& canonical_graph() const { return graph_; }
+  const TreePlan& plan() const { return view_.plan(); }
+  /// Slot-space overlay, materialized on each call: bit-identical to
+  /// lhg::build(size, k, c).
+  core::Graph canonical_graph() const { return view_.materialize(); }
   /// The overlay over member identities, densified: node i of the
   /// result is the i-th smallest member id (written to `ids`).
   core::Graph member_graph(std::vector<MemberId>* ids = nullptr) const;
@@ -146,8 +148,7 @@ class IncrementalOverlay {
 
   std::int32_t k_;
   Constraint constraint_;
-  TreePlan plan_;
-  core::Graph graph_;  // canonical slot-space graph for plan_
+  ImplicitLhg view_;  // closed-form slot-space graph of the current plan
   std::vector<MemberId> member_of_slot_;   // size == size()
   std::vector<core::NodeId> slot_of_member_;  // indexed by id; -1 = departed
   MemberId next_id_ = 0;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -80,15 +81,13 @@ TEST(Bfs, Eccentricity) {
 }
 
 TEST(Bfs, ConnectedComponents) {
+  // Components {0,1,2}, {3,4}, {5}: a BFS reaches exactly its own.
   Graph g = Graph::from_edges(6, std::vector<Edge>{{0, 1}, {1, 2}, {3, 4}});
-  const auto comps = connected_components(g);
-  EXPECT_EQ(comps.count, 3);
-  EXPECT_EQ(comps.label[0], comps.label[1]);
-  EXPECT_EQ(comps.label[1], comps.label[2]);
-  EXPECT_EQ(comps.label[3], comps.label[4]);
-  EXPECT_NE(comps.label[0], comps.label[3]);
-  EXPECT_NE(comps.label[5], comps.label[0]);
-  EXPECT_NE(comps.label[5], comps.label[3]);
+  const std::int32_t x = kUnreachable;
+  EXPECT_EQ(bfs_distances(g, 0), (std::vector<std::int32_t>{0, 1, 2, x, x, x}));
+  EXPECT_EQ(bfs_distances(g, 4), (std::vector<std::int32_t>{x, x, x, 1, 0, x}));
+  EXPECT_EQ(bfs_distances(g, 5), (std::vector<std::int32_t>{x, x, x, x, x, 0}));
+  EXPECT_FALSE(is_connected(g));
 }
 
 TEST(Bfs, IsConnected) {

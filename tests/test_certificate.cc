@@ -136,7 +136,7 @@ TEST(Certificate, RunsStorageFreeOverImplicitView) {
             static_cast<std::int64_t>(4) * (view.num_nodes() - 1));
   // And it preserves the LHG's defining property P1/P2 at k.
   EXPECT_TRUE(is_k_vertex_connected(from_view, 4));
-  EXPECT_TRUE(is_k_edge_connected(from_view, 4));
+  EXPECT_EQ(edge_connectivity(from_view, 4), 4);
 }
 
 }  // namespace

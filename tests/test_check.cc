@@ -1,8 +1,8 @@
 // Contracts layer: failure handler plumbing, message formatting, range
-// checks, and the contracts threaded through Graph / GraphBuilder /
-// plan_io.  The test binary installs throwing_check_failure_handler at
-// load time (check_handler_install.cc), so every contract failure below
-// is an ordinary catchable ContractViolation.
+// checks, and the contracts threaded through Graph and plan_io.  The
+// test binary installs throwing_check_failure_handler at load time
+// (check_handler_install.cc), so every contract failure below is an
+// ordinary catchable ContractViolation.
 
 #include "core/check.h"
 
@@ -118,12 +118,14 @@ TEST(CheckIntegration, GraphNeighborsRejectsOutOfRangeNode) {
   EXPECT_THROW(g.degree(99), ContractViolation);
 }
 
-TEST(CheckIntegration, GraphBuilderRejectsSelfLoopAndBadEndpoints) {
-  GraphBuilder builder(4);
-  EXPECT_THROW(builder.add_edge(2, 2), ContractViolation);
-  EXPECT_THROW(builder.add_edge(0, 4), ContractViolation);
-  EXPECT_THROW(builder.add_edge(-1, 0), ContractViolation);
-  EXPECT_EQ(builder.num_edges(), 0);
+TEST(CheckIntegration, FromEdgesRejectsSelfLoopAndBadEndpoints) {
+  EXPECT_THROW(Graph::from_edges(4, std::vector<Edge>{{2, 2}}),
+               ContractViolation);
+  EXPECT_THROW(Graph::from_edges(4, std::vector<Edge>{{0, 4}}),
+               ContractViolation);
+  EXPECT_THROW(Graph::from_edges(4, std::vector<Edge>{{-1, 0}}),
+               ContractViolation);
+  EXPECT_THROW(Graph::from_edges(-1, {}), ContractViolation);
 }
 
 TEST(CheckIntegration, PlanIoRejectsMalformedPlans) {

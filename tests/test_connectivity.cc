@@ -127,8 +127,7 @@ TEST(Connectivity, IsKConnectedPredicates) {
   EXPECT_TRUE(is_k_vertex_connected(c6, 1));
   EXPECT_TRUE(is_k_vertex_connected(c6, 2));
   EXPECT_FALSE(is_k_vertex_connected(c6, 3));
-  EXPECT_TRUE(is_k_edge_connected(c6, 2));
-  EXPECT_FALSE(is_k_edge_connected(c6, 3));
+  EXPECT_EQ(edge_connectivity(c6), 2);
   // n <= k can never be k-connected.
   EXPECT_FALSE(is_k_vertex_connected(complete_graph(3), 3));
   EXPECT_TRUE(is_k_vertex_connected(complete_graph(4), 3));
@@ -192,25 +191,45 @@ TEST(Connectivity, MinimumVertexCut) {
   EXPECT_FALSE(minimum_vertex_cut(complete_graph(4)).has_value());
 }
 
+// Cut vertices by brute force: the nodes whose removal disconnects g.
+std::vector<NodeId> cut_vertices(const Graph& g) {
+  std::vector<NodeId> out;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const NodeId removed[] = {u};
+    if (!is_connected_after_node_removal(g, removed)) out.push_back(u);
+  }
+  return out;
+}
+
+// Cut edges by brute force: the edges whose removal disconnects g.
+std::vector<Edge> cut_edges(const Graph& g) {
+  std::vector<Edge> out;
+  for (const Edge e : g.edges()) {
+    const Edge removed[] = {e};
+    if (!is_connected_after_edge_removal(g, removed)) out.push_back(e);
+  }
+  return out;
+}
+
 TEST(Connectivity, ArticulationPoints) {
   // Barbell: triangle 0-1-2, bridge 2-3, triangle 3-4-5.
   Graph g = Graph::from_edges(
       6, std::vector<Edge>{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4},
                            {4, 5}, {3, 5}});
-  const auto cuts = articulation_points(g);
-  EXPECT_EQ(cuts, (std::vector<NodeId>{2, 3}));
-  EXPECT_TRUE(articulation_points(cycle_graph(5)).empty());
-  EXPECT_EQ(articulation_points(path_graph(4)),
-            (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(cut_vertices(g), (std::vector<NodeId>{2, 3}));
+  EXPECT_EQ(vertex_connectivity(g), 1);
+  EXPECT_TRUE(cut_vertices(cycle_graph(5)).empty());
+  EXPECT_EQ(cut_vertices(path_graph(4)), (std::vector<NodeId>{1, 2}));
 }
 
 TEST(Connectivity, Bridges) {
   Graph g = Graph::from_edges(
       6, std::vector<Edge>{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4},
                            {4, 5}, {3, 5}});
-  EXPECT_EQ(bridges(g), (std::vector<Edge>{{2, 3}}));
-  EXPECT_TRUE(bridges(cycle_graph(6)).empty());
-  EXPECT_EQ(bridges(path_graph(3)), (std::vector<Edge>{{0, 1}, {1, 2}}));
+  EXPECT_EQ(cut_edges(g), (std::vector<Edge>{{2, 3}}));
+  EXPECT_EQ(edge_connectivity(g), 1);
+  EXPECT_TRUE(cut_edges(cycle_graph(6)).empty());
+  EXPECT_EQ(cut_edges(path_graph(3)), (std::vector<Edge>{{0, 1}, {1, 2}}));
 }
 
 // Property sweep: flow-based κ and λ agree with brute force on random

@@ -77,14 +77,14 @@ TEST_P(DiameterRandomAgreement, IfubMatchesApsp) {
   const auto [n, extra_edges, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
   // Random connected graph: spanning path + random extra edges.
-  GraphBuilder builder(n);
-  for (NodeId i = 0; i + 1 < n; ++i) builder.add_edge(i, i + 1);
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
   for (int e = 0; e < extra_edges; ++e) {
     const auto u = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
     const auto v = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
-    if (u != v) builder.add_edge(u, v);
+    if (u != v) edges.push_back({u, v});
   }
-  Graph g = builder.build();
+  Graph g = Graph::from_edges(n, edges);
   EXPECT_EQ(diameter(g), diameter_apsp(g));
 }
 

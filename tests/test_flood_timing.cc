@@ -1,7 +1,8 @@
 // Property tests for flood timing under non-unit latencies: the flood's
 // per-node delivery time must equal the latency-weighted shortest path
 // from the source (flooding explores all paths, so the first copy
-// arrives along the fastest one).  The oracle is a test-local Dijkstra.
+// arrives along the fastest one).  The oracle is the reference Dijkstra
+// (core/testing/reference_dijkstra.h).
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,13 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <queue>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "core/testing/reference_dijkstra.h"
 #include "flooding/network.h"
 #include "flooding/protocols.h"
 #include "flooding/trial_runner.h"
@@ -29,31 +29,6 @@ namespace {
 using core::Edge;
 using core::Graph;
 using core::NodeId;
-
-/// Dijkstra with explicit per-edge weights.
-std::vector<double> dijkstra(const Graph& g, NodeId source,
-                             const std::unordered_map<std::uint64_t, double>&
-                                 weight) {
-  std::vector<double> dist(static_cast<std::size_t>(g.num_nodes()),
-                           std::numeric_limits<double>::infinity());
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(source)] = 0;
-  heap.push({0.0, source});
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    for (NodeId v : g.neighbors(u)) {
-      const double w = weight.at(core::edge_key(u, v));
-      if (d + w < dist[static_cast<std::size_t>(v)]) {
-        dist[static_cast<std::size_t>(v)] = d + w;
-        heap.push({d + w, v});
-      }
-    }
-  }
-  return dist;
-}
 
 /// Recovers the per-link latencies the Network would sample, by
 /// replaying the same Rng consumption order (per-link cache, sampled on
@@ -107,7 +82,10 @@ TEST_P(FloodTimingOracle, DeliveryTimesAreShortestLatencyPaths) {
   sim.schedule_at(0.0, [&] { forward(0, -1); });
   sim.run();
 
-  const auto oracle = dijkstra(g, 0, weight);
+  const auto oracle = core::testing::dijkstra_distances(
+      g, 0, [&weight](NodeId u, NodeId v) {
+        return weight.at(core::edge_key(u, v));
+      });
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     ASSERT_GE(delivered[static_cast<std::size_t>(u)], 0.0) << "node " << u;
     EXPECT_NEAR(delivered[static_cast<std::size_t>(u)],

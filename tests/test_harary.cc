@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "core/connectivity.h"
 #include "core/diameter.h"
@@ -42,6 +43,19 @@ TEST(Harary, OddKOddNHasOneHeavyNode) {
   EXPECT_EQ(g.min_degree(), 3);
   EXPECT_EQ(g.max_degree(), 4);
   EXPECT_EQ(g.degree(0), 4);  // the adjusted vertex
+}
+
+TEST(Harary, PinnedOddKOddN) {
+  // H(5, 11), recorded before circulant built through from_edges: the
+  // ring, the near-diametric chords and node 0's extra chord {0, 5}.
+  const Graph g = circulant(11, 5);
+  const std::vector<core::Edge> pinned{
+      {0, 1}, {0, 2}, {0, 5}, {0, 6}, {0, 9},  {0, 10}, {1, 2},
+      {1, 3}, {1, 7}, {1, 10}, {2, 3}, {2, 4}, {2, 8},  {3, 4},
+      {3, 5}, {3, 9}, {4, 5}, {4, 6}, {4, 10}, {5, 6}, {5, 7},
+      {6, 7}, {6, 8}, {7, 8}, {7, 9}, {8, 9}, {8, 10}, {9, 10}};
+  EXPECT_EQ(std::vector<core::Edge>(g.edges().begin(), g.edges().end()),
+            pinned);
 }
 
 TEST(Harary, Validation) {

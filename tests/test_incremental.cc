@@ -34,7 +34,8 @@ using core::NodeId;
 /// The overlay's edge set over member ids (canonical sorted).
 std::vector<Edge> member_space_edges(const IncrementalOverlay& o) {
   std::vector<Edge> edges;
-  for (const Edge& e : o.canonical_graph().edges()) {
+  const core::Graph slot_graph = o.canonical_graph();
+  for (const Edge& e : slot_graph.edges()) {
     edges.push_back(
         core::canonical(o.member_of_slot(e.u), o.member_of_slot(e.v)));
   }

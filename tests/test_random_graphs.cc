@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "core/bfs.h"
 
@@ -25,6 +26,19 @@ TEST(RandomGnm, EdgeCases) {
   EXPECT_EQ(full.num_edges(), 15);
   EXPECT_THROW(random_gnm(4, 7, rng), std::invalid_argument);
   EXPECT_THROW(random_gnm(-1, 0, rng), std::invalid_argument);
+}
+
+TEST(RandomGnm, PinnedInstance) {
+  // Recorded before random_gnm kept its own dedup set: the draw order,
+  // the edge set and the Rng state afterwards must never move.
+  Rng rng(7);
+  const Graph g = random_gnm(12, 20, rng);
+  const std::vector<Edge> pinned{
+      {0, 1}, {0, 7},  {1, 4},  {1, 8},  {2, 5},  {2, 6},  {2, 7},
+      {2, 10}, {3, 5}, {3, 8},  {3, 11}, {4, 8},  {5, 6},  {5, 11},
+      {6, 8}, {7, 9},  {7, 10}, {8, 9},  {9, 11}, {10, 11}};
+  EXPECT_EQ(std::vector<Edge>(g.edges().begin(), g.edges().end()), pinned);
+  EXPECT_EQ(rng.next_below(1000000), 101076u);
 }
 
 TEST(RandomGnm, DeterministicPerSeed) {

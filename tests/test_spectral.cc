@@ -71,15 +71,15 @@ TEST(Spectral, SweepConductanceKnownCuts) {
   // C_16's best sweep cut is the half-ring: cut 2, volume 16 -> 1/8.
   EXPECT_NEAR(sweep_conductance(cycle_graph(16)), 2.0 / 16.0, 1e-9);
   // A barbell (two K5s joined by one edge) has conductance ~1/21.
-  GraphBuilder builder(10);
+  std::vector<Edge> edges;
   for (NodeId i = 0; i < 5; ++i) {
     for (NodeId j = i + 1; j < 5; ++j) {
-      builder.add_edge(i, j);
-      builder.add_edge(i + 5, j + 5);
+      edges.push_back({i, j});
+      edges.push_back({i + 5, j + 5});
     }
   }
-  builder.add_edge(4, 5);
-  const double phi = sweep_conductance(builder.build());
+  edges.push_back({4, 5});
+  const double phi = sweep_conductance(Graph::from_edges(10, edges));
   EXPECT_NEAR(phi, 1.0 / 21.0, 1e-9);
 }
 
