@@ -18,6 +18,9 @@
 //                   n = 10^5 (--small) and 10^6 — every row carries
 //                   peak_rss_bytes and the 10^5 rows are gated by
 //                   bench/memory_budget.json in CI
+//   verify_exact    exact κ >= k (Even's ordered fans on the certificate)
+//                   on the LHG and the circulant H(4, n): n = 10^4
+//                   (--small), 10^5 and 10^6
 //
 // Expected shape: the kappa and lambda columns equal k on every row and
 // the summary counts zero deviations; speedup columns grow with n; the
@@ -289,6 +292,34 @@ int main(int argc, char** argv) {
     report.add("verify_implicit_probes/k=" + std::to_string(k) +
                    "/n=" + std::to_string(n),
                {{"k", k}, {"n", n}, {"samples", samples}}, probe_ns);
+  }
+
+  // --- E24d: exact κ >= k at scale ------------------------------------
+  // The whole question, not sampled pairs: is_k_vertex_connected runs
+  // Even's ordered fans on the k-certificate (one local k-fan search per
+  // vertex), on the LHG and on the circulant H(4, n), whose every probe
+  // in E24a has to wrap half the ring.
+  std::cout << "\nE24d: exact kappa >= k by ordered fans (k=" << k
+            << ", peak RSS per row)\n";
+  bench::Table exact({"topo", "n", "kappa>=k", "ms", "peak_rss_mb"}, 12);
+  exact.print_header();
+  const auto exact_sizes =
+      opts.small ? std::vector<std::int64_t>{10'000}
+                 : std::vector<std::int64_t>{10'000, 100'000, 1'000'000};
+  for (const std::string& topo : {std::string("lhg"), std::string("harary")}) {
+    for (const std::int64_t n : exact_sizes) {
+      const Graph g = topo == "lhg"
+                          ? lhg::build(static_cast<NodeId>(n), k)
+                          : harary::circulant(static_cast<NodeId>(n), k);
+      const bench::WallTimer timer;
+      const bool connected = core::is_k_vertex_connected(g, k);
+      const std::int64_t ns = timer.elapsed_ns();
+      LHG_CHECK(connected, "{} at n={} is not {}-connected", topo, n, k);
+      exact.print_row(topo, n, "yes", ms(ns),
+                      mb(bench::BenchReport::peak_rss_bytes()));
+      report.add("verify_exact/kappa/topo=" + topo + "/n=" + std::to_string(n),
+                 {{"k", k}, {"n", n}}, ns);
+    }
   }
 
   std::cout << "\nshape check: on the lhg topology the speedup grows with n "

@@ -14,7 +14,7 @@
 // neighbors fail to vouch for it); reconnect a few underlay round-trips
 // later; repaired% and kconn% pinned at 100 even with 10% loss on both
 // overlay and underlay (retries absorb it); view-change messages per
-// node about flat in n, up to the n = 10^4 scale row (4096 in --small).
+// node about flat in n, up to the n = 10^5 scale row (4096 in --small).
 //
 // Trials fan across core::parallel via flooding::TrialRunner;
 // LHG_THREADS controls the lane count.  `--trace <path>` adds one
@@ -160,6 +160,7 @@ int main(int argc, char** argv) {
     measure(4096, 4, /*loss=*/0.1, 3204, 2);
   } else {
     measure(10000, 4, /*loss=*/0.1, 3304, 4);
+    measure(100000, 4, /*loss=*/0.1, 3305, 2);
   }
   std::cout << "shape check: repaired% == kconn% == 100 on every row; loss "
                "raises vc/hs message cost, not the failure rate; vc/node "

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/check.h"
 #include "core/maxflow.h"
 #include "core/parallel.h"
+#include "core/rng.h"
 
 namespace lhg::core {
 
@@ -154,6 +156,86 @@ class LaneProbers {
   std::vector<std::optional<ConnectivityProber>> probers_;
 };
 
+/// Even's test of κ(g) >= c under a fixed vertex order v_1 … v_n
+/// (SIAM J. Comput. 4(3), 1975): κ >= c iff n > c, every pair among
+/// v_1 … v_c has c internally disjoint paths, and every later v_j has a
+/// c-fan to {v_1 … v_{j-1}}.  (If a cut C with |C| < c leaves v_1 … v_c
+/// on one side A ∪ C, the first v_j on the other side has no c-fan
+/// into A ∪ C; otherwise two of v_1 … v_c lie on opposite sides.)  The
+/// verdict does not depend on the order, but the cost does: a fan
+/// stops at the first free set vertex it reaches, so under a random
+/// order the set {v_1 … v_{j-1}} has density j/n around every vertex
+/// and most fans end within a few hops.  A breadth-first order would
+/// put every later vertex far from the set.
+///
+/// Fans only read the graph, so they run through `parallel_for` with a
+/// FanSearch per lane; the shared flag only skips work once some fan
+/// failed, so the returned bool is the same at every LHG_THREADS.
+class OrderedFanTest {
+ public:
+  OrderedFanTest(const Graph& g, std::span<const NodeId> order)
+      : g_(&g),
+        order_(order),
+        rank_(static_cast<std::size_t>(g.num_nodes()), -1),
+        prober_(g),
+        fans_(static_cast<std::size_t>(global_thread_count())) {
+    LHG_CHECK(order.size() == static_cast<std::size_t>(g.num_nodes()),
+              "vertex order has {} entries for {} vertices", order.size(),
+              g.num_nodes());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      LHG_CHECK_RANGE(order[i], g.num_nodes());
+      auto& r = rank_[static_cast<std::size_t>(order[i])];
+      LHG_CHECK(r < 0, "vertex {} appears twice in the order", order[i]);
+      r = static_cast<std::int32_t>(i);
+    }
+  }
+
+  bool passes(std::int32_t c) {
+    const NodeId n = g_->num_nodes();
+    if (n <= c) return false;
+    for (std::int32_t i = 0; i < c; ++i) {
+      for (std::int32_t j = i + 1; j < c; ++j) {
+        if (prober_.vertex_probe(order_[static_cast<std::size_t>(i)],
+                                  order_[static_cast<std::size_t>(j)],
+                                  c) < c) {
+          return false;
+        }
+      }
+    }
+    std::atomic<bool> failed{false};
+    parallel_for(n - c, kFanGrain, [&](std::int64_t i, int lane) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      auto& fans = fans_[static_cast<std::size_t>(lane)];
+      if (!fans) fans.emplace(*g_);
+      const auto j = static_cast<std::int32_t>(c + i);
+      if (fans->fan(order_[static_cast<std::size_t>(j)], c, rank_, j) < c) {
+        failed.store(true, std::memory_order_relaxed);
+      }
+    });
+    return !failed.load(std::memory_order_relaxed);
+  }
+
+ private:
+  static constexpr std::int64_t kFanGrain = 128;
+
+  const Graph* g_;
+  std::span<const NodeId> order_;
+  std::vector<std::int32_t> rank_;  // rank_[order_[i]] == i
+  ConnectivityProber prober_;  // the pair checks, serial
+  std::vector<std::optional<FanSearch>> fans_;  // one per lane
+};
+
+/// The order the public κ functions test in: a seeded-random
+/// permutation from a fixed stream, so every call on the same graph
+/// does the same work.
+std::vector<NodeId> fan_order(NodeId n) {
+  std::vector<NodeId> order(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+  Rng rng(0x45'76'65'6e'46'61'6e'73ULL);  // "EvenFans"
+  rng.shuffle(std::span<NodeId>(order));
+  return order;
+}
+
 }  // namespace
 
 ConnectivityProber::ConnectivityProber(const Graph& g) : g_(&g) {}
@@ -263,48 +345,40 @@ std::int32_t vertex_connectivity(const Graph& g, std::int32_t upper_limit) {
   if (g.num_nodes() == 1) return 0;
   if (!is_connected(g)) return 0;
   if (is_complete(g)) return std::min(g.num_nodes() - 1, upper_limit);
-
-  // Even's pruning: κ is witnessed either between a minimum-degree
-  // vertex v and one of its non-neighbors, or between two non-adjacent
-  // neighbors of v.  Pairs come from G; probes run on the certificate
-  // (same node ids, and min(κ_cert, cap) == min(κ_G, cap) pairwise).
-  // κ is symmetric, so v's side of each pair does not change a value;
-  // v goes in SINK position, as in minimum_vertex_cut, whose cut is read
-  // off the sink side and therefore depends on the orientation.
-  NodeId v = 0;
-  for (NodeId u = 1; u < g.num_nodes(); ++u) {
-    if (g.degree(u) < g.degree(v)) v = u;
-  }
-  const std::int32_t initial = std::min(g.degree(v), upper_limit);
-  if (initial <= 0) return initial;
+  // κ <= δ.  The certificate at c0 = min(δ, cap) keeps min(κ, c0), so
+  // for every c <= c0 it is c-connected iff G is: test c = c0, c0-1, …
+  // on it and return the first that passes.  A connected graph passes 1.
+  const std::int32_t initial = std::min(g.min_degree(), upper_limit);
+  if (initial <= 1) return initial;
   const Graph cert = sparse_certificate(g, initial);
-  LaneProbers probers(cert);
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (NodeId w = 0; w < g.num_nodes(); ++w) {
-    if (w == v || g.has_edge(v, w)) continue;
-    pairs.emplace_back(w, v);
+  const std::vector<NodeId> order = fan_order(cert.num_nodes());
+  OrderedFanTest test(cert, order);
+  for (std::int32_t c = initial; c >= 2; --c) {
+    if (test.passes(c)) return c;
   }
-  const auto nbrs = g.neighbors(v);
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-      if (g.has_edge(nbrs[i], nbrs[j])) continue;
-      pairs.emplace_back(nbrs[i], nbrs[j]);
-    }
-  }
-  return min_over_pairs(
-      pairs, initial,
-      [&probers](NodeId s, NodeId t, std::int32_t limit, int lane) {
-        return probers.lane(lane).vertex_probe(s, t, limit);
-      });
+  return 1;
 }
 
 bool is_k_vertex_connected(const Graph& g, std::int32_t k) {
   if (k <= 0) return true;
   if (g.num_nodes() <= k) return false;  // k-connected needs n >= k+1
   if (g.min_degree() < k) return false;
-  if (k == 1) return is_connected(g);
-  return vertex_connectivity(g, k) >= k;
+  if (!is_connected(g)) return false;
+  if (k == 1 || is_complete(g)) return true;
+  const Graph cert = sparse_certificate(g, k);
+  const std::vector<NodeId> order = fan_order(cert.num_nodes());
+  return OrderedFanTest(cert, order).passes(k);
 }
+
+namespace detail {
+
+bool is_k_vertex_connected_in_order(const Graph& g, std::int32_t k,
+                                    std::span<const NodeId> order) {
+  LHG_CHECK(k >= 1, "ordered κ test needs k >= 1, got {}", k);
+  return OrderedFanTest(g, order).passes(k);
+}
+
+}  // namespace detail
 
 std::optional<std::vector<std::vector<NodeId>>> vertex_disjoint_paths(
     const Graph& g, NodeId s, NodeId t, std::int32_t count) {
@@ -367,9 +441,10 @@ std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g) {
   LHG_CHECK(g.num_nodes() > 0, "minimum vertex cut of the empty graph");
   if (is_complete(g)) return std::nullopt;
 
-  // Find the pair realizing κ (same probe set as vertex_connectivity).
-  // Probes run on a certificate at δ(G)+1 — one above any possible κ,
-  // so every probe value matches the full graph's.
+  // Find the pair realizing κ: Esfahanian–Hakimi, a minimum-degree v
+  // against its non-neighbors, then pairs of v's neighbors.  Probes run
+  // on a certificate at δ(G)+1 — one above any possible κ, so every
+  // probe value matches the full graph's.
   NodeId v = 0;
   for (NodeId u = 1; u < g.num_nodes(); ++u) {
     if (g.degree(u) < g.degree(v)) v = u;
@@ -385,9 +460,8 @@ std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g) {
       best_pair = {a, b};
     }
   };
-  // v as the common sink, matching vertex_connectivity.  The cut below
-  // is the sink-side one of the pair found here, so this orientation is
-  // part of the result.
+  // v as the common sink.  The cut below is the sink-side one of the
+  // pair found here, so this orientation is part of the result.
   for (NodeId w = 0; w < g.num_nodes(); ++w) {
     if (w != v && !g.has_edge(v, w)) probe(w, v);
   }

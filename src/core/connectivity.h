@@ -19,12 +19,23 @@
 //     (core/maxflow.h) with the cap as the flow limit, so a yes/no
 //     question costs at most cap+1 searches, O(cap · certificate-size).
 //
-// Global values use the Even / Esfahanian–Hakimi pruning: fix a
-// minimum-degree vertex v, probe v against its non-neighbors, then
-// probe pairs of v's neighbors — O(n + δ²) flow calls instead of O(n²),
-// run through `core::parallel` with a shared upper bound whose pruning
-// is exact (see SharedUpperBound in the .cc), so results are
-// bit-identical at every LHG_THREADS.
+// Global values:
+//  - κ(G) ≥ c is S. Even's ordered-fan test ("An algorithm for
+//    determining whether the connectivity of a graph is at least k",
+//    SIAM J. Comput. 4(3), 1975) on the certificate: under a fixed
+//    seeded-random vertex order v_1 … v_n, the c(c−1)/2 pairs among
+//    v_1 … v_c are probed, then every later v_j runs one local c-fan
+//    search (core/maxflow.h FanSearch) into {v_1 … v_{j−1}}, in
+//    parallel through `core::parallel`.  `vertex_connectivity` tests
+//    c = min(δ, cap), then c−1, … and returns the first that passes.
+//    The answer is a bool per c, so results are bit-identical at every
+//    LHG_THREADS.
+//  - λ(G) probes consecutive pairs of a DFS order with a shared upper
+//    bound whose pruning is exact (SharedUpperBound in the .cc).
+//  - `minimum_vertex_cut` keeps the Esfahanian–Hakimi pair loop — a
+//    minimum-degree v against its non-neighbours, then pairs of v's
+//    neighbours — because its witness is the sink side of the pair it
+//    finds.
 //
 // All global routines accept an `upper_limit` so that yes/no questions
 // ("is κ ≥ k?") stop each flow as soon as k augmenting paths exist —
@@ -37,6 +48,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/graph.h"
@@ -105,5 +117,17 @@ std::optional<std::vector<std::vector<NodeId>>> vertex_disjoint_paths(
 /// (witness for κ(G) when G is not complete).  Returns std::nullopt for
 /// complete graphs (no vertex cut exists).
 std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g);
+
+namespace detail {
+
+/// Even's ordered test of κ(g) >= k on `g` as given (no certificate),
+/// under the vertex order `order` (a permutation of g's nodes).  The
+/// verdict does not depend on the order; `is_k_vertex_connected` and
+/// `vertex_connectivity` pass a fixed seeded-random one.  Exposed so
+/// tests can pin an order.  Requires k >= 1.
+bool is_k_vertex_connected_in_order(const Graph& g, std::int32_t k,
+                                    std::span<const NodeId> order);
+
+}  // namespace detail
 
 }  // namespace lhg::core

@@ -1,6 +1,7 @@
 #include "core/maxflow.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/check.h"
 
@@ -227,6 +228,102 @@ std::vector<bool> FlowNetwork::min_cut_source_side() const {
     }
   }
   return source_side;
+}
+
+constexpr std::int32_t kNoFeed = -1;    // feed_: v carries no flow
+constexpr std::int32_t kViaSplit = -1;  // via_: v_in entered from v_out
+
+FanSearch::FanSearch(const Graph& g)
+    : g_(&g),
+      feed_(static_cast<std::size_t>(g.num_nodes()), kNoFeed),
+      mark_(static_cast<std::size_t>(g.num_nodes()), 0),
+      via_(static_cast<std::size_t>(g.num_nodes())),
+      pred_(static_cast<std::size_t>(g.num_nodes())) {}
+
+std::int32_t FanSearch::fan(NodeId source, std::int32_t limit,
+                            std::span<const std::int32_t> rank,
+                            std::int32_t bound) {
+  LHG_CHECK_RANGE(source, g_->num_nodes());
+  LHG_CHECK(rank.size() == static_cast<std::size_t>(g_->num_nodes()),
+            "fan: {} ranks for {} vertices", rank.size(), g_->num_nodes());
+  LHG_CHECK(rank[static_cast<std::size_t>(source)] >= bound,
+            "fan: source {} lies in its own sink set", source);
+  std::int32_t found = 0;
+  while (found < limit && augment(source, rank, bound)) ++found;
+  for (const NodeId v : touched_) feed_[static_cast<std::size_t>(v)] = kNoFeed;
+  touched_.clear();
+  return found;
+}
+
+void FanSearch::set_feed(NodeId v, std::int32_t arc) {
+  auto& slot = feed_[static_cast<std::size_t>(v)];
+  if (slot == kNoFeed) touched_.push_back(v);
+  slot = arc;
+}
+
+bool FanSearch::augment(NodeId source, std::span<const std::int32_t> rank,
+                        std::int32_t bound) {
+  if (stamp_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(mark_.begin(), mark_.end(), 0);
+    stamp_ = 0;
+  }
+  const std::uint32_t stamp = ++stamp_;
+  const Graph& g = *g_;
+  const std::int32_t* const feed = feed_.data();
+  std::uint32_t* const mark = mark_.data();
+  const auto tail = [&g](std::int32_t arc) {
+    return g.arc_target(g.twin_arc(arc));
+  };
+
+  // v_in, entered by `via`, moves on to y_out: visit y_out unless seen.
+  // A y in the sink set completes the path at `end`.
+  NodeId end = -1;
+  const auto enter = [&](NodeId v, std::int32_t via, NodeId y) {
+    if (mark[y] == stamp) return;
+    mark[y] = stamp;
+    via_[static_cast<std::size_t>(v)] = via;
+    pred_[static_cast<std::size_t>(y)] = v;
+    if (rank[static_cast<std::size_t>(y)] < bound) {
+      end = y;
+    } else {
+      queue_.push_back(y);
+    }
+  };
+
+  mark[source] = stamp;
+  queue_.clear();
+  queue_.push_back(source);
+  for (std::size_t head = 0; head < queue_.size() && end < 0; ++head) {
+    const NodeId x = queue_[head];
+    const std::int32_t first = g.arc_begin(x);
+    const std::int32_t last = first + g.degree(x);
+    for (std::int32_t a = first; a < last && end < 0; ++a) {
+      // Edge arc x_out -> w_in, residual unless it feeds w.  From w_in
+      // the one move is on to w_out (w unused) or back along w's feed.
+      const NodeId w = g.arc_target(a);
+      const std::int32_t in = feed[w];
+      if (in != a) enter(w, a, in == kNoFeed ? w : tail(in));
+    }
+    // x_out -> x_in undoes x's split arc; from x_in, back along x's feed.
+    // The source is never fed.
+    const std::int32_t in = feed[x];
+    if (end < 0 && in != kNoFeed) enter(x, kViaSplit, tail(in));
+  }
+  if (end < 0) return false;
+
+  // Walk the path back from the sink arc, rewriting each in-node's feed.
+  for (NodeId y = end; y != source;) {
+    const NodeId v = pred_[static_cast<std::size_t>(y)];
+    const std::int32_t via = via_[static_cast<std::size_t>(v)];
+    if (via == kViaSplit) {
+      set_feed(v, kNoFeed);  // v leaves the flow; its out-node came first
+      y = v;
+    } else {
+      set_feed(v, via);  // replaces the feed the path cancelled, if any
+      y = tail(via);
+    }
+  }
+  return true;
 }
 
 }  // namespace lhg::core

@@ -22,12 +22,21 @@
 // nodes or m arcs, and after the first query nothing allocates (the
 // no-alloc discipline of DESIGN.md §9, §15).  The result of every query
 // is a valid flow, read by `flow_on` and `min_cut_source_side`.
+//
+// `FanSearch` is the local counterpart: a unit-capacity flow from one
+// vertex to a vertex SET over the graph's own CSR, whose searches stop
+// at the first free set vertex they reach, so a query costs only what
+// it explores (S. Even's fans, the per-vertex step of the κ ≥ k test in
+// core/connectivity.cc).
 
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
+
+#include "core/graph.h"
 
 namespace lhg::core {
 
@@ -111,6 +120,53 @@ class FlowNetwork {
   std::vector<std::int32_t> adj_arc_;   // arc ids grouped by tail
 
   MaxflowScratch scratch_;
+};
+
+/// Fans in one fixed graph (S. Even, SIAM J. Comput. 4(3), 1975): a
+/// fan from `source` to a set S ∌ source is a family of paths that
+/// share only `source` and end at distinct vertices of S.  Its largest
+/// size is a max-flow in Even's vertex-split network — v_in → v_out of
+/// capacity 1 per vertex, u_out → v_in and v_out → u_in per edge, and
+/// v_out → T for every v in S — and that is what `fan` computes, one
+/// unit BFS augmentation at a time.
+///
+/// The split network is never built: with unit capacities a flow
+/// state is one "feeding arc" per vertex (the graph arc carrying flow
+/// into v_in, or none), so every residual move is read off the graph's
+/// CSR and that one array.  An in-node has exactly one residual move —
+/// on to v_out if v is unused, else back along its feeding arc — and an
+/// out-node is entered from exactly one in-node, so the search runs over
+/// out-nodes only, with one visit stamp per vertex.  It stops at the
+/// first out-node of a vertex in S (a vertex ending a path in S is
+/// never reachable again), and the flow is undone from a list of the
+/// vertices it touched, so no query sweeps all n vertices.
+///
+/// Holds O(n) scratch and reads `g`, which must outlive it.  Not
+/// thread-safe: parallel callers keep one per lane.
+class FanSearch {
+ public:
+  explicit FanSearch(const Graph& g);
+
+  /// min(limit, the largest fan from `source` to S = {v : rank[v] <
+  /// bound}).  `rank` has one entry per vertex and rank[source] >=
+  /// bound.  A direct edge to a vertex of S is a path of the fan.  Each
+  /// call starts from zero flow.
+  std::int32_t fan(NodeId source, std::int32_t limit,
+                   std::span<const std::int32_t> rank, std::int32_t bound);
+
+ private:
+  bool augment(NodeId source, std::span<const std::int32_t> rank,
+               std::int32_t bound);
+  void set_feed(NodeId v, std::int32_t arc);
+
+  const Graph* g_;
+  std::vector<std::int32_t> feed_;    // per vertex: arc feeding v_in, or -1
+  std::vector<NodeId> touched_;       // vertices whose feed_ was set
+  std::vector<std::uint32_t> mark_;   // per vertex: stamp of out-node visit
+  std::vector<std::int32_t> via_;     // per vertex: how the search entered v_in
+  std::vector<NodeId> pred_;          // per vertex: in-node before v_out
+  std::vector<NodeId> queue_;         // out-nodes, BFS order
+  std::uint32_t stamp_ = 0;
 };
 
 }  // namespace lhg::core

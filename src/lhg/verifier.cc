@@ -1,5 +1,6 @@
 #include "lhg/verifier.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -69,6 +70,10 @@ VerificationReport verify(const core::Graph& g, std::int32_t k,
     }
     for (core::Edge e : chosen) {
       ++report.minimality_checked_edges;
+      // An endpoint of degree λ (λ <= δ, so it cannot be lower) falls
+      // to degree λ-1 without e, and so does λ: e is critical without
+      // a flow.  Only edges whose endpoints both exceed λ run flows.
+      if (std::min(g.degree(e.u), g.degree(e.v)) <= lambda) continue;
       if (!removal_reduces_connectivity(g, e, kappa, lambda)) {
         ++report.minimality_violations;
         if (!report.p3_witness.has_value()) report.p3_witness = e;

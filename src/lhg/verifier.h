@@ -6,7 +6,9 @@
 //   P1  k-node connectivity   — exact κ(G) via Menger/max-flow
 //   P2  k-link connectivity   — exact λ(G) via max-flow
 //   P3  link minimality       — for each (or each sampled) edge e,
-//                               κ(G−e) < κ(G) or λ(G−e) < λ(G)
+//                               κ(G−e) < κ(G) or λ(G−e) < λ(G); an
+//                               edge with an endpoint of degree λ(G)
+//                               passes by degree alone
 //   P4  logarithmic diameter  — exact diameter, reported together with
 //                               the log₂(n) ratio; judged against a
 //                               caller-supplied constant
@@ -29,8 +31,9 @@ namespace lhg {
 
 struct VerifyOptions {
   /// Check P3 on every edge (exact) or on at most this many uniformly
-  /// sampled edges (0 = all edges).  Minimality checks cost one κ and
-  /// one λ computation per edge, so large graphs want sampling.
+  /// sampled edges (0 = all edges).  Minimality costs one local κ and
+  /// one local λ flow per edge whose endpoints both have degree above
+  /// λ(G), so large graphs with many such edges want sampling.
   std::int64_t minimality_sample = 0;
 
   /// P4 passes iff diameter <= log_diameter_constant · log2(n) + 2.

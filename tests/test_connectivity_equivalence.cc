@@ -1,7 +1,8 @@
 // Old-vs-new connectivity equivalence: the certificate-then-max-flow
 // production path (core/connectivity.cc) against the retired per-pair
 // Dinic reference (core/testing/reference_flow.h), plus golden value
-// pins on both paths and 1-vs-N thread determinism for the new kernels.
+// pins on both paths, Even's ordered-fan κ test under random and
+// pinned orders, and 1-vs-N thread determinism for the new kernels.
 //
 // The exhaustive LHG grid test is labeled `slow` (tests/CMakeLists.txt);
 // everything else stays in the fast suite.
@@ -10,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -169,10 +172,102 @@ TEST(ConnectivityEquivalence, ExhaustiveSmallLhgGrid) {
   }
 }
 
+Graph random_gnp(NodeId n, double p, Rng& rng) {
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (rng.next_bool(p)) edges.push_back({u, v});
+    }
+  }
+  return Graph::from_edges(n, edges);
+}
+
+TEST(ConnectivityEquivalence, FansMatchReferenceOnRandomGraphs) {
+  // Even's ordered fans (the production κ path) against the Dinic
+  // pair-probe oracle on G(n, p) and random regular graphs, n <= 40,
+  // every cap in 1..6: the capped value, the k-connectivity predicate,
+  // and the ordered test on the raw graph under a random order.
+  std::int64_t checks = 0;
+  std::int64_t below_cap = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto n = static_cast<NodeId>(6 + rng.next_below(35));
+      Graph g;
+      if (trial % 4 == 3) {
+        const auto d = static_cast<std::int32_t>(3 + rng.next_below(4));
+        if (n <= d || (static_cast<std::int64_t>(n) * d) % 2 != 0) continue;
+        g = random_regular(n, d, rng);
+      } else {
+        g = random_gnp(n, 0.1 + 0.5 * rng.next_double(), rng);
+      }
+      std::vector<NodeId> order(static_cast<std::size_t>(n));
+      std::iota(order.begin(), order.end(), 0);
+      rng.shuffle(std::span<NodeId>(order));
+      for (std::int32_t cap = 1; cap <= 6; ++cap) {
+        const auto expected = testing::reference_vertex_connectivity(g, cap);
+        ASSERT_EQ(vertex_connectivity(g, cap), expected)
+            << "seed=" << seed << " trial=" << trial << " cap=" << cap;
+        ASSERT_EQ(is_k_vertex_connected(g, cap), expected >= cap)
+            << "seed=" << seed << " trial=" << trial << " cap=" << cap;
+        ASSERT_EQ(detail::is_k_vertex_connected_in_order(g, cap, order),
+                  expected >= cap)
+            << "seed=" << seed << " trial=" << trial << " cap=" << cap;
+        ++checks;
+        if (expected < cap) ++below_cap;
+      }
+    }
+  }
+  // Both verdicts must be well represented for the match to mean much.
+  EXPECT_GE(below_cap * 10, checks * 3) << below_cap << " of " << checks;
+  EXPECT_GE((checks - below_cap) * 10, checks * 3)
+      << below_cap << " of " << checks;
+}
+
+TEST(ConnectivityEquivalence, PairCheckCatchesWhatFansMiss) {
+  // Two triangles sharing vertex 2: κ = 1.  Under the order 0, 3, 2, 1,
+  // 4 every later vertex has a 2-fan into the earlier ones (2 -> {0, 3},
+  // 1 -> {0, 2}, 4 -> {3, 2}), so only the pair (0, 3) of the first two
+  // — one per triangle — shows the cut.
+  const Graph bowtie =
+      Graph::from_edges(5, std::vector<Edge>{{0, 1}, {0, 2}, {1, 2},
+                                             {2, 3}, {2, 4}, {3, 4}});
+  const std::vector<NodeId> order{0, 3, 2, 1, 4};
+  EXPECT_FALSE(detail::is_k_vertex_connected_in_order(bowtie, 2, order));
+  EXPECT_TRUE(detail::is_k_vertex_connected_in_order(bowtie, 1, order));
+  EXPECT_EQ(vertex_connectivity(bowtie, 5), 1);
+  EXPECT_FALSE(is_k_vertex_connected(bowtie, 2));
+}
+
+TEST(ConnectivityEquivalence, OneEdgeShortLhgIsNotKConnected) {
+  const Graph g = lhg::build(10000, 4);
+  EXPECT_TRUE(is_k_vertex_connected(g, 4));
+  EXPECT_EQ(vertex_connectivity(g, 5), 4);
+  const Edge e = g.edges()[g.edges().size() / 2];
+  const Graph short_one = g.without_edge(e.u, e.v);
+  EXPECT_FALSE(is_k_vertex_connected(short_one, 4));
+  EXPECT_EQ(vertex_connectivity(short_one, 5), 3);
+}
+
+TEST(ConnectivityEquivalence, ThreeEdgeJoinOfLhgsIsNotFourConnected) {
+  // Two copies of an LHG on 5000 nodes joined by three edges: every
+  // degree is still >= 4, so only the pairs and fans can see the
+  // 3-vertex cut.
+  const Graph half = lhg::build(5000, 4);
+  std::vector<Edge> edges(half.edges().begin(), half.edges().end());
+  for (const Edge e : half.edges()) edges.push_back({e.u + 5000, e.v + 5000});
+  for (const NodeId v : {0, 1000, 2000}) edges.push_back({v, v + 7500});
+  const Graph joined = Graph::from_edges(10000, edges);
+  ASSERT_GE(joined.min_degree(), 4);
+  EXPECT_FALSE(is_k_vertex_connected(joined, 4));
+  EXPECT_EQ(vertex_connectivity(joined, 5), 3);
+}
+
 TEST(ConnectivityEquivalence, NewKernelsParallelDeterminism) {
-  // Bit-identical results at 1 vs N threads (the SharedUpperBound
-  // pruning argument): the shared limit only truncates values above the
-  // eventual minimum, so scheduling cannot change any output.
+  // Bit-identical results at 1 vs N threads.  λ: the shared limit only
+  // truncates values above the eventual minimum (SharedUpperBound).  κ:
+  // each ordered-fan test is one bool, and the shared flag only skips
+  // fans once some fan has failed.
   Rng rng(24680);
   std::vector<Graph> graphs;
   graphs.push_back(petersen());
@@ -180,6 +275,7 @@ TEST(ConnectivityEquivalence, NewKernelsParallelDeterminism) {
   graphs.push_back(random_regular_connected(72, 4, rng));
   graphs.push_back(random_gnm(60, 300, rng));
   graphs.push_back(lhg::build(33, 3));
+  graphs.push_back(lhg::build(4096, 4));
 
   const auto sweep = [&graphs] {
     std::vector<std::int32_t> out;
@@ -188,6 +284,9 @@ TEST(ConnectivityEquivalence, NewKernelsParallelDeterminism) {
       out.push_back(edge_connectivity(g));
       out.push_back(vertex_connectivity(g, 3));
       out.push_back(edge_connectivity(g, 3));
+      for (const std::int32_t k : {3, 4, 5}) {
+        out.push_back(is_k_vertex_connected(g, k) ? 1 : 0);
+      }
     }
     return out;
   };

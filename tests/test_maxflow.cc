@@ -2,7 +2,8 @@
 // reusable-query contract (one network, many (s, t, limit) questions),
 // the valid-flow contract (flow_on is a flow after every query), and
 // cross-checks against the retired Dinic reference
-// (core/testing/reference_flow.h).
+// (core/testing/reference_flow.h); and the local fan search
+// (`FanSearch`) against Dinic on Even's explicit vertex-split network.
 
 #include "core/maxflow.h"
 
@@ -10,9 +11,12 @@
 
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "core/graph.h"
 #include "core/random_graphs.h"
 #include "core/rng.h"
 #include "core/testing/reference_flow.h"
@@ -336,6 +340,88 @@ TEST(MaxFlow, CancelsEarlierFlowThroughReverseArc) {
   for (const std::int32_t i : {0, 1, 3, 4, 5, 6, 7, 8}) {
     EXPECT_EQ(net.flow_on(i), 1) << "arc " << i;
   }
+}
+
+/// The largest fan from `source` to {v : rank[v] < bound}, capped at
+/// `limit`, by Dinic on Even's split network built out in full: v_in =
+/// 2v, v_out = 2v+1, a unit arc v_in -> v_out, unit arcs both ways per
+/// edge, and v_out -> T for every set vertex.
+std::int32_t reference_fan(const Graph& g, NodeId source,
+                           std::span<const std::int32_t> rank,
+                           std::int32_t bound, std::int32_t limit) {
+  const std::int32_t sink = 2 * g.num_nodes();
+  testing::ReferenceFlowNetwork net(sink + 1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    net.add_arc(2 * v, 2 * v + 1, 1);
+    if (rank[static_cast<std::size_t>(v)] < bound) net.add_arc(2 * v + 1, sink, 1);
+  }
+  for (const Edge e : g.edges()) {
+    net.add_arc(2 * e.u + 1, 2 * e.v, 1);
+    net.add_arc(2 * e.v + 1, 2 * e.u, 1);
+  }
+  return static_cast<std::int32_t>(net.max_flow(2 * source + 1, sink, limit));
+}
+
+TEST(FanSearch, AgreesWithDinicOnRandomGraphs) {
+  // One FanSearch per graph answers many (source, set, limit) queries,
+  // so each query also checks that the previous one was fully undone.
+  Rng rng(27182818);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<NodeId>(4 + rng.next_below(30));
+    std::vector<Edge> edges;
+    const double p = 0.05 + 0.4 * rng.next_double();
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        if (rng.next_bool(p)) edges.push_back({u, v});
+      }
+    }
+    const Graph g = Graph::from_edges(n, edges);
+    std::vector<std::int32_t> rank(static_cast<std::size_t>(n));
+    std::iota(rank.begin(), rank.end(), 0);
+    FanSearch fans(g);
+    for (int query = 0; query < 8; ++query) {
+      rng.shuffle(std::span<std::int32_t>(rank));
+      const auto bound = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      NodeId source = 0;
+      while (rank[static_cast<std::size_t>(source)] < bound) ++source;
+      const auto limit = query % 2 == 0
+                             ? std::numeric_limits<std::int32_t>::max()
+                             : static_cast<std::int32_t>(rng.next_below(5));
+      ASSERT_EQ(fans.fan(source, limit, rank, bound),
+                reference_fan(g, source, rank, bound, limit))
+          << "trial " << trial << " query " << query;
+    }
+  }
+}
+
+TEST(FanSearch, ReroutesAroundAVertexItUsed) {
+  // Sinks w and z.  The first search reaches w by s-u-x-w.  The second
+  // path must enter w from y2, walk back along x -> w and through x
+  // (x_out -> x_in), back along u -> x, and leave u for z: x ends up
+  // unused, and the fan {s-y-y2-w, s-u-z1-z2-z} has size 2.
+  enum : NodeId { s, u, y, x, w, y2, z1, z2, z, kNodes };
+  const Graph g = Graph::from_edges(
+      kNodes, std::vector<Edge>{{s, u}, {s, y}, {u, x}, {x, w}, {y, y2},
+                                {y2, w}, {u, z1}, {z1, z2}, {z2, z}});
+  std::vector<std::int32_t> rank(kNodes, 2);
+  rank[w] = 0;
+  rank[z] = 1;
+  FanSearch fans(g);
+  EXPECT_EQ(fans.fan(s, 1, rank, 2), 1);
+  EXPECT_EQ(fans.fan(s, 5, rank, 2), 2);
+  EXPECT_EQ(reference_fan(g, s, rank, 2, 5), 2);
+}
+
+TEST(FanSearch, Validation) {
+  const Graph g = Graph::from_edges(3, std::vector<Edge>{{0, 1}, {1, 2}});
+  FanSearch fans(g);
+  const std::vector<std::int32_t> rank{0, 1, 2};
+  EXPECT_THROW(fans.fan(3, 1, rank, 1), std::invalid_argument);
+  EXPECT_THROW(fans.fan(0, 1, rank, 1), std::invalid_argument);  // in set
+  EXPECT_THROW(fans.fan(2, 1, std::vector<std::int32_t>{0, 1}, 1),
+               std::invalid_argument);
+  EXPECT_EQ(fans.fan(2, 3, rank, 2), 1);
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "core/connectivity.h"
 #include "core/graph.h"
 #include "core/random_graphs.h"
 #include "harary/harary.h"
@@ -130,6 +133,74 @@ TEST(Verifier, RandomKRegularGraphsAreUsuallyLhgs) {
     }
   }
   EXPECT_GT(accepted, 0);  // w.h.p. all five, but never flaky
+}
+
+/// P3 as the verifier decided it before the degree shortcut: a local λ
+/// and κ flow on G − e for every chosen edge.  Every report field must
+/// come out the same.
+void expect_p3_matches_flows(const Graph& g, std::int32_t k,
+                             const VerifyOptions& options = {}) {
+  const auto report = verify(g, k, options);
+  const auto kappa = report.node_connectivity;
+  const auto lambda = report.edge_connectivity;
+  std::int64_t checked = 0;
+  std::int64_t violations = 0;
+  std::optional<Edge> witness;
+  if (kappa > 0 && lambda > 0) {
+    const auto all = g.edges();
+    std::vector<Edge> chosen(all.begin(), all.end());
+    if (options.minimality_sample > 0 &&
+        options.minimality_sample < static_cast<std::int64_t>(all.size())) {
+      core::Rng rng(options.seed);
+      chosen.clear();
+      for (const auto idx : rng.sample_without_replacement(
+               static_cast<std::int32_t>(all.size()),
+               static_cast<std::int32_t>(options.minimality_sample))) {
+        chosen.push_back(all[static_cast<std::size_t>(idx)]);
+      }
+    }
+    for (const Edge e : chosen) {
+      ++checked;
+      const Graph without = g.without_edge(e.u, e.v);
+      const bool critical =
+          core::local_edge_connectivity(without, e.u, e.v, lambda) < lambda ||
+          core::local_vertex_connectivity(without, e.u, e.v, kappa) < kappa;
+      if (!critical) {
+        ++violations;
+        if (!witness) witness = e;
+      }
+    }
+  }
+  EXPECT_EQ(report.minimality_checked_edges, checked) << core::describe(g);
+  EXPECT_EQ(report.minimality_violations, violations) << core::describe(g);
+  EXPECT_EQ(report.p3_witness, witness) << core::describe(g);
+  EXPECT_EQ(report.p3_link_minimal, kappa > 0 && lambda > 0 && violations == 0)
+      << core::describe(g);
+}
+
+TEST(Verifier, DegreeShortcutMatchesFlowsOnEveryEdge) {
+  const Graph chorded = Graph::from_edges(
+      6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
+                           {5, 0}, {0, 3}});
+  expect_p3_matches_flows(build(22, 3), 3);
+  expect_p3_matches_flows(cycle_graph(12), 3);
+  expect_p3_matches_flows(chorded, 2);
+  expect_p3_matches_flows(harary::circulant(600, 4), 4);
+  expect_p3_matches_flows(harary::circulant(16, 4), 4);
+  expect_p3_matches_flows(build(10, 3), 3);
+  expect_p3_matches_flows(build(9, 3), 3);
+  expect_p3_matches_flows(build(46, 3), 3, {.minimality_sample = 5});
+  expect_p3_matches_flows(complete_graph(4), 3);
+  core::Rng rng(31);
+  expect_p3_matches_flows(core::random_regular_connected(60, 4, rng), 4);
+  // Non-regular graphs, where edges with both endpoints above λ still
+  // run the flows: a sparse and a dense G(n, m).
+  const Graph sparse = core::random_gnm(40, 100, rng);
+  const Graph dense = core::random_gnm(30, 180, rng);
+  ASSERT_FALSE(sparse.is_regular(sparse.min_degree()));
+  ASSERT_FALSE(dense.is_regular(dense.min_degree()));
+  expect_p3_matches_flows(sparse, 3);
+  expect_p3_matches_flows(dense, 4);
 }
 
 TEST(Verifier, Validation) {
