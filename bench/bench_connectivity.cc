@@ -5,7 +5,7 @@
 // constraints and for the Harary baseline.
 //
 // E24 claim (verification-scaling sweep): the certificate-then-
-// augmenting-path verification stack (DESIGN.md §15) makes k-connectivity
+// ordered-fan verification stack (DESIGN.md §15) makes k-connectivity
 // verification fast enough for million-node overlays:
 //   old_vs_new      retired per-pair Dinic reference vs the production
 //                   path, same capped question, n up to 4096 — expect
@@ -18,9 +18,9 @@
 //                   n = 10^5 (--small) and 10^6 — every row carries
 //                   peak_rss_bytes and the 10^5 rows are gated by
 //                   bench/memory_budget.json in CI
-//   verify_exact    exact κ >= k (Even's ordered fans on the certificate)
-//                   on the LHG and the circulant H(4, n): n = 10^4
-//                   (--small), 10^5 and 10^6
+//   verify_exact    exact κ >= k and λ capped at k+1 (Even's ordered
+//                   tests on the certificate) on the LHG and the
+//                   circulant H(4, n): n = 10^4 (--small), 10^5 and 10^6
 //
 // Expected shape: the kappa and lambda columns equal k on every row and
 // the summary counts zero deviations; speedup columns grow with n; the
@@ -117,17 +117,17 @@ int main(int argc, char** argv) {
   if (deviations != 0) return 1;
 
   // --- E24a: old-vs-new on the same capped question -------------------
-  // Two topologies on purpose.  LHG is the paper's subject and the
-  // best case for the new stack: O(log n) diameter keeps every probe's
-  // augmenting paths short, so each search meets after exploring a
-  // small ball around both endpoints.  The circulant is the honest
-  // worst case: between ANY probe pair (even adjacent vertices) some of
-  // the k disjoint paths must wrap half the ring, so every augmenting
-  // search explores Θ(n) nodes no matter the probe set, and the
-  // old-vs-new gap is constant-factor only.
+  // The old column probes vertex pairs with Dinic; the new one runs
+  // Even's ordered tests for κ and λ, one local fan search per vertex
+  // into the vertices before it in a random order.  Two topologies on
+  // purpose.  LHG is the paper's subject.  The circulant is the worst
+  // case for pair probes: between ANY pair some of the k disjoint paths
+  // must wrap half the ring, so each old probe explores Θ(n) nodes.  A
+  // fan only has to reach the nearest earlier vertices, so the new
+  // column is not path-length-bound on either topology.
   constexpr std::int32_t k = 4;
   std::cout << "\nE24a: verification old (per-pair Dinic) vs new "
-               "(certificate + augmenting paths), k=4, capped at k+1\n";
+               "(certificate + ordered fans), k=4, capped at k+1\n";
   bench::Table ovn(
       {"topo", "n", "quantity", "old_ms", "new_ms", "speedup", "agree"}, 11);
   ovn.print_header();
@@ -294,14 +294,16 @@ int main(int argc, char** argv) {
                {{"k", k}, {"n", n}, {"samples", samples}}, probe_ns);
   }
 
-  // --- E24d: exact κ >= k at scale ------------------------------------
-  // The whole question, not sampled pairs: is_k_vertex_connected runs
-  // Even's ordered fans on the k-certificate (one local k-fan search per
-  // vertex), on the LHG and on the circulant H(4, n), whose every probe
-  // in E24a has to wrap half the ring.
-  std::cout << "\nE24d: exact kappa >= k by ordered fans (k=" << k
-            << ", peak RSS per row)\n";
-  bench::Table exact({"topo", "n", "kappa>=k", "ms", "peak_rss_mb"}, 12);
+  // --- E24d: exact κ and λ at scale -----------------------------------
+  // The whole question, not sampled pairs: is_k_vertex_connected and
+  // edge_connectivity(g, k+1) run Even's ordered tests on the
+  // certificate (one local fan search per vertex), on the LHG and on the
+  // circulant H(4, n), whose every pair probe in E24a's old column has
+  // to wrap half the ring.
+  std::cout << "\nE24d: exact kappa >= k and lambda capped at k+1 by "
+               "ordered fans (k=" << k << ", peak RSS per row)\n";
+  bench::Table exact(
+      {"topo", "n", "quantity", "result", "ms", "peak_rss_mb"}, 12);
   exact.print_header();
   const auto exact_sizes =
       opts.small ? std::vector<std::int64_t>{10'000}
@@ -311,21 +313,32 @@ int main(int argc, char** argv) {
       const Graph g = topo == "lhg"
                           ? lhg::build(static_cast<NodeId>(n), k)
                           : harary::circulant(static_cast<NodeId>(n), k);
-      const bench::WallTimer timer;
+      const std::string row = "/topo=" + topo + "/n=" + std::to_string(n);
+      const bench::WallTimer kappa_timer;
       const bool connected = core::is_k_vertex_connected(g, k);
-      const std::int64_t ns = timer.elapsed_ns();
+      const std::int64_t kappa_ns = kappa_timer.elapsed_ns();
       LHG_CHECK(connected, "{} at n={} is not {}-connected", topo, n, k);
-      exact.print_row(topo, n, "yes", ms(ns),
+      exact.print_row(topo, n, "kappa>=k", "yes", ms(kappa_ns),
                       mb(bench::BenchReport::peak_rss_bytes()));
-      report.add("verify_exact/kappa/topo=" + topo + "/n=" + std::to_string(n),
-                 {{"k", k}, {"n", n}}, ns);
+      report.add("verify_exact/kappa" + row, {{"k", k}, {"n", n}}, kappa_ns);
+
+      const bench::WallTimer lambda_timer;
+      const std::int32_t lambda = core::edge_connectivity(g, k + 1);
+      const std::int64_t lambda_ns = lambda_timer.elapsed_ns();
+      LHG_CHECK(lambda == k, "{} at n={} has lambda {}, not {}", topo, n,
+                lambda, k);
+      exact.print_row(topo, n, "lambda", lambda, ms(lambda_ns),
+                      mb(bench::BenchReport::peak_rss_bytes()));
+      report.add("verify_exact/lambda" + row, {{"k", k}, {"n", n}},
+                 lambda_ns);
     }
   }
 
-  std::cout << "\nshape check: on the lhg topology the speedup grows with n "
-               "(>= 10x at n >= 2048); the circulant worst case stays a "
-               "constant-factor win (its probes are path-length-bound); "
-               "implicit rows never materialize the full graph, so their "
-               "peak RSS stays within bench/memory_budget.json.\n";
+  std::cout << "\nshape check: the speedup grows with n on both topologies "
+               "(>= 10x at n >= 2048): the old column's pair probes are "
+               "path-length-bound on the circulant, while a fan only has "
+               "to reach the nearest earlier vertices; implicit rows never "
+               "materialize the full graph, so their peak RSS stays within "
+               "bench/memory_budget.json.\n";
   return opts.finish(report);
 }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,9 +40,9 @@ constexpr std::int32_t in_vertex(NodeId v) { return 2 * v; }
 constexpr std::int32_t out_vertex(NodeId v) { return 2 * v + 1; }
 
 /// Even's vertex-split network: v_in -> v_out with capacity 1 for every
-/// vertex, and u_out -> v_in / v_out -> u_in for every edge {u,v}.
-/// `arc_of_edge`, if non-null, receives (arc index -> directed u->v pair)
-/// for path extraction.
+/// vertex, and u_out -> v_in / v_out -> u_in for every edge {u,v}.  Arc
+/// v is v's split arc; arcs n + 2i and n + 2i + 1 carry edges()[i] as
+/// u -> v and v -> u, which is how path extraction reads the flow.
 ///
 /// `edge_capacity` = 1 gives the same max-flow VALUE (internally
 /// disjoint paths, counting a direct s-t edge once) and is safe for
@@ -49,23 +50,15 @@ constexpr std::int32_t out_vertex(NodeId v) { return 2 * v + 1; }
 /// min cut can never select, so minimum_vertex_cut passes n+1 — valid
 /// only for non-adjacent pairs, where every s-t cut must consist of
 /// split arcs.
-FlowNetwork split_network(
-    const Graph& g,
-    std::vector<std::pair<NodeId, NodeId>>* arc_to_edge = nullptr,
-    std::int64_t edge_capacity = 1) {
+FlowNetwork split_network(const Graph& g, std::int64_t edge_capacity = 1) {
   FlowNetwork net(2 * g.num_nodes());
-  std::vector<std::pair<NodeId, NodeId>> mapping;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     net.add_arc(in_vertex(v), out_vertex(v), 1);
-    mapping.emplace_back(-1, -1);  // internal arc, not an edge
   }
   for (Edge e : g.edges()) {
     net.add_arc(out_vertex(e.u), in_vertex(e.v), edge_capacity);
-    mapping.emplace_back(e.u, e.v);
     net.add_arc(out_vertex(e.v), in_vertex(e.u), edge_capacity);
-    mapping.emplace_back(e.v, e.u);
   }
-  if (arc_to_edge != nullptr) *arc_to_edge = std::move(mapping);
   return net;
 }
 
@@ -89,88 +82,31 @@ void nudge_uncapped([[maybe_unused]] const Graph& g,
              what, g.num_nodes());
 }
 
-/// Shared "best cut seen so far" for parallel connectivity probes.
-/// Each probe runs its maxflow with the current best as the augmentation
-/// limit: the limit only truncates values that cannot be the minimum, so
-/// the final min over all pairs is exact — and deterministic — no matter
-/// how probes interleave; the atomic is purely a pruning accelerator.
-///
-/// Lock-free by design, so capability annotations
-/// (core/thread_annotations.h) do not apply: there is no mutex to guard
-/// `best_` with, and none is needed — relaxed ordering suffices because
-/// the value is monotone-decreasing and only ever used as an upper
-/// bound.  The determinism argument above, not a lock, is the safety
-/// contract (DESIGN.md §8, §13).
-class SharedUpperBound {
- public:
-  explicit SharedUpperBound(std::int32_t initial) : best_(initial) {}
-
-  std::int32_t current() const { return best_.load(std::memory_order_relaxed); }
-
-  void observe(std::int32_t value) {
-    std::int32_t cur = best_.load(std::memory_order_relaxed);
-    while (value < cur &&
-           !best_.compare_exchange_weak(cur, value,
-                                        std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<std::int32_t> best_;
-};
-
-/// Minimum of `probe(pair)` over `pairs`, with shared-bound pruning.
-/// `probe(s, t, limit, lane)` must return min(connectivity(s, t), limit);
-/// `lane` selects per-lane scratch (a ConnectivityProber per lane — the
-/// flow networks hold per-query state, so one network cannot be shared
-/// across concurrent probes).
-template <typename Probe>
-std::int32_t min_over_pairs(const std::vector<std::pair<NodeId, NodeId>>& pairs,
-                            std::int32_t initial, Probe&& probe) {
-  SharedUpperBound best(initial);
-  parallel_for(static_cast<std::int64_t>(pairs.size()), 1,
-               [&](std::int64_t i, int lane) {
-                 const std::int32_t limit = best.current();
-                 if (limit <= 0) return;  // cannot get below zero
-                 const auto [s, t] = pairs[static_cast<std::size_t>(i)];
-                 best.observe(probe(s, t, limit, lane));
-               });
-  return best.current();
-}
-
-/// One lazily-constructed prober per parallel lane, all over `cert`.
-class LaneProbers {
- public:
-  explicit LaneProbers(const Graph& cert)
-      : cert_(&cert),
-        probers_(static_cast<std::size_t>(global_thread_count())) {}
-
-  ConnectivityProber& lane(int lane) {
-    auto& slot = probers_[static_cast<std::size_t>(lane)];
-    if (!slot) slot.emplace(*cert_);
-    return *slot;
-  }
-
- private:
-  const Graph* cert_;
-  std::vector<std::optional<ConnectivityProber>> probers_;
-};
-
-/// Even's test of κ(g) >= c under a fixed vertex order v_1 … v_n
-/// (SIAM J. Comput. 4(3), 1975): κ >= c iff n > c, every pair among
-/// v_1 … v_c has c internally disjoint paths, and every later v_j has a
-/// c-fan to {v_1 … v_{j-1}}.  (If a cut C with |C| < c leaves v_1 … v_c
-/// on one side A ∪ C, the first v_j on the other side has no c-fan
-/// into A ∪ C; otherwise two of v_1 … v_c lie on opposite sides.)  The
-/// verdict does not depend on the order, but the cost does: a fan
-/// stops at the first free set vertex it reaches, so under a random
-/// order the set {v_1 … v_{j-1}} has density j/n around every vertex
-/// and most fans end within a few hops.  A breadth-first order would
-/// put every later vertex far from the set.
+/// Even's ordered tests under a fixed vertex order v_1 … v_n (SIAM J.
+/// Comput. 4(3), 1975), with `Search` = FanSearch for κ and
+/// EdgeFanSearch for λ:
+///  - κ(g) >= c iff n > c, every pair among v_1 … v_c has c internally
+///    disjoint paths, and every later v_j has a c-fan to {v_1 … v_{j-1}}.
+///    (If a cut C with |C| < c leaves v_1 … v_c on one side A ∪ C, the
+///    first v_j on the other side has no c-fan into A ∪ C; otherwise two
+///    of v_1 … v_c lie on opposite sides.)
+///  - λ(g) >= c iff every v_j with j >= 2 has c edge-disjoint paths to
+///    {v_1 … v_{j-1}}.  (If an edge cut (A, B) with fewer than c edges
+///    has v_1 in A, every path from the first v_j in B to the prefix
+///    crosses it.)  No pairs are needed, and a simple graph with n <= c
+///    has δ < c, so the n > c test holds for both.
+/// The verdict does not depend on the order, but the cost does: a fan
+/// stops at the first set vertex it reaches, so under a random order
+/// the set {v_1 … v_{j-1}} has density j/n around every vertex and most
+/// fans end within a few hops.  A breadth-first order would put every
+/// later vertex far from the set.
 ///
 /// Fans only read the graph, so they run through `parallel_for` with a
-/// FanSearch per lane; the shared flag only skips work once some fan
-/// failed, so the returned bool is the same at every LHG_THREADS.
+/// search per lane; the shared flag only skips work once some fan
+/// failed, so the returned bool is the same at every LHG_THREADS.  It is
+/// relaxed because `parallel_for` returns only after every lane has
+/// finished, so the final load sees every store (DESIGN.md §8, §13).
+template <typename Search>
 class OrderedFanTest {
  public:
   OrderedFanTest(const Graph& g, std::span<const NodeId> order)
@@ -193,21 +129,25 @@ class OrderedFanTest {
   bool passes(std::int32_t c) {
     const NodeId n = g_->num_nodes();
     if (n <= c) return false;
-    for (std::int32_t i = 0; i < c; ++i) {
-      for (std::int32_t j = i + 1; j < c; ++j) {
-        if (prober_.vertex_probe(order_[static_cast<std::size_t>(i)],
-                                  order_[static_cast<std::size_t>(j)],
-                                  c) < c) {
-          return false;
+    std::int32_t first = 1;
+    if constexpr (std::is_same_v<Search, FanSearch>) {
+      first = c;
+      for (std::int32_t i = 0; i < c; ++i) {
+        for (std::int32_t j = i + 1; j < c; ++j) {
+          if (prober_.vertex_probe(order_[static_cast<std::size_t>(i)],
+                                    order_[static_cast<std::size_t>(j)],
+                                    c) < c) {
+            return false;
+          }
         }
       }
     }
     std::atomic<bool> failed{false};
-    parallel_for(n - c, kFanGrain, [&](std::int64_t i, int lane) {
+    parallel_for(n - first, kFanGrain, [&](std::int64_t i, int lane) {
       if (failed.load(std::memory_order_relaxed)) return;
       auto& fans = fans_[static_cast<std::size_t>(lane)];
       if (!fans) fans.emplace(*g_);
-      const auto j = static_cast<std::int32_t>(c + i);
+      const auto j = static_cast<std::int32_t>(first + i);
       if (fans->fan(order_[static_cast<std::size_t>(j)], c, rank_, j) < c) {
         failed.store(true, std::memory_order_relaxed);
       }
@@ -221,11 +161,11 @@ class OrderedFanTest {
   const Graph* g_;
   std::span<const NodeId> order_;
   std::vector<std::int32_t> rank_;  // rank_[order_[i]] == i
-  ConnectivityProber prober_;  // the pair checks, serial
-  std::vector<std::optional<FanSearch>> fans_;  // one per lane
+  ConnectivityProber prober_;  // κ's pair checks, serial
+  std::vector<std::optional<Search>> fans_;  // one per lane
 };
 
-/// The order the public κ functions test in: a seeded-random
+/// The order the public κ and λ functions test in: a seeded-random
 /// permutation from a fixed stream, so every call on the same graph
 /// does the same work.
 std::vector<NodeId> fan_order(NodeId n) {
@@ -234,6 +174,48 @@ std::vector<NodeId> fan_order(NodeId n) {
   Rng rng(0x45'76'65'6e'46'61'6e'73ULL);  // "EvenFans"
   rng.shuffle(std::span<NodeId>(order));
   return order;
+}
+
+/// The largest c in [lowest, min(δ, cap)] with κ(g) >= c (Search =
+/// FanSearch) or λ(g) >= c (EdgeFanSearch), or a value below `lowest`
+/// if there is none; with lowest = 2 that is exactly min(κ or λ, cap).
+/// `what` names the caller.  Both are 0 on a single vertex or a
+/// disconnected graph, n-1 on K_n, and <= δ.  The certificate at
+/// c0 = min(δ, cap) keeps min(·, c0), so for every c <= c0 it passes
+/// the ordered test at c iff g does: test c = c0, c0-1, … down to
+/// `lowest` on it and return the first that passes.  A connected graph
+/// passes 1.
+template <typename Search>
+std::int32_t ordered_connectivity(const Graph& g, std::int32_t upper_limit,
+                                  const char* what, std::int32_t lowest) {
+  LHG_CHECK(g.num_nodes() > 0, "{} of the empty graph", what);
+  nudge_uncapped(g, upper_limit, what);
+  if (g.num_nodes() == 1 || !is_connected(g)) return 0;
+  if (is_complete(g)) return std::min(g.num_nodes() - 1, upper_limit);
+  const std::int32_t initial = std::min(g.min_degree(), upper_limit);
+  if (initial <= 1 || initial < lowest) return initial;
+  const Graph cert = sparse_certificate(g, initial);
+  const std::vector<NodeId> order = fan_order(cert.num_nodes());
+  OrderedFanTest<Search> test(cert, order);
+  for (std::int32_t c = initial; c >= lowest; --c) {
+    if (test.passes(c)) return c;
+  }
+  return 1;
+}
+
+/// min(limit, the local connectivity `probe` measures between s and t),
+/// on the certificate at min(limit, deg(s), deg(t)): no s-t path family
+/// can be larger than either degree, and the certificate keeps min(·,
+/// cap) for every pair (core/certificate.h).
+std::int32_t local_connectivity(
+    const Graph& g, NodeId s, NodeId t, std::int32_t limit,
+    std::int32_t (ConnectivityProber::*probe)(NodeId, NodeId, std::int32_t)) {
+  check_pair(g, s, t);
+  const std::int32_t cap = std::min({limit, g.degree(s), g.degree(t)});
+  if (cap <= 0) return 0;
+  const Graph cert = sparse_certificate(g, cap);
+  ConnectivityProber prober(cert);
+  return (prober.*probe)(s, t, cap);
 }
 
 }  // namespace
@@ -259,115 +241,29 @@ std::int32_t ConnectivityProber::vertex_probe(NodeId s, NodeId t,
 
 std::int32_t local_edge_connectivity(const Graph& g, NodeId s, NodeId t,
                                      std::int32_t limit) {
-  check_pair(g, s, t);
-  // λ(s,t) <= min(deg(s), deg(t)): sparsifying at that cap loses
-  // nothing (core/certificate.h), and min(λ, cap) == min(λ, limit).
-  const std::int32_t cap =
-      std::min({limit, g.degree(s), g.degree(t)});
-  if (cap <= 0) return 0;
-  const Graph cert = sparse_certificate(g, cap);
-  ConnectivityProber prober(cert);
-  return prober.edge_probe(s, t, cap);
+  return local_connectivity(g, s, t, limit, &ConnectivityProber::edge_probe);
 }
 
 std::int32_t local_vertex_connectivity(const Graph& g, NodeId s, NodeId t,
                                        std::int32_t limit) {
-  check_pair(g, s, t);
-  // κ(s,t) <= min(deg(s), deg(t)): each path leaves s by its own edge.
-  const std::int32_t cap =
-      std::min({limit, g.degree(s), g.degree(t)});
-  if (cap <= 0) return 0;
-  const Graph cert = sparse_certificate(g, cap);
-  ConnectivityProber prober(cert);
-  return prober.vertex_probe(s, t, cap);
+  return local_connectivity(g, s, t, limit, &ConnectivityProber::vertex_probe);
 }
 
 std::int32_t edge_connectivity(const Graph& g, std::int32_t upper_limit) {
-  LHG_CHECK(g.num_nodes() > 0, "edge connectivity of the empty graph");
-  nudge_uncapped(g, upper_limit, "edge_connectivity");
-  if (g.num_nodes() == 1) return 0;
-  if (!is_connected(g)) return 0;
-  // λ(G) = min over *consecutive pairs of any vertex ordering*: a
-  // minimum cut (S, V\S) has both sides non-empty, so some consecutive
-  // pair straddles it and contributes λ(v_i, v_{i+1}) <= c(S) = λ(G),
-  // while every pairwise λ is >= λ(G).  (The classic fixed-endpoint
-  // probe set is the special case 0,1,...,n-1 — but it pays a
-  // diameter-long flow per probe.)  A DFS preorder makes consecutive
-  // pairs nearly adjacent — the tree distances of consecutive preorder
-  // pairs sum to <= 2n by the Euler-tour bound — so each probe routes
-  // its units over short paths and the whole sweep costs O(λ·n) pushes
-  // instead of Θ(n·diameter).
-  const std::int32_t initial = std::min(g.min_degree(), upper_limit);
-  if (initial <= 0) return initial;
-  const Graph cert = sparse_certificate(g, initial);
-  LaneProbers probers(cert);
-  std::vector<NodeId> order;
-  order.reserve(static_cast<std::size_t>(g.num_nodes()));
-  {
-    std::vector<bool> seen(static_cast<std::size_t>(g.num_nodes()), false);
-    struct Frame {
-      NodeId node;
-      std::size_t next = 0;
-    };
-    std::vector<Frame> stack;
-    stack.push_back({0});
-    seen[0] = true;
-    order.push_back(0);
-    while (!stack.empty()) {
-      auto& frame = stack.back();
-      const auto nbrs = g.neighbors(frame.node);
-      if (frame.next == nbrs.size()) {
-        stack.pop_back();
-        continue;
-      }
-      const NodeId w = nbrs[frame.next++];
-      if (seen[static_cast<std::size_t>(w)]) continue;
-      seen[static_cast<std::size_t>(w)] = true;
-      order.push_back(w);
-      stack.push_back({w});
-    }
-  }
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(order.size() - 1);
-  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-    pairs.emplace_back(order[i + 1], order[i]);
-  }
-  return min_over_pairs(
-      pairs, initial,
-      [&probers](NodeId s, NodeId t, std::int32_t limit, int lane) {
-        return probers.lane(lane).edge_probe(s, t, limit);
-      });
+  return ordered_connectivity<EdgeFanSearch>(g, upper_limit,
+                                             "edge_connectivity", 2);
 }
 
 std::int32_t vertex_connectivity(const Graph& g, std::int32_t upper_limit) {
-  LHG_CHECK(g.num_nodes() > 0, "vertex connectivity of the empty graph");
-  nudge_uncapped(g, upper_limit, "vertex_connectivity");
-  if (g.num_nodes() == 1) return 0;
-  if (!is_connected(g)) return 0;
-  if (is_complete(g)) return std::min(g.num_nodes() - 1, upper_limit);
-  // κ <= δ.  The certificate at c0 = min(δ, cap) keeps min(κ, c0), so
-  // for every c <= c0 it is c-connected iff G is: test c = c0, c0-1, …
-  // on it and return the first that passes.  A connected graph passes 1.
-  const std::int32_t initial = std::min(g.min_degree(), upper_limit);
-  if (initial <= 1) return initial;
-  const Graph cert = sparse_certificate(g, initial);
-  const std::vector<NodeId> order = fan_order(cert.num_nodes());
-  OrderedFanTest test(cert, order);
-  for (std::int32_t c = initial; c >= 2; --c) {
-    if (test.passes(c)) return c;
-  }
-  return 1;
+  return ordered_connectivity<FanSearch>(g, upper_limit,
+                                         "vertex_connectivity", 2);
 }
 
 bool is_k_vertex_connected(const Graph& g, std::int32_t k) {
   if (k <= 0) return true;
   if (g.num_nodes() <= k) return false;  // k-connected needs n >= k+1
-  if (g.min_degree() < k) return false;
-  if (!is_connected(g)) return false;
-  if (k == 1 || is_complete(g)) return true;
-  const Graph cert = sparse_certificate(g, k);
-  const std::vector<NodeId> order = fan_order(cert.num_nodes());
-  return OrderedFanTest(cert, order).passes(k);
+  return ordered_connectivity<FanSearch>(g, k, "is_k_vertex_connected", k) >=
+         k;
 }
 
 namespace detail {
@@ -375,7 +271,13 @@ namespace detail {
 bool is_k_vertex_connected_in_order(const Graph& g, std::int32_t k,
                                     std::span<const NodeId> order) {
   LHG_CHECK(k >= 1, "ordered κ test needs k >= 1, got {}", k);
-  return OrderedFanTest(g, order).passes(k);
+  return OrderedFanTest<FanSearch>(g, order).passes(k);
+}
+
+bool is_k_edge_connected_in_order(const Graph& g, std::int32_t k,
+                                  std::span<const NodeId> order) {
+  LHG_CHECK(k >= 1, "ordered λ test needs k >= 1, got {}", k);
+  return OrderedFanTest<EdgeFanSearch>(g, order).passes(k);
 }
 
 }  // namespace detail
@@ -387,8 +289,7 @@ std::optional<std::vector<std::vector<NodeId>>> vertex_disjoint_paths(
   // A count-certificate contains `count` disjoint s-t paths iff G does,
   // and any path in the certificate is a path in G.
   const Graph cert = sparse_certificate(g, count);
-  std::vector<std::pair<NodeId, NodeId>> arc_to_edge;
-  FlowNetwork net = split_network(cert, &arc_to_edge);
+  FlowNetwork net = split_network(cert);
   const auto flow = net.max_flow(out_vertex(s), in_vertex(t), count);
   if (flow < count) return std::nullopt;
 
@@ -401,12 +302,10 @@ std::optional<std::vector<std::vector<NodeId>>> vertex_disjoint_paths(
   // (determinism-linter rule `unordered-iteration` guards the contract).
   std::vector<std::vector<NodeId>> out_flow(
       static_cast<std::size_t>(g.num_nodes()));
-  for (std::size_t a = 0; a < arc_to_edge.size(); ++a) {
-    const auto [from, to] = arc_to_edge[a];
-    if (from < 0) continue;  // internal split arc
-    if (net.flow_on(static_cast<std::int32_t>(a)) > 0) {
-      out_flow[static_cast<std::size_t>(from)].push_back(to);
-    }
+  std::int32_t arc = cert.num_nodes();  // the first edge arc
+  for (const Edge e : cert.edges()) {
+    if (net.flow_on(arc++) > 0) out_flow[as_index(e.u)].push_back(e.v);
+    if (net.flow_on(arc++) > 0) out_flow[as_index(e.v)].push_back(e.u);
   }
   std::vector<std::vector<NodeId>> paths;
   for (std::int32_t p = 0; p < count; ++p) {
@@ -479,8 +378,8 @@ std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g) {
   // non-adjacent by construction), so the min cut is split arcs only.
   // The cut is read off the FULL graph, not the certificate: a
   // certificate separator need not separate G.
-  FlowNetwork net = split_network(
-      g, nullptr, static_cast<std::int64_t>(g.num_nodes()) + 1);
+  FlowNetwork net =
+      split_network(g, static_cast<std::int64_t>(g.num_nodes()) + 1);
   net.max_flow(out_vertex(best_pair.first), in_vertex(best_pair.second));
   const auto source_side = net.min_cut_source_side();
   std::vector<NodeId> cut;

@@ -1,5 +1,6 @@
 // Exact vertex and edge connectivity: Nagamochi–Ibaraki sparse
-// certificates feeding capped augmenting-path max-flow (Menger's theorem).
+// certificates feeding Even's ordered fan tests and capped
+// augmenting-path max-flow (Menger's theorem).
 //
 // The LHG definition is stated in terms of κ(G) (node connectivity, P1)
 // and λ(G) (link connectivity, P2).  Both are computed exactly, in two
@@ -19,23 +20,23 @@
 //     (core/maxflow.h) with the cap as the flow limit, so a yes/no
 //     question costs at most cap+1 searches, O(cap · certificate-size).
 //
-// Global values:
-//  - κ(G) ≥ c is S. Even's ordered-fan test ("An algorithm for
-//    determining whether the connectivity of a graph is at least k",
-//    SIAM J. Comput. 4(3), 1975) on the certificate: under a fixed
-//    seeded-random vertex order v_1 … v_n, the c(c−1)/2 pairs among
-//    v_1 … v_c are probed, then every later v_j runs one local c-fan
-//    search (core/maxflow.h FanSearch) into {v_1 … v_{j−1}}, in
-//    parallel through `core::parallel`.  `vertex_connectivity` tests
-//    c = min(δ, cap), then c−1, … and returns the first that passes.
-//    The answer is a bool per c, so results are bit-identical at every
-//    LHG_THREADS.
-//  - λ(G) probes consecutive pairs of a DFS order with a shared upper
-//    bound whose pruning is exact (SharedUpperBound in the .cc).
-//  - `minimum_vertex_cut` keeps the Esfahanian–Hakimi pair loop — a
-//    minimum-degree v against its non-neighbours, then pairs of v's
-//    neighbours — because its witness is the sink side of the pair it
-//    finds.
+// Global values: S. Even's ordered tests ("An algorithm for
+// determining whether the connectivity of a graph is at least k", SIAM
+// J. Comput. 4(3), 1975) on the certificate, under a fixed
+// seeded-random vertex order v_1 … v_n, one local search per vertex in
+// parallel through `core::parallel`:
+//  - κ(G) ≥ c: the c(c−1)/2 pairs among v_1 … v_c are probed, then
+//    every later v_j runs one c-fan search (core/maxflow.h FanSearch)
+//    into {v_1 … v_{j−1}};
+//  - λ(G) ≥ c: every v_j with j ≥ 2 runs one search for c edge-disjoint
+//    paths (core/maxflow.h EdgeFanSearch) into {v_1 … v_{j−1}}.
+// `vertex_connectivity` and `edge_connectivity` test c = min(δ, cap),
+// then c−1, … and return the first that passes.  The answer is a bool
+// per c, so results are bit-identical at every LHG_THREADS.
+// `minimum_vertex_cut` keeps the Esfahanian–Hakimi pair loop — a
+// minimum-degree v against its non-neighbours, then pairs of v's
+// neighbours — because its witness is the sink side of the pair it
+// finds.
 //
 // All global routines accept an `upper_limit` so that yes/no questions
 // ("is κ ≥ k?") stop each flow as soon as k augmenting paths exist —
@@ -127,6 +128,11 @@ namespace detail {
 /// tests can pin an order.  Requires k >= 1.
 bool is_k_vertex_connected_in_order(const Graph& g, std::int32_t k,
                                     std::span<const NodeId> order);
+
+/// The λ twin: Even's ordered test of λ(g) >= k on `g` as given, under
+/// `order`.  Requires k >= 1.
+bool is_k_edge_connected_in_order(const Graph& g, std::int32_t k,
+                                  std::span<const NodeId> order);
 
 }  // namespace detail
 

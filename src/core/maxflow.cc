@@ -233,6 +233,30 @@ std::vector<bool> FlowNetwork::min_cut_source_side() const {
 constexpr std::int32_t kNoFeed = -1;    // feed_: v carries no flow
 constexpr std::int32_t kViaSplit = -1;  // via_: v_in entered from v_out
 
+namespace {
+
+/// The contract of `FanSearch::fan` and `EdgeFanSearch::fan`.
+void check_fan_query(const Graph& g, NodeId source,
+                     std::span<const std::int32_t> rank, std::int32_t bound) {
+  LHG_CHECK_RANGE(source, g.num_nodes());
+  LHG_CHECK(rank.size() == static_cast<std::size_t>(g.num_nodes()),
+            "fan: {} ranks for {} vertices", rank.size(), g.num_nodes());
+  LHG_CHECK(rank[static_cast<std::size_t>(source)] >= bound,
+            "fan: source {} lies in its own sink set", source);
+}
+
+/// A fresh per-vertex visit stamp; `mark` is cleared when stamps wrap.
+std::uint32_t next_stamp(std::uint32_t& stamp,
+                         std::vector<std::uint32_t>& mark) {
+  if (stamp == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(mark.begin(), mark.end(), 0);
+    stamp = 0;
+  }
+  return ++stamp;
+}
+
+}  // namespace
+
 FanSearch::FanSearch(const Graph& g)
     : g_(&g),
       feed_(static_cast<std::size_t>(g.num_nodes()), kNoFeed),
@@ -243,11 +267,7 @@ FanSearch::FanSearch(const Graph& g)
 std::int32_t FanSearch::fan(NodeId source, std::int32_t limit,
                             std::span<const std::int32_t> rank,
                             std::int32_t bound) {
-  LHG_CHECK_RANGE(source, g_->num_nodes());
-  LHG_CHECK(rank.size() == static_cast<std::size_t>(g_->num_nodes()),
-            "fan: {} ranks for {} vertices", rank.size(), g_->num_nodes());
-  LHG_CHECK(rank[static_cast<std::size_t>(source)] >= bound,
-            "fan: source {} lies in its own sink set", source);
+  check_fan_query(*g_, source, rank, bound);
   std::int32_t found = 0;
   while (found < limit && augment(source, rank, bound)) ++found;
   for (const NodeId v : touched_) feed_[static_cast<std::size_t>(v)] = kNoFeed;
@@ -263,11 +283,7 @@ void FanSearch::set_feed(NodeId v, std::int32_t arc) {
 
 bool FanSearch::augment(NodeId source, std::span<const std::int32_t> rank,
                         std::int32_t bound) {
-  if (stamp_ == std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(mark_.begin(), mark_.end(), 0);
-    stamp_ = 0;
-  }
-  const std::uint32_t stamp = ++stamp_;
+  const std::uint32_t stamp = next_stamp(stamp_, mark_);
   const Graph& g = *g_;
   const std::int32_t* const feed = feed_.data();
   std::uint32_t* const mark = mark_.data();
@@ -322,6 +338,69 @@ bool FanSearch::augment(NodeId source, std::span<const std::int32_t> rank,
       set_feed(v, via);  // replaces the feed the path cancelled, if any
       y = tail(via);
     }
+  }
+  return true;
+}
+
+EdgeFanSearch::EdgeFanSearch(const Graph& g)
+    : g_(&g),
+      flow_(static_cast<std::size_t>(g.num_arcs()), 0),
+      mark_(static_cast<std::size_t>(g.num_nodes()), 0),
+      parent_(static_cast<std::size_t>(g.num_nodes())) {}
+
+std::int32_t EdgeFanSearch::fan(NodeId source, std::int32_t limit,
+                                std::span<const std::int32_t> rank,
+                                std::int32_t bound) {
+  check_fan_query(*g_, source, rank, bound);
+  std::int32_t found = 0;
+  while (found < limit && augment(source, rank, bound)) ++found;
+  for (const std::int32_t a : touched_) flow_[static_cast<std::size_t>(a)] = 0;
+  touched_.clear();
+  return found;
+}
+
+bool EdgeFanSearch::augment(NodeId source, std::span<const std::int32_t> rank,
+                            std::int32_t bound) {
+  const std::uint32_t stamp = next_stamp(stamp_, mark_);
+  const Graph& g = *g_;
+  std::uint8_t* const flow = flow_.data();
+  std::uint32_t* const mark = mark_.data();
+  std::int32_t* const parent = parent_.data();
+
+  // An arc is residual unless it carries a unit: its capacity is 1, plus
+  // 1 more when its twin carries one.
+  NodeId end = -1;
+  mark[source] = stamp;
+  queue_.assign(1, source);
+  for (std::size_t head = 0; head < queue_.size() && end < 0; ++head) {
+    const NodeId x = queue_[head];
+    const std::int32_t last = g.arc_begin(x) + g.degree(x);
+    for (std::int32_t a = g.arc_begin(x); a < last && end < 0; ++a) {
+      const NodeId w = g.arc_target(a);
+      if (flow[a] != 0 || mark[w] == stamp) continue;
+      mark[w] = stamp;
+      parent[w] = a;
+      if (rank[static_cast<std::size_t>(w)] < bound) {
+        end = w;
+      } else {
+        queue_.push_back(w);
+      }
+    }
+  }
+  if (end < 0) return false;
+
+  // Walk the path back from its set vertex: each arc cancels its twin's
+  // unit or takes one.
+  for (NodeId y = end; y != source;) {
+    const std::int32_t a = parent[y];
+    const std::int32_t twin = g.twin_arc(a);
+    if (flow[twin] != 0) {
+      flow[twin] = 0;
+    } else {
+      flow[a] = 1;
+      touched_.push_back(a);
+    }
+    y = g.arc_target(twin);
   }
   return true;
 }

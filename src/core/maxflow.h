@@ -23,11 +23,11 @@
 // no-alloc discipline of DESIGN.md §9, §15).  The result of every query
 // is a valid flow, read by `flow_on` and `min_cut_source_side`.
 //
-// `FanSearch` is the local counterpart: a unit-capacity flow from one
-// vertex to a vertex SET over the graph's own CSR, whose searches stop
-// at the first free set vertex they reach, so a query costs only what
-// it explores (S. Even's fans, the per-vertex step of the κ ≥ k test in
-// core/connectivity.cc).
+// `FanSearch` and `EdgeFanSearch` are the local counterparts: a
+// unit-capacity flow from one vertex to a vertex SET over the graph's
+// own CSR, whose searches stop at the first set vertex they reach, so a
+// query costs only what it explores (S. Even's fans, the per-vertex
+// step of the κ ≥ k and λ ≥ k tests in core/connectivity.cc).
 
 #pragma once
 
@@ -166,6 +166,41 @@ class FanSearch {
   std::vector<std::int32_t> via_;     // per vertex: how the search entered v_in
   std::vector<NodeId> pred_;          // per vertex: in-node before v_out
   std::vector<NodeId> queue_;         // out-nodes, BFS order
+  std::uint32_t stamp_ = 0;
+};
+
+/// The edge-disjoint twin of `FanSearch`: the most edge-disjoint paths
+/// from `source` to a set S ∌ source, a unit max-flow in the graph with
+/// every edge as two opposing unit arcs and every vertex of S fed into
+/// one sink.  A flow state is one byte per CSR arc; a push along an arc
+/// whose twin carries a unit cancels that unit instead.  Each BFS stops
+/// at the first vertex of S it reaches (its arc to the sink never
+/// saturates, so S vertices may end any number of paths), and the flow
+/// is undone from a list of the arcs it set, so no query sweeps all n
+/// vertices or m edges.
+///
+/// Holds O(n + m) scratch and reads `g`, which must outlive it.  Not
+/// thread-safe: parallel callers keep one per lane.
+class EdgeFanSearch {
+ public:
+  explicit EdgeFanSearch(const Graph& g);
+
+  /// min(limit, the most edge-disjoint paths from `source` to S = {v :
+  /// rank[v] < bound}).  `rank` has one entry per vertex and
+  /// rank[source] >= bound.  Each call starts from zero flow.
+  std::int32_t fan(NodeId source, std::int32_t limit,
+                   std::span<const std::int32_t> rank, std::int32_t bound);
+
+ private:
+  bool augment(NodeId source, std::span<const std::int32_t> rank,
+               std::int32_t bound);
+
+  const Graph* g_;
+  std::vector<std::uint8_t> flow_;    // per arc: carries a unit
+  std::vector<std::int32_t> touched_; // arcs whose flow_ was set
+  std::vector<std::uint32_t> mark_;   // per vertex: stamp of BFS visit
+  std::vector<std::int32_t> parent_;  // per vertex: arc the BFS entered by
+  std::vector<NodeId> queue_;         // BFS order
   std::uint32_t stamp_ = 0;
 };
 

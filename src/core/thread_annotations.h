@@ -19,11 +19,11 @@
 // shims over the std primitives (`CondVar` uses
 // `std::condition_variable_any`, whose wait path works with any
 // BasicLockable — the wakeup path is not performance-sensitive
-// anywhere in this tree).  Lock-free structures (atomics such as
-// `SharedUpperBound` in connectivity.cc or the obs recording slabs)
-// are outside capability analysis by design; their contracts are
-// documented in place and policed by the determinism linter
-// (scripts/lint_determinism.py) and TSan instead.
+// anywhere in this tree).  Lock-free structures (atomics such as the
+// ordered κ/λ tests' `failed` flag in connectivity.cc or the obs
+// recording slabs) are outside capability analysis by design; their
+// contracts are documented in place and policed by the determinism
+// linter (scripts/lint_determinism.py) and TSan instead.
 
 #pragma once
 

@@ -1,7 +1,7 @@
 // Old-vs-new connectivity equivalence: the certificate-then-max-flow
 // production path (core/connectivity.cc) against the retired per-pair
 // Dinic reference (core/testing/reference_flow.h), plus golden value
-// pins on both paths, Even's ordered-fan κ test under random and
+// pins on both paths, Even's ordered κ and λ tests under random and
 // pinned orders, and 1-vs-N thread determinism for the new kernels.
 //
 // The exhaustive LHG grid test is labeled `slow` (tests/CMakeLists.txt);
@@ -14,6 +14,7 @@
 #include <numeric>
 #include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/certificate.h"
@@ -182,13 +183,45 @@ Graph random_gnp(NodeId n, double p, Rng& rng) {
   return Graph::from_edges(n, edges);
 }
 
+/// Breadth-first order from vertex 0, restarted at the lowest unvisited
+/// vertex until every vertex is listed.
+std::vector<NodeId> bfs_order(const Graph& g) {
+  std::vector<NodeId> order;
+  std::vector<bool> seen(static_cast<std::size_t>(g.num_nodes()), false);
+  for (NodeId root = 0; root < g.num_nodes(); ++root) {
+    if (seen[static_cast<std::size_t>(root)]) continue;
+    seen[static_cast<std::size_t>(root)] = true;
+    order.push_back(root);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      for (const NodeId w : g.neighbors(order[head])) {
+        if (seen[static_cast<std::size_t>(w)]) continue;
+        seen[static_cast<std::size_t>(w)] = true;
+        order.push_back(w);
+      }
+    }
+  }
+  return order;
+}
+
+/// The pinned orders the ordered λ test runs under: identity, BFS and
+/// reverse BFS.
+std::vector<std::vector<NodeId>> pinned_orders(const Graph& g) {
+  std::vector<NodeId> identity(static_cast<std::size_t>(g.num_nodes()));
+  std::iota(identity.begin(), identity.end(), 0);
+  std::vector<NodeId> bfs = bfs_order(g);
+  std::vector<NodeId> reverse_bfs(bfs.rbegin(), bfs.rend());
+  return {std::move(identity), std::move(bfs), std::move(reverse_bfs)};
+}
+
 TEST(ConnectivityEquivalence, FansMatchReferenceOnRandomGraphs) {
-  // Even's ordered fans (the production κ path) against the Dinic
-  // pair-probe oracle on G(n, p) and random regular graphs, n <= 40,
-  // every cap in 1..6: the capped value, the k-connectivity predicate,
-  // and the ordered test on the raw graph under a random order.
+  // Even's ordered tests (the production κ and λ paths) against the
+  // Dinic pair-probe oracle on G(n, p) and random regular graphs,
+  // n <= 40, uncapped and every cap in 1..6: the capped values, the
+  // k-connectivity predicate, and the ordered tests on the raw graph —
+  // κ under a random order, λ under the pinned orders and the random one.
   std::int64_t checks = 0;
   std::int64_t below_cap = 0;
+  std::int64_t lambda_below_cap = 0;
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
     Rng rng(seed);
     for (int trial = 0; trial < 40; ++trial) {
@@ -204,7 +237,24 @@ TEST(ConnectivityEquivalence, FansMatchReferenceOnRandomGraphs) {
       std::vector<NodeId> order(static_cast<std::size_t>(n));
       std::iota(order.begin(), order.end(), 0);
       rng.shuffle(std::span<NodeId>(order));
+      std::vector<std::vector<NodeId>> lambda_orders = pinned_orders(g);
+      lambda_orders.push_back(order);
+      ASSERT_EQ(edge_connectivity(g), testing::reference_edge_connectivity(g))
+          << "seed=" << seed << " trial=" << trial;
       for (std::int32_t cap = 1; cap <= 6; ++cap) {
+        const auto expected_lambda =
+            testing::reference_edge_connectivity(g, cap);
+        ASSERT_EQ(edge_connectivity(g, cap), expected_lambda)
+            << "seed=" << seed << " trial=" << trial << " cap=" << cap;
+        for (std::size_t o = 0; o < lambda_orders.size(); ++o) {
+          ASSERT_EQ(
+              detail::is_k_edge_connected_in_order(g, cap, lambda_orders[o]),
+              expected_lambda >= cap)
+              << "seed=" << seed << " trial=" << trial << " cap=" << cap
+              << " order=" << o;
+        }
+        if (expected_lambda < cap) ++lambda_below_cap;
+
         const auto expected = testing::reference_vertex_connectivity(g, cap);
         ASSERT_EQ(vertex_connectivity(g, cap), expected)
             << "seed=" << seed << " trial=" << trial << " cap=" << cap;
@@ -222,6 +272,30 @@ TEST(ConnectivityEquivalence, FansMatchReferenceOnRandomGraphs) {
   EXPECT_GE(below_cap * 10, checks * 3) << below_cap << " of " << checks;
   EXPECT_GE((checks - below_cap) * 10, checks * 3)
       << below_cap << " of " << checks;
+  EXPECT_GE(lambda_below_cap * 10, checks * 3)
+      << lambda_below_cap << " of " << checks;
+  EXPECT_GE((checks - lambda_below_cap) * 10, checks * 3)
+      << lambda_below_cap << " of " << checks;
+}
+
+TEST(ConnectivityEquivalence, TwoEdgeJoinOfCliquesFailsEveryOrder) {
+  // Two K5 joined by the disjoint edges {0, 5} and {1, 6}: δ = 4 but
+  // λ = 2, so only the ordered λ test, not the degree bound, can see
+  // the cut.
+  std::vector<Edge> edges{{0, 5}, {1, 6}};
+  for (NodeId base : {0, 5}) {
+    for (NodeId u = 0; u < 5; ++u) {
+      for (NodeId v = u + 1; v < 5; ++v) edges.push_back({base + u, base + v});
+    }
+  }
+  const Graph g = Graph::from_edges(10, edges);
+  ASSERT_EQ(g.min_degree(), 4);
+  EXPECT_EQ(edge_connectivity(g), 2);
+  EXPECT_EQ(edge_connectivity(g, 3), 2);
+  for (const auto& order : pinned_orders(g)) {
+    EXPECT_FALSE(detail::is_k_edge_connected_in_order(g, 3, order));
+    EXPECT_TRUE(detail::is_k_edge_connected_in_order(g, 2, order));
+  }
 }
 
 TEST(ConnectivityEquivalence, PairCheckCatchesWhatFansMiss) {
@@ -264,10 +338,9 @@ TEST(ConnectivityEquivalence, ThreeEdgeJoinOfLhgsIsNotFourConnected) {
 }
 
 TEST(ConnectivityEquivalence, NewKernelsParallelDeterminism) {
-  // Bit-identical results at 1 vs N threads.  λ: the shared limit only
-  // truncates values above the eventual minimum (SharedUpperBound).  κ:
-  // each ordered-fan test is one bool, and the shared flag only skips
-  // fans once some fan has failed.
+  // Bit-identical results at 1 vs N threads.  κ and λ: each ordered
+  // test is one bool, and the shared flag only skips fans once some fan
+  // has failed.
   Rng rng(24680);
   std::vector<Graph> graphs;
   graphs.push_back(petersen());

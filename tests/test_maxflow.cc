@@ -2,8 +2,9 @@
 // reusable-query contract (one network, many (s, t, limit) questions),
 // the valid-flow contract (flow_on is a flow after every query), and
 // cross-checks against the retired Dinic reference
-// (core/testing/reference_flow.h); and the local fan search
-// (`FanSearch`) against Dinic on Even's explicit vertex-split network.
+// (core/testing/reference_flow.h); and the local fan searches against
+// Dinic: `FanSearch` on Even's explicit vertex-split network,
+// `EdgeFanSearch` on the edge network with a super-sink fed by the set.
 
 #include "core/maxflow.h"
 
@@ -416,6 +417,117 @@ TEST(FanSearch, ReroutesAroundAVertexItUsed) {
 TEST(FanSearch, Validation) {
   const Graph g = Graph::from_edges(3, std::vector<Edge>{{0, 1}, {1, 2}});
   FanSearch fans(g);
+  const std::vector<std::int32_t> rank{0, 1, 2};
+  EXPECT_THROW(fans.fan(3, 1, rank, 1), std::invalid_argument);
+  EXPECT_THROW(fans.fan(0, 1, rank, 1), std::invalid_argument);  // in set
+  EXPECT_THROW(fans.fan(2, 1, std::vector<std::int32_t>{0, 1}, 1),
+               std::invalid_argument);
+  EXPECT_EQ(fans.fan(2, 3, rank, 2), 1);
+}
+
+/// The most edge-disjoint paths from `source` to {v : rank[v] < bound},
+/// capped at `limit`, by Dinic on the edge network built out in full:
+/// unit arcs both ways per edge, and an arc of capacity deg(v) from every
+/// set vertex v to a super-sink (enough for every path that can end at v).
+std::int32_t reference_edge_fan(const Graph& g, NodeId source,
+                                std::span<const std::int32_t> rank,
+                                std::int32_t bound, std::int32_t limit) {
+  const std::int32_t sink = g.num_nodes();
+  testing::ReferenceFlowNetwork net(sink + 1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (rank[static_cast<std::size_t>(v)] < bound) {
+      net.add_arc(v, sink, g.degree(v));
+    }
+  }
+  for (const Edge e : g.edges()) {
+    net.add_arc(e.u, e.v, 1);
+    net.add_arc(e.v, e.u, 1);
+  }
+  return static_cast<std::int32_t>(net.max_flow(source, sink, limit));
+}
+
+TEST(EdgeFanSearch, AgreesWithDinicOnRandomGraphs) {
+  // One EdgeFanSearch per graph answers many (source, set, limit)
+  // queries, so each query also checks that the previous one was fully
+  // undone.
+  Rng rng(31415926);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<NodeId>(4 + rng.next_below(30));
+    std::vector<Edge> edges;
+    const double p = 0.05 + 0.4 * rng.next_double();
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        if (rng.next_bool(p)) edges.push_back({u, v});
+      }
+    }
+    const Graph g = Graph::from_edges(n, edges);
+    std::vector<std::int32_t> rank(static_cast<std::size_t>(n));
+    std::iota(rank.begin(), rank.end(), 0);
+    EdgeFanSearch fans(g);
+    for (int query = 0; query < 8; ++query) {
+      rng.shuffle(std::span<std::int32_t>(rank));
+      const auto bound = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      NodeId source = 0;
+      while (rank[static_cast<std::size_t>(source)] < bound) ++source;
+      const auto limit = query % 2 == 0
+                             ? std::numeric_limits<std::int32_t>::max()
+                             : static_cast<std::int32_t>(rng.next_below(5));
+      ASSERT_EQ(fans.fan(source, limit, rank, bound),
+                reference_edge_fan(g, source, rank, bound, limit))
+          << "trial " << trial << " query " << query;
+    }
+  }
+}
+
+TEST(EdgeFanSearch, LaterPathCancelsAnEarlierUnit) {
+  // Sinks t, z and w.  The first search takes the shortest path
+  // s-u-v-t.  The second reaches a sink soonest by entering v from y2
+  // and leaving back along u -> v, which cancels that unit:
+  // s-y-y2-v-u-z1-z2-z (the routes through a and b are longer).  The
+  // third, s-p-a1-a2-a-u-v-b-b1-b2-b3-w, crosses u -> v again, which it
+  // can only do because the second path left the edge free.
+  enum : NodeId { s, u, y, p, v, y2, a1, a2, a, z1, z2, z, t, b, b1, b2, b3,
+                  w, kNodes };
+  const Graph g = Graph::from_edges(
+      kNodes,
+      std::vector<Edge>{{s, u},   {s, y},   {s, p},   {u, v},   {v, t},
+                        {y, y2},  {y2, v},  {u, z1},  {z1, z2}, {z2, z},
+                        {p, a1},  {a1, a2}, {a2, a},  {a, u},   {v, b},
+                        {b, b1},  {b1, b2}, {b2, b3}, {b3, w}});
+  std::vector<std::int32_t> rank(kNodes, 3);
+  rank[t] = 0;
+  rank[z] = 1;
+  rank[w] = 2;
+  EdgeFanSearch fans(g);
+  EXPECT_EQ(fans.fan(s, 1, rank, 3), 1);
+  EXPECT_EQ(fans.fan(s, 2, rank, 3), 2);
+  EXPECT_EQ(fans.fan(s, 5, rank, 3), 3);
+  EXPECT_EQ(reference_edge_fan(g, s, rank, 3, 5), 3);
+}
+
+TEST(EdgeFanSearch, BackToBackQueriesStartFromZeroFlow) {
+  // On the 6-cycle, 0 -> {3} takes 0-1-2-3 and 0-5-4-3.  Left in place,
+  // that flow would block both of 1 -> {4}'s paths (1-2-3-4, 1-0-5-4).
+  std::vector<Edge> ring;
+  for (NodeId v = 0; v < 6; ++v) ring.push_back({v, (v + 1) % 6});
+  const Graph g = Graph::from_edges(6, ring);
+  const auto only = [](NodeId w) {
+    std::vector<std::int32_t> rank(6, 1);
+    rank[static_cast<std::size_t>(w)] = 0;
+    return rank;
+  };
+  EdgeFanSearch fans(g);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(fans.fan(0, 5, only(3), 1), 2) << "round " << round;
+    EXPECT_EQ(fans.fan(1, 5, only(4), 1), 2) << "round " << round;
+    EXPECT_EQ(fans.fan(1, 1, only(4), 1), 1) << "round " << round;
+  }
+}
+
+TEST(EdgeFanSearch, Validation) {
+  const Graph g = Graph::from_edges(3, std::vector<Edge>{{0, 1}, {1, 2}});
+  EdgeFanSearch fans(g);
   const std::vector<std::int32_t> rank{0, 1, 2};
   EXPECT_THROW(fans.fan(3, 1, rank, 1), std::invalid_argument);
   EXPECT_THROW(fans.fan(0, 1, rank, 1), std::invalid_argument);  // in set
