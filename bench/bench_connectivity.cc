@@ -20,7 +20,9 @@
 //                   bench/memory_budget.json in CI
 //   verify_exact    exact κ >= k and λ capped at k+1 (Even's ordered
 //                   tests on the certificate) on the LHG and the
-//                   circulant H(4, n): n = 10^4 (--small), 10^5 and 10^6
+//                   circulant H(4, n): n = 10^4 (--small), 10^5 and 10^6,
+//                   plus minimum_vertex_cut on the LHG at 10^4 (--small)
+//                   or 10^5; each row the median of 5 calls
 //
 // Expected shape: the kappa and lambda columns equal k on every row and
 // the summary counts zero deviations; speedup columns grow with n; the
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bfs.h"
 #include "core/certificate.h"
 #include "core/connectivity.h"
 #include "core/random_graphs.h"
@@ -52,6 +55,19 @@ double ms(std::int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 double mb(std::int64_t bytes) {
   return bytes < 0 ? 0.0 : static_cast<double>(bytes) / 1e6;
+}
+
+/// The median wall time of `reps` calls of `run`.
+template <typename Run>
+std::int64_t median_ns(int reps, const Run& run) {
+  std::vector<std::int64_t> samples;
+  for (int r = 0; r < reps; ++r) {
+    const lhg::bench::WallTimer timer;
+    run();
+    samples.push_back(timer.elapsed_ns());
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
 }
 
 }  // namespace
@@ -299,38 +315,57 @@ int main(int argc, char** argv) {
   // edge_connectivity(g, k+1) run Even's ordered tests on the
   // certificate (one local fan search per vertex), on the LHG and on the
   // circulant H(4, n), whose every pair probe in E24a's old column has
-  // to wrap half the ring.
+  // to wrap half the ring.  One LHG row also times minimum_vertex_cut:
+  // κ(G), then the Esfahanian–Hakimi pairs up to the first that
+  // realizes it, then that pair's cut on the full graph.  Every row is
+  // the median of kExactReps calls.
+  constexpr int kExactReps = 5;
   std::cout << "\nE24d: exact kappa >= k and lambda capped at k+1 by "
-               "ordered fans (k=" << k << ", peak RSS per row)\n";
+               "ordered fans, and a minimum vertex cut (k=" << k
+            << ", median of " << kExactReps << ", peak RSS per row)\n";
   bench::Table exact(
       {"topo", "n", "quantity", "result", "ms", "peak_rss_mb"}, 12);
   exact.print_header();
   const auto exact_sizes =
       opts.small ? std::vector<std::int64_t>{10'000}
                  : std::vector<std::int64_t>{10'000, 100'000, 1'000'000};
+  const std::int64_t cut_n = opts.small ? 10'000 : 100'000;
   for (const std::string& topo : {std::string("lhg"), std::string("harary")}) {
     for (const std::int64_t n : exact_sizes) {
       const Graph g = topo == "lhg"
                           ? lhg::build(static_cast<NodeId>(n), k)
                           : harary::circulant(static_cast<NodeId>(n), k);
       const std::string row = "/topo=" + topo + "/n=" + std::to_string(n);
-      const bench::WallTimer kappa_timer;
-      const bool connected = core::is_k_vertex_connected(g, k);
-      const std::int64_t kappa_ns = kappa_timer.elapsed_ns();
-      LHG_CHECK(connected, "{} at n={} is not {}-connected", topo, n, k);
+      const std::int64_t kappa_ns = median_ns(kExactReps, [&] {
+        LHG_CHECK(core::is_k_vertex_connected(g, k),
+                  "{} at n={} is not {}-connected", topo, n, k);
+      });
       exact.print_row(topo, n, "kappa>=k", "yes", ms(kappa_ns),
                       mb(bench::BenchReport::peak_rss_bytes()));
       report.add("verify_exact/kappa" + row, {{"k", k}, {"n", n}}, kappa_ns);
 
-      const bench::WallTimer lambda_timer;
-      const std::int32_t lambda = core::edge_connectivity(g, k + 1);
-      const std::int64_t lambda_ns = lambda_timer.elapsed_ns();
-      LHG_CHECK(lambda == k, "{} at n={} has lambda {}, not {}", topo, n,
-                lambda, k);
-      exact.print_row(topo, n, "lambda", lambda, ms(lambda_ns),
+      const std::int64_t lambda_ns = median_ns(kExactReps, [&] {
+        const std::int32_t lambda = core::edge_connectivity(g, k + 1);
+        LHG_CHECK(lambda == k, "{} at n={} has lambda {}, not {}", topo, n,
+                  lambda, k);
+      });
+      exact.print_row(topo, n, "lambda", k, ms(lambda_ns),
                       mb(bench::BenchReport::peak_rss_bytes()));
       report.add("verify_exact/lambda" + row, {{"k", k}, {"n", n}},
                  lambda_ns);
+
+      if (topo != "lhg" || n != cut_n) continue;
+      std::vector<NodeId> cut;
+      const std::int64_t cut_ns = median_ns(kExactReps, [&] {
+        cut = core::minimum_vertex_cut(g).value();
+      });
+      LHG_CHECK(static_cast<std::int32_t>(cut.size()) == k &&
+                    !core::is_connected_after_node_removal(g, cut),
+                "{} at n={}: minimum_vertex_cut returned no {}-cut", topo, n,
+                k);
+      exact.print_row(topo, n, "min_cut", static_cast<std::int64_t>(k),
+                      ms(cut_ns), mb(bench::BenchReport::peak_rss_bytes()));
+      report.add("verify_exact/min_cut" + row, {{"k", k}, {"n", n}}, cut_ns);
     }
   }
 

@@ -26,40 +26,36 @@ void check_pair(const Graph& g, NodeId s, NodeId t) {
   LHG_CHECK(s != t, "query pair must be distinct, got s == t == {}", s);
 }
 
-/// Unit-capacity digraph: every undirected edge becomes two opposing arcs.
-FlowNetwork edge_network(const Graph& g) {
-  FlowNetwork net(g.num_nodes());
-  for (Edge e : g.edges()) {
-    net.add_arc(e.u, e.v, 1);
-    net.add_arc(e.v, e.u, 1);
+/// Sets rank[v] = `value` on the sink set of an s-t probe: {t} for λ,
+/// and for κ (`vertex`) also every neighbour of t but s.  A fan from s
+/// into N(t) ∪ {t} ∖ {s} is an s-t path family: a direct edge ends at
+/// t, every other path stops at its first neighbour of t, whose edge to
+/// t completes it, so its largest size is κ(s,t) (Menger).
+void mark_sink_set(const Graph& g, NodeId s, NodeId t, bool vertex,
+                   std::int32_t value, std::span<std::int32_t> rank) {
+  rank[static_cast<std::size_t>(t)] = value;
+  if (!vertex) return;
+  for (const NodeId w : g.neighbors(t)) {
+    if (w != s) rank[static_cast<std::size_t>(w)] = value;
   }
-  return net;
 }
 
-constexpr std::int32_t in_vertex(NodeId v) { return 2 * v; }
-constexpr std::int32_t out_vertex(NodeId v) { return 2 * v + 1; }
-
-/// Even's vertex-split network: v_in -> v_out with capacity 1 for every
-/// vertex, and u_out -> v_in / v_out -> u_in for every edge {u,v}.  Arc
-/// v is v's split arc; arcs n + 2i and n + 2i + 1 carry edges()[i] as
-/// u -> v and v -> u, which is how path extraction reads the flow.
-///
-/// `edge_capacity` = 1 gives the same max-flow VALUE (internally
-/// disjoint paths, counting a direct s-t edge once) and is safe for
-/// adjacent query pairs.  Cut extraction instead needs edge arcs the
-/// min cut can never select, so minimum_vertex_cut passes n+1 — valid
-/// only for non-adjacent pairs, where every s-t cut must consist of
-/// split arcs.
-FlowNetwork split_network(const Graph& g, std::int64_t edge_capacity = 1) {
-  FlowNetwork net(2 * g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    net.add_arc(in_vertex(v), out_vertex(v), 1);
-  }
-  for (Edge e : g.edges()) {
-    net.add_arc(out_vertex(e.u), in_vertex(e.v), edge_capacity);
-    net.add_arc(out_vertex(e.v), in_vertex(e.u), edge_capacity);
-  }
-  return net;
+/// min(limit, the s-t connectivity `Search` counts): a fan from s into
+/// the probe's sink set, marked with rank 0 in `rank` (all 1 between
+/// probes) for this call only.
+template <typename Search>
+std::int32_t probe_fan(const Graph& g, std::optional<Search>& search,
+                       std::vector<std::int32_t>& rank, NodeId s, NodeId t,
+                       std::int32_t limit) {
+  check_pair(g, s, t);
+  if (limit <= 0) return 0;
+  if (!search) search.emplace(g);
+  if (rank.empty()) rank.assign(static_cast<std::size_t>(g.num_nodes()), 1);
+  constexpr bool vertex = std::is_same_v<Search, FanSearch>;
+  mark_sink_set(g, s, t, vertex, 0, rank);
+  const std::int32_t found = search->fan(s, limit, rank, 1);
+  mark_sink_set(g, s, t, vertex, 1, rank);
+  return found;
 }
 
 bool is_complete(const Graph& g) {
@@ -224,19 +220,12 @@ ConnectivityProber::ConnectivityProber(const Graph& g) : g_(&g) {}
 
 std::int32_t ConnectivityProber::edge_probe(NodeId s, NodeId t,
                                             std::int32_t limit) {
-  check_pair(*g_, s, t);
-  if (limit <= 0) return 0;
-  if (!edge_net_) edge_net_.emplace(edge_network(*g_));
-  return static_cast<std::int32_t>(edge_net_->max_flow(s, t, limit, scratch_));
+  return probe_fan(*g_, edge_fans_, rank_, s, t, limit);
 }
 
 std::int32_t ConnectivityProber::vertex_probe(NodeId s, NodeId t,
                                               std::int32_t limit) {
-  check_pair(*g_, s, t);
-  if (limit <= 0) return 0;
-  if (!vertex_net_) vertex_net_.emplace(split_network(*g_));
-  return static_cast<std::int32_t>(
-      vertex_net_->max_flow(out_vertex(s), in_vertex(t), limit, scratch_));
+  return probe_fan(*g_, fans_, rank_, s, t, limit);
 }
 
 std::int32_t local_edge_connectivity(const Graph& g, NodeId s, NodeId t,
@@ -287,51 +276,16 @@ std::optional<std::vector<std::vector<NodeId>>> vertex_disjoint_paths(
   check_pair(g, s, t);
   if (count <= 0) return std::vector<std::vector<NodeId>>{};
   // A count-certificate contains `count` disjoint s-t paths iff G does,
-  // and any path in the certificate is a path in G.
+  // and any path in the certificate is a path in G.  The κ probe's fan
+  // ends each path at t or at a neighbour of t, which t then follows.
   const Graph cert = sparse_certificate(g, count);
-  FlowNetwork net = split_network(cert);
-  const auto flow = net.max_flow(out_vertex(s), in_vertex(t), count);
-  if (flow < count) return std::nullopt;
-
-  // Collect directed edges carrying flow and decompose into paths by
-  // walking from s.  Vertex capacities are 1, so each internal vertex
-  // appears on at most one path; any flow cycle (possible in principle)
-  // is dropped by the in-walk cycle check.  Node-indexed flat storage:
-  // successor lists fill in arc-index order and pop deterministically,
-  // with no hashed container anywhere near the returned paths
-  // (determinism-linter rule `unordered-iteration` guards the contract).
-  std::vector<std::vector<NodeId>> out_flow(
-      static_cast<std::size_t>(g.num_nodes()));
-  std::int32_t arc = cert.num_nodes();  // the first edge arc
-  for (const Edge e : cert.edges()) {
-    if (net.flow_on(arc++) > 0) out_flow[as_index(e.u)].push_back(e.v);
-    if (net.flow_on(arc++) > 0) out_flow[as_index(e.v)].push_back(e.u);
-  }
-  std::vector<std::vector<NodeId>> paths;
-  for (std::int32_t p = 0; p < count; ++p) {
-    std::vector<NodeId> path{s};
-    std::vector<std::int32_t> position(static_cast<std::size_t>(g.num_nodes()), -1);
-    position[static_cast<std::size_t>(s)] = 0;
-    while (path.back() != t) {
-      auto& successors = out_flow[static_cast<std::size_t>(path.back())];
-      LHG_CHECK(!successors.empty(),
-                "flow decomposition: dead end at node {}", path.back());
-      const NodeId next = successors.back();
-      successors.pop_back();
-      const auto pos = position[static_cast<std::size_t>(next)];
-      if (pos >= 0) {
-        // Flow cycle: discard the loop portion.
-        for (std::size_t i = static_cast<std::size_t>(pos) + 1; i < path.size(); ++i) {
-          position[static_cast<std::size_t>(path[i])] = -1;
-        }
-        path.resize(static_cast<std::size_t>(pos) + 1);
-        continue;
-      }
-      position[static_cast<std::size_t>(next)] =
-          static_cast<std::int32_t>(path.size());
-      path.push_back(next);
-    }
-    paths.push_back(std::move(path));
+  std::vector<std::int32_t> rank(static_cast<std::size_t>(g.num_nodes()), 1);
+  mark_sink_set(cert, s, t, true, 0, rank);
+  FanSearch fans(cert);
+  if (fans.fan(s, count, rank, 1) < count) return std::nullopt;
+  std::vector<std::vector<NodeId>> paths = fans.paths();
+  for (auto& path : paths) {
+    if (path.back() != t) path.push_back(t);
   }
   return paths;
 }
@@ -340,57 +294,47 @@ std::optional<std::vector<NodeId>> minimum_vertex_cut(const Graph& g) {
   LHG_CHECK(g.num_nodes() > 0, "minimum vertex cut of the empty graph");
   if (is_complete(g)) return std::nullopt;
 
-  // Find the pair realizing κ: Esfahanian–Hakimi, a minimum-degree v
-  // against its non-neighbors, then pairs of v's neighbors.  Probes run
-  // on a certificate at δ(G)+1 — one above any possible κ, so every
-  // probe value matches the full graph's.
+  // Find a pair realizing κ: Esfahanian–Hakimi, a minimum-degree v
+  // against its non-neighbours, then pairs of v's neighbours.  Some pair
+  // in that scan has κ(a, b) = κ(G), so it stops at the first one; a
+  // scan that kept the minimum to the end would return that same pair.
+  // Probes run on a certificate at κ(G)+1, which keeps every value up
+  // to that cap.
   NodeId v = 0;
   for (NodeId u = 1; u < g.num_nodes(); ++u) {
     if (g.degree(u) < g.degree(v)) v = u;
   }
-  const Graph cert = sparse_certificate(g, g.degree(v) + 1);
+  const std::int32_t kappa = vertex_connectivity(g, g.degree(v));
+  const Graph cert = sparse_certificate(g, kappa + 1);
   ConnectivityProber prober(cert);
-  std::int32_t best = g.degree(v) + 1;
-  std::pair<NodeId, NodeId> best_pair{-1, -1};
-  auto probe = [&](NodeId a, NodeId b) {
-    const auto c = prober.vertex_probe(a, b, best);
-    if (c < best) {
-      best = c;
-      best_pair = {a, b};
-    }
+  const auto realizes = [&](NodeId a, NodeId b) {
+    return !g.has_edge(a, b) && prober.vertex_probe(a, b, kappa + 1) == kappa;
   };
   // v as the common sink.  The cut below is the sink-side one of the
   // pair found here, so this orientation is part of the result.
-  for (NodeId w = 0; w < g.num_nodes(); ++w) {
-    if (w != v && !g.has_edge(v, w)) probe(w, v);
-  }
-  const auto nbrs = g.neighbors(v);
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-      if (!g.has_edge(nbrs[i], nbrs[j])) probe(nbrs[i], nbrs[j]);
+  const auto [s, t] = [&]() -> std::pair<NodeId, NodeId> {
+    for (NodeId w = 0; w < g.num_nodes(); ++w) {
+      if (w != v && realizes(w, v)) return {w, v};
     }
-  }
-  // Not complete, so some non-adjacent pair must have been probed.
-  LHG_CHECK(best_pair.first >= 0,
-            "minimum_vertex_cut: no non-adjacent pair probed");
+    const auto nbrs = g.neighbors(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+        if (realizes(nbrs[i], nbrs[j])) return {nbrs[i], nbrs[j]};
+      }
+    }
+    return {-1, -1};
+  }();
+  LHG_CHECK(s >= 0, "minimum_vertex_cut: no pair realizes kappa = {}", kappa);
 
-  // Recompute the flow with uncuttable edge arcs (the best pair is
-  // non-adjacent by construction), so the min cut is split arcs only.
-  // The cut is read off the FULL graph, not the certificate: a
-  // certificate separator need not separate G.
-  FlowNetwork net =
-      split_network(g, static_cast<std::int64_t>(g.num_nodes()) + 1);
-  net.max_flow(out_vertex(best_pair.first), in_vertex(best_pair.second));
-  const auto source_side = net.min_cut_source_side();
-  std::vector<NodeId> cut;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    // A vertex is in the cut iff its split arc crosses the residual cut.
-    if (source_side[static_cast<std::size_t>(in_vertex(u))] &&
-        !source_side[static_cast<std::size_t>(out_vertex(u))]) {
-      cut.push_back(u);
-    }
-  }
-  return cut;
+  // The sink-closest cut of a maximum fan from s into N(t), read off the
+  // FULL graph, not the certificate: a certificate separator need not
+  // separate G.  s and t are non-adjacent, so every s-t vertex cut
+  // consists of split arcs.
+  std::vector<std::int32_t> rank(static_cast<std::size_t>(g.num_nodes()), 1);
+  mark_sink_set(g, s, t, true, 0, rank);
+  FanSearch fans(g);
+  fans.fan(s, kappa, rank, 1);
+  return fans.vertex_cut();
 }
 
 }  // namespace lhg::core

@@ -1,6 +1,5 @@
 // Exact vertex and edge connectivity: Nagamochi–Ibaraki sparse
-// certificates feeding Even's ordered fan tests and capped
-// augmenting-path max-flow (Menger's theorem).
+// certificates feeding S. Even's fans (Menger's theorem).
 //
 // The LHG definition is stated in terms of κ(G) (node connectivity, P1)
 // and λ(G) (link connectivity, P2).  Both are computed exactly, in two
@@ -12,13 +11,15 @@
 //     those.  A Nagamochi–Ibaraki certificate at that cap
 //     (core/certificate.h) preserves every answer that can still matter
 //     while shrinking m edges to ≤ cap·n.
-//  2. *Flow.*  On the certificate:
-//     λ(s,t) is a unit-capacity max-flow where every undirected edge
-//     becomes two opposing arcs of capacity 1; κ(s,t) splits every
-//     vertex v into v_in → v_out with an arc of capacity 1 (Even's
-//     construction).  Flows run on the reusable augmenting-path solver
-//     (core/maxflow.h) with the cap as the flow limit, so a yes/no
-//     question costs at most cap+1 searches, O(cap · certificate-size).
+//  2. *Flow.*  On the certificate, every query is a unit max-flow from
+//     one vertex into a vertex set, run by the one flow kernel of
+//     core/maxflow.h on the graph's own CSR with the cap as its limit,
+//     so a yes/no question costs at most cap+1 searches:
+//      - κ(s,t) is the largest fan (`FanSearch`) from s into
+//        N(t) ∪ {t} ∖ {s}: a direct edge ends at t and every other path
+//        stops at its first neighbour of t;
+//      - λ(s,t) is the most edge-disjoint paths (`EdgeFanSearch`) from s
+//        into {t}.
 //
 // Global values: S. Even's ordered tests ("An algorithm for
 // determining whether the connectivity of a graph is at least k", SIAM
@@ -26,17 +27,17 @@
 // seeded-random vertex order v_1 … v_n, one local search per vertex in
 // parallel through `core::parallel`:
 //  - κ(G) ≥ c: the c(c−1)/2 pairs among v_1 … v_c are probed, then
-//    every later v_j runs one c-fan search (core/maxflow.h FanSearch)
-//    into {v_1 … v_{j−1}};
+//    every later v_j runs one c-fan search into {v_1 … v_{j−1}};
 //  - λ(G) ≥ c: every v_j with j ≥ 2 runs one search for c edge-disjoint
-//    paths (core/maxflow.h EdgeFanSearch) into {v_1 … v_{j−1}}.
+//    paths into {v_1 … v_{j−1}}.
 // `vertex_connectivity` and `edge_connectivity` test c = min(δ, cap),
 // then c−1, … and return the first that passes.  The answer is a bool
 // per c, so results are bit-identical at every LHG_THREADS.
-// `minimum_vertex_cut` keeps the Esfahanian–Hakimi pair loop — a
-// minimum-degree v against its non-neighbours, then pairs of v's
-// neighbours — because its witness is the sink side of the pair it
-// finds.
+// `minimum_vertex_cut` computes κ(G) that way, then scans the
+// Esfahanian–Hakimi pairs — a minimum-degree v against its
+// non-neighbours, then pairs of v's neighbours — up to the first pair
+// that realizes it; its witness is the sink-closest cut of that pair's
+// maximum fan, and `vertex_disjoint_paths` reads the fan's paths.
 //
 // All global routines accept an `upper_limit` so that yes/no questions
 // ("is κ ≥ k?") stop each flow as soon as k augmenting paths exist —
@@ -58,10 +59,11 @@
 namespace lhg::core {
 
 /// Reusable s-t connectivity prober over one fixed graph (typically a
-/// certificate): the κ and λ flow networks are built lazily on first
-/// use and then answer any number of capped queries with zero heap
-/// allocation, sharing one scratch.  Not thread-safe — parallel callers
-/// keep one prober per lane (core/parallel.h lane contract).
+/// certificate): one n-sized rank array marks each probe's sink set and
+/// is restored in O(deg t), and the κ and λ fan searches are built
+/// lazily on first use, so after that any number of capped queries run
+/// with no heap allocation.  Not thread-safe — parallel callers keep
+/// one prober per lane (core/parallel.h lane contract).
 class ConnectivityProber {
  public:
   /// Probes run against `g`, which must outlive the prober.
@@ -76,9 +78,9 @@ class ConnectivityProber {
 
  private:
   const Graph* g_;
-  std::optional<FlowNetwork> vertex_net_;  // Even's split network
-  std::optional<FlowNetwork> edge_net_;    // two opposing unit arcs/edge
-  MaxflowScratch scratch_;
+  std::vector<std::int32_t> rank_;  // 0 on a probe's sink set, else 1
+  std::optional<FanSearch> fans_;
+  std::optional<EdgeFanSearch> edge_fans_;
 };
 
 /// Number of edge-disjoint s-t paths (= min s-t edge cut), capped at

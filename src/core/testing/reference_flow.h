@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -84,8 +85,7 @@ class ReferenceFlowNetwork {
   }
 
   /// After max_flow: vertices reachable from `source` in the residual
-  /// network.  (Valid for a *flow* — Dinic never leaves excess — unlike
-  /// the preflow case discussed in core/maxflow.h.)
+  /// network (Dinic leaves a flow, never a preflow).
   std::vector<bool> min_cut_source_side(std::int32_t source) const {
     std::vector<bool> reachable(head_.size(), false);
     std::vector<std::int32_t> stack{source};
@@ -101,6 +101,29 @@ class ReferenceFlowNetwork {
       }
     }
     return reachable;
+  }
+
+  /// After a maximum max_flow: vertices that can still reach `sink` in
+  /// the residual network — the sink side of the sink-closest minimum
+  /// cut, the same for every maximum flow.
+  std::vector<bool> min_cut_sink_side(std::int32_t sink) const {
+    std::vector<bool> reaches(head_.size(), false);
+    std::vector<std::int32_t> stack{sink};
+    reaches[static_cast<std::size_t>(sink)] = true;
+    while (!stack.empty()) {
+      const std::int32_t v = stack.back();
+      stack.pop_back();
+      // Each arc v -> u lists its twin u -> v at head_[u][rev].
+      for (const Arc& a : head_[static_cast<std::size_t>(v)]) {
+        const Arc& into = head_[static_cast<std::size_t>(a.to)]
+                               [static_cast<std::size_t>(a.rev)];
+        if (into.capacity > 0 && !reaches[static_cast<std::size_t>(a.to)]) {
+          reaches[static_cast<std::size_t>(a.to)] = true;
+          stack.push_back(a.to);
+        }
+      }
+    }
+    return reaches;
   }
 
  private:
@@ -173,14 +196,17 @@ inline ReferenceFlowNetwork reference_edge_network(const Graph& g) {
 constexpr std::int32_t ref_in(NodeId v) { return 2 * v; }
 constexpr std::int32_t ref_out(NodeId v) { return 2 * v + 1; }
 
-inline ReferenceFlowNetwork reference_split_network(const Graph& g) {
+/// Even's vertex-split network: v_in -> v_out of capacity 1 per vertex,
+/// u_out -> v_in and v_out -> u_in of `edge_capacity` per edge.
+inline ReferenceFlowNetwork reference_split_network(
+    const Graph& g, std::int64_t edge_capacity = 1) {
   ReferenceFlowNetwork net(2 * g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     net.add_arc(ref_in(v), ref_out(v), 1);
   }
   for (Edge e : g.edges()) {
-    net.add_arc(ref_out(e.u), ref_in(e.v), 1);
-    net.add_arc(ref_out(e.v), ref_in(e.u), 1);
+    net.add_arc(ref_out(e.u), ref_in(e.v), edge_capacity);
+    net.add_arc(ref_out(e.v), ref_in(e.u), edge_capacity);
   }
   return net;
 }
@@ -249,6 +275,52 @@ inline std::int32_t reference_vertex_connectivity(
     }
   }
   return best;
+}
+
+/// A minimum vertex cut of a non-complete graph, by the full
+/// Esfahanian–Hakimi scan: a minimum-degree v as the sink against its
+/// non-neighbours, then pairs of v's non-adjacent neighbours, keeping
+/// the first pair with the smallest κ(a, b).  The cut is the sink-closest
+/// one of that pair on the split network whose edge arcs carry n+1, so
+/// only split arcs can be cut.  std::nullopt for complete graphs.
+inline std::optional<std::vector<NodeId>> reference_minimum_vertex_cut(
+    const Graph& g) {
+  LHG_CHECK(g.num_nodes() > 0, "minimum vertex cut of the empty graph");
+  const auto n = static_cast<std::int64_t>(g.num_nodes());
+  if (g.num_edges() == n * (n - 1) / 2) return std::nullopt;
+  NodeId v = 0;
+  for (NodeId u = 1; u < g.num_nodes(); ++u) {
+    if (g.degree(u) < g.degree(v)) v = u;
+  }
+  std::int32_t best = std::numeric_limits<std::int32_t>::max();
+  std::pair<NodeId, NodeId> best_pair{-1, -1};
+  const auto probe = [&](NodeId a, NodeId b) {
+    if (g.has_edge(a, b)) return;
+    const std::int32_t c = reference_local_vertex_connectivity(g, a, b);
+    if (c < best) {
+      best = c;
+      best_pair = {a, b};
+    }
+  };
+  for (NodeId w = 0; w < g.num_nodes(); ++w) {
+    if (w != v) probe(w, v);
+  }
+  const auto nbrs = g.neighbors(v);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    for (std::size_t j = i + 1; j < nbrs.size(); ++j) probe(nbrs[i], nbrs[j]);
+  }
+  auto net = detail::reference_split_network(g, n + 1);
+  const std::int32_t sink = detail::ref_in(best_pair.second);
+  net.max_flow(detail::ref_out(best_pair.first), sink);
+  const std::vector<bool> sink_side = net.min_cut_sink_side(sink);
+  std::vector<NodeId> cut;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (!sink_side[static_cast<std::size_t>(detail::ref_in(u))] &&
+        sink_side[static_cast<std::size_t>(detail::ref_out(u))]) {
+      cut.push_back(u);
+    }
+  }
+  return cut;
 }
 
 }  // namespace lhg::core::testing

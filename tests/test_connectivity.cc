@@ -159,16 +159,16 @@ TEST(Connectivity, DisjointPathsOnPetersen) {
 }
 
 TEST(Connectivity, DisjointPathsDecompositionIsPinned) {
-  // Golden regression for the flow decomposition's node-indexed flat
-  // successor storage (it used to hash on a std::unordered_map): the
-  // exact paths are a pure function of the CSR arc order, so any
-  // future hashed-order leak shows up as a diff here, not as a
+  // Golden regression for the fan's path read-out: each path is its
+  // end's chain of feeding arcs, listed in the order the searches found
+  // them, so the exact paths are a pure function of the CSR arc order
+  // and any future hashed-order leak shows up as a diff here, not as a
   // cross-platform flake.
   Graph g = petersen();
   const auto paths = vertex_disjoint_paths(g, 0, 7, 3);
   ASSERT_TRUE(paths.has_value());
   const std::vector<std::vector<NodeId>> expected{
-      {0, 5, 7}, {0, 4, 9, 7}, {0, 1, 2, 7}};
+      {0, 5, 7}, {0, 1, 2, 7}, {0, 4, 9, 7}};
   EXPECT_EQ(*paths, expected);
 }
 

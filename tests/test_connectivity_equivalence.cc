@@ -1,8 +1,10 @@
-// Old-vs-new connectivity equivalence: the certificate-then-max-flow
+// Old-vs-new connectivity equivalence: the certificate-then-fan
 // production path (core/connectivity.cc) against the retired per-pair
 // Dinic reference (core/testing/reference_flow.h), plus golden value
 // pins on both paths, Even's ordered κ and λ tests under random and
-// pinned orders, and 1-vs-N thread determinism for the new kernels.
+// pinned orders, the s-t prober, `minimum_vertex_cut`'s witness and
+// `vertex_disjoint_paths` against Dinic, and 1-vs-N thread determinism
+// for the new kernels.
 //
 // The exhaustive LHG grid test is labeled `slow` (tests/CMakeLists.txt);
 // everything else stays in the fast suite.
@@ -13,10 +15,12 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/bfs.h"
 #include "core/certificate.h"
 #include "core/connectivity.h"
 #include "core/parallel.h"
@@ -38,6 +42,16 @@ Graph petersen() {
     edges.push_back({i, static_cast<NodeId>(i + 5)});
   }
   return Graph::from_edges(10, edges);
+}
+
+Graph random_gnp(NodeId n, double p, Rng& rng) {
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (rng.next_bool(p)) edges.push_back({u, v});
+    }
+  }
+  return Graph::from_edges(n, edges);
 }
 
 /// Both paths, all four global quantities, uncapped and capped.
@@ -138,6 +152,142 @@ TEST(ConnectivityEquivalence, LocalProbesAgreeOnRandomGraphs) {
   }
 }
 
+TEST(ConnectivityEquivalence, ProberMatchesReferenceOnRandomGraphs) {
+  // One prober per graph, reused back-to-back over adjacent and
+  // non-adjacent pairs in both orientations and every cap 0..6, so a
+  // sink set left marked by one probe would skew the next.
+  Rng rng(662607);
+  std::int64_t adjacent = 0;
+  std::int64_t apart = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto n = static_cast<NodeId>(5 + rng.next_below(20));
+    const auto max_m = static_cast<std::int64_t>(n) * (n - 1) / 2;
+    const Graph g = random_gnm(
+        n, std::min<std::int64_t>(
+               max_m, n + static_cast<std::int64_t>(rng.next_below(
+                              static_cast<std::uint64_t>(3 * n)))),
+        rng);
+    ConnectivityProber prober(g);
+    for (int q = 0; q < 12; ++q) {
+      const auto s = static_cast<NodeId>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      const auto t = static_cast<NodeId>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      if (s == t) continue;
+      ++(g.has_edge(s, t) ? adjacent : apart);
+      for (std::int32_t cap = 0; cap <= 6; ++cap) {
+        ASSERT_EQ(prober.vertex_probe(s, t, cap),
+                  testing::reference_local_vertex_connectivity(g, s, t, cap))
+            << "trial=" << trial << " s=" << s << " t=" << t << " cap=" << cap;
+        ASSERT_EQ(prober.edge_probe(s, t, cap),
+                  testing::reference_local_edge_connectivity(g, s, t, cap))
+            << "trial=" << trial << " s=" << s << " t=" << t << " cap=" << cap;
+      }
+    }
+  }
+  EXPECT_GE(adjacent, 30);
+  EXPECT_GE(apart, 30);
+}
+
+TEST(ConnectivityEquivalence, MinimumVertexCutMatchesReference) {
+  // The witness against the Dinic oracle's: the full Esfahanian–Hakimi
+  // scan's first minimizing pair, and its sink-closest cut on the split
+  // network with edge arcs of capacity n+1.  Random non-complete graphs,
+  // connected or not, plus random regular ones.
+  Rng rng(314159);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<NodeId>(4 + rng.next_below(24));
+    Graph g;
+    if (trial % 3 == 2) {
+      const auto d = static_cast<std::int32_t>(3 + rng.next_below(3));
+      if (n <= d + 1 || (static_cast<std::int64_t>(n) * d) % 2 != 0) continue;
+      g = random_regular(n, d, rng);
+    } else {
+      g = random_gnp(n, 0.1 + 0.6 * rng.next_double(), rng);
+    }
+    const auto cut = minimum_vertex_cut(g);
+    const auto expected = testing::reference_minimum_vertex_cut(g);
+    ASSERT_EQ(cut, expected) << "trial=" << trial << " n=" << n;
+    if (!cut.has_value()) continue;
+    ASSERT_EQ(static_cast<std::int32_t>(cut->size()),
+              testing::reference_vertex_connectivity(g))
+        << "trial=" << trial;
+    if (is_connected(g)) {
+      ASSERT_FALSE(is_connected_after_node_removal(g, *cut))
+          << "trial=" << trial;
+    }
+  }
+}
+
+/// E19's checks: `paths` is a set of `count` simple s-t paths over
+/// edges of g, no internal vertex an endpoint or shared by two paths.
+void expect_disjoint_path_set(const Graph& g, NodeId s, NodeId t,
+                              const std::vector<std::vector<NodeId>>& paths,
+                              std::int32_t count, const std::string& label) {
+  ASSERT_EQ(static_cast<std::int32_t>(paths.size()), count) << label;
+  std::vector<bool> taken(static_cast<std::size_t>(g.num_nodes()), false);
+  for (const auto& path : paths) {
+    ASSERT_GE(path.size(), 2u) << label;
+    ASSERT_EQ(path.front(), s) << label;
+    ASSERT_EQ(path.back(), t) << label;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      ASSERT_TRUE(g.has_edge(path[i], path[i + 1]))
+          << label << " step " << path[i] << "-" << path[i + 1];
+    }
+    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+      const NodeId v = path[i];
+      ASSERT_TRUE(v != s && v != t) << label << " revisits an endpoint";
+      ASSERT_FALSE(taken[static_cast<std::size_t>(v)])
+          << label << " shares vertex " << v;
+      taken[static_cast<std::size_t>(v)] = true;
+    }
+  }
+}
+
+TEST(ConnectivityEquivalence, DisjointPathsMatchReferenceKappa) {
+  // vertex_disjoint_paths returns paths iff count <= κ(s,t), and every
+  // returned set passes E19's checks, for adjacent and non-adjacent
+  // pairs on G(n, p) and on LHGs.
+  Rng rng(271828);
+  std::vector<Graph> graphs;
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto n = static_cast<NodeId>(5 + rng.next_below(25));
+    graphs.push_back(random_gnp(n, 0.15 + 0.5 * rng.next_double(), rng));
+  }
+  graphs.push_back(lhg::build(40, 3));
+  graphs.push_back(lhg::build(64, 5));
+  std::int64_t found = 0;
+  std::int64_t refused = 0;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    for (int q = 0; q < 8; ++q) {
+      const auto s = static_cast<NodeId>(
+          rng.next_below(static_cast<std::uint64_t>(g.num_nodes())));
+      const auto t = static_cast<NodeId>(
+          rng.next_below(static_cast<std::uint64_t>(g.num_nodes())));
+      if (s == t) continue;
+      const std::int32_t kappa =
+          testing::reference_local_vertex_connectivity(g, s, t);
+      for (std::int32_t count = 1; count <= kappa + 1; ++count) {
+        const std::string label = "graph " + std::to_string(i) + " (" +
+                                  std::to_string(s) + ", " +
+                                  std::to_string(t) + ") count " +
+                                  std::to_string(count);
+        const auto paths = vertex_disjoint_paths(g, s, t, count);
+        ASSERT_EQ(paths.has_value(), count <= kappa) << label;
+        if (!paths.has_value()) {
+          ++refused;
+          continue;
+        }
+        ++found;
+        expect_disjoint_path_set(g, s, t, *paths, count, label);
+      }
+    }
+  }
+  EXPECT_GE(found, 100);
+  EXPECT_GE(refused, 50);
+}
+
 TEST(ConnectivityEquivalence, RandomizedMediumN) {
   // Medium-size cross-check, where the certificate actually prunes:
   // random regular graphs (κ typically = d) and a denser G(n, m).
@@ -171,16 +321,6 @@ TEST(ConnectivityEquivalence, ExhaustiveSmallLhgGrid) {
       }
     }
   }
-}
-
-Graph random_gnp(NodeId n, double p, Rng& rng) {
-  std::vector<Edge> edges;
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.next_bool(p)) edges.push_back({u, v});
-    }
-  }
-  return Graph::from_edges(n, edges);
 }
 
 /// Breadth-first order from vertex 0, restarted at the lowest unvisited

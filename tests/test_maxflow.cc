@@ -1,15 +1,19 @@
-// Unit tests for the augmenting-path max-flow engine, including the
-// reusable-query contract (one network, many (s, t, limit) questions),
-// the valid-flow contract (flow_on is a flow after every query), and
-// cross-checks against the retired Dinic reference
-// (core/testing/reference_flow.h); and the local fan searches against
-// Dinic: `FanSearch` on Even's explicit vertex-split network,
-// `EdgeFanSearch` on the edge network with a super-sink fed by the set.
+// Unit tests for the one flow kernel, the fan searches of
+// core/maxflow.h.  `MaxFlow.*` pins the s-t max-flow contracts on unit
+// capacities through `ConnectivityProber` (κ(s,t) as a fan from s into
+// N(t) ∪ {t} ∖ {s}, λ(s,t) as an edge fan into {t}) and the two
+// read-outs of `FanSearch`'s flow — its paths and its sink-closest
+// vertex cut — with cross-checks against the Dinic reference
+// (core/testing/reference_flow.h).  `FanSearch.*` and `EdgeFanSearch.*`
+// check the searches themselves against Dinic: `FanSearch` on Even's
+// explicit vertex-split network, `EdgeFanSearch` on the edge network
+// with a super-sink fed by the set.
 
 #include "core/maxflow.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -17,329 +21,301 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/bfs.h"
+#include "core/connectivity.h"
 #include "core/graph.h"
 #include "core/random_graphs.h"
 #include "core/rng.h"
+#include "core/special.h"
 #include "core/testing/reference_flow.h"
 
 namespace lhg::core {
 namespace {
 
+/// A rank array whose sink set (rank 0, bound 1) is `sinks`.
+std::vector<std::int32_t> sink_rank(NodeId n, std::span<const NodeId> sinks) {
+  std::vector<std::int32_t> rank(static_cast<std::size_t>(n), 1);
+  for (const NodeId v : sinks) rank[static_cast<std::size_t>(v)] = 0;
+  return rank;
+}
+
+/// The rank array of a κ probe of (s, t): sink set N(t) ∪ {t} ∖ {s}.
+std::vector<std::int32_t> kappa_rank(const Graph& g, NodeId s, NodeId t) {
+  std::vector<NodeId> sinks{t};
+  for (const NodeId w : g.neighbors(t)) {
+    if (w != s) sinks.push_back(w);
+  }
+  return sink_rank(g.num_nodes(), sinks);
+}
+
 TEST(MaxFlow, SingleArc) {
-  FlowNetwork net(2);
-  net.add_arc(0, 1, 5);
-  EXPECT_EQ(net.max_flow(0, 1), 5);
+  const Graph g = Graph::from_edges(2, std::vector<Edge>{{0, 1}});
+  ConnectivityProber prober(g);
+  EXPECT_EQ(prober.vertex_probe(0, 1, 5), 1);
+  EXPECT_EQ(prober.edge_probe(0, 1, 5), 1);
+  EXPECT_EQ(prober.vertex_probe(1, 0, 5), 1);
 }
 
 TEST(MaxFlow, SeriesTakesMinimum) {
-  FlowNetwork net(3);
-  net.add_arc(0, 1, 7);
-  net.add_arc(1, 2, 3);
-  EXPECT_EQ(net.max_flow(0, 2), 3);
+  // s - {a1, a2, a3} - m - {b1, b2, b3} - t: the single vertex m bounds
+  // κ, the three edges on either side of it bound λ.
+  enum : NodeId { s, a1, a2, a3, m, b1, b2, b3, t, kNodes };
+  const Graph g = Graph::from_edges(
+      kNodes, std::vector<Edge>{{s, a1}, {s, a2}, {s, a3}, {a1, m}, {a2, m},
+                                {a3, m}, {m, b1}, {m, b2}, {m, b3}, {b1, t},
+                                {b2, t}, {b3, t}});
+  ConnectivityProber prober(g);
+  EXPECT_EQ(prober.vertex_probe(s, t, 9), 1);
+  EXPECT_EQ(prober.edge_probe(s, t, 9), 3);
+  EXPECT_EQ(prober.vertex_probe(s, t, 9),
+            testing::reference_local_vertex_connectivity(g, s, t));
+  EXPECT_EQ(prober.edge_probe(s, t, 9),
+            testing::reference_local_edge_connectivity(g, s, t));
 }
 
 TEST(MaxFlow, ParallelPathsAdd) {
-  FlowNetwork net(4);
-  net.add_arc(0, 1, 2);
-  net.add_arc(1, 3, 2);
-  net.add_arc(0, 2, 3);
-  net.add_arc(2, 3, 3);
-  EXPECT_EQ(net.max_flow(0, 3), 5);
+  // The 6-cycle has two disjoint 0-3 paths; a third, 0-6-3, adds one.
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v < 6; ++v) edges.push_back({v, (v + 1) % 6});
+  const Graph ring = Graph::from_edges(6, edges);
+  edges.push_back({0, 6});
+  edges.push_back({6, 3});
+  const Graph more = Graph::from_edges(7, edges);
+  ConnectivityProber ring_prober(ring);
+  ConnectivityProber more_prober(more);
+  EXPECT_EQ(ring_prober.vertex_probe(0, 3, 9), 2);
+  EXPECT_EQ(ring_prober.edge_probe(0, 3, 9), 2);
+  EXPECT_EQ(more_prober.vertex_probe(0, 3, 9), 3);
+  EXPECT_EQ(more_prober.edge_probe(0, 3, 9), 3);
 }
 
-TEST(MaxFlow, ClassicTextbookNetwork) {
-  // CLRS figure: max flow 23.
-  FlowNetwork net(6);
-  net.add_arc(0, 1, 16);
-  net.add_arc(0, 2, 13);
-  net.add_arc(1, 2, 10);
-  net.add_arc(2, 1, 4);
-  net.add_arc(1, 3, 12);
-  net.add_arc(3, 2, 9);
-  net.add_arc(2, 4, 14);
-  net.add_arc(4, 3, 7);
-  net.add_arc(3, 5, 20);
-  net.add_arc(4, 5, 4);
-  EXPECT_EQ(net.max_flow(0, 5), 23);
+/// s-a-b-t is the shortest path and blocks both longer routes: c's only
+/// way on runs through b, and b ends at t.  Two disjoint s-t paths need
+/// s-c-c2-b-t and s-a-d-d2-t, so a-b carries nothing in the maximum.
+enum : NodeId { kS, kA, kB, kC, kC2, kD, kD2, kT, kRerouteNodes };
+Graph reroute_graph() {
+  return Graph::from_edges(
+      kRerouteNodes,
+      std::vector<Edge>{{kS, kA}, {kS, kC}, {kA, kB}, {kA, kD}, {kB, kT},
+                        {kC, kC2}, {kC2, kB}, {kD, kD2}, {kD2, kT}});
 }
 
 TEST(MaxFlow, RequiresResidualRerouting) {
-  // The only max solution reroutes flow pushed greedily through the
-  // middle arc.
-  FlowNetwork net(4);
-  net.add_arc(0, 1, 1);
-  net.add_arc(0, 2, 1);
-  net.add_arc(1, 2, 1);
-  net.add_arc(1, 3, 1);
-  net.add_arc(2, 3, 1);
-  EXPECT_EQ(net.max_flow(0, 3), 2);
-}
-
-TEST(MaxFlow, LimitStopsEarly) {
-  FlowNetwork net(2);
-  net.add_arc(0, 1, 100);
-  EXPECT_EQ(net.max_flow(0, 1, 7), 7);
-  EXPECT_EQ(net.max_flow(0, 1, 0), 0);
-}
-
-TEST(MaxFlow, DisconnectedIsZero) {
-  FlowNetwork net(3);
-  net.add_arc(0, 1, 4);
-  EXPECT_EQ(net.max_flow(0, 2), 0);
-}
-
-TEST(MaxFlow, ReusableAcrossQueries) {
-  // The same solver answers many (source, sink, limit) questions; each
-  // call resets per-query state, so answers never depend on history.
-  FlowNetwork net(4);
-  net.add_arc(0, 1, 2);
-  net.add_arc(1, 3, 2);
-  net.add_arc(0, 2, 3);
-  net.add_arc(2, 3, 3);
-  EXPECT_EQ(net.max_flow(0, 3), 5);
-  EXPECT_EQ(net.max_flow(0, 3), 5);     // repeat, same answer
-  EXPECT_EQ(net.max_flow(0, 3, 4), 4);  // capped repeat
-  EXPECT_EQ(net.max_flow(3, 0), 0);     // reverse direction: no arcs
-  EXPECT_EQ(net.max_flow(0, 1), 2);     // different sink
-  EXPECT_EQ(net.max_flow(0, 3), 5);     // back to the original query
-}
-
-TEST(MaxFlow, SharedScratchAcrossSolvers) {
-  MaxflowScratch scratch;
-  // Start near the top of the visit stamps, so the queries below also
-  // run across their wrap-around.
-  scratch.stamp = std::numeric_limits<std::uint32_t>::max() - 3;
-  FlowNetwork small(2);
-  small.add_arc(0, 1, 1);
-  FlowNetwork large(5);
-  large.add_arc(0, 1, 3);
-  large.add_arc(1, 4, 2);
-  EXPECT_EQ(small.max_flow(0, 1, INT64_MAX, scratch), 1);
-  EXPECT_EQ(large.max_flow(0, 4, INT64_MAX, scratch), 2);
-  EXPECT_EQ(small.max_flow(0, 1, INT64_MAX, scratch), 1);
-}
-
-TEST(MaxFlow, FlowOnReportsPerArc) {
-  FlowNetwork net(3);
-  const auto a01 = net.add_arc(0, 1, 2);
-  const auto a12 = net.add_arc(1, 2, 9);
-  EXPECT_EQ(net.max_flow(0, 2), 2);
-  EXPECT_EQ(net.flow_on(a01), 2);
-  EXPECT_EQ(net.flow_on(a12), 2);
-  EXPECT_THROW(net.flow_on(99), std::invalid_argument);
-}
-
-TEST(MaxFlow, FlowNeverEntersADeadEnd) {
-  // 0 -> 1 (cap 5) with 1 -> 2 -> sink 3 the only way through (cap 1),
-  // plus a trap 1 -> 4 with no exit: no flow may end up on the trap.
-  FlowNetwork net(5);
-  const auto a01 = net.add_arc(0, 1, 5);
-  const auto a12 = net.add_arc(1, 2, 1);
-  const auto a23 = net.add_arc(2, 3, 1);
-  const auto a14 = net.add_arc(1, 4, 3);
-  EXPECT_EQ(net.max_flow(0, 3), 1);
-  EXPECT_EQ(net.flow_on(a01), 1);
-  EXPECT_EQ(net.flow_on(a12), 1);
-  EXPECT_EQ(net.flow_on(a23), 1);
-  EXPECT_EQ(net.flow_on(a14), 0);  // the dead end carries nothing
-}
-
-TEST(MaxFlow, MinCutSourceSide) {
-  FlowNetwork net(4);
-  net.add_arc(0, 1, 10);
-  net.add_arc(1, 2, 1);  // the bottleneck
-  net.add_arc(2, 3, 10);
-  EXPECT_EQ(net.max_flow(0, 3), 1);
-  const auto side = net.min_cut_source_side();
-  EXPECT_TRUE(side[0]);
-  EXPECT_TRUE(side[1]);
-  EXPECT_FALSE(side[2]);
-  EXPECT_FALSE(side[3]);
-}
-
-TEST(MaxFlow, MinCutValidAfterPhaseOneOnly) {
-  // A dead-end branch hangs off the source side; the cut read off
-  // sink-side reachability must still have capacity == flow value.
-  FlowNetwork net(5);
-  net.add_arc(0, 1, 5);
-  net.add_arc(1, 2, 1);
-  net.add_arc(2, 3, 1);
-  net.add_arc(1, 4, 3);
-  EXPECT_EQ(net.max_flow(0, 3), 1);
-  const auto side = net.min_cut_source_side();
-  EXPECT_TRUE(side[0]);
-  // Cut capacity across (S, V-S) counting only forward arcs.
-  // Arcs: 0->1 (5), 1->2 (1), 2->3 (1), 1->4 (3).
-  struct Arc {
-    int u, v;
-    std::int64_t cap;
-  };
-  const std::vector<Arc> arcs{{0, 1, 5}, {1, 2, 1}, {2, 3, 1}, {1, 4, 3}};
-  std::int64_t crossing = 0;
-  for (const auto& a : arcs) {
-    if (side[static_cast<std::size_t>(a.u)] &&
-        !side[static_cast<std::size_t>(a.v)]) {
-      crossing += a.cap;
-    }
-  }
-  EXPECT_EQ(crossing, 1);
-}
-
-TEST(MaxFlow, Validation) {
-  EXPECT_THROW(FlowNetwork(-1), std::invalid_argument);
-  FlowNetwork net(2);
-  EXPECT_THROW(net.add_arc(0, 5, 1), std::invalid_argument);
-  EXPECT_THROW(net.add_arc(0, 1, -1), std::invalid_argument);
-  EXPECT_THROW(net.add_arc(0, 1, std::int64_t{1} << 40),
-               std::invalid_argument);
-  EXPECT_THROW(net.max_flow(0, 0), std::invalid_argument);
-  EXPECT_THROW(net.max_flow(0, 9), std::invalid_argument);
-  net.add_arc(0, 1, 1);
-  EXPECT_EQ(net.max_flow(0, 1), 1);
-  // The arc structure is frozen by the first query.
-  EXPECT_THROW(net.add_arc(1, 0, 1), std::invalid_argument);
-}
-
-TEST(MaxFlow, UnitBipartiteMatchingShape) {
-  // 3x3 bipartite unit network, perfect matching = 3.
-  FlowNetwork net(8);  // 0 src, 1..3 left, 4..6 right, 7 sink
-  for (int l = 1; l <= 3; ++l) net.add_arc(0, l, 1);
-  for (int r = 4; r <= 6; ++r) net.add_arc(r, 7, 1);
-  net.add_arc(1, 4, 1);
-  net.add_arc(1, 5, 1);
-  net.add_arc(2, 4, 1);
-  net.add_arc(3, 6, 1);
-  EXPECT_EQ(net.max_flow(0, 7), 3);
-}
-
-struct RandomArc {
-  std::int32_t u, v;
-  std::int64_t cap;
-};
-
-/// A random network on 4..15 vertices with up to 59 arcs.  Capacities
-/// include 0 and repeats so degenerate arcs get exercised.
-std::vector<RandomArc> random_network(Rng& rng, std::int32_t* n) {
-  *n = 4 + static_cast<std::int32_t>(rng.next_below(12));
-  const std::int32_t arcs = static_cast<std::int32_t>(rng.next_below(60));
-  std::vector<RandomArc> out;
-  for (std::int32_t a = 0; a < arcs; ++a) {
-    const auto u = static_cast<std::int32_t>(
-        rng.next_below(static_cast<std::uint64_t>(*n)));
-    const auto v = static_cast<std::int32_t>(
-        rng.next_below(static_cast<std::uint64_t>(*n)));
-    if (u == v) continue;
-    out.push_back({u, v, static_cast<std::int64_t>(rng.next_below(7))});
-  }
-  return out;
-}
-
-TEST(MaxFlow, AgreesWithDinicOnRandomNetworks) {
-  // Randomized cross-check against the reference Dinic: same arcs, same
-  // (s, t, limit) queries, identical values.  The sink-side cut of the
-  // uncapped query must carry exactly its value, and the reversed
-  // query (t, s) must agree too.
-  Rng rng(20260809);
-  for (int trial = 0; trial < 40; ++trial) {
-    std::int32_t n = 0;
-    const auto arcs = random_network(rng, &n);
-    FlowNetwork pr(n);
-    testing::ReferenceFlowNetwork dinic(n);
-    for (const auto& a : arcs) {
-      pr.add_arc(a.u, a.v, a.cap);
-      dinic.add_arc(a.u, a.v, a.cap);
-    }
-    const std::int32_t s = 0;
-    const std::int32_t t = n - 1;
-    const std::int64_t full = pr.max_flow(s, t);
-    {
-      testing::ReferenceFlowNetwork fresh = dinic;
-      ASSERT_EQ(full, fresh.max_flow(s, t)) << "trial " << trial;
-    }
-    const auto side = pr.min_cut_source_side();
-    ASSERT_TRUE(side[static_cast<std::size_t>(s)]) << "trial " << trial;
-    ASSERT_FALSE(side[static_cast<std::size_t>(t)]) << "trial " << trial;
-    std::int64_t crossing = 0;
-    for (const auto& a : arcs) {
-      if (side[static_cast<std::size_t>(a.u)] &&
-          !side[static_cast<std::size_t>(a.v)]) {
-        crossing += a.cap;
-      }
-    }
-    ASSERT_EQ(crossing, full) << "trial " << trial;
-    // Capped query, run on the SAME network (reset path).
-    const std::int64_t limit = static_cast<std::int64_t>(rng.next_below(5));
-    const std::int64_t capped = pr.max_flow(s, t, limit);
-    ASSERT_EQ(capped, std::min(full, limit)) << "trial " << trial;
-    {
-      testing::ReferenceFlowNetwork fresh = dinic;
-      ASSERT_EQ(pr.max_flow(t, s), fresh.max_flow(t, s)) << "trial " << trial;
-    }
-  }
-}
-
-TEST(MaxFlow, FlowOnIsAValidFlowAfterEveryQuery) {
-  // Every query leaves a flow, with no conversion step: capacity bounds
-  // on every arc, conservation everywhere but s and t, and the source's
-  // net outflow equal to the returned value.
-  Rng rng(20261019);
-  for (int trial = 0; trial < 40; ++trial) {
-    std::int32_t n = 0;
-    const auto arcs = random_network(rng, &n);
-    FlowNetwork net(n);
-    for (const auto& a : arcs) net.add_arc(a.u, a.v, a.cap);
-    for (int query = 0; query < 6; ++query) {
-      const auto s = static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(n)));
-      const auto t = static_cast<std::int32_t>(
-          (s + 1 + static_cast<std::int32_t>(rng.next_below(
-                       static_cast<std::uint64_t>(n - 1)))) % n);
-      const std::int64_t limit =
-          query % 2 == 0 ? std::numeric_limits<std::int64_t>::max()
-                         : static_cast<std::int64_t>(rng.next_below(6));
-      const std::int64_t value = net.max_flow(s, t, limit);
-      std::vector<std::int64_t> net_out(static_cast<std::size_t>(n), 0);
-      for (std::size_t i = 0; i < arcs.size(); ++i) {
-        const std::int64_t f = net.flow_on(static_cast<std::int32_t>(i));
-        ASSERT_GE(f, 0) << "trial " << trial << " arc " << i;
-        ASSERT_LE(f, arcs[i].cap) << "trial " << trial << " arc " << i;
-        net_out[static_cast<std::size_t>(arcs[i].u)] += f;
-        net_out[static_cast<std::size_t>(arcs[i].v)] -= f;
-      }
-      for (std::int32_t v = 0; v < n; ++v) {
-        if (v == s || v == t) continue;
-        ASSERT_EQ(net_out[static_cast<std::size_t>(v)], 0)
-            << "trial " << trial << " query " << query << " vertex " << v;
-      }
-      ASSERT_EQ(net_out[static_cast<std::size_t>(s)], value)
-          << "trial " << trial << " query " << query;
-    }
-  }
+  const Graph g = reroute_graph();
+  ConnectivityProber prober(g);
+  EXPECT_EQ(prober.vertex_probe(kS, kT, 9), 2);
+  EXPECT_EQ(prober.edge_probe(kS, kT, 9), 2);
+  EXPECT_EQ(testing::reference_local_vertex_connectivity(g, kS, kT), 2);
 }
 
 TEST(MaxFlow, CancelsEarlierFlowThroughReverseArc) {
-  // The shortest path s -> a -> b -> t is the first augmentation, and it
-  // blocks both longer routes: c's only exit runs through b, and b's
-  // only exit is t.  The maximum (2) needs a second path that walks
-  // s -> c -> c2 -> b, back along the reverse of a -> b, then
-  // a -> d -> d2 -> t — so a -> b ends with no flow.
-  enum : std::int32_t { s, a, b, c, c2, d, d2, t, kNodes };
-  const std::vector<RandomArc> arcs{{s, a, 1},  {s, c, 1},  {a, b, 1},
-                                    {a, d, 1},  {b, t, 1},  {c, c2, 1},
-                                    {c2, b, 1}, {d, d2, 1}, {d2, t, 1}};
-  FlowNetwork net(kNodes);
-  testing::ReferenceFlowNetwork dinic(kNodes);
-  for (const auto& arc : arcs) {
-    net.add_arc(arc.u, arc.v, arc.cap);
-    dinic.add_arc(arc.u, arc.v, arc.cap);
+  // Into N(t) = {b, d2}: the first path is s-a-b.  The second enters b
+  // from c2, walks back along a -> b and leaves a for d, cancelling it.
+  const Graph g = reroute_graph();
+  const auto rank = kappa_rank(g, kS, kT);
+  FanSearch fans(g);
+  EXPECT_EQ(fans.fan(kS, 1, rank, 1), 1);
+  EXPECT_EQ(fans.paths(), (std::vector<std::vector<NodeId>>{{kS, kA, kB}}));
+  EXPECT_EQ(fans.fan(kS, 9, rank, 1), 2);
+  EXPECT_EQ(fans.paths(), (std::vector<std::vector<NodeId>>{
+                              {kS, kC, kC2, kB}, {kS, kA, kD, kD2}}));
+}
+
+TEST(MaxFlow, LimitStopsEarly) {
+  const Graph g = complete_graph(6);
+  ConnectivityProber prober(g);
+  EXPECT_EQ(prober.vertex_probe(0, 1, 9), 5);
+  EXPECT_EQ(prober.vertex_probe(0, 1, 3), 3);
+  EXPECT_EQ(prober.edge_probe(0, 1, 2), 2);
+  EXPECT_EQ(prober.vertex_probe(0, 1, 0), 0);
+  EXPECT_EQ(prober.edge_probe(0, 1, -1), 0);
+}
+
+TEST(MaxFlow, DisconnectedIsZero) {
+  const Graph g = Graph::from_edges(5, std::vector<Edge>{{0, 1}, {2, 3}});
+  ConnectivityProber prober(g);
+  EXPECT_EQ(prober.vertex_probe(0, 2, 9), 0);
+  EXPECT_EQ(prober.edge_probe(0, 3, 9), 0);
+  EXPECT_EQ(prober.vertex_probe(4, 1, 9), 0);
+}
+
+TEST(MaxFlow, ReusableAcrossQueries) {
+  // One prober answers many (s, t, limit) questions; each call marks
+  // and restores its own sink set, so answers never depend on history.
+  const Graph g = reroute_graph();
+  ConnectivityProber prober(g);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(prober.vertex_probe(kS, kT, 9), 2);
+    EXPECT_EQ(prober.vertex_probe(kS, kT, 1), 1);   // capped repeat
+    EXPECT_EQ(prober.vertex_probe(kT, kS, 9), 2);   // reversed
+    EXPECT_EQ(prober.vertex_probe(kS, kA, 9), 2);   // adjacent pair
+    EXPECT_EQ(prober.edge_probe(kC, kD2, 9), 2);    // different pair
+    EXPECT_EQ(prober.vertex_probe(kC2, kT, 9), 2);  // c2-b-t, c2-c-s-a-d-d2-t
   }
-  EXPECT_EQ(net.max_flow(s, t, 1), 1);
-  EXPECT_EQ(net.flow_on(2), 1);  // the capped query took a -> b
-  EXPECT_EQ(net.max_flow(s, t), dinic.max_flow(s, t));
-  EXPECT_EQ(net.max_flow(s, t), 2);
-  EXPECT_EQ(net.flow_on(2), 0);  // a -> b cancelled
-  for (const std::int32_t i : {0, 1, 3, 4, 5, 6, 7, 8}) {
-    EXPECT_EQ(net.flow_on(i), 1) << "arc " << i;
+}
+
+TEST(MaxFlow, FlowNeverEntersADeadEnd) {
+  // s-a-b-t with a trap a-x1-x2 of no exit: the search explores the
+  // trap, but the fan's only path does not enter it.
+  enum : NodeId { s, a, b, t, x1, x2, kNodes };
+  const Graph g = Graph::from_edges(
+      kNodes, std::vector<Edge>{{s, a}, {a, b}, {b, t}, {a, x1}, {x1, x2}});
+  const auto rank = sink_rank(kNodes, std::vector<NodeId>{t});
+  FanSearch fans(g);
+  EXPECT_EQ(fans.fan(s, 9, rank, 1), 1);
+  EXPECT_EQ(fans.paths(), (std::vector<std::vector<NodeId>>{{s, a, b, t}}));
+}
+
+TEST(MaxFlow, FlowOnIsAValidFlowAfterEveryQuery) {
+  // After every query on one FanSearch, its paths read-out is a fan of
+  // the returned size: simple paths over edges of g from the source,
+  // each ending at its own vertex of S with no other S vertex on it,
+  // sharing no vertex but the source.
+  Rng rng(20261019);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<NodeId>(4 + rng.next_below(20));
+    const auto max_m = static_cast<std::int64_t>(n) * (n - 1) / 2;
+    const Graph g = random_gnm(
+        n, std::min<std::int64_t>(max_m, static_cast<std::int64_t>(
+                                             rng.next_below(60))),
+        rng);
+    std::vector<std::int32_t> rank(static_cast<std::size_t>(n));
+    std::iota(rank.begin(), rank.end(), 0);
+    FanSearch fans(g);
+    for (int query = 0; query < 6; ++query) {
+      rng.shuffle(std::span<std::int32_t>(rank));
+      const auto bound = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      NodeId source = 0;
+      while (rank[static_cast<std::size_t>(source)] < bound) ++source;
+      const auto limit = query % 2 == 0
+                             ? std::numeric_limits<std::int32_t>::max()
+                             : static_cast<std::int32_t>(rng.next_below(5));
+      const std::int32_t value = fans.fan(source, limit, rank, bound);
+      const auto paths = fans.paths();
+      ASSERT_EQ(static_cast<std::int32_t>(paths.size()), value)
+          << "trial " << trial << " query " << query;
+      std::vector<bool> used(static_cast<std::size_t>(n), false);
+      for (const auto& path : paths) {
+        ASSERT_GE(path.size(), 2u);
+        ASSERT_EQ(path.front(), source);
+        for (std::size_t i = 1; i < path.size(); ++i) {
+          ASSERT_TRUE(g.has_edge(path[i - 1], path[i]))
+              << "trial " << trial << " query " << query;
+          const auto v = static_cast<std::size_t>(path[i]);
+          ASSERT_EQ(rank[v] < bound, i + 1 == path.size())
+              << "trial " << trial << " query " << query << " vertex " << v;
+          ASSERT_FALSE(used[v])
+              << "trial " << trial << " query " << query << " vertex " << v;
+          used[v] = true;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaxFlow, MinCutSourceSide) {
+  // The path 0-1-2-3-4 probed as (0, 4): every inner vertex is a
+  // minimum cut, and the read-out is the one closest to the sink.
+  const Graph g = path_graph(5);
+  const auto rank = kappa_rank(g, 0, 4);
+  FanSearch fans(g);
+  EXPECT_EQ(fans.fan(0, 9, rank, 1), 1);
+  EXPECT_EQ(fans.vertex_cut(), (std::vector<NodeId>{3}));
+}
+
+TEST(MaxFlow, MinCutValidAfterPhaseOneOnly) {
+  // A dead-end branch hangs off the source side and the last search
+  // explores it; the cut must still have the fan's size and separate
+  // the source from the sink set.
+  enum : NodeId { s, a, b, t, x1, x2, kNodes };
+  const Graph g = Graph::from_edges(
+      kNodes, std::vector<Edge>{{s, a}, {a, b}, {b, t}, {a, x1}, {x1, x2}});
+  const auto rank = kappa_rank(g, s, t);
+  FanSearch fans(g);
+  EXPECT_EQ(fans.fan(s, 9, rank, 1), 1);
+  const auto cut = fans.vertex_cut();
+  EXPECT_EQ(cut, (std::vector<NodeId>{b}));
+  EXPECT_FALSE(is_connected_after_node_removal(g, cut));
+}
+
+TEST(MaxFlow, Validation) {
+  const Graph g = complete_graph(5);
+  ConnectivityProber prober(g);
+  EXPECT_THROW(prober.vertex_probe(0, 0, 3), std::invalid_argument);
+  EXPECT_THROW(prober.edge_probe(0, 9, 3), std::invalid_argument);
+  FanSearch fans(g);
+  EXPECT_THROW(fans.paths(), std::invalid_argument);
+  EXPECT_THROW(fans.vertex_cut(), std::invalid_argument);
+  // Four disjoint paths exist, so a fan stopped at two is not maximum
+  // and has no minimum cut to read.
+  const auto rank = sink_rank(5, std::vector<NodeId>{1, 2, 3, 4});
+  EXPECT_EQ(fans.fan(0, 2, rank, 1), 2);
+  EXPECT_EQ(fans.paths().size(), 2u);
+  EXPECT_THROW(fans.vertex_cut(), std::invalid_argument);
+  EXPECT_EQ(fans.fan(0, 4, rank, 1), 4);
+  EXPECT_EQ(fans.vertex_cut(), (std::vector<NodeId>{1, 2, 3, 4}));
+}
+
+TEST(MaxFlow, UnitBipartiteMatchingShape) {
+  // Source 0 joined to the left side 1..3; a fan into the right side
+  // 4..6 is a matching, and the perfect one has size 3.
+  const Graph g = Graph::from_edges(
+      7, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {1, 5}, {2, 4},
+                           {3, 6}});
+  FanSearch fans(g);
+  EXPECT_EQ(fans.fan(0, 9, sink_rank(7, std::vector<NodeId>{4, 5, 6}), 1), 3);
+}
+
+TEST(MaxFlow, AgreesWithDinicOnRandomNetworks) {
+  // On random graphs with random sink sets: the maximum fan's size and
+  // its sink-closest cut against Dinic on Even's split network built
+  // out in full, with edge arcs and the set's arcs into the super-sink
+  // of capacity n+1, so only split arcs can be cut.  The cut carries
+  // exactly the fan's value.
+  Rng rng(20260809);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<NodeId>(4 + rng.next_below(24));
+    const auto max_m = static_cast<std::int64_t>(n) * (n - 1) / 2;
+    const Graph g = random_gnm(
+        n, std::min<std::int64_t>(max_m, static_cast<std::int64_t>(
+                                             rng.next_below(80))),
+        rng);
+    std::vector<std::int32_t> rank(static_cast<std::size_t>(n));
+    std::iota(rank.begin(), rank.end(), 0);
+    rng.shuffle(std::span<std::int32_t>(rank));
+    const auto bound = static_cast<std::int32_t>(
+        rng.next_below(static_cast<std::uint64_t>(n)));
+    NodeId source = 0;
+    while (rank[static_cast<std::size_t>(source)] < bound) ++source;
+
+    const std::int32_t big = n + 1;
+    const std::int32_t sink = 2 * n;
+    testing::ReferenceFlowNetwork net(sink + 1);
+    for (NodeId v = 0; v < n; ++v) {
+      net.add_arc(2 * v, 2 * v + 1, 1);
+      if (rank[static_cast<std::size_t>(v)] < bound) {
+        net.add_arc(2 * v + 1, sink, big);
+      }
+    }
+    for (const Edge e : g.edges()) {
+      net.add_arc(2 * e.u + 1, 2 * e.v, big);
+      net.add_arc(2 * e.v + 1, 2 * e.u, big);
+    }
+    FanSearch fans(g);
+    const std::int32_t value = fans.fan(source, big, rank, bound);
+    ASSERT_EQ(value, net.max_flow(2 * source + 1, sink)) << "trial " << trial;
+    const auto sink_side = net.min_cut_sink_side(sink);
+    std::vector<NodeId> expected;
+    for (NodeId v = 0; v < n; ++v) {
+      if (!sink_side[static_cast<std::size_t>(2 * v)] &&
+          sink_side[static_cast<std::size_t>(2 * v + 1)]) {
+        expected.push_back(v);
+      }
+    }
+    ASSERT_EQ(fans.vertex_cut(), expected) << "trial " << trial;
+    ASSERT_EQ(static_cast<std::int32_t>(expected.size()), value)
+        << "trial " << trial;
   }
 }
 
